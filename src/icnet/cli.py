@@ -99,9 +99,14 @@ _TRAIN_CASTS = {
     "reinit_each_round": lambda s: s.strip().lower() in ("1", "true", "yes"),
 }
 
+def _optional_int(raw):
+    """An int, or None (unset) for an empty value or the snapshot's `None`."""
+    return None if raw.strip() in ("", "None") else int(raw)
+
+
 _SAMPLER_CASTS = {
     "method": str, "stopping": str, "step_size": float, "anneal": float,
-    "max_steps": int, "confidence_threshold": float, "fixed_steps": int,
+    "max_steps": int, "confidence_threshold": float, "fixed_steps": _optional_int,
     "reference_sigma": float,
     "noise": lambda s: s.strip().lower() in ("1", "true", "yes"),
 }

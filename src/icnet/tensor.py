@@ -8,10 +8,12 @@ inputs. Values are plain numpy arrays; the graph is an append-only tape
 reversed sweep backpropagates every node exactly once.
 """
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 Array = np.ndarray
 
@@ -60,6 +62,13 @@ def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int):
     """5x5-style convolution; returns output plus the caches backward needs.
 
     x: (n, c_in, h, w); k: (c_out, c_in, kh, kw); b: (c_out,).
+
+    The patch matrix `mat` is one contiguous copy of a strided view of the
+    zero-padded input, shaped (n, oh, ow, c_in, kh, kw): each row is one
+    output pixel's receptive field in `k.reshape(c_out, -1)` column order, so
+    the whole conv is a single GEMM. Backward reuses `mat` for the kernel
+    gradient; `conv2d_input_grad` scatters the patch gradients back through
+    a channel-last padded buffer (see there).
     """
     n, c, h, w = x.shape
     co, ci, kh, kw = k.shape
@@ -71,27 +80,33 @@ def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int):
         raise ShapeMismatchError(f"conv output would be empty for input {h}x{w}")
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
     xp[:, :, pad:pad + h, pad:pad + w] = x
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    mat = np.ascontiguousarray(cols.transpose(0, 4, 5, 1, 2, 3)).reshape(n * oh * ow, c * kh * kw)
-    out = mat @ k.reshape(co, -1).T + b
+    sn, sc, sh, sw = xp.strides
+    patches = as_strided(xp, (n, oh, ow, c, kh, kw),
+                         (sn, stride * sh, stride * sw, sc, sh, sw), writeable=False)
+    mat = np.ascontiguousarray(patches).reshape(n * oh * ow, c * kh * kw)
+    out = mat @ k.reshape(co, -1).T
+    out += b
     out = np.ascontiguousarray(out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
     return out, mat, (oh, ow)
 
 
 def conv2d_input_grad(dout: Array, k: Array, x_shape, stride: int, pad: int) -> Array:
+    """d(loss)/dx of `conv2d_value`, given dout in channel-last (n, oh, ow, c_out) layout.
+
+    One GEMM gives the patch gradients in `mat` layout, (n, oh, ow, c_in, kh,
+    kw). Each kernel tap is scatter-added into a channel-last padded buffer,
+    so every add writes contiguous channel runs; the unpadded interior is
+    returned as an NCHW view.
+    """
     n, c, h, w = x_shape
-    co, ci, kh, kw = k.shape
-    _, _, oh, ow = dout.shape
-    dmat_out = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * oh * ow, co)
-    dcols = (dmat_out @ k.reshape(co, -1)).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    co, _, kh, kw = k.shape
+    _, oh, ow, _ = dout.shape
+    dcols = (dout.reshape(n * oh * ow, co) @ k.reshape(co, -1)).reshape(n, oh, ow, c, kh, kw)
+    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
-    return dxp[:, :, pad:pad + h, pad:pad + w]
+            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[..., i, j]
+    return dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
 def leaky_value(x: Array, slope: float) -> Array:
@@ -138,7 +153,9 @@ class Node:
         self.requires_grad = requires_grad
         self.kind = kind  # "param" | "input" | "const" | "op"
         self._backward: Callable[[Array], None] | None = None
-        self._record = record
+        # weak, so a dropped record and its arrays are freed at once rather
+        # than at the next cyclic garbage collection
+        self._record = weakref.ref(record)
 
     @property
     def shape(self):
@@ -148,6 +165,9 @@ class Node:
         if not self.requires_grad:
             return
         if self.grad is None:
+            if g.shape == self.value.shape:
+                self.grad = g.copy()  # private: g may also reach a sibling operand
+                return
             self.grad = np.zeros_like(self.value)
         self.grad += g
 
@@ -170,7 +190,7 @@ class ComputationRecord:
     def _push(self, value: Array, op: str, parents: Sequence[Node],
               backward: Callable[[Array], None]) -> Node:
         for p in parents:
-            if p._record is not self:
+            if p._record() is not self:
                 raise GraphError("operand belongs to a different record")
         node = Node(_check_finite(value, op), "op",
                     any(p.requires_grad for p in parents), self)
@@ -195,18 +215,19 @@ class ComputationRecord:
         return self._push(out, "affine", (x, w, b), backward)
 
     def conv2d(self, x: Node, k: Node, b: Node, stride: int = 2, pad: int = 2) -> Node:
-        out, mat, (oh, ow) = conv2d_value(x.value, k.value, b.value, stride, pad)
-        n = x.shape[0]
-        co = k.shape[0]
+        out, mat, _ = conv2d_value(x.value, k.value, b.value, stride, pad)
+        if not k.requires_grad:
+            mat = None  # only the kernel gradient reads the patch matrix
 
         def backward(g: Array) -> None:
-            dmat_out = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, co)
+            dout = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+            dmat_out = dout.reshape(-1, k.shape[0])
             if k.requires_grad:
-                k._accumulate((mat.T @ dmat_out).T.reshape(k.shape))
+                k._accumulate((dmat_out.T @ mat).reshape(k.shape))
             if b.requires_grad:
                 b._accumulate(dmat_out.sum(axis=0))
             if x.requires_grad:
-                x._accumulate(conv2d_input_grad(g, k.value, x.shape, stride, pad))
+                x._accumulate(conv2d_input_grad(dout, k.value, x.shape, stride, pad))
 
         return self._push(out, "conv2d", (x, k, b), backward)
 
@@ -328,7 +349,7 @@ class ComputationRecord:
 
     def backward(self, out: Node) -> None:
         """Seed d(out)/d(out) = 1 and sweep the tape once, in reverse."""
-        if out._record is not self:
+        if out._record() is not self:
             raise GraphError("output node belongs to a different record")
         if out.value.shape != ():
             raise GraphError(f"backward requires a scalar node, got shape {out.shape}")

@@ -1,6 +1,7 @@
 """Config grammar, CSV/PGM format contracts, and end-to-end run artifacts."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,35 @@ class TestParseConfig:
         a = C.config_snapshot_text(C.parse_config(path))
         b = C.config_snapshot_text(C.parse_config(path))
         assert a == b and "[experiment]" in a
+
+    @pytest.mark.parametrize("stopping", ["option2", "option3"])
+    def test_snapshot_round_trips(self, tmp_path, stopping):
+        sampler = "" if stopping == "option2" else "stopping = option3\nfixed_steps = 7\n"
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\ntask = synthetic2d\nmode = binary\n"
+                        f"out = {tmp_path / 'run'}\n\n[sampler]\n{sampler}")
+        cfg = C.parse_config(path)
+        assert cfg.sampler.fixed_steps == (None if stopping == "option2" else 7)
+        snap = tmp_path / "config.ini"
+        snap.write_text(C.config_snapshot_text(cfg))
+        assert C.parse_config(snap) == cfg
+
+    def test_readme_config_blocks_parse(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert blocks
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.ini"
+            path.write_text(block)
+            C.parse_config(path)
+
+    @pytest.mark.parametrize("raw", ["", "None"])
+    def test_unset_fixed_steps(self, tmp_path, raw):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\ntask = synthetic2d\nmode = binary\n"
+                        f"out = {tmp_path / 'run'}\n\n[sampler]\n"
+                        f"fixed_steps = {raw}  # required for option3\n")
+        assert C.parse_config(path).sampler.fixed_steps is None
 
 
 class TestRunExperiment:

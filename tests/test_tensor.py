@@ -1,6 +1,9 @@
 """Autodiff engine checks: forward semantics against brute-force oracles,
 gradients against central finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,44 @@ def brute_force_conv(x, k, b, stride, pad):
                                     acc += x[ni, ic, ri, rj] * k[oc, ic, ki, kj]
                     out[ni, oc, oi, oj] = acc + b[oc]
     return out
+
+
+def brute_force_conv_adjoint(x, k, g, stride, pad):
+    """Input, kernel and bias gradients of sum(g * conv(x, k, b)), by direct
+    nested loops over every (output pixel, kernel tap) pair."""
+    n, c, h, w = x.shape
+    co, ci, kh, kw = k.shape
+    _, _, oh, ow = g.shape
+    dx = np.zeros_like(x)
+    dk = np.zeros_like(k)
+    for ni in range(n):
+        for oc in range(co):
+            for oi in range(oh):
+                for oj in range(ow):
+                    for ic in range(c):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                ri = oi * stride + ki - pad
+                                rj = oj * stride + kj - pad
+                                if 0 <= ri < h and 0 <= rj < w:
+                                    dx[ni, ic, ri, rj] += g[ni, oc, oi, oj] * k[oc, ic, ki, kj]
+                                    dk[oc, ic, ki, kj] += g[ni, oc, oi, oj] * x[ni, ic, ri, rj]
+    return dx, dk, g.sum(axis=(0, 2, 3))
+
+
+def conv_backward(x, k, b, g, stride, pad):
+    """Engine gradients of sum(g * conv(x, k, b)) w.r.t. x, k and b."""
+    rec = T.ComputationRecord()
+    xn = rec.leaf(x, kind="input")
+    kn = rec.leaf(k, kind="param")
+    bn = rec.leaf(b, kind="param")
+    out = rec.conv2d(xn, kn, bn, stride=stride, pad=pad)
+    rec.backward(rec.sum(rec.mul_const(out, g)))
+    return xn.grad, kn.grad, bn.grad
+
+
+CONV_ADJOINT_CASES = [(stride, pad, hw) for stride in (1, 2) for pad in (0, 2)
+                      for hw in ((7, 7), (8, 8), (9, 6))]
 
 
 class TestForward:
@@ -147,12 +188,74 @@ class TestInputGradient:
         report = T.gradient_check(spec, seed=42, input_shape=(1, 8, 8), head="sigmoid")
         assert report.max_rel_err_input < 1e-4
 
+    def test_dropped_record_freed_without_cycle_collection(self):
+        gc.disable()
+        try:
+            rec = T.ComputationRecord()
+            x = rec.leaf(np.ones((2, 3)), kind="input")
+            loss = rec.sum(rec.square(x))
+            rec.backward(loss)
+            alive = weakref.ref(rec)
+            del rec, x, loss
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_unregistered_input_rejected(self):
         rec = T.ComputationRecord()
         p = rec.leaf(np.ones(2), kind="param")
         loss = rec.sum(p)
         with pytest.raises(T.GraphError):
             T.input_gradient(rec, loss)
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("stride,pad,hw", CONV_ADJOINT_CASES)
+    def test_matches_brute_force_adjoint(self, stride, pad, hw):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 3) + hw)
+        k = rng.standard_normal((4, 3, 5, 5))
+        b = rng.standard_normal(4)
+        out, _, _ = T.conv2d_value(x, k, b, stride, pad)
+        g = rng.standard_normal(out.shape)
+        got = conv_backward(x, k, b, g, stride, pad)
+        want = brute_force_conv_adjoint(x, k, g, stride, pad)
+        for name, a, e in zip(("input", "kernel", "bias"), got, want):
+            assert a.shape == e.shape, name
+            np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_same_input_twice_is_bitwise_equal(self):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((3, 8, 9, 9))
+        k = rng.standard_normal((6, 8, 5, 5))
+        b = rng.standard_normal(6)
+        g = rng.standard_normal(T.conv2d_value(x, k, b, 2, 2)[0].shape)
+        first = conv_backward(x, k, b, g, 2, 2)
+        second = conv_backward(x, k, b, g, 2, 2)
+        for a, e in zip(first, second):
+            assert np.array_equal(a, e) and np.array_equal(np.signbit(a), np.signbit(e))
+
+    def test_const_kernel_drops_patch_matrix(self, monkeypatch):
+        mats = []
+        conv2d_value = T.conv2d_value
+
+        def spy(*args):
+            out, mat, shape = conv2d_value(*args)
+            mats.append(weakref.ref(mat))
+            return out, mat, shape
+
+        monkeypatch.setattr(T, "conv2d_value", spy)
+        rng = np.random.default_rng(33)
+        rec = T.ComputationRecord()
+        x = rec.leaf(rng.standard_normal((2, 2, 8, 8)), kind="input")
+        const_k = rec.leaf(rng.standard_normal((3, 2, 5, 5)))
+        param_k = rec.leaf(rng.standard_normal((3, 2, 5, 5)), kind="param")
+        b = rec.leaf(np.zeros(3))
+        rec.conv2d(x, const_k, b)
+        rec.conv2d(x, param_k, b)
+        gc.collect()
+        assert mats[0]() is None      # input grad only: nothing reads it
+        assert mats[1]() is not None  # kernel grad reads it in backward
 
 
 class TestGradientCheck:
