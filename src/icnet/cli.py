@@ -99,6 +99,7 @@ _TRAIN_CASTS = {
     "reinit_each_round": lambda s: s.strip().lower() in ("1", "true", "yes"),
 }
 
+
 def _optional_int(raw):
     """An int, or None (unset) for an empty value or the snapshot's `None`."""
     return None if raw.strip() in ("", "None") else int(raw)

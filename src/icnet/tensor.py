@@ -59,7 +59,7 @@ def affine_value(x: Array, w: Array, b: Array) -> Array:
 
 
 def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int):
-    """5x5-style convolution; returns output plus the caches backward needs.
+    """5x5-style convolution; returns the output and the patch matrix `mat`.
 
     x: (n, c_in, h, w); k: (c_out, c_in, kh, kw); b: (c_out,).
 
@@ -87,7 +87,7 @@ def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int):
     out = mat @ k.reshape(co, -1).T
     out += b
     out = np.ascontiguousarray(out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
-    return out, mat, (oh, ow)
+    return out, mat
 
 
 def conv2d_input_grad(dout: Array, k: Array, x_shape, stride: int, pad: int) -> Array:
@@ -164,12 +164,13 @@ class Node:
     def _accumulate(self, g: Array) -> None:
         if not self.requires_grad:
             return
+        if g.shape != self.value.shape:
+            raise ShapeMismatchError(
+                f"{self.kind} gradient has shape {g.shape}, value has {self.value.shape}")
         if self.grad is None:
-            if g.shape == self.value.shape:
-                self.grad = g.copy()  # private: g may also reach a sibling operand
-                return
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            self.grad = g.copy()  # private: g may also reach a sibling operand
+        else:
+            self.grad += g
 
 
 class ComputationRecord:
@@ -215,7 +216,7 @@ class ComputationRecord:
         return self._push(out, "affine", (x, w, b), backward)
 
     def conv2d(self, x: Node, k: Node, b: Node, stride: int = 2, pad: int = 2) -> Node:
-        out, mat, _ = conv2d_value(x.value, k.value, b.value, stride, pad)
+        out, mat = conv2d_value(x.value, k.value, b.value, stride, pad)
         if not k.requires_grad:
             mat = None  # only the kernel gradient reads the patch matrix
 
@@ -507,7 +508,7 @@ def forward_features(params: Sequence[Array], spec: Sequence[LayerSpec], x) -> A
             elif layer.kind == "conv":
                 if out.ndim != 4 or out.shape[1] != layer.in_width:
                     raise ShapeMismatchError(f"expected (n,{layer.in_width},h,w), got {out.shape}")
-                out, _, _ = conv2d_value(out, params[pi], params[pi + 1], CONV_STRIDE, layer.pad)
+                out, _ = conv2d_value(out, params[pi], params[pi + 1], CONV_STRIDE, layer.pad)
                 pi += 2
             elif layer.kind == "leaky":
                 out = leaky_value(out, layer.slope)

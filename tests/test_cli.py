@@ -218,6 +218,14 @@ class TestParseConfig:
             path.write_text(block)
             C.parse_config(path)
 
+    def test_readme_sgd_step_snippet_runs(self, capsys):
+        # the README's timing recipe, run once at batch 2 so it cannot rot
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (snippet,) = re.findall(r"python3 - <<'PY'\n(.*?)\nPY\n", readme, re.S)
+        assert "batch = 64\n" in snippet
+        exec(snippet.replace("batch = 64\n", "batch = 2\n"), {})
+        assert "SGD step at batch 2: median" in capsys.readouterr().out
+
     @pytest.mark.parametrize("raw", ["", "None"])
     def test_unset_fixed_steps(self, tmp_path, raw):
         path = tmp_path / "exp.ini"
