@@ -368,7 +368,10 @@ def load_store(path) -> PseudoNegativeStore:
     with open(path, "rb") as fh:
         if fh.read(len(STORE_MAGIC)) != STORE_MAGIC:
             raise StoreFormatError(f"{path}: bad magic, not a pseudo-negative store")
-        version, count = struct.unpack("<IQ", fh.read(12))
+        head = fh.read(12)
+        if len(head) != 12:
+            raise StoreFormatError(f"{path}: truncated store header")
+        version, count = struct.unpack("<IQ", head)
         if version != STORE_VERSION:
             raise StoreVersionError(f"{path}: store version {version}, "
                                     f"this build reads {STORE_VERSION}")
@@ -378,7 +381,10 @@ def load_store(path) -> PseudoNegativeStore:
             if len(head) != 12:
                 raise StoreFormatError(f"{path}: truncated entry header")
             rnd, tag, ndim = struct.unpack("<IiI", head)
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+            raw = fh.read(4 * ndim)
+            if len(raw) != 4 * ndim:
+                raise StoreFormatError(f"{path}: truncated entry shape")
+            shape = struct.unpack(f"<{ndim}I", raw)
             n_bytes = int(np.prod(shape)) * 8 if shape else 8
             payload = fh.read(n_bytes)
             if len(payload) != n_bytes:

@@ -133,32 +133,33 @@ def predict_label(model, x) -> Array:
 # graph builders shared by the trainer and the sampler
 # ---------------------------------------------------------------------------
 
-def logit_sum_graph(c, x, class_index: int | None = None,
+def logit_sum_graph(c, x, class_index: int | Array | None = None,
                     trainable_params: bool = False):
-    """Graph for the summed per-sample logit of one head.
+    """Graph for the summed per-sample logit of each sample's head.
 
     Per-sample chains are independent, so the input gradient of the batch sum
-    is exactly the per-sample logit gradient. With trainable_params=False the
-    parameters enter as constants and backward skips their gradients, which
-    is what synthesis wants. Returns (record, scalar_node, logits (n,)).
+    is exactly the per-sample logit gradient. A multi-class classifier takes
+    `class_index` as one int for every row or one int per row; the full head
+    is evaluated and each row's logit selected, so chains of every class share
+    one graph. With trainable_params=False the parameters enter as constants
+    and backward skips their gradients, which is what synthesis wants.
+    Returns (record, scalar_node, logits (n,)).
     """
     record = T.ComputationRecord()
     x_node = record.leaf(x, kind="input")
     kind = "param" if trainable_params else "const"
     p_nodes = [record.leaf(p, kind=kind) for p in c.feature_params]
     feats = T.build_feature_graph(record, c.spec, p_nodes, x_node)
-    if isinstance(c, BinaryClassifier):
-        w, b = c.head_w, c.head_b
-    else:
-        if class_index is None:
-            raise ValueError("multi-class synthesis needs a class index")
-        w = c.head_w[:, class_index:class_index + 1]
-        b = c.head_b[class_index:class_index + 1]
-    w_node = record.leaf(w, kind=kind)
-    b_node = record.leaf(b, kind=kind)
+    w_node = record.leaf(c.head_w, kind=kind)
+    b_node = record.leaf(c.head_b, kind=kind)
     logits = record.affine(feats, w_node, b_node)
-    scalar = record.sum(logits)
-    return record, scalar, logits.value[:, 0]
+    if isinstance(c, BinaryClassifier):
+        scalar = record.sum(logits)
+        return record, scalar, logits.value[:, 0]
+    if class_index is None:
+        raise ValueError("multi-class synthesis needs a class index")
+    picked = record.select(logits, np.broadcast_to(class_index, (logits.shape[0],)))
+    return record, record.sum(picked), picked.value
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,10 @@ def _read_tensor(fh) -> Array:
     ndim = struct.unpack("<q", raw)[0]
     if not 0 <= ndim <= 8:
         raise ModelFormatError(f"implausible tensor rank {ndim}")
-    shape = tuple(struct.unpack("<q", fh.read(8))[0] for _ in range(ndim))
+    raw = fh.read(8 * ndim)
+    if len(raw) != 8 * ndim:
+        raise ModelFormatError("truncated tensor shape")
+    shape = struct.unpack(f"<{ndim}q", raw)
     count = int(np.prod(shape)) if shape else 1
     data = fh.read(count * 8)
     if len(data) != count * 8:
@@ -225,21 +229,26 @@ def load_model(path):
     with open(path, "rb") as fh:
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
             raise ModelFormatError(f"{path}: bad magic, not a model file")
-        header = json.loads(fh.readline().decode())
-        spec = _spec_from_descriptor(header["spec"])
+        # a cut or garbled header line: JSON and UTF-8 errors are ValueErrors
+        try:
+            header = json.loads(fh.readline().decode())
+            spec = _spec_from_descriptor(header["spec"])
+            kind = header["kind"]
+            classes = int(header.get("classes", 0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: malformed header: {exc!r}") from None
         n_feature = 2 * sum(1 for l in spec if l.kind in ("dense", "conv"))
 
         def read_member() -> BinaryClassifier:
             tensors = [_read_tensor(fh) for _ in range(n_feature + 2)]
             return BinaryClassifier(spec, tensors[:n_feature], tensors[-2], tensors[-1])
 
-        if header["kind"] == "binary":
+        if kind == "binary":
             return read_member()
-        if header["kind"] == "multiclass":
+        if kind == "multiclass":
             tensors = [_read_tensor(fh) for _ in range(n_feature + 2)]
             return MulticlassClassifier(spec, tensors[:n_feature],
                                         tensors[-2], tensors[-1])
-        if header["kind"] == "one_vs_all":
-            members = [read_member() for _ in range(int(header["classes"]))]
-            return OneVsAllEnsemble(members)
-        raise ModelFormatError(f"unknown model kind {header['kind']!r}")
+        if kind == "one_vs_all":
+            return OneVsAllEnsemble([read_member() for _ in range(classes)])
+        raise ModelFormatError(f"unknown model kind {kind!r}")

@@ -97,6 +97,11 @@ def langevin_step(x: Array, grad: Array, eps: float, rng: np.random.Generator,
 
 
 def _adam_step(x, grad, m, v, k, config: SamplerConfig, eps_k: float):
+    """One Adam-style ascent step; also returns which rows stayed finite.
+
+    grad*grad can overflow, which would freeze a chain at step size 0. A
+    finite v_hat bounds the step, so it alone decides the row's finiteness.
+    """
     b1, b2 = config.adam_beta1, config.adam_beta2
     m = b1 * m + (1 - b1) * grad
     v = b2 * v + (1 - b2) * grad * grad
@@ -105,14 +110,52 @@ def _adam_step(x, grad, m, v, k, config: SamplerConfig, eps_k: float):
     out = x + eps_k * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if config.clamp is not None:
         out = np.clip(out, config.clamp[0], config.clamp[1])
-    return out, m, v
+    return out, m, v, _finite_rows(v_hat)
+
+
+def _finite_rows(a: Array) -> Array:
+    """Per-row mask: True where every value of the row is finite."""
+    return np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+
+
+# Active chains are evaluated in graphs of at most this many rows, so one
+# step's memory stays bounded however many chains run: for MNIST_NET the c2
+# input-grad patch matrix alone takes about 0.6 MB per row.
+MAX_GRAPH_ROWS = 256
+
+
+def _chain_graph(classifier, x: Array, rows: Array, classes: Array | None):
+    """`logit_sum_graph` over x[rows], minus the rows whose forward pass
+    overflows; returns (kept rows, overflowing rows, graph or None)."""
+    def build(rows):
+        return N.logit_sum_graph(classifier, x[rows],
+                                 None if classes is None else classes[rows])
+
+    try:
+        return rows, rows[:0], build(rows)
+    except T.NonFiniteError:
+        # only now pay for an untaped forward that finds the offending rows;
+        # class_logits also serves a binary head, whose width is 1
+        bad = ~_finite_rows(N.class_logits(classifier, x[rows]))
+        if not bad.any():
+            raise
+    kept = rows[~bad]
+    return kept, rows[bad], build(kept) if kept.size else None
 
 
 def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                                 rng: np.random.Generator, input_shape,
-                                class_index: int | None = None,
+                                class_index: int | Array | None = None,
                                 init: Array | None = None):
-    """Run `count` chains against one head; returns (samples, traces).
+    """Run `count` chains; returns (samples, traces).
+
+    On a multi-class classifier `class_index` names each chain's head: one
+    int for every chain, or one int per chain, so a single call synthesizes
+    for every class. Each step evaluates the active chains in graphs of at
+    most MAX_GRAPH_ROWS rows and draws one Langevin noise array for all of
+    them, so the result does not depend on that cap. A chain whose forward
+    pass, gradient or update stops being finite is tagged non_finite and
+    keeps its last finite sample; the other chains go on.
 
     Emitted samples are pseudo-negatives by construction: the caller tags
     them with the negative label (or the synthesizing class, multi-class).
@@ -124,62 +167,86 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         x = np.array(init, dtype=np.float64)
         if x.shape[0] != count:
             raise SamplerError(f"init holds {x.shape[0]} rows, expected {count}")
+        if not np.all(np.isfinite(x)):
+            raise SamplerError("init holds non-finite values")
+    classes = None
+    if class_index is not None:
+        classes = np.asarray(class_index, dtype=np.intp)
+        if classes.ndim == 0:
+            classes = np.full(count, classes)
+        if classes.shape != (count,):
+            raise SamplerError(f"class_index holds {classes.shape} entries, "
+                               f"expected one or {count}")
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     steps = np.zeros(count, dtype=int)
-    reasons = [""] * count
+    reasons = np.full(count, "", dtype=object)
     final_logits = np.zeros(count)
     paths: list[list[float]] = [[] for _ in range(count)]
     active = np.ones(count, dtype=bool)
 
+    def stop(rows, k, reason):
+        if rows.size:
+            steps[rows], reasons[rows], active[rows] = k, reason, False
+
     limit = config.fixed_steps if config.stopping == "option3" else config.max_steps
-    for k in range(limit + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        record, scalar, logits = N.logit_sum_graph(classifier, x[idx], class_index)
-        for row, j in enumerate(idx):
-            paths[j].append(float(logits[row]))
-            final_logits[j] = logits[row]
-        if config.stopping == "option1":
-            stop_now = logits > 0.0
-            reason = STOP_POSITIVE
-        elif config.stopping == "option2":
-            stop_now = T.sigmoid_value(logits) >= config.confidence_threshold
-            reason = STOP_THRESHOLD
-        else:
-            stop_now = np.full(idx.size, k == config.fixed_steps)
-            reason = STOP_FIXED
-        for j in idx[stop_now]:
-            steps[j], reasons[j] = k, reason
-            active[j] = False
-        if k == limit:
-            for j in idx[~stop_now]:
-                steps[j], reasons[j] = k, STOP_MAX
-                active[j] = False
-            break
-        moving = idx[~stop_now]
-        if moving.size == 0:
-            continue
-        grads = T.input_gradient(record, scalar)
-        rows = ~stop_now
-        g = grads[rows]
-        bad = ~np.isfinite(g).reshape(g.shape[0], -1).all(axis=1)
-        if bad.any():
-            for j in moving[bad]:
-                steps[j], reasons[j] = k, STOP_NON_FINITE
-                active[j] = False
-            moving = moving[~bad]
-            g = g[~bad]
-            if moving.size == 0:
+    # overflow is detected and tagged per row below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(limit + 1):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            moving, grads = [], []
+            for at in range(0, idx.size, MAX_GRAPH_ROWS):
+                rows, overflowed, graph = _chain_graph(
+                    classifier, x, idx[at:at + MAX_GRAPH_ROWS], classes)
+                final_logits[overflowed] = np.nan
+                stop(overflowed, k, STOP_NON_FINITE)
+                if graph is None:
+                    continue
+                record, scalar, logits = graph
+                for j, z in zip(rows.tolist(), logits.tolist()):
+                    paths[j].append(z)
+                final_logits[rows] = logits
+                if config.stopping == "option1":
+                    stop_now = logits > 0.0
+                    reason = STOP_POSITIVE
+                elif config.stopping == "option2":
+                    stop_now = T.sigmoid_value(logits) >= config.confidence_threshold
+                    reason = STOP_THRESHOLD
+                else:
+                    stop_now = np.full(rows.size, k == config.fixed_steps)
+                    reason = STOP_FIXED
+                stop(rows[stop_now], k, reason)
+                if k == limit:
+                    stop(rows[~stop_now], k, STOP_MAX)
+                elif not stop_now.all():
+                    moving.append(rows[~stop_now])
+                    grads.append(T.input_gradient(record, scalar)[~stop_now])
+            if not moving:
                 continue
-        eps_k = config.step_size * config.anneal ** k
-        if config.method == "langevin":
-            x[moving] = langevin_step(x[moving], g, eps_k, rng,
+            moving, g = np.concatenate(moving), np.concatenate(grads)
+            ok = _finite_rows(g)
+            if not ok.all():
+                stop(moving[~ok], k, STOP_NON_FINITE)
+                moving, g = moving[ok], g[ok]
+                if moving.size == 0:
+                    continue
+            eps_k = config.step_size * config.anneal ** k
+            if config.method == "langevin":
+                new_x = langevin_step(x[moving], g, eps_k, rng,
                                       noise=config.noise, clamp=config.clamp)
-        else:
-            x[moving], m[moving], v[moving] = _adam_step(
-                x[moving], g, m[moving], v[moving], k, config, eps_k)
+                updated, ok = [(x, new_x)], _finite_rows(new_x)
+            else:
+                new_x, new_m, new_v, ok = _adam_step(
+                    x[moving], g, m[moving], v[moving], k, config, eps_k)
+                updated = [(x, new_x), (m, new_m), (v, new_v)]
+            if not ok.all():
+                stop(moving[~ok], k, STOP_NON_FINITE)
+                moving = moving[ok]
+                updated = [(target, value[ok]) for target, value in updated]
+            for target, value in updated:
+                target[moving] = value
 
     confidences = T.sigmoid_value(final_logits)
     traces = [SynthesisTrace(int(steps[j]), float(final_logits[j]),

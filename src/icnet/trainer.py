@@ -360,27 +360,24 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
     stopped_round = None
 
     for t in range(1, config.rounds + 1):
+        per_class = config.pseudo_per_round
+        gen = rng(config.seed, STREAM_SYNTH, t)
         if mode == "binary":
-            samples, traces = synthesize(c, config.pseudo_per_round,
-                                         rng(config.seed, STREAM_SYNTH, t))
+            samples, traces = synthesize(c, per_class, gen)
             store.add_batch(t, -1, samples)
-            all_traces = traces
         else:
-            all_traces = []
+            # every class's chains in one call, per_class rows each, in class order
+            classes = np.repeat(np.arange(n_classes), per_class)
+            samples, traces = synthesize(c, classes.size, gen, class_index=classes)
             for k in range(n_classes):
-                samples, traces = synthesize(c, config.pseudo_per_round,
-                                             rng(config.seed, STREAM_SYNTH, t, k),
-                                             class_index=k)
-                store.add_batch(t, k, samples)
-                if traces:
-                    all_traces.extend(traces)
+                store.add_batch(t, k, samples[k * per_class:(k + 1) * per_class])
         if config.reinit_each_round:
             c = _init_classifier(spec, input_shape, mode, n_classes, config)
         losses = reclassification_step(c, x_s, y_s, store, config, t,
                                        rng(config.seed, STREAM_EPOCH, t))
         val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
-        steps_mean = (float(np.mean([tr.steps for tr in all_traces]))
-                      if all_traces else float("nan"))
+        steps_mean = (float(np.mean([tr.steps for tr in traces]))
+                      if traces else float("nan"))
         metrics.append(RoundMetrics(t, losses,
                                     losses[-1] if losses else float("nan"),
                                     val_error, val_loss, len(store), steps_mean))

@@ -244,6 +244,18 @@ class TestStore:
         with pytest.raises(D.StoreFormatError):
             D.load_store(path)
 
+    def test_every_truncation_raises_typed(self, tmp_path):
+        store = D.PseudoNegativeStore()
+        store.add_batch(1, 0, rng(10, 6).standard_normal((2, 1, 2, 2)))
+        store.add_batch(2, 1, rng(11, 6).standard_normal((1, 1, 2, 2)))
+        path = tmp_path / "s.pn"
+        D.save_store(store, path)
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(D.StoreFormatError):
+                D.load_store(path)
+
     def test_image_shaped_samples_roundtrip(self, tmp_path):
         store = D.PseudoNegativeStore()
         store.add_batch(2, 5, rng(9, 6).standard_normal((2, 1, 4, 4)))

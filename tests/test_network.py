@@ -172,6 +172,20 @@ class TestLogitSumGraph:
         with pytest.raises(ValueError):
             N.logit_sum_graph(c, np.zeros((1, 2)))
 
+    def test_multiclass_per_row_class_index(self):
+        c = make_multiclass(34)
+        x = rng(34, 6).standard_normal((5, 2))
+        classes = np.array([2, 0, 1, 0, 2])
+        record, scalar, logits = N.logit_sum_graph(c, x, class_index=classes)
+        np.testing.assert_allclose(logits, N.class_logits(c, x)[np.arange(5), classes],
+                                   rtol=1e-13)
+        # each row's input gradient is that row's own head's gradient alone
+        grad = T.input_gradient(record, scalar)
+        for j, cls in enumerate(classes):
+            r1, s1, _ = N.logit_sum_graph(c, x[j:j + 1], class_index=int(cls))
+            np.testing.assert_allclose(grad[j:j + 1], T.input_gradient(r1, s1),
+                                       rtol=0, atol=1e-13)
+
 
 class TestSerialization:
     def test_binary_roundtrip_bitwise(self, tmp_path):
@@ -224,3 +238,24 @@ class TestSerialization:
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(N.ModelFormatError, match="truncated"):
             N.load_model(path)
+
+
+class TestTruncatedModelFiles:
+    """Every proper prefix of a model file fails with ModelFormatError."""
+
+    @pytest.mark.parametrize("model", [
+        lambda: N.init_binary([T.dense(2, 2), T.leaky()], (2,), rng(60, 1)),
+        lambda: N.init_multiclass([T.dense(2, 2), T.leaky()], (2,), 3, rng(61, 1)),
+        lambda: N.OneVsAllEnsemble([N.init_binary([T.dense(2, 2)], (2,), rng(62 + k, 1))
+                                    for k in range(2)]),
+    ], ids=["binary", "multiclass", "one_vs_all"])
+    def test_every_truncation_raises_typed(self, tmp_path, model):
+        path = tmp_path / "m.icnet"
+        N.save_model(path, model())
+        data = path.read_bytes()
+        N.load_model(path)
+        cut = tmp_path / "cut.icnet"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(N.ModelFormatError):
+                N.load_model(cut)

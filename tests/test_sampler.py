@@ -189,3 +189,110 @@ class TestSynthesize:
         masses = O.cell_mass_at(p_t, samples)
         median = np.median(p_t.mass)
         assert (masses > median).mean() >= 0.9
+
+
+SPEC_CONV = [T.conv(1, 2), T.leaky(), T.conv(2, 3), T.leaky(), T.flatten()]
+
+
+class TestBatchedClasses:
+    """One call over every class's chains against one call per class."""
+
+    def _compare(self, stopping, **kw):
+        k, per_class = 3, 4
+        c = N.init_multiclass(SPEC_CONV, (1, 8, 8), k, rng(40, 1))
+        config = S.SamplerConfig(method="plain-gradient", stopping=stopping,
+                                 step_size=0.05, **kw)
+        init = S.draw_reference(k * per_class, (1, 8, 8), 0.3, rng(40, 3))
+        batched, traces = S.synthesize_pseudo_negatives(
+            c, config, k * per_class, rng(41, 3), (1, 8, 8),
+            class_index=np.repeat(np.arange(k), per_class), init=init.copy())
+        for cls in range(k):
+            rows = slice(cls * per_class, (cls + 1) * per_class)
+            alone, alone_traces = S.synthesize_pseudo_negatives(
+                c, config, per_class, rng(41, 3), (1, 8, 8),
+                class_index=cls, init=init[rows].copy())
+            np.testing.assert_allclose(batched[rows], alone, rtol=0, atol=1e-12)
+            for a, b in zip(traces[rows], alone_traces):
+                assert (a.stop_reason, a.steps) == (b.stop_reason, b.steps)
+                assert abs(a.final_logit - b.final_logit) <= 1e-12
+        return traces
+
+    def test_option3_matches_per_class_calls(self):
+        traces = self._compare("option3", fixed_steps=6, max_steps=6)
+        assert all(t.stop_reason == S.STOP_FIXED for t in traces)
+
+    def test_option2_matches_per_class_calls(self):
+        traces = self._compare("option2", confidence_threshold=0.6, max_steps=30)
+        # the rows stop at different steps, so the active subset really shifts
+        assert len({(t.stop_reason, t.steps) for t in traces}) > 1
+
+    def test_row_cap_does_not_change_result(self, monkeypatch):
+        c = N.init_multiclass([T.dense(2, 8), T.leaky()], (2,), 3, rng(42, 1))
+        config = S.SamplerConfig(method="langevin", stopping="option2",
+                                 confidence_threshold=0.7, max_steps=40)
+        classes = np.arange(20) % 3
+
+        def run():
+            return S.synthesize_pseudo_negatives(c, config, 20, rng(43, 3), (2,),
+                                                 class_index=classes)
+
+        lifted, lifted_traces = run()
+        monkeypatch.setattr(S, "MAX_GRAPH_ROWS", 3)
+        capped, capped_traces = run()
+        np.testing.assert_allclose(capped, lifted, rtol=0, atol=1e-12)
+        assert ([(t.stop_reason, t.steps) for t in capped_traces]
+                == [(t.stop_reason, t.steps) for t in lifted_traces])
+        assert len({t.steps for t in lifted_traces}) > 1
+
+    def test_per_row_logits_follow_class_index(self):
+        c = N.init_multiclass([T.dense(2, 8), T.leaky()], (2,), 3, rng(44, 1))
+        config = S.SamplerConfig(stopping="option3", fixed_steps=5, max_steps=5)
+        classes = np.array([2, 0, 1, 1, 0, 2])
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 6, rng(44, 3), (2,), class_index=classes)
+        want = N.class_logits(c, samples)[np.arange(6), classes]
+        np.testing.assert_allclose([t.final_logit for t in traces], want, rtol=1e-12)
+
+    def test_class_index_length_checked(self):
+        c = N.init_multiclass([T.dense(2, 8), T.leaky()], (2,), 3, rng(45, 1))
+        with pytest.raises(S.SamplerError, match="class_index"):
+            S.synthesize_pseudo_negatives(c, S.SamplerConfig(), 4, rng(45, 3), (2,),
+                                          class_index=np.array([0, 1, 2]))
+
+
+class TestNonFiniteChains:
+    def test_forward_overflow_tags_only_that_chain(self):
+        spec = [T.dense(2, 4), T.leaky(), T.dense(4, 4), T.leaky()]
+        c = N.init_binary(spec, (2,), rng(50, 1))
+        c.feature_params = [100.0 * p for p in c.feature_params]
+        init = np.array([[0.1, 0.2], [1e305, 1e305], [0.3, -0.1]])
+        config = S.SamplerConfig(stopping="option3", fixed_steps=5, max_steps=5)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 3, rng(50, 3), (2,), init=init.copy())
+        assert (traces[1].stop_reason, traces[1].steps) == (S.STOP_NON_FINITE, 0)
+        np.testing.assert_array_equal(samples[1], init[1])
+        for j in (0, 2):
+            assert (traces[j].stop_reason, traces[j].steps) == (S.STOP_FIXED, 5)
+            assert not np.array_equal(samples[j], init[j])
+        # the healthy chains ran exactly as they would have without the bad one
+        alone, _ = S.synthesize_pseudo_negatives(
+            c, config, 2, rng(50, 3), (2,), init=init[[0, 2]].copy())
+        np.testing.assert_allclose(samples[[0, 2]], alone, rtol=0, atol=1e-12)
+
+    def test_adam_overflow_is_tagged_not_frozen(self):
+        spec = [T.dense(2, 4), T.leaky()]
+        c = N.init_binary(spec, (2,), rng(51, 1))
+        c.head_w = np.full_like(c.head_w, -1e160)
+        init = np.array([[0.1, 0.2], [0.3, -0.1]])
+        config = S.SamplerConfig(method="plain-gradient", stopping="option2",
+                                 max_steps=5)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 2, rng(51, 3), (2,), init=init.copy())
+        assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
+        np.testing.assert_array_equal(samples, init)
+
+    def test_non_finite_init_rejected(self):
+        c = peaked_classifier()
+        with pytest.raises(S.SamplerError, match="non-finite"):
+            S.synthesize_pseudo_negatives(c, S.SamplerConfig(), 1, rng(52, 3), (2,),
+                                          init=np.array([[np.inf, 0.0]]))

@@ -278,6 +278,39 @@ class TestRunLoop:
             assert pa.tobytes() == pb.tobytes()
         assert [m.val_error for m in a.metrics] == [m.val_error for m in b.metrics]
 
+    def test_softmax_langevin_rerun_bitwise(self, tmp_path):
+        gen = rng(37, 6)
+        ds = D.LabeledDataset(gen.standard_normal((30, 2)), np.repeat(np.arange(3), 10), 3)
+        cfg = quick_config(rounds=2, pseudo_per_round=4)
+        sampler = quick_sampler(method="langevin")
+        runs = [TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, sampler, "multiclass")
+                for _ in range(2)]
+        for pa, pb in zip(runs[0].classifier.all_params(), runs[1].classifier.all_params()):
+            assert pa.tobytes() == pb.tobytes()
+        for name, run in zip("ab", runs):
+            D.save_store(run.store, tmp_path / f"{name}.pn")
+        assert (tmp_path / "a.pn").read_bytes() == (tmp_path / "b.pn").read_bytes()
+
+    def test_multiclass_synthesis_is_one_call_per_round(self):
+        gen = rng(38, 6)
+        ds = D.LabeledDataset(gen.standard_normal((30, 2)), np.repeat(np.arange(3), 10), 3)
+        calls = []
+
+        def spying_synthesize(c, count, gen, class_index=None):
+            calls.append((count, np.array(class_index)))
+            return np.arange(count, dtype=float)[:, None] * np.ones((1, 2)), None
+
+        cfg = quick_config(rounds=2, pseudo_per_round=4, val_fraction=0.0)
+        run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, None, "multiclass",
+                                                   synthesize=spying_synthesize)
+        assert len(calls) == 2
+        for count, classes in calls:
+            assert count == 12
+            np.testing.assert_array_equal(classes, np.repeat(np.arange(3), 4))
+        # the store gets l rows per class, in class order, from the one batch
+        for e in run.store.entries:
+            assert e.class_tag == int(e.sample[0]) // 4
+
 
 def directional_config(seed):
     cfg = quick_config(rounds=8, pseudo_per_round=8, init_epochs=30,
