@@ -179,28 +179,31 @@ def _spec_from_descriptor(desc: list[list]) -> list[T.LayerSpec]:
 
 
 def _write_tensor(fh, arr: Array) -> None:
+    """Rank, shape, then the values in logical C order, whatever the
+    array's memory layout (tobytes copies a channel-last kernel only once)."""
     fh.write(struct.pack("<q", arr.ndim))
     for d in arr.shape:
         fh.write(struct.pack("<q", d))
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
-def _read_tensor(fh) -> Array:
+def _read_tensor(fh, path) -> Array:
     raw = fh.read(8)
     if len(raw) != 8:
-        raise ModelFormatError("truncated tensor header")
+        raise ModelFormatError(f"{path}: truncated tensor header")
     ndim = struct.unpack("<q", raw)[0]
     if not 0 <= ndim <= 8:
-        raise ModelFormatError(f"implausible tensor rank {ndim}")
+        raise ModelFormatError(f"{path}: implausible tensor rank {ndim}")
     raw = fh.read(8 * ndim)
     if len(raw) != 8 * ndim:
-        raise ModelFormatError("truncated tensor shape")
+        raise ModelFormatError(f"{path}: truncated tensor shape")
     shape = struct.unpack(f"<{ndim}q", raw)
     count = int(np.prod(shape)) if shape else 1
     data = fh.read(count * 8)
     if len(data) != count * 8:
-        raise ModelFormatError("truncated tensor data")
-    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+        raise ModelFormatError(f"{path}: truncated tensor data")
+    # a conv kernel is laid out channel-last once, here, not in every conv call
+    return T.channel_last(np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape))
 
 
 def save_model(path, model) -> None:
@@ -240,15 +243,15 @@ def load_model(path):
         n_feature = 2 * sum(1 for l in spec if l.kind in ("dense", "conv"))
 
         def read_member() -> BinaryClassifier:
-            tensors = [_read_tensor(fh) for _ in range(n_feature + 2)]
+            tensors = [_read_tensor(fh, path) for _ in range(n_feature + 2)]
             return BinaryClassifier(spec, tensors[:n_feature], tensors[-2], tensors[-1])
 
         if kind == "binary":
             return read_member()
         if kind == "multiclass":
-            tensors = [_read_tensor(fh) for _ in range(n_feature + 2)]
+            tensors = [_read_tensor(fh, path) for _ in range(n_feature + 2)]
             return MulticlassClassifier(spec, tensors[:n_feature],
                                         tensors[-2], tensors[-1])
         if kind == "one_vs_all":
             return OneVsAllEnsemble([read_member() for _ in range(classes)])
-        raise ModelFormatError(f"unknown model kind {kind!r}")
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")

@@ -45,7 +45,8 @@ class FoolingReport:
 
 
 def _loss_graph(model, x, labels):
-    """Per-sample training loss summed over the batch, params held constant.
+    """Per-sample training loss summed over the batch, params held constant;
+    returns (record, loss, logits).
 
     The sum decouples over rows, so the input gradient of the total is each
     row's gradient of its own loss.
@@ -66,11 +67,16 @@ def _loss_graph(model, x, labels):
         logp = record.log_softmax(logits)
         picked = record.select(logp, np.asarray(labels, dtype=np.int64))
         loss = record.scale(record.sum(picked), -1.0)
-    return record, loss
+    return record, loss, logits.value
 
 
-def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP):
-    """One fast-gradient-sign step: x + eps * sign(d loss / d x), clamped."""
+def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP,
+                 return_pred=False):
+    """One fast-gradient-sign step: x + eps * sign(d loss / d x), clamped.
+
+    With return_pred=True, also returns the model's clean prediction for
+    each row, read off the logits of the attack's own forward pass.
+    """
     x = np.asarray(x, dtype=np.float64)
     if epsilon < 0:
         raise RobustnessError(f"epsilon must be >= 0, got {epsilon}")
@@ -78,14 +84,18 @@ def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP):
     if labels.shape[0] != x.shape[0]:
         raise RobustnessError(
             f"label count {labels.shape[0]} != batch size {x.shape[0]}")
-    record, loss = _loss_graph(model, x, labels)
+    record, loss, logits = _loss_graph(model, x, labels)
     grad = T.input_gradient(record, loss)
     if not np.all(np.isfinite(grad)):
         raise RobustnessError("non-finite attack gradient")
     adv = x + epsilon * np.sign(grad)
     if clamp is not None:
         adv = np.clip(adv, clamp[0], clamp[1])
-    return adv
+    if not return_pred:
+        return adv
+    if isinstance(model, N.BinaryClassifier):
+        return adv, np.where(logits[:, 0] > 0, 1, -1)
+    return adv, np.argmax(logits, axis=1)
 
 
 def predict(model, x):
@@ -94,33 +104,33 @@ def predict(model, x):
     return N.predict_label(model, x)
 
 
-def _chunked_predict(model, x, chunk=256):
-    outs = [predict(model, x[i:i + chunk]) for i in range(0, x.shape[0], chunk)]
-    return np.concatenate(outs)
-
-
 def fool_direction(source, target, samples, labels, epsilon,
                    clamp=DEFAULT_CLAMP, chunk=256):
     """Attack the source model on its correctly classified inputs, then count
     how many adversarials fool the source and how many of those also fool
-    the target."""
+    the target.
+
+    Each chunk of inputs takes one forward pass through the source: the
+    attack's loss graph, whose logits also give the clean predictions. Only
+    the rows the source classifies correctly are kept and replayed.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels)
-    clean_pred = _chunked_predict(source, samples, chunk)
-    eligible = clean_pred == labels
-    n_eligible = int(eligible.sum())
+    n_eligible = n_adv = n_cross = 0
+    for i in range(0, samples.shape[0], chunk):
+        xb, yb = samples[i:i + chunk], labels[i:i + chunk]
+        adv, clean_pred = fgsm_perturb(source, xb, yb, epsilon, clamp, return_pred=True)
+        eligible = clean_pred == yb
+        if not eligible.any():
+            continue
+        adv, yb = adv[eligible], yb[eligible]
+        fooled_src = predict(source, adv) != yb
+        fooled_tgt = predict(target, adv) != yb
+        n_eligible += int(eligible.sum())
+        n_adv += int(fooled_src.sum())
+        n_cross += int((fooled_src & fooled_tgt).sum())
     if n_eligible == 0:
         raise RobustnessError("source model classifies no test input correctly")
-    xs, ys = samples[eligible], labels[eligible]
-    fooled_src = np.zeros(n_eligible, dtype=bool)
-    fooled_tgt = np.zeros(n_eligible, dtype=bool)
-    for i in range(0, n_eligible, chunk):
-        xb, yb = xs[i:i + chunk], ys[i:i + chunk]
-        adv = fgsm_perturb(source, xb, yb, epsilon, clamp)
-        fooled_src[i:i + chunk] = predict(source, adv) != yb
-        fooled_tgt[i:i + chunk] = predict(target, adv) != yb
-    n_adv = int(fooled_src.sum())
-    n_cross = int((fooled_src & fooled_tgt).sum())
     return FoolingReport(n_eligible, n_adv, n_cross, float(epsilon))
 
 

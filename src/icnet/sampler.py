@@ -124,23 +124,31 @@ def _finite_rows(a: Array) -> Array:
 MAX_GRAPH_ROWS = 256
 
 
-def _chain_graph(classifier, x: Array, rows: Array, classes: Array | None):
-    """`logit_sum_graph` over x[rows], minus the rows whose forward pass
-    overflows; returns (kept rows, overflowing rows, graph or None)."""
-    def build(rows):
-        return N.logit_sum_graph(classifier, x[rows],
-                                 None if classes is None else classes[rows])
+def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
+    """`logit_sum_graph`s over x[rows]; returns (overflowing rows, [(rows,
+    graph), ...]).
 
+    Rows whose forward pass overflows are dropped. Rows whose logits are all
+    finite but whose taped sum overflows are split in halves, each with its
+    own graph; the sum decouples over rows, so no row's gradient changes.
+    """
     try:
-        return rows, rows[:0], build(rows)
+        graph = N.logit_sum_graph(classifier, x[rows],
+                                  None if classes is None else classes[rows])
+        return rows[:0], [(rows, graph)]
     except T.NonFiniteError:
-        # only now pay for an untaped forward that finds the offending rows;
-        # class_logits also serves a binary head, whose width is 1
-        bad = ~_finite_rows(N.class_logits(classifier, x[rows]))
-        if not bad.any():
-            raise
-    kept = rows[~bad]
-    return kept, rows[bad], build(kept) if kept.size else None
+        if rows.size == 1:
+            return rows, []
+    # only now pay for an untaped forward that finds the offending rows;
+    # class_logits also serves a binary head, whose width is 1
+    bad = ~_finite_rows(N.class_logits(classifier, x[rows]))
+    overflowed, graphs = [rows[bad]], []
+    for part in [rows[~bad]] if bad.any() else np.array_split(rows, 2):
+        if part.size:
+            part_overflowed, part_graphs = _chain_graphs(classifier, x, part, classes)
+            overflowed.append(part_overflowed)
+            graphs += part_graphs
+    return np.concatenate(overflowed), graphs
 
 
 def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
@@ -198,31 +206,29 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                 break
             moving, grads = [], []
             for at in range(0, idx.size, MAX_GRAPH_ROWS):
-                rows, overflowed, graph = _chain_graph(
+                overflowed, graphs = _chain_graphs(
                     classifier, x, idx[at:at + MAX_GRAPH_ROWS], classes)
                 final_logits[overflowed] = np.nan
                 stop(overflowed, k, STOP_NON_FINITE)
-                if graph is None:
-                    continue
-                record, scalar, logits = graph
-                for j, z in zip(rows.tolist(), logits.tolist()):
-                    paths[j].append(z)
-                final_logits[rows] = logits
-                if config.stopping == "option1":
-                    stop_now = logits > 0.0
-                    reason = STOP_POSITIVE
-                elif config.stopping == "option2":
-                    stop_now = T.sigmoid_value(logits) >= config.confidence_threshold
-                    reason = STOP_THRESHOLD
-                else:
-                    stop_now = np.full(rows.size, k == config.fixed_steps)
-                    reason = STOP_FIXED
-                stop(rows[stop_now], k, reason)
-                if k == limit:
-                    stop(rows[~stop_now], k, STOP_MAX)
-                elif not stop_now.all():
-                    moving.append(rows[~stop_now])
-                    grads.append(T.input_gradient(record, scalar)[~stop_now])
+                for rows, (record, scalar, logits) in graphs:
+                    for j, z in zip(rows.tolist(), logits.tolist()):
+                        paths[j].append(z)
+                    final_logits[rows] = logits
+                    if config.stopping == "option1":
+                        stop_now = logits > 0.0
+                        reason = STOP_POSITIVE
+                    elif config.stopping == "option2":
+                        stop_now = T.sigmoid_value(logits) >= config.confidence_threshold
+                        reason = STOP_THRESHOLD
+                    else:
+                        stop_now = np.full(rows.size, k == config.fixed_steps)
+                        reason = STOP_FIXED
+                    stop(rows[stop_now], k, reason)
+                    if k == limit:
+                        stop(rows[~stop_now], k, STOP_MAX)
+                    elif not stop_now.all():
+                        moving.append(rows[~stop_now])
+                        grads.append(T.input_gradient(record, scalar)[~stop_now])
             if not moving:
                 continue
             moving, g = np.concatenate(moving), np.concatenate(grads)

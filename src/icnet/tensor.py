@@ -35,13 +35,30 @@ class GraphError(TensorError):
 
 
 def as_tensor(data, shape=None) -> Array:
-    """Coerce to a C-contiguous float64 array, verifying finiteness."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
+    """Coerce to a float64 array, verifying finiteness.
+
+    An array that already is float64 comes back as is, so a channel-last
+    kernel or activation keeps its memory layout (see `channel_last`).
+    """
+    arr = np.asarray(data, dtype=np.float64)
     if shape is not None:
         arr = arr.reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("tensor contains NaN or Inf")
     return arr
+
+
+def channel_last(a: Array) -> Array:
+    """`a` with its logical shape kept, laid out channel-last in memory.
+
+    4-D arrays are activations (n, c, h, w) or conv kernels (c_out, c_in,
+    kh, kw); channel-last means `a.transpose(0, 2, 3, 1)` is C-contiguous,
+    which is the order the conv GEMMs read and write. Returns `a` itself
+    when it already is; other ranks come back unchanged.
+    """
+    if a.ndim != 4 or a.transpose(0, 2, 3, 1).flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def _check_finite(arr: Array, op: str) -> Array:
@@ -58,54 +75,62 @@ def affine_value(x: Array, w: Array, b: Array) -> Array:
     return x @ w + b
 
 
+def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
+    """Output height (or width) of a conv over `size` input rows (or columns)."""
+    return (size + 2 * pad - kernel) // stride + 1
+
+
 def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int):
     """5x5-style convolution; returns the output and the patch matrix `mat`.
 
     x: (n, c_in, h, w); k: (c_out, c_in, kh, kw); b: (c_out,).
 
-    The patch matrix `mat` is one contiguous copy of a strided view of the
-    zero-padded input, shaped (n, oh, ow, c_in, kh, kw): each row is one
-    output pixel's receptive field in `k.reshape(c_out, -1)` column order, so
-    the whole conv is a single GEMM. Backward reuses `mat` for the kernel
-    gradient; `conv2d_input_grad` scatters the patch gradients back through
-    a channel-last padded buffer (see there).
+    Activations and kernels are read channel-last (see `channel_last`); any
+    other layout gives the same values after one relayout copy. The input is
+    copied into a zero-padded (n, h, w, c_in) buffer, and `mat` is one
+    contiguous copy of a strided view of it, shaped (n, oh, ow, kh, kw,
+    c_in): each row is one output pixel's receptive field in the column
+    order of the channel-last kernel, so the whole conv is a single GEMM.
+    The output is a channel-last view of the GEMM result, with no copy.
+    Backward reuses `mat` for the kernel gradient; `conv2d_input_grad`
+    scatters the patch gradients back (see there).
     """
     n, c, h, w = x.shape
     co, ci, kh, kw = k.shape
     if ci != c:
         raise ShapeMismatchError(f"conv kernel expects {ci} input channels, got {c}")
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh = conv_output_size(h, kh, stride, pad)
+    ow = conv_output_size(w, kw, stride, pad)
     if oh < 1 or ow < 1:
         raise ShapeMismatchError(f"conv output would be empty for input {h}x{w}")
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    sn, sc, sh, sw = xp.strides
-    patches = as_strided(xp, (n, oh, ow, c, kh, kw),
-                         (sn, stride * sh, stride * sw, sc, sh, sw), writeable=False)
-    mat = np.ascontiguousarray(patches).reshape(n * oh * ow, c * kh * kw)
-    out = mat @ k.reshape(co, -1).T
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    sn, sh, sw, sc = xp.strides
+    patches = as_strided(xp, (n, oh, ow, kh, kw, c),
+                         (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    mat = np.ascontiguousarray(patches).reshape(n * oh * ow, kh * kw * c)
+    out = mat @ k.transpose(0, 2, 3, 1).reshape(co, -1).T
     out += b
-    out = np.ascontiguousarray(out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
-    return out, mat
+    return out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2), mat
 
 
 def conv2d_input_grad(dout: Array, k: Array, x_shape, stride: int, pad: int) -> Array:
     """d(loss)/dx of `conv2d_value`, given dout in channel-last (n, oh, ow, c_out) layout.
 
-    One GEMM gives the patch gradients in `mat` layout, (n, oh, ow, c_in, kh,
-    kw). Each kernel tap is scatter-added into a channel-last padded buffer,
-    so every add writes contiguous channel runs; the unpadded interior is
-    returned as an NCHW view.
+    One GEMM gives the patch gradients in `mat` layout, (n, oh, ow, kh, kw,
+    c_in). Each kernel tap is scatter-added into a channel-last padded
+    buffer, so every add reads and writes contiguous channel runs; the
+    unpadded interior is returned as a channel-last NCHW view.
     """
     n, c, h, w = x_shape
     co, _, kh, kw = k.shape
     _, oh, ow, _ = dout.shape
-    dcols = (dout.reshape(n * oh * ow, co) @ k.reshape(co, -1)).reshape(n, oh, ow, c, kh, kw)
+    kmat = k.transpose(0, 2, 3, 1).reshape(co, -1)
+    dcols = (dout.reshape(n * oh * ow, co) @ kmat).reshape(n, oh, ow, kh, kw, c)
     dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[..., i, j]
+            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, :, i, j]
     return dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
@@ -168,7 +193,9 @@ class Node:
             raise ShapeMismatchError(
                 f"{self.kind} gradient has shape {g.shape}, value has {self.value.shape}")
         if self.grad is None:
-            self.grad = g.copy()  # private: g may also reach a sibling operand
+            # private, since g may also reach a sibling operand; order "K"
+            # keeps a channel-last gradient channel-last
+            self.grad = g.copy(order="K")
         else:
             self.grad += g
 
@@ -221,10 +248,12 @@ class ComputationRecord:
             mat = None  # only the kernel gradient reads the patch matrix
 
         def backward(g: Array) -> None:
-            dout = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+            dout = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # no copy if channel-last
             dmat_out = dout.reshape(-1, k.shape[0])
             if k.requires_grad:
-                k._accumulate((dmat_out.T @ mat).reshape(k.shape))
+                co, ci, kh, kw = k.shape
+                # one expression: the GEMM result is freed before the input grad
+                k._accumulate((dmat_out.T @ mat).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
             if b.requires_grad:
                 b._accumulate(dmat_out.sum(axis=0))
             if x.requires_grad:
@@ -427,17 +456,38 @@ def init_layer_params(spec: Sequence[LayerSpec], rng: np.random.Generator) -> li
     gain = np.sqrt(2.0 / (1.0 + slope * slope))
     for wshape, bshape in layer_param_shapes(spec):
         fan_in = int(np.prod(wshape[1:])) if len(wshape) == 4 else wshape[0]
-        params.append(rng.normal(0.0, gain / np.sqrt(fan_in), size=wshape))
+        # drawn in logical (c_out, c_in, kh, kw) order, so a seed gives the
+        # same values whatever the memory layout
+        params.append(channel_last(rng.normal(0.0, gain / np.sqrt(fan_in), size=wshape)))
         params.append(np.zeros(bshape))
     return params
 
 
 def feature_width(spec: Sequence[LayerSpec], input_shape: tuple) -> int:
-    """Width of the flattened feature vector for one sample of input_shape."""
-    probe = np.zeros((1,) + tuple(input_shape))
-    rng = np.random.default_rng(0)
-    feats = forward_features(init_layer_params(spec, rng), spec, probe)
-    return feats.shape[1]
+    """Width of the flattened feature vector for one sample of input_shape,
+    from the layer specs alone; raises ShapeMismatchError where the forward
+    pass would."""
+    shape = tuple(input_shape)
+    for li, layer in enumerate(spec):
+        if layer.kind == "dense":
+            if shape != (layer.in_width,):
+                raise ShapeMismatchError(f"layer {li} (dense): expected {layer.in_width} "
+                                         f"input features, got sample shape {shape}")
+            shape = (layer.out_width,)
+        elif layer.kind == "conv":
+            if len(shape) != 3 or shape[0] != layer.in_width:
+                raise ShapeMismatchError(f"layer {li} (conv): expected {layer.in_width} "
+                                         f"input channels, got sample shape {shape}")
+            oh, ow = (conv_output_size(d, CONV_KERNEL, CONV_STRIDE, layer.pad) for d in shape[1:])
+            if oh < 1 or ow < 1:
+                raise ShapeMismatchError(
+                    f"layer {li} (conv): conv output would be empty for input {shape[1]}x{shape[2]}")
+            shape = (layer.out_width, oh, ow)
+        elif layer.kind == "flatten":
+            shape = (int(np.prod(shape)),)
+        elif layer.kind != "leaky":
+            raise ShapeMismatchError(f"layer {li}: unknown layer kind {layer.kind!r}")
+    return int(np.prod(shape))
 
 
 def _feature_graph(record: ComputationRecord, spec: Sequence[LayerSpec],
@@ -558,7 +608,7 @@ def gradient_check(spec: Sequence[LayerSpec], seed: int, input_shape: tuple,
     params = init_layer_params(spec, gen)
     # non-degenerate random weights for the check (He init already random;
     # nudge biases off zero so their gradients are exercised away from kinks)
-    params = [p + 0.05 * gen.standard_normal(p.shape) for p in params]
+    params = [channel_last(p + 0.05 * gen.standard_normal(p.shape)) for p in params]
     x = gen.standard_normal((2,) + tuple(input_shape))
     width = feature_width(spec, input_shape)
     if head == "sigmoid":
@@ -601,34 +651,32 @@ def gradient_check(spec: Sequence[LayerSpec], seed: int, input_shape: tuple,
         return float(node.value)
 
     all_params = params if head == "quadratic" else params + [hw, hb]
+
+    def central_difference(arr: Array, ci: int) -> float:
+        # perturb the array itself: reshape(-1) would copy a channel-last kernel
+        at = np.unravel_index(ci, arr.shape)
+        orig = arr[at]
+        arr[at] = orig + h
+        up = loss_value(params, x)
+        arr[at] = orig - h
+        down = loss_value(params, x)
+        arr[at] = orig
+        return (up - down) / (2 * h)
+
     max_p = 0.0
     checked = 0
     for _ in range(n_coords):
         ti = int(gen.integers(0, len(all_params)))
-        flat = all_params[ti].reshape(-1)
-        ci = int(gen.integers(0, flat.size))
-        orig = flat[ci]
-        flat[ci] = orig + h
-        up = loss_value(all_params[:len(params)], x)
-        flat[ci] = orig - h
-        down = loss_value(all_params[:len(params)], x)
-        flat[ci] = orig
-        numeric = (up - down) / (2 * h)
+        ci = int(gen.integers(0, all_params[ti].size))
+        numeric = central_difference(all_params[ti], ci)
         analytic = grads[ti].reshape(-1)[ci]
         max_p = max(max_p, _rel_err(analytic, numeric))
         checked += 1
 
     max_x = 0.0
-    xflat = x.reshape(-1)
     for _ in range(n_coords):
-        ci = int(gen.integers(0, xflat.size))
-        orig = xflat[ci]
-        xflat[ci] = orig + h
-        up = loss_value(params, x)
-        xflat[ci] = orig - h
-        down = loss_value(params, x)
-        xflat[ci] = orig
-        numeric = (up - down) / (2 * h)
+        ci = int(gen.integers(0, x.size))
+        numeric = central_difference(x, ci)
         analytic = gx.reshape(-1)[ci]
         max_x = max(max_x, _rel_err(analytic, numeric))
         checked += 1

@@ -287,12 +287,14 @@ def _init_classifier(spec, input_shape, mode, n_classes, config):
 
 
 def _snapshot(c):
-    return [p.copy() for p in c.all_params()]
+    # np.copy keeps each array's memory layout; ndarray.copy would make a
+    # channel-last kernel C-ordered
+    return [np.copy(p) for p in c.all_params()]
 
 
 def _with_params(c, params):
     out = copy.copy(c)
-    out.set_params([p.copy() for p in params])
+    out.set_params([np.copy(p) for p in params])
     return out
 
 

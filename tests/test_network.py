@@ -259,3 +259,27 @@ class TestTruncatedModelFiles:
             cut.write_bytes(data[:n])
             with pytest.raises(N.ModelFormatError):
                 N.load_model(cut)
+
+    def test_every_error_names_the_file(self, tmp_path):
+        path = tmp_path / "m.icnet"
+        N.save_model(path, N.init_binary([T.dense(2, 2), T.leaky()], (2,), rng(63, 1)))
+        data = path.read_bytes()
+        cut = tmp_path / "cut-model.icnet"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(N.ModelFormatError) as info:
+                N.load_model(cut)
+            assert str(cut) in str(info.value)
+
+    def test_tensor_header_and_data_cuts_name_the_file(self, tmp_path):
+        path = tmp_path / "m.icnet"
+        N.save_model(path, N.init_binary([T.dense(2, 2), T.leaky()], (2,), rng(64, 1)))
+        data = path.read_bytes()
+        first_tensor = data.index(b"\n", len(N.MODEL_MAGIC)) + 1
+        cut = tmp_path / "cut-model.icnet"
+        for n, what in ((first_tensor + 4, "tensor header"),
+                        (first_tensor + 8 + 2 * 8 + 8, "tensor data")):
+            cut.write_bytes(data[:n])
+            with pytest.raises(N.ModelFormatError, match=f"truncated {what}") as info:
+                N.load_model(cut)
+            assert str(info.value).startswith(f"{cut}: ")

@@ -141,3 +141,52 @@ class TestTwoWayExperiment:
         assert "baseline -> icn" in text
         assert "icn -> baseline" in text
         assert "0.6000" in text  # 30/50
+
+
+def two_pass_fool_direction(source, target, samples, labels, epsilon, chunk):
+    """The attack as a clean forward over every input, then a separate FGSM
+    forward over the correctly classified ones."""
+    clean = np.concatenate([R.predict(source, samples[i:i + chunk])
+                            for i in range(0, len(samples), chunk)])
+    eligible = clean == labels
+    xs, ys = samples[eligible], labels[eligible]
+    n_adv = n_cross = 0
+    for i in range(0, len(xs), chunk):
+        adv = R.fgsm_perturb(source, xs[i:i + chunk], ys[i:i + chunk], epsilon)
+        fooled_src = R.predict(source, adv) != ys[i:i + chunk]
+        fooled_tgt = R.predict(target, adv) != ys[i:i + chunk]
+        n_adv += int(fooled_src.sum())
+        n_cross += int((fooled_src & fooled_tgt).sum())
+    return R.FoolingReport(int(eligible.sum()), n_adv, n_cross, float(epsilon))
+
+
+class TestOneForwardPerChunk:
+    SPEC = [T.conv(1, 3), T.leaky(), T.conv(3, 4), T.leaky(), T.flatten()]
+
+    @pytest.mark.parametrize("mode", ["binary", "multiclass"])
+    def test_report_equals_two_pass(self, mode, monkeypatch):
+        gen = rng(90, 6)
+        x = gen.uniform(-1, 1, (23, 1, 8, 8))
+        if mode == "binary":
+            a = N.init_binary(self.SPEC, (1, 8, 8), rng(90, 1))
+            b = N.init_binary(self.SPEC, (1, 8, 8), rng(91, 1))
+            y = np.where(gen.random(23) < 0.5, 1, -1)
+        else:
+            a = N.init_multiclass(self.SPEC, (1, 8, 8), 3, rng(90, 1))
+            b = N.init_multiclass(self.SPEC, (1, 8, 8), 3, rng(91, 1))
+            y = gen.integers(0, 3, 23)
+        want = two_pass_fool_direction(a, b, x, y, 0.3, chunk=5)
+        assert 0 < want.eligible_count < len(x) and want.adversarial_count > 0
+
+        infer_rows = []
+        forward = T.forward_features
+
+        def counting_forward(params, spec, xs):
+            infer_rows.append(len(xs))
+            return forward(params, spec, xs)
+
+        monkeypatch.setattr(T, "forward_features", counting_forward)
+        got = R.fool_direction(a, b, x, y, 0.3, chunk=5)
+        assert got == want
+        # untaped forwards only replay the adversarials, on source and target
+        assert sum(infer_rows) == 2 * got.eligible_count

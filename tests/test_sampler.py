@@ -291,6 +291,32 @@ class TestNonFiniteChains:
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
         np.testing.assert_array_equal(samples, init)
 
+    def test_finite_logits_whose_sum_overflows_still_stop(self):
+        # each logit is 1.5e308, their taped sum is inf
+        c = N.BinaryClassifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
+                               np.array([[1.0], [0.0]]), np.zeros(1))
+        init = np.full((2, 2), 1.5e308)
+        config = S.SamplerConfig(stopping="option2", max_steps=5)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 2, rng(53, 3), (2,), init=init.copy())
+        assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_THRESHOLD, 0)] * 2
+        assert [t.final_logit for t in traces] == [1.5e308] * 2
+        np.testing.assert_array_equal(samples, init)
+
+    def test_sum_overflow_split_keeps_moving_chains_exact(self):
+        # two chains whose logit sum overflows, one that ascends normally:
+        # the split graphs give the healthy chain the same steps as alone
+        c = N.BinaryClassifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
+                               np.array([[1.0], [0.0]]), np.zeros(1))
+        init = np.array([[1.5e308, 0.0], [1.5e308, 0.0], [0.1, 0.2]])
+        config = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=3)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 3, rng(54, 3), (2,), init=init.copy())
+        assert all(t.stop_reason == S.STOP_FIXED for t in traces)
+        alone, _ = S.synthesize_pseudo_negatives(
+            c, config, 1, rng(54, 3), (2,), init=init[2:].copy())
+        np.testing.assert_array_equal(samples[2], alone[0])
+
     def test_non_finite_init_rejected(self):
         c = peaked_classifier()
         with pytest.raises(S.SamplerError, match="non-finite"):

@@ -139,6 +139,35 @@ class TestForward:
             T.as_tensor(np.array([1.0, np.nan]))
 
 
+class TestFeatureWidth:
+    @pytest.mark.parametrize("spec, input_shape", [
+        ([T.dense(3, 5), T.leaky(), T.dense(5, 4)], (3,)),
+        ([T.conv(2, 3), T.leaky(), T.conv(3, 4, pad=0)], (2, 13, 11)),
+        ([T.conv(1, 3), T.leaky(), T.flatten(), T.dense(3 * 4 * 4, 6), T.leaky()], (1, 7, 7)),
+    ], ids=["dense", "conv", "conv_flatten_dense"])
+    def test_equals_forward_width(self, spec, input_shape):
+        params = T.init_layer_params(spec, np.random.default_rng(0))
+        feats = T.forward_features(params, spec, np.zeros((2,) + input_shape))
+        assert T.feature_width(spec, input_shape) == feats.shape[1]
+
+    @pytest.mark.parametrize("spec, input_shape, match", [
+        ([T.dense(3, 2), T.leaky(), T.dense(5, 1)], (3,), "layer 2"),
+        ([T.conv(2, 3)], (1, 7, 7), "layer 0"),
+        ([T.conv(1, 3, pad=0)], (1, 3, 3), "empty"),
+        ([T.flatten(), T.conv(1, 3)], (1, 7, 7), "layer 1"),
+    ])
+    def test_mismatch_raises_like_forward(self, spec, input_shape, match):
+        with pytest.raises(T.ShapeMismatchError, match=match):
+            T.feature_width(spec, input_shape)
+
+    def test_draws_no_init(self, monkeypatch):
+        def no_init(*args):
+            raise AssertionError("feature_width drew an init")
+
+        monkeypatch.setattr(T, "init_layer_params", no_init)
+        assert T.feature_width([T.conv(1, 4), T.flatten()], (1, 28, 28)) == 4 * 14 * 14
+
+
 class TestParamGradients:
     def test_sum_of_params_gives_ones(self):
         rec = T.ComputationRecord()
@@ -269,6 +298,16 @@ class TestGradientCheck:
     def test_conv_leaky_under_1e4(self):
         spec = [T.conv(1, 2), T.leaky(), T.flatten(), T.dense(2 * 4 * 4, 3)]
         report = T.gradient_check(spec, seed=9, input_shape=(1, 7, 7), head="softmax")
+        assert report.max_rel_err_params < 1e-4
+        assert report.max_rel_err_input < 1e-4
+
+    def test_multichannel_conv_under_1e4(self):
+        # kernels with several input channels are channel-last, so not
+        # C-contiguous: the check must perturb them in place, not a copy
+        spec = [T.conv(2, 3), T.leaky(), T.conv(3, 2), T.leaky(), T.flatten(),
+                T.dense(2 * 2 * 2, 3)]
+        report = T.gradient_check(spec, seed=10, input_shape=(2, 7, 7), head="softmax",
+                                  n_coords=60)
         assert report.max_rel_err_params < 1e-4
         assert report.max_rel_err_input < 1e-4
 
