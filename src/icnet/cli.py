@@ -81,6 +81,15 @@ class ExperimentConfig:
             raise CliError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.task != "synthetic2d" and self.mode == "binary":
             raise CliError("binary mode applies to the synthetic2d task only")
+        # every mode trains on both synthetic classes; the grid oracle needs 2 cells per axis
+        for key, low in (("n_positive", 1), ("n_negative", 1), ("test_positive", 0),
+                         ("test_negative", 0), ("subset_size", 1), ("test_subset", 0),
+                         ("grid_resolution", 2)):
+            if getattr(self, key) < low:
+                raise CliError(f"experiment.{key} must be at least {low}, "
+                               f"got {getattr(self, key)}")
+        if self.test_positive + self.test_negative < 1:
+            raise CliError("experiment.test_positive + test_negative must be at least 1")
 
 
 _EXPERIMENT_CASTS = {
@@ -322,21 +331,8 @@ def write_manifest(out_dir, config, input_files):
 
 
 def _store_upto(store, round_t):
-    """New store holding the entries of rounds <= round_t, original order."""
-    upto = D.PseudoNegativeStore()
-    i = 0
-    entries = store.entries
-    while i < len(entries):
-        e = entries[i]
-        j = i
-        while (j < len(entries) and entries[j].round == e.round
-               and entries[j].class_tag == e.class_tag):
-            j += 1
-        if e.round <= round_t:
-            upto.add_batch(e.round, e.class_tag,
-                           np.stack([x.sample for x in entries[i:j]]))
-        i = j
-    return upto
+    """Store view holding the entries of rounds <= round_t, original order."""
+    return D.PseudoNegativeStore([e for e in store.entries if e.round <= round_t])
 
 
 # ---------------------------------------------------------------------------
@@ -376,48 +372,31 @@ def _binary_view(ds):
 
 
 def _run_training(config, train_ds):
+    """Returns (result, inner mode): "binary", "multiclass" or "one-vs-all".
+
+    Image tasks are multi-class. On synthetic2d, softmax and one-vs-all see
+    the classes as 0 / 1, every other mode as -1 / +1."""
     net = network_spec_for(config.task)
     tcfg = config.train
     scfg = config.sampler
-    inner_mode = "binary" if config.task == "synthetic2d" else "multiclass"
+    inner_mode, ds = "multiclass", train_ds
+    if config.task == "synthetic2d" and config.mode in ("softmax", "one-vs-all"):
+        ds = D.LabeledDataset(ds.samples, np.where(ds.labels == 1, 1, 0).astype(np.int64), 2)
+    elif config.task == "synthetic2d":
+        inner_mode, ds = "binary", _binary_view(ds)
     if config.mode == "baseline":
-        ds = _binary_view(train_ds) if inner_mode == "binary" else train_ds
         return TR.baseline_train(ds, net, tcfg, inner_mode), inner_mode
-    if config.mode == "binary":
-        return (TR.run_reclassification_by_synthesis(
-            _binary_view(train_ds), net, tcfg, scfg, "binary"), "binary")
     if config.mode == "icn-noise":
-        ds = _binary_view(train_ds) if inner_mode == "binary" else train_ds
-        return (TR.train_icn_noise_ablation(ds, net, tcfg, scfg, inner_mode),
-                inner_mode)
-    if config.mode == "softmax":
-        ds = train_ds
-        if config.task == "synthetic2d":
-            ds = D.LabeledDataset(ds.samples,
-                                  np.where(ds.labels == 1, 1, 0).astype(np.int64),
-                                  2)
-        return (TR.run_reclassification_by_synthesis(ds, net, tcfg, scfg,
-                                                     "multiclass"), "multiclass")
-    # one-vs-all
-    ds = train_ds
-    if config.task == "synthetic2d":
-        ds = D.LabeledDataset(ds.samples,
-                              np.where(ds.labels == 1, 1, 0).astype(np.int64), 2)
-    return TR.train_one_vs_all_ensemble(ds, net, tcfg, scfg), "one-vs-all"
+        return TR.train_icn_noise_ablation(ds, net, tcfg, scfg, inner_mode), inner_mode
+    if config.mode == "one-vs-all":
+        return TR.train_one_vs_all_ensemble(ds, net, tcfg, scfg), "one-vs-all"
+    return TR.run_reclassification_by_synthesis(ds, net, tcfg, scfg, inner_mode), inner_mode
 
 
 def _test_error(model, test_ds, inner_mode):
     if inner_mode == "binary":
-        view = _binary_view(test_ds)
-        return TR.binary_error(model, view.samples, view.labels)
-    return TR.multiclass_error(model, test_ds.samples, test_ds.labels)
-
-
-def _synthetic_grids(config):
-    prior = O.reference_grid(config.sampler.reference_sigma,
-                             resolution=(config.grid_resolution,
-                                         config.grid_resolution))
-    return prior
+        test_ds = _binary_view(test_ds)
+    return TR.error_rate(model, test_ds.samples, test_ds.labels)
 
 
 def _positive_grid(p_plus, config):
@@ -440,7 +419,8 @@ def _run_experiment_inner(config, out_dir):
 
     synthetic_binary = config.task == "synthetic2d" and inner_mode == "binary"
     if synthetic_binary:
-        prior = _synthetic_grids(config)
+        prior = O.reference_grid(config.sampler.reference_sigma,
+                                 resolution=(config.grid_resolution, config.grid_resolution))
         pos_grid = _positive_grid(p_plus, config)
         heat_dir = out_dir / "heatmaps"
         heat_dir.mkdir(exist_ok=True)
@@ -449,9 +429,18 @@ def _run_experiment_inner(config, out_dir):
         img_dir = out_dir / "images"
         img_dir.mkdir(exist_ok=True)
 
+    store = result.store
+
+    def write_round(t, model_t):
+        N.save_model(ckpt_dir / f"model_round_{t:02d}.bin", model_t)
+        D.save_store(_store_upto(store, t), ckpt_dir / f"store_round_{t:02d}.bin")
+        if image_task and t >= 1:
+            round_samples = [e.sample for e in store.entries if e.round == t]
+            dump_images(round_samples[:64], img_dir / f"pseudo_round_{t:02d}.pgm",
+                        D.denormalize)
+
     rows = []
     if isinstance(result, TR.OneVsAllResult):
-        store = result.store
         n_rounds = min(len(mr.metrics) for mr in result.member_results)
         member_protos = [mr.classifier for mr in result.member_results]
         for t in range(n_rounds):
@@ -466,17 +455,9 @@ def _run_experiment_inner(config, out_dir):
                 val_error=float(np.mean([m.val_error for m in per])),
                 test_error=_test_error(model_t, test_ds, "multiclass"),
                 store_size=store_t))
-            N.save_model(ckpt_dir / f"model_round_{t:02d}.bin", model_t)
-            D.save_store(_store_upto(store, t),
-                         ckpt_dir / f"store_round_{t:02d}.bin")
-            if image_task and t >= 1:
-                round_samples = [e.sample for e in store.entries if e.round == t]
-                dump_images(round_samples[:64],
-                            img_dir / f"pseudo_round_{t:02d}.pgm",
-                            lambda v: D.denormalize(v))
+            write_round(t, model_t)
         final_model = result.ensemble
     else:
-        store = result.store
         for m in result.metrics:
             model_t = TR.with_params(result.classifier, result.snapshots[m.round])
             kl = None
@@ -490,15 +471,7 @@ def _run_experiment_inner(config, out_dir):
                 round=m.round, train_loss=m.train_loss, val_error=m.val_error,
                 test_error=_test_error(model_t, test_ds, inner_mode),
                 store_size=m.store_size, kl_to_positive=kl))
-            N.save_model(ckpt_dir / f"model_round_{m.round:02d}.bin", model_t)
-            D.save_store(_store_upto(store, m.round),
-                         ckpt_dir / f"store_round_{m.round:02d}.bin")
-            if image_task and m.round >= 1:
-                round_samples = [e.sample for e in store.entries
-                                 if e.round == m.round]
-                dump_images(round_samples[:64],
-                            img_dir / f"pseudo_round_{m.round:02d}.pgm",
-                            lambda v: D.denormalize(v))
+            write_round(m.round, model_t)
         final_model = result.selected
 
     timings.append(("artifacts", time.perf_counter()))
@@ -577,7 +550,7 @@ def cmd_adversarial(args):
     model_b = N.load_model(args.model_b)
     config = parse_config(args.config)
     _, test_ds, _, _ = _load_task_data(config)
-    if isinstance(model_a, N.BinaryClassifier):
+    if isinstance(model_a, N.Classifier) and model_a.binary:
         test_ds = _binary_view(test_ds)
     ab, ba = R.two_way_fool_experiment(model_a, model_b, test_ds, args.eps)
     path_a, path_b = Path(args.model_a), Path(args.model_b)

@@ -393,11 +393,3 @@ def load_store(path) -> PseudoNegativeStore:
             store.entries.append(StoreEntry(rnd, tag, sample))
         return store
 
-
-def dataset_to_csv(ds: LabeledDataset, path) -> None:
-    """Flat CSV export (full-precision floats) for 2D synthetic data."""
-    flat = ds.samples.reshape(len(ds), -1)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"x{i}" for i in range(flat.shape[1])) + ",label\r\n")
-        for row, label in zip(flat, ds.labels):
-            fh.write(",".join(f"{v:.17g}" for v in row) + f",{label}\r\n")

@@ -130,12 +130,12 @@ def reference_grid(sigma: float = 0.3, bounds=DEFAULT_BOUNDS,
     return build_grid(bounds, resolution, None, log_density_fn=log_density)
 
 
-def _grid_logits(grid: GridDensity, classifier: N.BinaryClassifier) -> Array:
+def _grid_logits(grid: GridDensity, classifier: N.Classifier) -> Array:
     return N.logit_binary(classifier, grid.cell_centers()).reshape(grid.resolution)
 
 
 def density_update(prior: GridDensity,
-                   classifier: N.BinaryClassifier) -> tuple[GridDensity, float]:
+                   classifier: N.Classifier) -> tuple[GridDensity, float]:
     """One pseudo-negative update on the grid.
 
     New cell mass is prior mass times the probability ratio
@@ -161,8 +161,8 @@ def kl_divergence(p: GridDensity, q: GridDensity) -> float:
     return float(terms.sum())
 
 
-def round_ratio_normalizer(p_t: GridDensity, c_t: N.BinaryClassifier,
-                           c_next: N.BinaryClassifier) -> float:
+def round_ratio_normalizer(p_t: GridDensity, c_t: N.Classifier,
+                           c_next: N.Classifier) -> float:
     """H = sum over cells of exp(logit_next - logit_t) * p_t mass.
 
     Equal classifiers give H = 1 exactly. H <= 1 signals that the newer
@@ -177,8 +177,8 @@ def round_ratio_normalizer(p_t: GridDensity, c_t: N.BinaryClassifier,
 
 
 def update_identity_sides(p_plus: GridDensity, prior: GridDensity,
-                          c_t: N.BinaryClassifier,
-                          c_next: N.BinaryClassifier) -> tuple[float, float]:
+                          c_t: N.Classifier,
+                          c_next: N.Classifier) -> tuple[float, float]:
     """Both sides of the per-round KL identity, assembled independently.
 
     Left: KL[p+ || p_t-] - KL[p+ || p_next-] via two density updates.

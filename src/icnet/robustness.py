@@ -44,32 +44,6 @@ class FoolingReport:
         return self.cross_fool_count / self.adversarial_count
 
 
-def _loss_graph(model, x, labels):
-    """Per-sample training loss summed over the batch, params held constant;
-    returns (record, loss, logits).
-
-    The sum decouples over rows, so the input gradient of the total is each
-    row's gradient of its own loss.
-    """
-    if not isinstance(model, (N.BinaryClassifier, N.MulticlassClassifier)):
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
-    record = T.ComputationRecord()
-    params = [record.leaf(p, kind="const") for p in model.all_params()]
-    x_node = record.leaf(np.asarray(x, dtype=np.float64), kind="input")
-    feat = T.build_feature_graph(record, model.spec, params[:-2], x_node)
-    w, b = params[-2], params[-1]
-    logits = record.affine(feat, w, b)
-    if isinstance(model, N.BinaryClassifier):
-        signed = record.mul_const(record.reshape(logits, (x.shape[0],)),
-                                  -np.asarray(labels, dtype=np.float64))
-        loss = record.sum(record.softplus(signed))
-    else:
-        logp = record.log_softmax(logits)
-        picked = record.select(logp, np.asarray(labels, dtype=np.int64))
-        loss = record.scale(record.sum(picked), -1.0)
-    return record, loss, logits.value
-
-
 def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP,
                  return_pred=False):
     """One fast-gradient-sign step: x + eps * sign(d loss / d x), clamped.
@@ -84,7 +58,9 @@ def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP,
     if labels.shape[0] != x.shape[0]:
         raise RobustnessError(
             f"label count {labels.shape[0]} != batch size {x.shape[0]}")
-    record, loss, logits = _loss_graph(model, x, labels)
+    # the per-row losses are summed: the input gradient of the total is
+    # each row's gradient of its own loss
+    record, loss, (logits,) = N.head_graph(model, [(N.LABELED, x, labels)])
     grad = T.input_gradient(record, loss)
     if not np.all(np.isfinite(grad)):
         raise RobustnessError("non-finite attack gradient")
@@ -93,14 +69,12 @@ def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP,
         adv = np.clip(adv, clamp[0], clamp[1])
     if not return_pred:
         return adv
-    if isinstance(model, N.BinaryClassifier):
-        return adv, np.where(logits[:, 0] > 0, 1, -1)
-    return adv, np.argmax(logits, axis=1)
+    return adv, N.labels_from_logits(logits)
 
 
 def predict(model, x):
-    if isinstance(model, N.BinaryClassifier):
-        return np.where(N.logit_binary(model, x) > 0, 1, -1)
+    """The replay step's predictions; its own name, so bench/worker.py can
+    time the replay apart from other inference."""
     return N.predict_label(model, x)
 
 

@@ -8,12 +8,10 @@ without perturbing each other's streams.
 import numpy as np
 
 # Stream ids, one per component that consumes randomness.
-STREAM_SPLIT = 0      # dataset splits / subset selection
 STREAM_INIT = 1       # parameter initialization
 STREAM_EPOCH = 2      # mini-batch shuffling (sub-path: round index)
 STREAM_SYNTH = 3      # pseudo-negative synthesis (sub-path: round index)
 STREAM_ORACLE = 4     # exact grid sampling
-STREAM_ATTACK = 5     # adversarial experiments
 STREAM_DATA = 6       # synthetic dataset generation
 STREAM_MEMBER = 7     # one-vs-all member roots (sub-path: class index)
 

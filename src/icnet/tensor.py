@@ -408,13 +408,14 @@ DEFAULT_LEAKY_SLOPE = 0.2
 CONV_KERNEL = 5
 CONV_STRIDE = 2
 CONV_PAD = 2  # keeps the 28x28 stack at 14 -> 7 -> 4 -> 2
+LAYER_KINDS = ("dense", "conv", "leaky", "flatten")
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     """One feature-stack layer: dense, 5x5/stride-2 conv, leaky or flatten."""
 
-    kind: str                 # "dense" | "conv" | "leaky" | "flatten"
+    kind: str                 # one of LAYER_KINDS
     in_width: int = 0         # dense input width / conv input channels
     out_width: int = 0        # dense output width / conv output channels
     slope: float = DEFAULT_LEAKY_SLOPE
@@ -490,85 +491,66 @@ def feature_width(spec: Sequence[LayerSpec], input_shape: tuple) -> int:
     return int(np.prod(shape))
 
 
-def _feature_graph(record: ComputationRecord, spec: Sequence[LayerSpec],
-                   param_nodes: Sequence[Node], x: Node) -> Node:
+class _Untaped:
+    """The four layer ops of a ComputationRecord on plain arrays, with no
+    tape: the same value kernels, so a taped and an untaped pass agree
+    bitwise."""
+
+    affine = staticmethod(affine_value)
+    leaky = staticmethod(leaky_value)
+
+    @staticmethod
+    def conv2d(x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
+        return conv2d_value(x, k, b, stride, pad)[0]
+
+    @staticmethod
+    def reshape(x: Array, shape) -> Array:
+        return x.reshape(shape)
+
+
+UNTAPED = _Untaped()
+
+
+def feature_stack(ops, spec: Sequence[LayerSpec], params: Sequence, x):
+    """Run the layer stack on a batch and return its (n, width) features.
+
+    `ops` is a ComputationRecord, with `params` and `x` its nodes, or
+    UNTAPED, with plain arrays. A shape mismatch or an unknown layer kind
+    raises ShapeMismatchError naming the layer.
+    """
     out = x
     pi = 0
     for li, layer in enumerate(spec):
         try:
             if layer.kind == "dense":
-                if out.value.ndim != 2 or out.shape[1] != layer.in_width:
+                if len(out.shape) != 2 or out.shape[1] != layer.in_width:
                     raise ShapeMismatchError(
                         f"expected (n,{layer.in_width}) input, got {out.shape}")
-                out = record.affine(out, param_nodes[pi], param_nodes[pi + 1])
+                out = ops.affine(out, params[pi], params[pi + 1])
                 pi += 2
             elif layer.kind == "conv":
-                if out.value.ndim != 4 or out.shape[1] != layer.in_width:
+                if len(out.shape) != 4 or out.shape[1] != layer.in_width:
                     raise ShapeMismatchError(
                         f"expected (n,{layer.in_width},h,w) input, got {out.shape}")
-                out = record.conv2d(out, param_nodes[pi], param_nodes[pi + 1],
-                                    stride=CONV_STRIDE, pad=layer.pad)
+                out = ops.conv2d(out, params[pi], params[pi + 1],
+                                 stride=CONV_STRIDE, pad=layer.pad)
                 pi += 2
             elif layer.kind == "leaky":
-                out = record.leaky(out, layer.slope)
+                out = ops.leaky(out, layer.slope)
             elif layer.kind == "flatten":
-                out = record.reshape(out, (out.shape[0], -1))
+                out = ops.reshape(out, (out.shape[0], -1))
             else:
                 raise ShapeMismatchError(f"unknown layer kind {layer.kind!r}")
         except ShapeMismatchError as exc:
             raise ShapeMismatchError(f"layer {li} ({layer.kind}): {exc}") from None
-    if out.value.ndim != 2:
-        out = record.reshape(out, (out.shape[0], -1))
+    if len(out.shape) != 2:
+        out = ops.reshape(out, (out.shape[0], -1))
     return out
-
-
-def build_feature_graph(record: ComputationRecord, spec: Sequence[LayerSpec],
-                        param_nodes: Sequence[Node], x: Node) -> Node:
-    """Append the feature stack to an existing record and return its output."""
-    return _feature_graph(record, spec, param_nodes, x)
-
-
-def forward_network(params: Sequence[Array], spec: Sequence[LayerSpec],
-                    x) -> tuple[Array, ComputationRecord]:
-    """Run the feature stack on a batch, returning features and an open record.
-
-    The record registers x as the differentiable input and every parameter
-    tensor as a param leaf; callers may keep building (heads, losses) on
-    `record.feature_node` before calling backward.
-    """
-    record = ComputationRecord()
-    x_node = record.leaf(x, kind="input")
-    param_nodes = [record.leaf(p, kind="param") for p in params]
-    feats = _feature_graph(record, spec, param_nodes, x_node)
-    record.feature_node = feats
-    return feats.value, record
 
 
 def forward_features(params: Sequence[Array], spec: Sequence[LayerSpec], x) -> Array:
     """Inference-only feature pass (no tape kept)."""
-    out = as_tensor(x)
-    pi = 0
-    for li, layer in enumerate(spec):
-        try:
-            if layer.kind == "dense":
-                if out.ndim != 2 or out.shape[1] != layer.in_width:
-                    raise ShapeMismatchError(f"expected (n,{layer.in_width}), got {out.shape}")
-                out = affine_value(out, params[pi], params[pi + 1])
-                pi += 2
-            elif layer.kind == "conv":
-                if out.ndim != 4 or out.shape[1] != layer.in_width:
-                    raise ShapeMismatchError(f"expected (n,{layer.in_width},h,w), got {out.shape}")
-                out, _ = conv2d_value(out, params[pi], params[pi + 1], CONV_STRIDE, layer.pad)
-                pi += 2
-            elif layer.kind == "leaky":
-                out = leaky_value(out, layer.slope)
-            elif layer.kind == "flatten":
-                out = out.reshape(out.shape[0], -1)
-        except ShapeMismatchError as exc:
-            raise ShapeMismatchError(f"layer {li} ({layer.kind}): {exc}") from None
-    if out.ndim != 2:
-        out = out.reshape(out.shape[0], -1)
-    return out
+    return feature_stack(UNTAPED, spec, params, as_tensor(x))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +609,7 @@ def gradient_check(spec: Sequence[LayerSpec], seed: int, input_shape: tuple,
         record = ComputationRecord()
         x_node = record.leaf(xs, kind="input")
         p_nodes = [record.leaf(p, kind="param") for p in ps]
-        feats = _feature_graph(record, spec, p_nodes, x_node)
+        feats = feature_stack(record, spec, p_nodes, x_node)
         if head == "quadratic":
             loss = record.scale(record.sum(record.square(feats)), 0.5)
             return record, loss, x_node

@@ -91,66 +91,12 @@ class RunResult:
 # losses
 # ---------------------------------------------------------------------------
 
-def _binary_batch_graph(c: N.BinaryClassifier, x_s, y_s, x_pn):
-    """Mean over the batch of -ln q(y|x) on S plus -ln q(-1|x) on the store
-    slice; -ln sigmoid(z) is computed as softplus(-z)."""
-    n_s = 0 if x_s is None else x_s.shape[0]
-    n_pn = 0 if x_pn is None else x_pn.shape[0]
-    if n_s + n_pn == 0:
-        raise TrainerError("empty training batch")
-    record = T.ComputationRecord()
-    p_nodes = [record.leaf(p, "param") for p in c.all_params()]
-    feat_nodes, head_w, head_b = p_nodes[:-2], p_nodes[-2], p_nodes[-1]
-    parts = []
-    if n_s:
-        feats = T.build_feature_graph(record, c.spec, feat_nodes,
-                                      record.leaf(x_s, "const"))
-        logits = record.reshape(record.affine(feats, head_w, head_b), (n_s,))
-        parts.append(record.sum(record.softplus(
-            record.mul_const(logits, -np.asarray(y_s, dtype=np.float64)))))
-    if n_pn:
-        feats = T.build_feature_graph(record, c.spec, feat_nodes,
-                                      record.leaf(x_pn, "const"))
-        logits = record.reshape(record.affine(feats, head_w, head_b), (n_pn,))
-        parts.append(record.sum(record.softplus(logits)))
-    total = parts[0] if len(parts) == 1 else record.add(parts[0], parts[1])
-    return record, record.scale(total, 1.0 / (n_s + n_pn))
+def _check_classes(c: N.Classifier, index, what: str) -> None:
+    if index is not None and len(index) and (index.min() < 0 or index.max() >= c.n_classes):
+        raise TrainerError(f"{what} outside 0..{c.n_classes - 1}")
 
 
-def _multiclass_batch_graph(c: N.MulticlassClassifier, x_s, y_s, x_pn, tags, alpha):
-    """Mean over the batch of (1-alpha) cross-entropy on S plus alpha times
-    softplus of the tagged class logit on pseudo-negatives."""
-    n_s = 0 if x_s is None else x_s.shape[0]
-    n_pn = 0 if x_pn is None else x_pn.shape[0]
-    if n_s + n_pn == 0:
-        raise TrainerError("empty training batch")
-    record = T.ComputationRecord()
-    p_nodes = [record.leaf(p, "param") for p in c.all_params()]
-    feat_nodes, head_w, head_b = p_nodes[:-2], p_nodes[-2], p_nodes[-1]
-    parts = []
-    if n_s:
-        y_s = np.asarray(y_s)
-        if y_s.min() < 0 or y_s.max() >= c.n_classes:
-            raise TrainerError(f"labels outside 0..{c.n_classes - 1}")
-        feats = T.build_feature_graph(record, c.spec, feat_nodes,
-                                      record.leaf(x_s, "const"))
-        logits = record.affine(feats, head_w, head_b)
-        picked = record.select(record.log_softmax(logits), y_s)
-        parts.append(record.scale(record.sum(picked), -(1.0 - alpha)))
-    if n_pn:
-        tags = np.asarray(tags)
-        if tags.min() < 0 or tags.max() >= c.n_classes:
-            raise TrainerError(f"pseudo-negative tag outside 0..{c.n_classes - 1}")
-        feats = T.build_feature_graph(record, c.spec, feat_nodes,
-                                      record.leaf(x_pn, "const"))
-        logits = record.affine(feats, head_w, head_b)
-        sel = record.select(logits, tags)
-        parts.append(record.scale(record.sum(record.softplus(sel)), alpha))
-    total = parts[0] if len(parts) == 1 else record.add(parts[0], parts[1])
-    return record, record.scale(total, 1.0 / (n_s + n_pn))
-
-
-def binary_icn_loss(c: N.BinaryClassifier, x_s, y_s, x_pn=None) -> float:
+def binary_icn_loss(c: N.Classifier, x_s, y_s, x_pn=None) -> float:
     """Value of the binary objective (a sum, not a mean) on full arrays."""
     n_s = 0 if x_s is None else len(x_s)
     if n_s == 0:
@@ -162,20 +108,18 @@ def binary_icn_loss(c: N.BinaryClassifier, x_s, y_s, x_pn=None) -> float:
     return float(total)
 
 
-def multiclass_icn_loss(c: N.MulticlassClassifier, x_s, y_s, x_pn, tags,
+def multiclass_icn_loss(c: N.Classifier, x_s, y_s, x_pn, tags,
                         alpha: float) -> float:
     """Value of the integrated multi-class objective (a sum) on full arrays."""
     y_s = np.asarray(y_s)
-    if y_s.size and (y_s.min() < 0 or y_s.max() >= c.n_classes):
-        raise TrainerError(f"labels outside 0..{c.n_classes - 1}")
+    _check_classes(c, y_s, "labels")
     total = 0.0
     if y_s.size:
         log_probs = T.log_softmax_value(N.class_logits(c, x_s))
         total += (1.0 - alpha) * float(-log_probs[np.arange(y_s.size), y_s].sum())
     if x_pn is not None and len(x_pn):
         tags = np.asarray(tags)
-        if tags.min() < 0 or tags.max() >= c.n_classes:
-            raise TrainerError(f"pseudo-negative tag outside 0..{c.n_classes - 1}")
+        _check_classes(c, tags, "pseudo-negative tag")
         logits = N.class_logits(c, x_pn)
         total += alpha * float(T.softplus_value(
             logits[np.arange(tags.size), tags]).sum())
@@ -189,7 +133,13 @@ def multiclass_icn_loss(c: N.MulticlassClassifier, x_s, y_s, x_pn, tags,
 def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
                 gen: np.random.Generator) -> list[float]:
     """Momentum SGD over shuffled unions of S and pseudo-negatives; returns
-    the per-epoch mean loss trace. Momentum buffers are fresh per call."""
+    the per-epoch mean loss trace. Momentum buffers are fresh per call.
+
+    Each batch loss is the mean over its rows of the head graph's labeled
+    term on S and negative term on the store slice."""
+    if not c.binary:
+        _check_classes(c, y_s, "labels")
+        _check_classes(c, tags, "pseudo-negative tag")
     n_s = x_s.shape[0]
     n_pn = 0 if x_pn is None else x_pn.shape[0]
     n_total = n_s + n_pn
@@ -203,15 +153,14 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
             batch = order[at:at + config.batch_size]
             s_rows = batch[batch < n_s]
             pn_rows = batch[batch >= n_s] - n_s
-            bx = x_s[s_rows] if s_rows.size else None
-            by = y_s[s_rows] if s_rows.size else None
-            px = x_pn[pn_rows] if pn_rows.size else None
-            pt = tags[pn_rows] if pn_rows.size and tags is not None else None
+            terms = []
+            if s_rows.size:
+                terms.append((N.LABELED, x_s[s_rows], y_s[s_rows]))
+            if pn_rows.size:
+                terms.append((N.NEGATIVE, x_pn[pn_rows], None if tags is None else tags[pn_rows]))
             try:
-                if isinstance(c, N.BinaryClassifier):
-                    record, loss = _binary_batch_graph(c, bx, by, px)
-                else:
-                    record, loss = _multiclass_batch_graph(c, bx, by, px, pt, alpha)
+                record, total, _ = N.head_graph(c, terms, alpha, params="param", inputs="const")
+                loss = record.scale(total, 1.0 / batch.size)
                 grads = T.param_gradients(record, loss)
             except T.NonFiniteError as exc:
                 raise TrainingDivergedError(
@@ -233,13 +182,9 @@ def reclassification_step(c, x_s, y_s, store: D.PseudoNegativeStore,
     from lr_drop_round on; alpha weighting applies only to the multi-class
     integrated loss. Returns the per-epoch loss trace."""
     lr = config.learning_rate / (10.0 if round_t >= config.lr_drop_round else 1.0)
-    if isinstance(c, N.BinaryClassifier):
-        x_pn = store.samples_for() if len(store) else None
-        tags = None
-    else:
-        x_pn = store.samples_for() if len(store) else None
-        tags = (np.array([e.class_tag for e in store.entries], dtype=np.int64)
-                if len(store) else None)
+    x_pn = store.samples_for() if len(store) else None
+    tags = (np.array([e.class_tag for e in store.entries], dtype=np.int64)
+            if len(store) and not c.binary else None)
     return _sgd_epochs(c, x_s, y_s, x_pn, tags, config.alpha, lr,
                        config.epochs_per_round, config, gen)
 
@@ -248,16 +193,8 @@ def reclassification_step(c, x_s, y_s, store: D.PseudoNegativeStore,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def binary_error(c: N.BinaryClassifier, x, y, chunk: int = 256) -> float:
-    wrong = 0
-    for at in range(0, len(x), chunk):
-        logits = N.logit_binary(c, x[at:at + chunk])
-        pred = np.where(logits > 0, 1, -1)
-        wrong += int((pred != y[at:at + chunk]).sum())
-    return wrong / len(x)
-
-
-def multiclass_error(model, x, y, chunk: int = 256) -> float:
+def error_rate(model, x, y, chunk: int = 256) -> float:
+    """Share of rows whose predicted label differs from y."""
     wrong = 0
     for at in range(0, len(x), chunk):
         pred = N.predict_label(model, x[at:at + chunk])
@@ -269,10 +206,9 @@ def _val_stats(c, x, y) -> tuple[float, float]:
     """(error, mean plain loss) on a held-out set; alpha plays no role here."""
     if len(x) == 0:
         return float("nan"), float("nan")
-    if isinstance(c, N.BinaryClassifier):
-        return binary_error(c, x, y), binary_icn_loss(c, x, y) / len(x)
-    return (multiclass_error(c, x, y),
-            multiclass_icn_loss(c, x, y, None, None, 0.0) / len(x))
+    loss = (binary_icn_loss(c, x, y) if c.binary
+            else multiclass_icn_loss(c, x, y, None, None, 0.0))
+    return error_rate(c, x, y), loss / len(x)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +216,8 @@ def _val_stats(c, x, y) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _init_classifier(spec, input_shape, mode, n_classes, config):
-    gen = rng(config.seed, STREAM_INIT)
-    if mode == "binary":
-        return N.init_binary(spec, input_shape, gen)
-    return N.init_multiclass(spec, input_shape, n_classes, gen)
+    return N.init_multiclass(spec, input_shape, 1 if mode == "binary" else n_classes,
+                             rng(config.seed, STREAM_INIT))
 
 
 def _snapshot(c):
@@ -292,23 +226,17 @@ def _snapshot(c):
     return [np.copy(p) for p in c.all_params()]
 
 
-def _with_params(c, params):
+def with_params(c, params):
+    """A copy of classifier c carrying the given parameter snapshot."""
     out = copy.copy(c)
     out.set_params([np.copy(p) for p in params])
     return out
 
 
-def with_params(c, params):
-    """A copy of classifier c carrying the given parameter snapshot."""
-    return _with_params(c, params)
-
-
 def _default_synthesizer(sampler_config: S.SamplerConfig, input_shape):
     def synthesize(classifier, count, gen, class_index=None):
-        samples, traces = S.synthesize_pseudo_negatives(
-            classifier, sampler_config, count, gen, input_shape,
-            class_index=class_index)
-        return samples, traces
+        return S.synthesize_pseudo_negatives(classifier, sampler_config, count, gen,
+                                             input_shape, class_index=class_index)
     return synthesize
 
 
@@ -333,6 +261,8 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
         raise TrainerError("empty training set")
     if mode == "binary" and len(np.unique(ds.labels)) < 2:
         raise TrainerError("binary mode needs both labels present")
+    if mode == "multiclass" and ds.class_count < 2:
+        raise TrainerError("multiclass mode needs at least two classes")
     input_shape = ds.samples.shape[1:]
     if synthesize is None:
         sampler_config = sampler_config or S.SamplerConfig()
@@ -398,7 +328,7 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
         else:
             best_params = _snapshot(c)
 
-    return RunResult(c, _with_params(c, best_params), metrics, store,
+    return RunResult(c, with_params(c, best_params), metrics, store,
                      stopped_round, snapshots)
 
 

@@ -253,10 +253,10 @@ def test_criterion_06_small_training_set_improvement():
     for seed in (0, 1, 2):
         icn, base, test_ds = mnist_models(seed, 500, rounds=6,
                                           pseudo_per_round=50)
-        icn_errs.append(TR.multiclass_error(icn, test_ds.samples,
-                                            test_ds.labels))
-        base_errs.append(TR.multiclass_error(base, test_ds.samples,
-                                             test_ds.labels))
+        icn_errs.append(TR.error_rate(icn, test_ds.samples,
+                                      test_ds.labels))
+        base_errs.append(TR.error_rate(base, test_ds.samples,
+                                       test_ds.labels))
     elapsed = time.perf_counter() - start
     icn_mean, base_mean = np.mean(icn_errs), np.mean(base_errs)
     ok = icn_mean <= base_mean and elapsed < 7200.0
@@ -352,8 +352,8 @@ def _plain_softmax_sgd(c, x, y, lr, epochs, batch_size, momentum, gen):
             rows = order[at:at + batch_size]
             record = T.ComputationRecord()
             p_nodes = [record.leaf(p, "param") for p in params]
-            feats = T.build_feature_graph(record, c.spec, p_nodes[:-2],
-                                          record.leaf(x[rows], "const"))
+            feats = T.feature_stack(record, c.spec, p_nodes[:-2],
+                                    record.leaf(x[rows], "const"))
             logits = record.affine(feats, p_nodes[-2], p_nodes[-1])
             picked = record.select(record.log_softmax(logits), y[rows])
             loss = record.scale(record.scale(record.sum(picked), -1.0),

@@ -174,6 +174,26 @@ class TestParseConfig:
         with pytest.raises(C.CliError, match="rounds"):
             C.parse_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid_resolution", 0), ("grid_resolution", 1), ("test_positive", -3),
+        ("test_negative", -1), ("n_positive", 0), ("n_negative", -1),
+        ("subset_size", 0), ("test_subset", -1)])
+    def test_out_of_range_size_rejected(self, tmp_path, key, value):
+        with pytest.raises(C.CliError, match=f"experiment.{key} must be at least"):
+            C.ExperimentConfig("synthetic2d", "binary", str(tmp_path), **{key: value})
+
+    def test_empty_synthetic_test_set_rejected(self, tmp_path):
+        with pytest.raises(C.CliError, match="test_positive \\+ test_negative"):
+            C.ExperimentConfig("synthetic2d", "binary", str(tmp_path),
+                               test_positive=0, test_negative=0)
+
+    def test_sizes_checked_before_any_work(self, tmp_path):
+        # before: the whole run trained, then the grid oracle failed
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("grid_resolution = 48", "grid_resolution = 0"))
+        assert C.main(["train", "--config", str(path)]) == 1
+        assert not (tmp_path / "run").exists()
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(C.CliError, match="not found"):
             C.parse_config(tmp_path / "nope.ini")
@@ -267,7 +287,7 @@ class TestRunExperiment:
             store_t = D.load_store(out / "checkpoints" / f"store_round_{t:02d}.bin")
             assert len(store_t) == 4 * t
         model = N.load_model(out / "model_final.bin")
-        assert isinstance(model, N.BinaryClassifier)
+        assert isinstance(model, N.Classifier) and model.binary
         final_store = D.load_store(out / "store_final.bin")
         assert len(final_store) == 12
 
@@ -312,7 +332,7 @@ class TestRunExperiment:
         assert rows[1].store_size == 2 * 4  # K=2 classes, l=4
         assert rows[0].kl_to_positive is None  # KL tracks binary runs only
         model = N.load_model(out / "model_final.bin")
-        assert isinstance(model, N.MulticlassClassifier)
+        assert isinstance(model, N.Classifier) and not model.binary
 
     def test_one_vs_all_mode_on_synthetic(self, tmp_path):
         out = tmp_path / "run"

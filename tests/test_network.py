@@ -36,7 +36,7 @@ class TestBinaryLogit:
     def test_logit_matches_independent_dot_product(self):
         c = make_binary(4)
         x = rng(4, 6).standard_normal((6, 2))
-        feats, _ = T.forward_network(c.feature_params, c.spec, x)
+        feats = T.forward_features(c.feature_params, c.spec, x)
         want = feats @ c.head_w[:, 0] + c.head_b[0]
         np.testing.assert_allclose(N.logit_binary(c, x), want, rtol=1e-13)
 
@@ -283,3 +283,60 @@ class TestTruncatedModelFiles:
             with pytest.raises(N.ModelFormatError, match=f"truncated {what}") as info:
                 N.load_model(cut)
             assert str(info.value).startswith(f"{cut}: ")
+
+
+class TestLoadValidation:
+    """load_model checks what it reads against the header; each defect is a
+    ModelFormatError that starts with the path."""
+
+    def edited(self, tmp_path, model, old=b"", new=b"", tail=b""):
+        path = tmp_path / "m.icnet"
+        N.save_model(path, model)
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1) + tail)
+        return path
+
+    def assert_rejected(self, path, match):
+        with pytest.raises(N.ModelFormatError, match=match) as info:
+            N.load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_unknown_layer_kind(self, tmp_path):
+        path = self.edited(tmp_path, make_binary(70), b'"leaky"', b'"leakx"')
+        self.assert_rejected(path, "unknown layer kind 'leakx'")
+
+    def test_weight_shape_differs_from_header(self, tmp_path):
+        c = N.init_binary([T.dense(2, 3), T.leaky()], (2,), rng(71, 1))
+        path = self.edited(tmp_path, c, b'["dense", 2, 3,', b'["dense", 2, 4,', b"\x00" * 12)
+        self.assert_rejected(path, r"shape \(2, 3\) where the header implies \(2, 4\)")
+
+    def test_head_columns_differ_from_kind(self, tmp_path):
+        path = self.edited(tmp_path, make_multiclass(72, k=3), b'"classes": 3, "kind": "multiclass"',
+                           b'"kind": "binary"')
+        self.assert_rejected(path, r"shape \(16, 3\) where the header implies \(None, 1\)")
+
+    def test_head_columns_differ_from_class_count(self, tmp_path):
+        path = self.edited(tmp_path, make_multiclass(73, k=3), b'"classes": 3', b'"classes": 4')
+        self.assert_rejected(path, r"shape \(16, 3\) where the header implies \(None, 4\)")
+
+    def test_multiclass_needs_two_classes(self, tmp_path):
+        path = self.edited(tmp_path, make_binary(74), b'"kind": "binary"',
+                           b'"classes": 1, "kind": "multiclass"')
+        self.assert_rejected(path, "multiclass model with 1 classes")
+
+    @pytest.mark.parametrize("model", [make_binary, make_multiclass,
+                                       lambda seed: N.OneVsAllEnsemble([make_binary(seed)] * 2)],
+                             ids=["binary", "multiclass", "one_vs_all"])
+    def test_bytes_after_last_tensor(self, tmp_path, model):
+        path = self.edited(tmp_path, model(75), tail=b"\x00")
+        self.assert_rejected(path, "bytes after the last tensor")
+
+    def test_adversarial_exits_1_naming_the_file(self, tmp_path, capsys):
+        from icnet import cli as C
+        good = tmp_path / "good.icnet"
+        N.save_model(good, make_binary(76))
+        bad = self.edited(tmp_path, make_binary(76), tail=b"junk")
+        assert C.main(["adversarial", "--model-a", str(good), "--model-b", str(bad),
+                       "--config", str(tmp_path / "unused.ini")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: bytes after the last tensor")

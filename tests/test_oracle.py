@@ -14,7 +14,7 @@ from icnet.seeding import rng
 SPEC_2D = [T.dense(2, 12), T.leaky(), T.dense(12, 12), T.leaky()]
 
 
-def random_classifier(seed: int) -> N.BinaryClassifier:
+def random_classifier(seed: int) -> N.Classifier:
     return N.init_binary(SPEC_2D, (2,), rng(seed, 1))
 
 

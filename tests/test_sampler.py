@@ -13,7 +13,7 @@ from icnet import tensor as T
 from icnet.seeding import rng
 
 
-def peaked_classifier(peak_logit=3.5, slope_scale=2.0) -> N.BinaryClassifier:
+def peaked_classifier(peak_logit=3.5, slope_scale=2.0) -> N.Classifier:
     """Hand-built net whose logit is peak - c*(|x| + |y|): a pyramid over the
     origin, the shape a trained 2D model takes over its positive region.
 
@@ -27,7 +27,7 @@ def peaked_classifier(peak_logit=3.5, slope_scale=2.0) -> N.BinaryClassifier:
     scale = slope_scale / (1.0 - 0.2)
     head_w = np.full((4, 1), -scale)
     head_b = np.array([peak_logit])
-    return N.BinaryClassifier(spec, feature_params, head_w, head_b)
+    return N.Classifier(spec, feature_params, head_w, head_b)
 
 
 class TestDrawReference:
@@ -146,9 +146,9 @@ class TestSynthesize:
     def test_monotone_ascent_plain_gradient_small_steps(self):
         # smooth (linear-feature) net: ascent must never lose ground
         spec = [T.dense(2, 3)]
-        c = N.BinaryClassifier(spec, [np.array([[0.5, -0.2, 0.1], [0.3, 0.4, -0.6]]),
-                                      np.zeros(3)],
-                               np.array([[0.7], [-0.4], [0.2]]), np.zeros(1))
+        c = N.Classifier(spec, [np.array([[0.5, -0.2, 0.1], [0.3, 0.4, -0.6]]),
+                                np.zeros(3)],
+                         np.array([[0.7], [-0.4], [0.2]]), np.zeros(1))
         config = S.SamplerConfig(method="plain-gradient", stopping="option3",
                                  fixed_steps=50, step_size=1e-3)
         _, traces = S.synthesize_pseudo_negatives(c, config, 10, rng(15, 3), (2,))
@@ -293,8 +293,8 @@ class TestNonFiniteChains:
 
     def test_finite_logits_whose_sum_overflows_still_stop(self):
         # each logit is 1.5e308, their taped sum is inf
-        c = N.BinaryClassifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
-                               np.array([[1.0], [0.0]]), np.zeros(1))
+        c = N.Classifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
+                         np.array([[1.0], [0.0]]), np.zeros(1))
         init = np.full((2, 2), 1.5e308)
         config = S.SamplerConfig(stopping="option2", max_steps=5)
         samples, traces = S.synthesize_pseudo_negatives(
@@ -306,8 +306,8 @@ class TestNonFiniteChains:
     def test_sum_overflow_split_keeps_moving_chains_exact(self):
         # two chains whose logit sum overflows, one that ascends normally:
         # the split graphs give the healthy chain the same steps as alone
-        c = N.BinaryClassifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
-                               np.array([[1.0], [0.0]]), np.zeros(1))
+        c = N.Classifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
+                         np.array([[1.0], [0.0]]), np.zeros(1))
         init = np.array([[1.5e308, 0.0], [1.5e308, 0.0], [0.1, 0.2]])
         config = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=3)
         samples, traces = S.synthesize_pseudo_negatives(

@@ -76,12 +76,12 @@ class TestForward:
         spec = [T.dense(2, 2)]
         params = [np.eye(2), np.zeros(2)]
         x = np.array([[3.0, -1.5]])
-        feats, _ = T.forward_network(params, spec, x)
+        feats = T.forward_features(params, spec, x)
         np.testing.assert_array_equal(feats, x)
 
     def test_leaky_negative_input(self):
         spec = [T.leaky(slope=0.2)]
-        feats, _ = T.forward_network([], spec, np.array([[-1.0]]))
+        feats = T.forward_features([], spec, np.array([[-1.0]]))
         assert feats[0, 0] == -0.2
 
     def test_leaky_subgradient_at_zero_is_one(self):
@@ -123,7 +123,7 @@ class TestForward:
         spec = [T.dense(3, 2), T.leaky(), T.dense(5, 1)]
         params = [np.zeros((3, 2)), np.zeros(2), np.zeros((5, 1)), np.zeros(1)]
         with pytest.raises(T.ShapeMismatchError, match="layer 2"):
-            T.forward_network(params, spec, np.zeros((1, 3)))
+            T.forward_features(params, spec, np.zeros((1, 3)))
 
     def test_forward_determinism(self):
         spec = [T.conv(1, 3), T.leaky(), T.flatten(), T.dense(3 * 4 * 4, 2)]
@@ -133,6 +133,28 @@ class TestForward:
         a = T.forward_features(params, spec, x)
         b = T.forward_features(params, spec, x)
         assert np.array_equal(a, b)
+
+    def test_taped_and_untaped_stacks_agree_bitwise(self):
+        spec = [T.conv(1, 3), T.leaky(), T.conv(3, 2, pad=0), T.leaky(), T.flatten(), T.dense(2, 2)]
+        rng = np.random.default_rng(12)
+        params = T.init_layer_params(spec, rng)
+        x = rng.standard_normal((3, 1, 12, 12))
+        rec = T.ComputationRecord()
+        taped = T.feature_stack(rec, spec, [rec.leaf(p, "param") for p in params],
+                                rec.leaf(x, "input"))
+        assert taped.value.tobytes() == T.forward_features(params, spec, x).tobytes()
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_unknown_layer_kind_rejected(self, taped):
+        # before: the untaped pass skipped the layer silently
+        spec = [T.dense(2, 2), T.LayerSpec("leakx")]
+        params, x = [np.eye(2), np.zeros(2)], np.array([[-1.0, 1.0]])
+        with pytest.raises(T.ShapeMismatchError, match="layer 1 \\(leakx\\): unknown layer kind"):
+            if taped:
+                rec = T.ComputationRecord()
+                T.feature_stack(rec, spec, [rec.leaf(p) for p in params], rec.leaf(x))
+            else:
+                T.forward_features(params, spec, x)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(T.NonFiniteError):
@@ -329,7 +351,7 @@ class TestBackwardLinearity:
             rec = T.ComputationRecord()
             xn = rec.leaf(x, kind="input")
             pn = [rec.leaf(p, kind="param") for p in params]
-            feats = T._feature_graph(rec, spec, pn, xn)
+            feats = T.feature_stack(rec, spec, pn, xn)
             la = rec.sum(rec.sigmoid(feats))
             lb = rec.scale(rec.sum(rec.square(feats)), 0.25)
             return rec, la, lb

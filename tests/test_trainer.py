@@ -196,6 +196,15 @@ class TestReclassificationStep:
 
 
 class TestRunLoop:
+    @pytest.mark.parametrize("mode, ds", [
+        ("binary", D.LabeledDataset(np.zeros((4, 2)), np.ones(4), 2)),
+        ("multiclass", D.LabeledDataset(np.zeros((4, 2)), np.zeros(4), 1)),
+    ], ids=["binary_one_label", "multiclass_one_class"])
+    def test_one_class_rejected(self, mode, ds):
+        # so a one-column head always means a binary classifier
+        with pytest.raises(TR.TrainerError, match="both labels|two classes"):
+            TR.run_reclassification_by_synthesis(ds, SPEC_2D, quick_config(), mode=mode)
+
     def test_rounds_zero_equals_baseline_bitwise(self):
         ds, _ = benchmark(30)
         cfg = quick_config(rounds=0)
@@ -335,10 +344,10 @@ class TestDirectional2D:
             icn = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg,
                                                        "binary")
             other = rival(ds, cfg, scfg)
-            icn_accs.append(1 - TR.binary_error(icn.selected, held.samples,
+            icn_accs.append(1 - TR.error_rate(icn.selected, held.samples,
+                                              held.labels))
+            rival_accs.append(1 - TR.error_rate(other.selected, held.samples,
                                                 held.labels))
-            rival_accs.append(1 - TR.binary_error(other.selected, held.samples,
-                                                  held.labels))
         return np.mean(icn_accs), np.mean(rival_accs)
 
     def test_icn_at_least_matches_baseline_over_5_seeds(self):
