@@ -169,11 +169,9 @@ def parse_config(path, seed_override=None, out_override=None):
         exp["out"] = out_override
 
     batch_default = 32 if exp.get("task") == "synthetic2d" else 64
-    train = TR.TrainConfig(batch_size=batch_default,
-                           keep_round_snapshots=True)
-    train = _cast_section(cp, "train", _TRAIN_CASTS, train)
+    train = _cast_section(cp, "train", _TRAIN_CASTS, TR.TrainConfig(batch_size=batch_default))
     sampler = _cast_section(cp, "sampler", _SAMPLER_CASTS, S.SamplerConfig())
-    train = replace(train, seed=exp.get("seed", 0), keep_round_snapshots=True)
+    train = replace(train, seed=exp.get("seed", 0))
     if exp.get("task") != "synthetic2d":
         # synthesized pixels must stay inside the normalized image range
         sampler = replace(sampler, clamp=(-1.0, 1.0))
@@ -371,26 +369,42 @@ def _binary_view(ds):
     return D.LabeledDataset(ds.samples, np.where(ds.labels == 1, 1, -1), 2)
 
 
-def _run_training(config, train_ds):
-    """Returns (result, inner mode): "binary", "multiclass" or "one-vs-all".
+def _class_view(ds):
+    """The two synthetic classes as class indices: +1 -> 1, -1 -> 0."""
+    return D.LabeledDataset(ds.samples, np.where(ds.labels == 1, 1, 0).astype(np.int64), 2)
+
+
+def _inner_mode(config):
+    """The trainer a run uses: "binary", "multiclass" or "one-vs-all".
 
     Image tasks are multi-class. On synthetic2d, softmax and one-vs-all see
     the classes as 0 / 1, every other mode as -1 / +1."""
+    if config.mode == "one-vs-all":
+        return "one-vs-all"
+    if config.task == "synthetic2d" and config.mode != "softmax":
+        return "binary"
+    return "multiclass"
+
+
+def _run_training(config, train_ds, inner_mode, on_round):
+    """The trainer's result. A single-classifier run reports each round to
+    `on_round` as it ends; a one-vs-all run keeps every member's round
+    snapshots instead, since each round's ensemble needs all K members."""
     net = network_spec_for(config.task)
     tcfg = config.train
     scfg = config.sampler
-    inner_mode, ds = "multiclass", train_ds
-    if config.task == "synthetic2d" and config.mode in ("softmax", "one-vs-all"):
-        ds = D.LabeledDataset(ds.samples, np.where(ds.labels == 1, 1, 0).astype(np.int64), 2)
-    elif config.task == "synthetic2d":
-        inner_mode, ds = "binary", _binary_view(ds)
+    ds = train_ds
+    if config.task == "synthetic2d":
+        ds = _binary_view(ds) if inner_mode == "binary" else _class_view(ds)
+    if inner_mode == "one-vs-all":
+        return TR.train_one_vs_all_ensemble(
+            ds, net, replace(tcfg, keep_round_snapshots=True), scfg)
     if config.mode == "baseline":
-        return TR.baseline_train(ds, net, tcfg, inner_mode), inner_mode
+        return TR.baseline_train(ds, net, tcfg, inner_mode, on_round=on_round)
     if config.mode == "icn-noise":
-        return TR.train_icn_noise_ablation(ds, net, tcfg, scfg, inner_mode), inner_mode
-    if config.mode == "one-vs-all":
-        return TR.train_one_vs_all_ensemble(ds, net, tcfg, scfg), "one-vs-all"
-    return TR.run_reclassification_by_synthesis(ds, net, tcfg, scfg, inner_mode), inner_mode
+        return TR.train_icn_noise_ablation(ds, net, tcfg, scfg, inner_mode, on_round=on_round)
+    return TR.run_reclassification_by_synthesis(ds, net, tcfg, scfg, inner_mode,
+                                                on_round=on_round)
 
 
 def _test_error(model, test_ds, inner_mode):
@@ -406,17 +420,17 @@ def _positive_grid(p_plus, config):
 
 
 def _run_experiment_inner(config, out_dir):
+    """Trains and writes each round's artifacts as the round ends: metrics
+    row, model and store checkpoints, heatmap or images, and a progress
+    line on stderr. A failure mid-run keeps every finished round."""
     timings = [("setup", time.perf_counter())]
     train_ds, test_ds, p_plus, input_files = _load_task_data(config)
     write_manifest(out_dir, config, input_files)
 
     timings.append(("train", time.perf_counter()))
-    result, inner_mode = _run_training(config, train_ds)
-
-    timings.append(("evaluate", time.perf_counter()))
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-
+    inner_mode = _inner_mode(config)
     synthetic_binary = config.task == "synthetic2d" and inner_mode == "binary"
     if synthetic_binary:
         prior = O.reference_grid(config.sampler.reference_sigma,
@@ -429,18 +443,37 @@ def _run_experiment_inner(config, out_dir):
         img_dir = out_dir / "images"
         img_dir.mkdir(exist_ok=True)
 
-    store = result.store
+    rows = []
+    started = timings[-1][1]
 
-    def write_round(t, model_t):
+    def write_round(row, model_t, store_t):
+        t = row.round
         N.save_model(ckpt_dir / f"model_round_{t:02d}.bin", model_t)
-        D.save_store(_store_upto(store, t), ckpt_dir / f"store_round_{t:02d}.bin")
+        D.save_store(store_t, ckpt_dir / f"store_round_{t:02d}.bin")
         if image_task and t >= 1:
-            round_samples = [e.sample for e in store.entries if e.round == t]
+            round_samples = [e.sample for e in store_t.entries if e.round == t]
             dump_images(round_samples[:64], img_dir / f"pseudo_round_{t:02d}.pgm",
                         D.denormalize)
+        rows.append(row)
+        emit_metrics(rows, out_dir / "metrics.csv")
+        print(f"round {t}: train_loss {format_float(row.train_loss)}  "
+              f"test_error {format_float(row.test_error)}  store_size {row.store_size}  "
+              f"elapsed {time.perf_counter() - started:.1f} s", file=sys.stderr)
 
-    rows = []
-    if isinstance(result, TR.OneVsAllResult):
+    def on_round(m, model_t, store_t):
+        kl = None
+        if synthetic_binary:
+            p_t, _ = O.density_update(prior, model_t)
+            kl = O.kl_divergence(pos_grid, p_t)
+            if m.round >= 1:
+                write_pgm(O.heatmap_gray(p_t), heat_dir / f"heatmap_round_{m.round:02d}.pgm")
+        write_round(MetricsRow(
+            round=m.round, train_loss=m.train_loss, val_error=m.val_error,
+            test_error=_test_error(model_t, test_ds, inner_mode),
+            store_size=m.store_size, kl_to_positive=kl), model_t, store_t)
+
+    result = _run_training(config, train_ds, inner_mode, on_round)
+    if inner_mode == "one-vs-all":
         n_rounds = min(len(mr.metrics) for mr in result.member_results)
         member_protos = [mr.classifier for mr in result.member_results]
         for t in range(n_rounds):
@@ -448,36 +481,20 @@ def _run_experiment_inner(config, out_dir):
                        for proto, mr in zip(member_protos, result.member_results)]
             model_t = N.OneVsAllEnsemble(members)
             per = [mr.metrics[t] for mr in result.member_results]
-            store_t = sum(m.store_size for m in per)
-            rows.append(MetricsRow(
+            write_round(MetricsRow(
                 round=t,
                 train_loss=float(np.mean([m.train_loss for m in per])),
                 val_error=float(np.mean([m.val_error for m in per])),
                 test_error=_test_error(model_t, test_ds, "multiclass"),
-                store_size=store_t))
-            write_round(t, model_t)
+                store_size=sum(m.store_size for m in per)),
+                model_t, _store_upto(result.store, t))
         final_model = result.ensemble
     else:
-        for m in result.metrics:
-            model_t = TR.with_params(result.classifier, result.snapshots[m.round])
-            kl = None
-            if synthetic_binary:
-                p_t, _ = O.density_update(prior, model_t)
-                kl = O.kl_divergence(pos_grid, p_t)
-                if m.round >= 1:
-                    write_pgm(O.heatmap_gray(p_t),
-                              heat_dir / f"heatmap_round_{m.round:02d}.pgm")
-            rows.append(MetricsRow(
-                round=m.round, train_loss=m.train_loss, val_error=m.val_error,
-                test_error=_test_error(model_t, test_ds, inner_mode),
-                store_size=m.store_size, kl_to_positive=kl))
-            write_round(m.round, model_t)
         final_model = result.selected
 
     timings.append(("artifacts", time.perf_counter()))
     N.save_model(out_dir / "model_final.bin", final_model)
-    D.save_store(store, out_dir / "store_final.bin")
-    emit_metrics(rows, out_dir / "metrics.csv")
+    D.save_store(result.store, out_dir / "store_final.bin")
 
     timings.append(("done", time.perf_counter()))
     with open(out_dir / "timing.csv", "w", newline="") as f:
@@ -548,10 +565,19 @@ def cmd_oracle_verify(args):
 def cmd_adversarial(args):
     model_a = N.load_model(args.model_a)
     model_b = N.load_model(args.model_b)
+    for path, model in ((args.model_a, model_a), (args.model_b, model_b)):
+        if isinstance(model, N.OneVsAllEnsemble):
+            raise CliError(f"{path}: a one-vs-all ensemble has no FGSM loss; "
+                           "adversarial takes binary or softmax models")
+    if model_a.binary != model_b.binary:
+        raise CliError("adversarial needs two binary or two softmax models, "
+                       "since both are scored against the same labels")
     config = parse_config(args.config)
     _, test_ds, _, _ = _load_task_data(config)
-    if isinstance(model_a, N.Classifier) and model_a.binary:
+    if model_a.binary:
         test_ds = _binary_view(test_ds)
+    elif config.task == "synthetic2d":
+        test_ds = _class_view(test_ds)
     ab, ba = R.two_way_fool_experiment(model_a, model_b, test_ds, args.eps)
     path_a, path_b = Path(args.model_a), Path(args.model_b)
     name_a, name_b = path_a.stem, path_b.stem

@@ -205,6 +205,7 @@ class ComputationRecord:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.swept = False  # set by backward, which frees the op nodes' rules
 
     # -- leaves --------------------------------------------------------------
 
@@ -378,17 +379,28 @@ class ComputationRecord:
     # -- backward sweep --------------------------------------------------------
 
     def backward(self, out: Node) -> None:
-        """Seed d(out)/d(out) = 1 and sweep the tape once, in reverse."""
+        """Seed d(out)/d(out) = 1 and sweep the tape once, in reverse.
+
+        The sweep frees the tape as it goes: once an op node's rule has run,
+        its gradient and its rule (with the arrays the rule saved, such as a
+        conv's patch matrix) are dropped. Leaf gradients stay. A record can
+        therefore be swept only once; a second call raises GraphError.
+        """
         if out._record() is not self:
             raise GraphError("output node belongs to a different record")
         if out.value.shape != ():
             raise GraphError(f"backward requires a scalar node, got shape {out.shape}")
-        for node in self.nodes:
-            node.grad = None
+        if self.swept:
+            raise GraphError("record was already swept by backward; build a new one")
+        self.swept = True
         out.grad = np.ones((), dtype=np.float64)
         for node in reversed(self.nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+            if node.kind != "op":
+                continue
+            rule, g = node._backward, node.grad
+            node._backward = node.grad = None
+            if rule is not None and g is not None:
+                rule(g)
 
     def param_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "param"]

@@ -80,7 +80,8 @@ class RoundMetrics:
 @dataclass
 class RunResult:
     classifier: object            # state after the last executed round
-    selected: object              # best-validation snapshot
+    selected: object              # best-validation copy; without a validation
+                                  # split, a copy of the final classifier
     metrics: list[RoundMetrics]
     store: D.PseudoNegativeStore
     stopped_round: int | None     # round at which patience fired, else None
@@ -252,9 +253,15 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
                                       config: TrainConfig,
                                       sampler_config: S.SamplerConfig | None = None,
                                       mode: str = "binary",
-                                      synthesize=None) -> RunResult:
+                                      synthesize=None, on_round=None) -> RunResult:
     """Full training loop: initial classifier on S, then `rounds` rounds of
-    synthesize / augment / retrain with validation-based early stopping."""
+    synthesize / augment / retrain with validation-based early stopping.
+
+    `on_round(metrics_row, classifier, store)`, if given, is called after
+    round 0 and after each round's retrain, before the patience check. The
+    classifier and store are live and keep changing, so the callback must
+    copy what it keeps. Parameters are copied each round only with
+    `keep_round_snapshots`, and at each new best validation error."""
     if mode not in ("binary", "multiclass"):
         raise TrainerError(f"unknown mode {mode!r}")
     if len(ds) == 0:
@@ -281,12 +288,20 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
                               config.learning_rate, config.init_epochs, config,
                               rng(config.seed, STREAM_EPOCH, 0))
     store = D.PseudoNegativeStore()
+    metrics, snapshots = [], []
+
+    def end_round(row):
+        metrics.append(row)
+        if config.keep_round_snapshots:
+            snapshots.append(_snapshot(c))
+        if on_round is not None:
+            on_round(row, c, store)
+
     val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
-    metrics = [RoundMetrics(0, init_losses,
-                            init_losses[-1] if init_losses else float("nan"),
-                            val_error, val_loss, 0, float("nan"))]
-    snapshots = [_snapshot(c)] if config.keep_round_snapshots else []
-    best_params = _snapshot(c)
+    end_round(RoundMetrics(0, init_losses,
+                           init_losses[-1] if init_losses else float("nan"),
+                           val_error, val_loss, 0, float("nan")))
+    best_params = _snapshot(c) if len(val_ds) else None
     best_error = val_error
     rounds_since_best = 0
     stopped_round = None
@@ -310,44 +325,42 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
         val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
         steps_mean = (float(np.mean([tr.steps for tr in traces]))
                       if traces else float("nan"))
-        metrics.append(RoundMetrics(t, losses,
-                                    losses[-1] if losses else float("nan"),
-                                    val_error, val_loss, len(store), steps_mean))
-        if config.keep_round_snapshots:
-            snapshots.append(_snapshot(c))
-        if len(val_ds) and np.isfinite(val_error):
-            if val_error < best_error - 1e-12:
-                best_error = val_error
-                best_params = _snapshot(c)
-                rounds_since_best = 0
-            else:
-                rounds_since_best += 1
-                if rounds_since_best >= config.patience:
-                    stopped_round = t
-                    break
-        else:
+        end_round(RoundMetrics(t, losses, losses[-1] if losses else float("nan"),
+                               val_error, val_loss, len(store), steps_mean))
+        if not len(val_ds):
+            continue  # no validation split: no early stopping
+        if val_error < best_error - 1e-12:
+            best_error = val_error
             best_params = _snapshot(c)
+            rounds_since_best = 0
+        else:
+            rounds_since_best += 1
+            if rounds_since_best >= config.patience:
+                stopped_round = t
+                break
 
-    return RunResult(c, with_params(c, best_params), metrics, store,
-                     stopped_round, snapshots)
+    selected = with_params(c, c.all_params() if best_params is None else best_params)
+    return RunResult(c, selected, metrics, store, stopped_round, snapshots)
 
 
 def baseline_train(ds: D.LabeledDataset, spec, config: TrainConfig,
-                   mode: str = "binary") -> RunResult:
+                   mode: str = "binary", on_round=None) -> RunResult:
     """Plain training on S alone: exactly the initial phase of the loop, so a
     rounds=0 run must reproduce it bitwise."""
     no_rounds = replace(config, rounds=0)
-    return run_reclassification_by_synthesis(ds, spec, no_rounds, mode=mode)
+    return run_reclassification_by_synthesis(ds, spec, no_rounds, mode=mode,
+                                             on_round=on_round)
 
 
 def train_icn_noise_ablation(ds: D.LabeledDataset, spec, config: TrainConfig,
                              sampler_config: S.SamplerConfig | None = None,
-                             mode: str = "binary") -> RunResult:
+                             mode: str = "binary", on_round=None) -> RunResult:
     """Same loop, but pseudo-negatives are raw reference draws."""
     sampler_config = sampler_config or S.SamplerConfig()
     return run_reclassification_by_synthesis(
         ds, spec, config, sampler_config, mode,
-        synthesize=noise_synthesizer(sampler_config, ds.samples.shape[1:]))
+        synthesize=noise_synthesizer(sampler_config, ds.samples.shape[1:]),
+        on_round=on_round)
 
 
 # ---------------------------------------------------------------------------

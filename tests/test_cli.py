@@ -10,6 +10,9 @@ import pytest
 from icnet import cli as C
 from icnet import data as D
 from icnet import network as N
+from icnet import robustness as R
+from icnet import sampler as S
+from icnet import trainer as TR
 
 
 def config_text(out, task="synthetic2d", mode="binary", seed=0, rounds=3,
@@ -143,7 +146,7 @@ class TestParseConfig:
         assert cfg.train.rounds == 3
         assert cfg.train.batch_size == 32  # synthetic2d default
         assert cfg.train.seed == cfg.seed == 0
-        assert cfg.train.keep_round_snapshots is True
+        assert cfg.train.keep_round_snapshots is False
         assert cfg.sampler.stopping == "option3"
 
     def test_seed_and_out_overrides(self, tmp_path):
@@ -344,6 +347,125 @@ class TestRunExperiment:
         assert rows[1].store_size == 2 * 4
         model = N.load_model(out / "model_final.bin")
         assert isinstance(model, N.OneVsAllEnsemble)
+
+
+class TestStreamingRounds:
+    def test_failure_in_round_2_keeps_finished_rounds(self, tmp_path, monkeypatch):
+        whole = C.parse_config(write_config(tmp_path, rounds=3),
+                               out_override=str(tmp_path / "whole"))
+        assert C.run_experiment(whole) == 0
+        real = S.synthesize_pseudo_negatives
+        calls = []
+
+        def fails_in_round_2(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise S.SamplerError("synthesis failed in round 2")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(S, "synthesize_pseudo_negatives", fails_in_round_2)
+        out = tmp_path / "run"
+        cfg = C.parse_config(write_config(tmp_path, rounds=3))
+        assert C.run_experiment(cfg) == 1
+        assert (out / "error.txt").read_text().startswith("SamplerError")
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
+            "model_round_00.bin", "model_round_01.bin",
+            "store_round_00.bin", "store_round_01.bin"]
+        assert [r.round for r in C.parse_metrics(out / "metrics.csv")] == [0, 1]
+        assert not (out / "model_final.bin").exists()
+        # the finished rounds are the uninterrupted run's, byte for byte
+        for name in ("model_round_00.bin", "model_round_01.bin",
+                     "store_round_00.bin", "store_round_01.bin"):
+            assert ((out / "checkpoints" / name).read_bytes()
+                    == (tmp_path / "whole" / "checkpoints" / name).read_bytes())
+        rows = (out / "metrics.csv").read_bytes().split(b"\r\n")
+        assert rows[:3] == (tmp_path / "whole" / "metrics.csv").read_bytes().split(b"\r\n")[:3]
+        assert (out / "heatmaps" / "heatmap_round_01.pgm").is_file()
+
+    @pytest.mark.parametrize("mode", ["binary", "softmax"])
+    def test_no_parameter_copies_without_validation(self, tmp_path, monkeypatch, mode):
+        path = write_config(tmp_path, mode=mode, rounds=2)
+        path.write_text(path.read_text().replace("val_fraction = 0.25", "val_fraction = 0"))
+        copies = []
+        real = TR._snapshot
+        monkeypatch.setattr(TR, "_snapshot", lambda c: copies.append(1) or real(c))
+        assert C.run_experiment(C.parse_config(path)) == 0
+        assert len(C.parse_metrics(tmp_path / "run" / "metrics.csv")) == 3
+        assert copies == []
+
+    def test_progress_line_per_round_on_stderr(self, tmp_path, capsys):
+        assert C.main(["train", "--config", str(write_config(tmp_path, rounds=2))]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        rows = C.parse_metrics(tmp_path / "run" / "metrics.csv")
+        assert len(lines) == len(rows) == 3
+        for line, row in zip(lines, rows):
+            assert re.fullmatch(
+                rf"round {row.round}: train_loss {C.format_float(row.train_loss)}  "
+                rf"test_error {C.format_float(row.test_error)}  "
+                rf"store_size {row.store_size}  elapsed \d+\.\d s", line), line
+
+
+@pytest.fixture(scope="module")
+def runs_2d(tmp_path_factory):
+    """One-round 2D runs in binary, softmax and one-vs-all mode: {mode: (ini, run dir)}."""
+    root = tmp_path_factory.mktemp("runs_2d")
+    runs = {}
+    for mode in ("binary", "softmax", "one-vs-all"):
+        ini = write_config(root, name=f"{mode}.ini", mode=mode, rounds=1,
+                           out=str(root / mode))
+        assert C.run_experiment(C.parse_config(ini)) == 0
+        runs[mode] = (ini, root / mode)
+    return runs
+
+
+class TestAdversarialInputs:
+    @pytest.mark.parametrize("model_a, model_b", [
+        ("one-vs-all/model_final.bin", "one-vs-all/checkpoints/model_round_00.bin"),
+        ("softmax/model_final.bin", "one-vs-all/model_final.bin"),
+    ], ids=["model_a", "model_b"])
+    def test_one_vs_all_model_rejected(self, runs_2d, capsys, model_a, model_b):
+        ini, run_dir = runs_2d["one-vs-all"]
+        root = run_dir.parent
+        status = C.main(["adversarial", "--model-a", str(root / model_a),
+                         "--model-b", str(root / model_b), "--config", str(ini)])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        ova = root / (model_a if model_a.startswith("one-vs-all") else model_b)
+        assert captured.err.startswith(f"error: {ova}: a one-vs-all ensemble")
+        assert captured.err.count("\n") == 1
+
+    def test_binary_and_softmax_pair_rejected(self, runs_2d, capsys):
+        ini, run_dir = runs_2d["binary"]
+        status = C.main(["adversarial", "--model-a", str(run_dir / "model_final.bin"),
+                         "--model-b", str(runs_2d["softmax"][1] / "model_final.bin"),
+                         "--config", str(ini)])
+        assert status == 1
+        assert "two binary or two softmax" in capsys.readouterr().err
+
+    def test_softmax_2d_pair_attacks_both_classes(self, runs_2d, tmp_path, monkeypatch):
+        ini, run_dir = runs_2d["softmax"]
+        seen = []
+        real = R.two_way_fool_experiment
+
+        def spy(model_a, model_b, test_set, epsilon):
+            seen.append(test_set.labels)
+            return real(model_a, model_b, test_set, epsilon)
+
+        monkeypatch.setattr(R, "two_way_fool_experiment", spy)
+        status = C.main(["adversarial",
+                         "--model-a", str(run_dir / "checkpoints" / "model_round_00.bin"),
+                         "--model-b", str(run_dir / "model_final.bin"),
+                         "--config", str(ini), "--out", str(tmp_path / "adv")])
+        assert status == 0
+        (labels,) = seen
+        assert sorted(set(labels.tolist())) == [0, 1]
+        rows = (tmp_path / "adv" / "fooling.csv").read_text().splitlines()[1:]
+        # +1 rows keep class 1, so more eligible rows than positives means
+        # negative-class rows count too
+        for row in rows:
+            assert int(row.split(",")[1]) > int((labels == 1).sum())
 
 
 class TestSubcommands:

@@ -309,6 +309,53 @@ class TestConvBackward:
         assert mats[1]() is not None  # kernel grad reads it in backward
 
 
+class TestSweptTape:
+    def two_conv_loss(self):
+        rng = np.random.default_rng(34)
+        spec = [T.conv(2, 3), T.leaky(), T.conv(3, 4), T.leaky(), T.flatten()]
+        rec = T.ComputationRecord()
+        x = rec.leaf(rng.standard_normal((2, 2, 8, 8)), kind="input")
+        params = [rec.leaf(p, kind="param") for p in T.init_layer_params(spec, rng)]
+        loss = rec.sum(rec.square(T.feature_stack(rec, spec, params, x)))
+        return rec, loss
+
+    def test_backward_frees_patch_matrices_and_op_grads(self, monkeypatch):
+        mats = []
+        conv2d_value = T.conv2d_value
+
+        def spy(*args):
+            out, mat = conv2d_value(*args)
+            mats.append(weakref.ref(mat))
+            return out, mat
+
+        monkeypatch.setattr(T, "conv2d_value", spy)
+        gc.disable()
+        try:
+            rec, loss = self.two_conv_loss()
+            assert len(mats) == 2 and all(m() is not None for m in mats)
+            grads = T.param_gradients(rec, loss)
+            # freed by the sweep itself, with the record still alive
+            assert all(m() is None for m in mats)
+        finally:
+            gc.enable()
+        ops = [n for n in rec.nodes if n.kind == "op"]
+        assert ops and all(n.grad is None and n._backward is None for n in ops)
+        # leaf gradients stay
+        assert [g.shape for g in grads] == [n.shape for n in rec.param_nodes()]
+        assert all(n.grad is not None for n in rec.param_nodes() + [rec.input_node()])
+
+    def test_second_backward_raises(self):
+        rec, loss = self.two_conv_loss()
+        first = [g.copy() for g in T.param_gradients(rec, loss)]
+        with pytest.raises(T.GraphError, match="already swept"):
+            T.param_gradients(rec, loss)
+        with pytest.raises(T.GraphError, match="already swept"):
+            T.input_gradient(rec, loss)
+        # the failed calls leave the first sweep's gradients as they were
+        for g, n in zip(first, rec.param_nodes()):
+            np.testing.assert_array_equal(g, n.grad)
+
+
 class TestGradientCheck:
     def test_linear_quadratic_is_exact(self):
         spec = [T.dense(5, 4)]

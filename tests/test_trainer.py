@@ -276,6 +276,34 @@ class TestRunLoop:
             assert run.stopped_round < 30
             assert run.metrics[-1].round == run.stopped_round
 
+    def test_on_round_sees_each_round_live_up_to_the_stop(self):
+        # patience 1 over more rounds than 12 validation rows can keep
+        # improving on, so early stopping must fire
+        ds, _ = benchmark(39)
+        cfg = quick_config(rounds=20, pseudo_per_round=3, epochs_per_round=1,
+                           patience=1, val_fraction=0.25, keep_round_snapshots=True)
+        seen = []
+
+        def on_round(m, c, store):
+            seen.append((m, [p.tobytes() for p in c.all_params()], len(store)))
+
+        run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(),
+                                                   "binary", on_round=on_round)
+        assert run.stopped_round is not None
+        assert len(seen) == len(run.metrics) == len(run.snapshots)
+        assert seen[-1][0].round == run.stopped_round
+        for (m, params, store_size), row, snap in zip(seen, run.metrics, run.snapshots):
+            assert m is row and store_size == m.store_size
+            assert params == [p.tobytes() for p in snap]
+
+    def test_selected_is_final_copy_without_validation(self):
+        ds, _ = benchmark(40)
+        run = TR.run_reclassification_by_synthesis(
+            ds, SPEC_2D, quick_config(rounds=2, val_fraction=0.0), quick_sampler(), "binary")
+        assert run.snapshots == []
+        for a, b in zip(run.selected.all_params(), run.classifier.all_params()):
+            assert a.tobytes() == b.tobytes() and a is not b
+
     def test_same_seed_identical_run(self):
         ds, _ = benchmark(36)
         cfg = quick_config(rounds=2, pseudo_per_round=8)
