@@ -122,18 +122,19 @@ _SAMPLER_CASTS = {
 }
 
 
-def _cast_section(cp, section, casts, target):
+def _cast_section(cp, section, casts):
+    """The section's values, each cast by its key's entry in `casts`."""
+    values = {}
     if not cp.has_section(section):
-        return target
-    updates = {}
+        return values
     for key, raw in cp.items(section):
         if key not in casts:
             raise CliError(f"unknown key {key!r} in section [{section}]")
         try:
-            updates[key] = casts[key](raw)
+            values[key] = casts[key](raw)
         except ValueError as exc:
             raise CliError(f"bad value for {section}.{key}: {raw!r}") from exc
-    return replace(target, **updates) if updates else target
+    return values
 
 
 def parse_config(path, seed_override=None, out_override=None):
@@ -152,14 +153,7 @@ def parse_config(path, seed_override=None, out_override=None):
             raise CliError(f"unknown section [{section}]")
     if not cp.has_section("experiment"):
         raise CliError("config must have an [experiment] section")
-    exp = {}
-    for key, raw in cp.items("experiment"):
-        if key not in _EXPERIMENT_CASTS:
-            raise CliError(f"unknown key {key!r} in section [experiment]")
-        try:
-            exp[key] = _EXPERIMENT_CASTS[key](raw)
-        except ValueError as exc:
-            raise CliError(f"bad value for experiment.{key}: {raw!r}") from exc
+    exp = _cast_section(cp, "experiment", _EXPERIMENT_CASTS)
     for required in ("task", "mode", "out"):
         if required not in exp:
             raise CliError(f"experiment.{required} is required")
@@ -169,9 +163,9 @@ def parse_config(path, seed_override=None, out_override=None):
         exp["out"] = out_override
 
     batch_default = 32 if exp.get("task") == "synthetic2d" else 64
-    train = _cast_section(cp, "train", _TRAIN_CASTS, TR.TrainConfig(batch_size=batch_default))
-    sampler = _cast_section(cp, "sampler", _SAMPLER_CASTS, S.SamplerConfig())
-    train = replace(train, seed=exp.get("seed", 0))
+    train = replace(TR.TrainConfig(batch_size=batch_default, seed=exp.get("seed", 0)),
+                    **_cast_section(cp, "train", _TRAIN_CASTS))
+    sampler = replace(S.SamplerConfig(), **_cast_section(cp, "sampler", _SAMPLER_CASTS))
     if exp.get("task") != "synthetic2d":
         # synthesized pixels must stay inside the normalized image range
         sampler = replace(sampler, clamp=(-1.0, 1.0))
@@ -328,11 +322,6 @@ def write_manifest(out_dir, config, input_files):
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _store_upto(store, round_t):
-    """Store view holding the entries of rounds <= round_t, original order."""
-    return D.PseudoNegativeStore([e for e in store.entries if e.round <= round_t])
-
-
 # ---------------------------------------------------------------------------
 # experiment driver
 # ---------------------------------------------------------------------------
@@ -370,7 +359,10 @@ def _binary_view(ds):
 
 
 def _class_view(ds):
-    """The two synthetic classes as class indices: +1 -> 1, -1 -> 0."""
+    """The two synthetic classes as class indices: +1 -> 1, -1 -> 0. Labels
+    without a -1 (image digits, or +1 only) already are class indices."""
+    if not np.any(ds.labels == -1):
+        return ds
     return D.LabeledDataset(ds.samples, np.where(ds.labels == 1, 1, 0).astype(np.int64), 2)
 
 
@@ -387,18 +379,14 @@ def _inner_mode(config):
 
 
 def _run_training(config, train_ds, inner_mode, on_round):
-    """The trainer's result. A single-classifier run reports each round to
-    `on_round` as it ends; a one-vs-all run keeps every member's round
-    snapshots instead, since each round's ensemble needs all K members."""
+    """The trainer's result; every mode reports each round to `on_round` as
+    it ends."""
     net = network_spec_for(config.task)
     tcfg = config.train
     scfg = config.sampler
-    ds = train_ds
-    if config.task == "synthetic2d":
-        ds = _binary_view(ds) if inner_mode == "binary" else _class_view(ds)
+    ds = _binary_view(train_ds) if inner_mode == "binary" else _class_view(train_ds)
     if inner_mode == "one-vs-all":
-        return TR.train_one_vs_all_ensemble(
-            ds, net, replace(tcfg, keep_round_snapshots=True), scfg)
+        return TR.train_one_vs_all_ensemble(ds, net, tcfg, scfg, on_round=on_round)
     if config.mode == "baseline":
         return TR.baseline_train(ds, net, tcfg, inner_mode, on_round=on_round)
     if config.mode == "icn-noise":
@@ -408,8 +396,9 @@ def _run_training(config, train_ds, inner_mode, on_round):
 
 
 def _test_error(model, test_ds, inner_mode):
-    if inner_mode == "binary":
-        test_ds = _binary_view(test_ds)
+    """Error against the test labels mapped as `_run_training` maps the
+    training labels."""
+    test_ds = _binary_view(test_ds) if inner_mode == "binary" else _class_view(test_ds)
     return TR.error_rate(model, test_ds.samples, test_ds.labels)
 
 
@@ -446,8 +435,17 @@ def _run_experiment_inner(config, out_dir):
     rows = []
     started = timings[-1][1]
 
-    def write_round(row, model_t, store_t):
-        t = row.round
+    def on_round(m, model_t, store_t):
+        t = m.round
+        kl = None
+        if synthetic_binary:
+            p_t, _ = O.density_update(prior, model_t)
+            kl = O.kl_divergence(pos_grid, p_t)
+            if t >= 1:
+                write_pgm(O.heatmap_gray(p_t), heat_dir / f"heatmap_round_{t:02d}.pgm")
+        row = MetricsRow(round=t, train_loss=m.train_loss, val_error=m.val_error,
+                         test_error=_test_error(model_t, test_ds, inner_mode),
+                         store_size=m.store_size, kl_to_positive=kl)
         N.save_model(ckpt_dir / f"model_round_{t:02d}.bin", model_t)
         D.save_store(store_t, ckpt_dir / f"store_round_{t:02d}.bin")
         if image_task and t >= 1:
@@ -460,40 +458,10 @@ def _run_experiment_inner(config, out_dir):
               f"test_error {format_float(row.test_error)}  store_size {row.store_size}  "
               f"elapsed {time.perf_counter() - started:.1f} s", file=sys.stderr)
 
-    def on_round(m, model_t, store_t):
-        kl = None
-        if synthetic_binary:
-            p_t, _ = O.density_update(prior, model_t)
-            kl = O.kl_divergence(pos_grid, p_t)
-            if m.round >= 1:
-                write_pgm(O.heatmap_gray(p_t), heat_dir / f"heatmap_round_{m.round:02d}.pgm")
-        write_round(MetricsRow(
-            round=m.round, train_loss=m.train_loss, val_error=m.val_error,
-            test_error=_test_error(model_t, test_ds, inner_mode),
-            store_size=m.store_size, kl_to_positive=kl), model_t, store_t)
-
     result = _run_training(config, train_ds, inner_mode, on_round)
-    if inner_mode == "one-vs-all":
-        n_rounds = min(len(mr.metrics) for mr in result.member_results)
-        member_protos = [mr.classifier for mr in result.member_results]
-        for t in range(n_rounds):
-            members = [TR.with_params(proto, mr.snapshots[t])
-                       for proto, mr in zip(member_protos, result.member_results)]
-            model_t = N.OneVsAllEnsemble(members)
-            per = [mr.metrics[t] for mr in result.member_results]
-            write_round(MetricsRow(
-                round=t,
-                train_loss=float(np.mean([m.train_loss for m in per])),
-                val_error=float(np.mean([m.val_error for m in per])),
-                test_error=_test_error(model_t, test_ds, "multiclass"),
-                store_size=sum(m.store_size for m in per)),
-                model_t, _store_upto(result.store, t))
-        final_model = result.ensemble
-    else:
-        final_model = result.selected
 
     timings.append(("artifacts", time.perf_counter()))
-    N.save_model(out_dir / "model_final.bin", final_model)
+    N.save_model(out_dir / "model_final.bin", result.selected)
     D.save_store(result.store, out_dir / "store_final.bin")
 
     timings.append(("done", time.perf_counter()))
@@ -574,10 +542,7 @@ def cmd_adversarial(args):
                        "since both are scored against the same labels")
     config = parse_config(args.config)
     _, test_ds, _, _ = _load_task_data(config)
-    if model_a.binary:
-        test_ds = _binary_view(test_ds)
-    elif config.task == "synthetic2d":
-        test_ds = _class_view(test_ds)
+    test_ds = _binary_view(test_ds) if model_a.binary else _class_view(test_ds)
     ab, ba = R.two_way_fool_experiment(model_a, model_b, test_ds, args.eps)
     path_a, path_b = Path(args.model_a), Path(args.model_b)
     name_a, name_b = path_a.stem, path_b.stem

@@ -52,7 +52,6 @@ class TrainConfig:
     patience: int = 3
     seed: int = 0
     reinit_each_round: bool = False  # False: fine-tune the previous round's net
-    keep_round_snapshots: bool = False
 
     def __post_init__(self):
         if self.rounds < 0 or self.pseudo_per_round < 0:
@@ -85,6 +84,7 @@ class RunResult:
     metrics: list[RoundMetrics]
     store: D.PseudoNegativeStore
     stopped_round: int | None     # round at which patience fired, else None
+    # always empty; kept because bench/worker.py sums the bytes held here
     snapshots: list = field(default_factory=list)
 
 
@@ -249,19 +249,12 @@ def noise_synthesizer(sampler_config: S.SamplerConfig, input_shape):
     return synthesize
 
 
-def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
-                                      config: TrainConfig,
-                                      sampler_config: S.SamplerConfig | None = None,
-                                      mode: str = "binary",
-                                      synthesize=None, on_round=None) -> RunResult:
-    """Full training loop: initial classifier on S, then `rounds` rounds of
-    synthesize / augment / retrain with validation-based early stopping.
-
-    `on_round(metrics_row, classifier, store)`, if given, is called after
-    round 0 and after each round's retrain, before the patience check. The
-    classifier and store are live and keep changing, so the callback must
-    copy what it keeps. Parameters are copied each round only with
-    `keep_round_snapshots`, and at each new best validation error."""
+def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig,
+            sampler_config: S.SamplerConfig | None = None, mode: str = "binary",
+            synthesize=None):
+    """The loop of `run_reclassification_by_synthesis` as a generator: yields
+    (metrics_row, classifier, store) after round 0 and after each round's
+    retrain, before the patience check, and returns the RunResult."""
     if mode not in ("binary", "multiclass"):
         raise TrainerError(f"unknown mode {mode!r}")
     if len(ds) == 0:
@@ -288,19 +281,11 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
                               config.learning_rate, config.init_epochs, config,
                               rng(config.seed, STREAM_EPOCH, 0))
     store = D.PseudoNegativeStore()
-    metrics, snapshots = [], []
-
-    def end_round(row):
-        metrics.append(row)
-        if config.keep_round_snapshots:
-            snapshots.append(_snapshot(c))
-        if on_round is not None:
-            on_round(row, c, store)
-
     val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
-    end_round(RoundMetrics(0, init_losses,
-                           init_losses[-1] if init_losses else float("nan"),
-                           val_error, val_loss, 0, float("nan")))
+    metrics = [RoundMetrics(0, init_losses,
+                            init_losses[-1] if init_losses else float("nan"),
+                            val_error, val_loss, 0, float("nan"))]
+    yield metrics[-1], c, store
     best_params = _snapshot(c) if len(val_ds) else None
     best_error = val_error
     rounds_since_best = 0
@@ -325,8 +310,9 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
         val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
         steps_mean = (float(np.mean([tr.steps for tr in traces]))
                       if traces else float("nan"))
-        end_round(RoundMetrics(t, losses, losses[-1] if losses else float("nan"),
-                               val_error, val_loss, len(store), steps_mean))
+        metrics.append(RoundMetrics(t, losses, losses[-1] if losses else float("nan"),
+                                    val_error, val_loss, len(store), steps_mean))
+        yield metrics[-1], c, store
         if not len(val_ds):
             continue  # no validation split: no early stopping
         if val_error < best_error - 1e-12:
@@ -340,7 +326,30 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
                 break
 
     selected = with_params(c, c.all_params() if best_params is None else best_params)
-    return RunResult(c, selected, metrics, store, stopped_round, snapshots)
+    return RunResult(c, selected, metrics, store, stopped_round)
+
+
+def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
+                                      config: TrainConfig,
+                                      sampler_config: S.SamplerConfig | None = None,
+                                      mode: str = "binary",
+                                      synthesize=None, on_round=None) -> RunResult:
+    """Full training loop: initial classifier on S, then `rounds` rounds of
+    synthesize / augment / retrain with validation-based early stopping.
+
+    `on_round(metrics_row, classifier, store)`, if given, is called after
+    round 0 and after each round's retrain, before the patience check. The
+    classifier and store are live and keep changing, so the callback must
+    copy what it keeps. Parameters are copied only at each new best
+    validation error."""
+    rounds = _rounds(ds, spec, config, sampler_config, mode, synthesize)
+    while True:
+        try:
+            row, c, store = next(rounds)
+        except StopIteration as done:
+            return done.value
+        if on_round is not None:
+            on_round(row, c, store)
 
 
 def baseline_train(ds: D.LabeledDataset, spec, config: TrainConfig,
@@ -367,13 +376,6 @@ def train_icn_noise_ablation(ds: D.LabeledDataset, spec, config: TrainConfig,
 # one-vs-all
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OneVsAllResult:
-    ensemble: N.OneVsAllEnsemble
-    member_results: list[RunResult]
-    store: D.PseudoNegativeStore   # merged, entries retagged with their class
-
-
 def member_seed(seed: int, class_index: int) -> int:
     """Deterministic per-member seed; members are fully independent."""
     ss = np.random.SeedSequence([seed, STREAM_MEMBER, class_index])
@@ -382,23 +384,53 @@ def member_seed(seed: int, class_index: int) -> int:
 
 def train_one_vs_all_ensemble(ds: D.LabeledDataset, spec, config: TrainConfig,
                               sampler_config: S.SamplerConfig | None = None,
-                              synthesize=None) -> OneVsAllResult:
-    """K independent binary runs, class k versus the rest, merged by argmax."""
-    classes = np.arange(ds.class_count)
+                              synthesize=None, on_round=None) -> RunResult:
+    """K independent binary runs, class k versus the rest, merged by argmax,
+    trained round-major: every member's round t, then round t + 1. For each
+    round all K members reach, `on_round` gets the ensemble row (member
+    means, summed store size), the live members as an ensemble and
+    `_merged_store` of their stores; members that stop later train on
+    without reports. `selected` is the ensemble of the members' selected
+    classifiers, `stopped_round` the first member's stop."""
     counts = np.bincount(ds.labels, minlength=ds.class_count)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise TrainerError(f"no training samples for class {missing[0]}")
-    members, results = [], []
-    merged = D.PseudoNegativeStore()
-    for k in classes:
-        relabeled = D.LabeledDataset(
-            ds.samples, np.where(ds.labels == k, 1, -1), 2)
-        cfg = replace(config, seed=member_seed(config.seed, int(k)))
-        result = run_reclassification_by_synthesis(
-            relabeled, spec, cfg, sampler_config, "binary", synthesize)
-        members.append(result.selected)
-        results.append(result)
-        for e in result.store.entries:
-            merged.entries.append(D.StoreEntry(e.round, int(k), e.sample))
-    return OneVsAllResult(N.OneVsAllEnsemble(members), results, merged)
+    members = []
+    for k in range(ds.class_count):
+        relabeled = D.LabeledDataset(ds.samples, np.where(ds.labels == k, 1, -1), 2)
+        members.append(_rounds(relabeled, spec, replace(config, seed=member_seed(config.seed, k)),
+                               sampler_config, "binary", synthesize))
+    results = [None] * len(members)
+    metrics = []
+    while None in results:
+        reached = []
+        for k, member in enumerate(members):
+            if results[k] is None:
+                try:
+                    reached.append(next(member))
+                except StopIteration as done:
+                    results[k] = done.value
+        if len(reached) < len(members):
+            continue  # a member has stopped: no ensemble from here on
+        rows, live, stores = zip(*reached)
+        metrics.append(RoundMetrics(
+            rows[0].round, np.mean([r.epoch_losses for r in rows], axis=0).tolist(),
+            float(np.mean([r.train_loss for r in rows])),
+            float(np.mean([r.val_error for r in rows])),
+            float(np.mean([r.val_loss for r in rows])),
+            sum(r.store_size for r in rows),
+            float(np.mean([r.synth_steps_mean for r in rows]))))
+        if on_round is not None:
+            on_round(metrics[-1], N.OneVsAllEnsemble(list(live)), _merged_store(stores))
+    stops = [r.stopped_round for r in results if r.stopped_round is not None]
+    return RunResult(N.OneVsAllEnsemble([r.classifier for r in results]),
+                     N.OneVsAllEnsemble([r.selected for r in results]), metrics,
+                     _merged_store([r.store for r in results]), min(stops, default=None))
+
+
+def _merged_store(stores):
+    """One store holding each member's entries in member order, tagged with
+    the member's class."""
+    return D.PseudoNegativeStore([D.StoreEntry(e.round, k, e.sample)
+                                  for k, store in enumerate(stores) for e in store.entries])

@@ -110,6 +110,8 @@ def test_criterion_02_kl_identity_on_grid():
 # ---------------------------------------------------------------------------
 
 def exact_sampler_run(seed=0, rounds=10):
+    """The run, and KL[p+ || p_t-] of each round's classifier, taken as the
+    round ends."""
     ds, p_plus = D.gen_synthetic_2d(D.default_benchmark_spec(200, 200),
                                     rng(seed, 6))
     prior = O.reference_grid(0.3, resolution=(128, 128))
@@ -118,21 +120,22 @@ def exact_sampler_run(seed=0, rounds=10):
     cfg = TR.TrainConfig(rounds=rounds, pseudo_per_round=100,
                          epochs_per_round=15, init_epochs=40, batch_size=64,
                          learning_rate=0.01, lr_drop_round=3, momentum=0.9,
-                         alpha=0.1, val_fraction=0.0, patience=99, seed=seed,
-                         keep_round_snapshots=True)
+                         alpha=0.1, val_fraction=0.0, patience=99, seed=seed)
+    kls = []
+
+    def on_round(m, c, store):
+        p_t, _ = O.density_update(prior, c)
+        kls.append(O.kl_divergence(pos_grid, p_t))
+
     run = TR.run_reclassification_by_synthesis(
         ds, SPEC_2D, cfg, None, "binary",
-        synthesize=O.exact_synthesizer(prior))
-    return run, prior, pos_grid
+        synthesize=O.exact_synthesizer(prior), on_round=on_round)
+    return run, kls
 
 
 def test_criterion_03_kl_descent_with_exact_sampler():
     start = time.perf_counter()
-    run, prior, pos_grid = exact_sampler_run(seed=0, rounds=10)
-    kls = []
-    for snap in run.snapshots:
-        p_t, _ = O.density_update(prior, TR.with_params(run.classifier, snap))
-        kls.append(O.kl_divergence(pos_grid, p_t))
+    run, kls = exact_sampler_run(seed=0, rounds=10)
     non_increasing = sum(1 for a, b in zip(kls, kls[1:]) if b <= a + 1e-12)
     elapsed = time.perf_counter() - start
     ok = kls[-1] < kls[0] and non_increasing >= 8 and elapsed < 600.0
@@ -153,7 +156,7 @@ def test_criterion_04_sampler_contract():
                               momentum=0.9, alpha=0.1, val_fraction=0.0,
                               patience=99, seed=0)
     c0 = TR.baseline_train(ds, SPEC_2D, base_cfg, "binary").classifier
-    icn_run, _, _ = exact_sampler_run(seed=0, rounds=4)
+    icn_run, _ = exact_sampler_run(seed=0, rounds=4)
     scfg = S.SamplerConfig(stopping="option2", max_steps=300, step_size=0.02)
 
     threshold_total = 0
@@ -233,8 +236,7 @@ def mnist_models(seed, subset_size, rounds, pseudo_per_round):
     cfg = TR.TrainConfig(rounds=rounds, pseudo_per_round=pseudo_per_round,
                          epochs_per_round=5, init_epochs=10, batch_size=64,
                          learning_rate=0.025, lr_drop_round=25, momentum=0.9,
-                         alpha=0.1, val_fraction=0.1, patience=3, seed=seed,
-                         keep_round_snapshots=False)
+                         alpha=0.1, val_fraction=0.1, patience=3, seed=seed)
     scfg = S.SamplerConfig(stopping="option2", max_steps=100, step_size=0.02,
                            clamp=(-1.0, 1.0))
     icn = TR.run_reclassification_by_synthesis(train_ds, C.MNIST_NET, cfg,

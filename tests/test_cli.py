@@ -146,7 +146,6 @@ class TestParseConfig:
         assert cfg.train.rounds == 3
         assert cfg.train.batch_size == 32  # synthetic2d default
         assert cfg.train.seed == cfg.seed == 0
-        assert cfg.train.keep_round_snapshots is False
         assert cfg.sampler.stopping == "option3"
 
     def test_seed_and_out_overrides(self, tmp_path):
@@ -349,9 +348,35 @@ class TestRunExperiment:
         assert isinstance(model, N.OneVsAllEnsemble)
 
 
+class TestTestError:
+    # five 2D test points with the task's raw +1 / -1 labels; every model
+    # below predicts the positive class exactly where x0 > 0, so rows 1
+    # (-1, labeled +1) and 4 (3, labeled -1) are wrong: 2 of 5
+    X = np.array([[-2.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    Y = np.array([-1, 1, 1, 1, -1])
+
+    @staticmethod
+    def linear(head_w):
+        head_w = np.array(head_w, dtype=np.float64)
+        return N.Classifier([], [], head_w, np.zeros(head_w.shape[1]))
+
+    @pytest.mark.parametrize("inner_mode", ["binary", "multiclass", "one-vs-all"])
+    def test_hand_counted_error_on_pm1_labels(self, inner_mode):
+        model = {"binary": self.linear([[1.0], [0.0]]),
+                 "multiclass": self.linear([[-1.0, 1.0], [0.0, 0.0]]),
+                 "one-vs-all": N.OneVsAllEnsemble([self.linear([[-1.0], [0.0]]),
+                                                   self.linear([[1.0], [0.0]])])}[inner_mode]
+        test_ds = D.LabeledDataset(self.X, self.Y, 2)
+        assert C._test_error(model, test_ds, inner_mode) == 2 / 5
+
+
 class TestStreamingRounds:
-    def test_failure_in_round_2_keeps_finished_rounds(self, tmp_path, monkeypatch):
-        whole = C.parse_config(write_config(tmp_path, rounds=3),
+    # a one-vs-all round synthesizes once per member, members in class order
+    @pytest.mark.parametrize("mode, calls_per_round", [("binary", 1), ("one-vs-all", 2)],
+                             ids=["binary", "one-vs-all"])
+    def test_failure_in_round_2_keeps_finished_rounds(self, tmp_path, monkeypatch,
+                                                      mode, calls_per_round):
+        whole = C.parse_config(write_config(tmp_path, mode=mode, rounds=3),
                                out_override=str(tmp_path / "whole"))
         assert C.run_experiment(whole) == 0
         real = S.synthesize_pseudo_negatives
@@ -359,13 +384,13 @@ class TestStreamingRounds:
 
         def fails_in_round_2(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 2:
+            if len(calls) == calls_per_round + 1:
                 raise S.SamplerError("synthesis failed in round 2")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(S, "synthesize_pseudo_negatives", fails_in_round_2)
         out = tmp_path / "run"
-        cfg = C.parse_config(write_config(tmp_path, rounds=3))
+        cfg = C.parse_config(write_config(tmp_path, mode=mode, rounds=3))
         assert C.run_experiment(cfg) == 1
         assert (out / "error.txt").read_text().startswith("SamplerError")
         assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
@@ -380,7 +405,8 @@ class TestStreamingRounds:
                     == (tmp_path / "whole" / "checkpoints" / name).read_bytes())
         rows = (out / "metrics.csv").read_bytes().split(b"\r\n")
         assert rows[:3] == (tmp_path / "whole" / "metrics.csv").read_bytes().split(b"\r\n")[:3]
-        assert (out / "heatmaps" / "heatmap_round_01.pgm").is_file()
+        if mode == "binary":
+            assert (out / "heatmaps" / "heatmap_round_01.pgm").is_file()
 
     @pytest.mark.parametrize("mode", ["binary", "softmax"])
     def test_no_parameter_copies_without_validation(self, tmp_path, monkeypatch, mode):

@@ -2,6 +2,7 @@
 directional behavior of the full loop on the 2D benchmark."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -281,7 +282,7 @@ class TestRunLoop:
         # improving on, so early stopping must fire
         ds, _ = benchmark(39)
         cfg = quick_config(rounds=20, pseudo_per_round=3, epochs_per_round=1,
-                           patience=1, val_fraction=0.25, keep_round_snapshots=True)
+                           patience=1, val_fraction=0.25)
         seen = []
 
         def on_round(m, c, store):
@@ -290,11 +291,14 @@ class TestRunLoop:
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(),
                                                    "binary", on_round=on_round)
         assert run.stopped_round is not None
-        assert len(seen) == len(run.metrics) == len(run.snapshots)
+        assert len(seen) == len(run.metrics)
         assert seen[-1][0].round == run.stopped_round
-        for (m, params, store_size), row, snap in zip(seen, run.metrics, run.snapshots):
-            assert m is row and store_size == m.store_size
-            assert params == [p.tobytes() for p in snap]
+        for t, ((m, params, store_size), row) in enumerate(zip(seen, run.metrics)):
+            assert m is row and m.round == t and store_size == m.store_size
+            # round t's live parameters are those of a same-seed run cut at t
+            cut = TR.run_reclassification_by_synthesis(
+                ds, SPEC_2D, replace(cfg, rounds=t), quick_sampler(), "binary")
+            assert params == [p.tobytes() for p in cut.classifier.all_params()]
 
     def test_selected_is_final_copy_without_validation(self):
         ds, _ = benchmark(40)
@@ -426,7 +430,7 @@ class TestOneVsAll:
         cfg = quick_config(rounds=1, pseudo_per_round=4, init_epochs=2,
                            epochs_per_round=1, val_fraction=0.0)
         result = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler())
-        assert result.ensemble.n_classes == 3
+        assert result.selected.n_classes == 3
         assert len(result.store) == 3 * 4
         tags = sorted({e.class_tag for e in result.store.entries})
         assert tags == [0, 1, 2]
@@ -439,13 +443,55 @@ class TestOneVsAll:
         k = 1
         relabeled = D.LabeledDataset(ds.samples,
                                      np.where(ds.labels == k, 1, -1), 2)
-        from dataclasses import replace
         solo_cfg = replace(cfg, seed=TR.member_seed(cfg.seed, k))
         solo = TR.run_reclassification_by_synthesis(
             relabeled, SPEC_2D, solo_cfg, quick_sampler(), "binary")
-        for a, b in zip(result.ensemble.members[k].all_params(),
+        for a, b in zip(result.selected.members[k].all_params(),
                         solo.selected.all_params()):
             assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def member_run(ds, cfg, k):
+        """Member k trained alone: class k against the rest, the member seed."""
+        relabeled = D.LabeledDataset(ds.samples, np.where(ds.labels == k, 1, -1), 2)
+        return TR.run_reclassification_by_synthesis(
+            relabeled, SPEC_2D, replace(cfg, seed=TR.member_seed(cfg.seed, k)),
+            quick_sampler(), "binary")
+
+    def test_on_round_reports_rounds_every_member_reached(self):
+        ds = self.three_class_set(50)
+        cfg = quick_config(rounds=6, pseudo_per_round=3, init_epochs=3,
+                           epochs_per_round=1, patience=2, val_fraction=0.25)
+        solo = [self.member_run(ds, cfg, k) for k in range(3)]
+        assert [r.stopped_round for r in solo] == [2, 2, 5]
+        seen = []
+
+        def on_round(m, ensemble, store):
+            seen.append((m, [[p.tobytes() for p in c.all_params()] for c in ensemble.members],
+                         [(e.round, e.class_tag, e.sample.tobytes()) for e in store.entries]))
+
+        result = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler(),
+                                              on_round=on_round)
+        # the ensemble rows end where the first member stops
+        assert [m.round for m, _, _ in seen] == [0, 1, 2]
+        assert result.metrics == [m for m, _, _ in seen]
+        assert result.stopped_round == 2
+        for t, (m, params, entries) in enumerate(seen):
+            rows = [r.metrics[t] for r in solo]
+            assert m.train_loss == np.mean([r.train_loss for r in rows])
+            assert m.val_error == np.mean([r.val_error for r in rows])
+            assert m.store_size == sum(r.store_size for r in rows) == len(entries)
+            for k in range(3):
+                cut = self.member_run(ds, replace(cfg, rounds=t), k)
+                assert params[k] == [p.tobytes() for p in cut.classifier.all_params()]
+            assert entries == [(e.round, k, e.sample.tobytes()) for k, r in enumerate(solo)
+                               for e in r.store.entries if e.round <= t]
+        # member 2 trained on after the reports ended
+        assert result.classifier.members[2].all_params()[0].tobytes() == \
+            solo[2].classifier.all_params()[0].tobytes()
+        for member, r in zip(result.selected.members, solo):
+            for a, b in zip(member.all_params(), r.selected.all_params()):
+                assert a.tobytes() == b.tobytes()
 
     def test_two_class_ensemble_agrees_with_direct_binary(self):
         gen = rng(52, 6)
@@ -464,7 +510,7 @@ class TestOneVsAll:
         held = sig * gen.standard_normal((200, 2))
         held[:100, 0] -= sep
         held[100:, 0] += sep
-        ova_pred = N.predict_label(ova.ensemble, held)
+        ova_pred = N.predict_label(ova.selected, held)
         logits = N.logit_binary(direct.selected, held)
         direct_pred = (logits > 0).astype(int)
         assert (ova_pred == direct_pred).mean() >= 0.95
