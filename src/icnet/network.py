@@ -240,8 +240,11 @@ def _read_tensor(fh, path, want: tuple) -> Array:
     data = fh.read(count * 8)
     if len(data) != count * 8:
         raise ModelFormatError(f"{path}: truncated tensor data")
+    arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{path}: tensor of shape {shape} holds NaN or Inf")
     # a conv kernel is laid out channel-last once, here, not in every conv call
-    return T.channel_last(np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape))
+    return T.channel_last(arr)
 
 
 def save_model(path, model) -> None:
@@ -265,8 +268,9 @@ def save_model(path, model) -> None:
 
 def load_model(path):
     """Read a model file, checking every tensor shape against the header's
-    layer spec and class count; a mismatch, an unknown layer kind or bytes
-    after the last tensor raise ModelFormatError."""
+    layer spec and class count; a mismatch, an unknown layer kind, a leaky
+    slope outside [0, 1], a NaN or Inf value or bytes after the last tensor
+    raise ModelFormatError."""
     with open(path, "rb") as fh:
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
             raise ModelFormatError(f"{path}: bad magic, not a model file")

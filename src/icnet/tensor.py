@@ -80,20 +80,70 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int):
-    """5x5-style convolution; returns the output and the patch matrix `mat`.
+def _row_pad(c: int, pad: int) -> int:
+    # with one input channel a GEMM per kernel row is too thin to pay (2-3x
+    # slower than one GEMM), so such inputs are padded in rows as well
+    return pad if c == 1 else 0
 
-    x: (n, c_in, h, w); k: (c_out, c_in, kh, kw); b: (c_out,).
+
+def _padded(x: Array, pad: int):
+    """`x` copied into a zeroed channel-last buffer, `pad` columns wide on
+    each side, and its row padding (`_row_pad`)."""
+    n, c, h, w = x.shape
+    row_pad = _row_pad(c, pad)
+    xp = np.zeros((n, h + 2 * row_pad, w + 2 * pad, c), dtype=np.float64)
+    xp[:, row_pad:row_pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    return xp, row_pad
+
+
+def _patches(xp: Array, row: int, rows: int, taps: int, ow: int, kw: int, stride: int) -> Array:
+    """Patch matrix of `rows` output rows over `taps` kernel rows of `xp`.
+
+    The first output row's first kernel row reads input row `row`. The
+    result is one contiguous copy shaped (n * rows * ow, taps * kw * c):
+    each row is one output pixel's receptive field in the column order of
+    the channel-last kernel.
+    """
+    n, _, _, c = xp.shape
+    sn, sh, sw, sc = xp.strides
+    view = as_strided(xp[:, row:], (n, rows, ow, taps, kw, c),
+                      (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    return np.ascontiguousarray(view).reshape(n * rows * ow, taps * kw * c)
+
+
+def _runs(spans: list) -> list:
+    """(a, b, span) for each maximal run a <= i < b of equal spans[i]."""
+    starts = [i for i in range(len(spans)) if i == 0 or spans[i] != spans[i - 1]]
+    return [(a, b, spans[a]) for a, b in zip(starts, starts[1:] + [len(spans)])]
+
+
+def _output_row_runs(oh: int, kh: int, h: int, stride: int, pad: int) -> list:
+    """(o0, o1, (t0, t1)): output rows o0 <= o < o1 whose kernel rows that
+    land on the h input rows, not on the `pad` zero rows around them, are
+    exactly t0 <= t < t1."""
+    return _runs([(max(0, pad - o * stride), min(kh, h + pad - o * stride))
+                  for o in range(oh)])
+
+
+def _kernel_row_runs(oh: int, kh: int, h: int, stride: int, pad: int) -> list:
+    """(t0, t1, (lo, hi)): kernel rows t0 <= t < t1 that each land on one
+    of the h input rows for exactly the output rows lo <= o < hi."""
+    return _runs([(max(0, -((t - pad) // stride)),
+                   min(oh, max(0, (h - 1 + pad - t) // stride + 1))) for t in range(kh)])
+
+
+def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
+    """5x5-style convolution. x: (n, c_in, h, w); k: (c_out, c_in, kh, kw); b: (c_out,).
 
     Activations and kernels are read channel-last (see `channel_last`); any
-    other layout gives the same values after one relayout copy. The input is
-    copied into a zero-padded (n, h, w, c_in) buffer, and `mat` is one
-    contiguous copy of a strided view of it, shaped (n, oh, ow, kh, kw,
-    c_in): each row is one output pixel's receptive field in the column
-    order of the channel-last kernel, so the whole conv is a single GEMM.
-    The output is a channel-last view of the GEMM result, with no copy.
-    Backward reuses `mat` for the kernel gradient; `conv2d_input_grad`
-    scatters the patch gradients back (see there).
+    other layout gives the same values after one relayout copy. The input
+    is copied into a channel-last buffer padded in width only, and each run
+    of output rows that reads the same kernel rows is one GEMM of its
+    patches against just those rows of the channel-last kernel, a view: no
+    kernel row that lands in the row padding is multiplied. With one input
+    channel such GEMMs are too thin to pay, so the rows are padded too and
+    one GEMM covers them all. Each patch matrix is freed once its GEMM is
+    done. The output is channel-last.
     """
     n, c, h, w = x.shape
     co, ci, kh, kw = k.shape
@@ -103,40 +153,77 @@ def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int):
     ow = conv_output_size(w, kw, stride, pad)
     if oh < 1 or ow < 1:
         raise ShapeMismatchError(f"conv output would be empty for input {h}x{w}")
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
-    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    sn, sh, sw, sc = xp.strides
-    patches = as_strided(xp, (n, oh, ow, kh, kw, c),
-                         (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
-    mat = np.ascontiguousarray(patches).reshape(n * oh * ow, kh * kw * c)
-    out = mat @ k.transpose(0, 2, 3, 1).reshape(co, -1).T
+    xp, row_pad = _padded(x, pad)
+    kt = k.transpose(0, 2, 3, 1)
+    out = np.zeros((n, oh, ow, co), dtype=np.float64)
+    for o0, o1, (t0, t1) in _output_row_runs(oh, kh, xp.shape[1], stride, pad - row_pad):
+        if t0 >= t1:
+            continue  # every kernel row lands in padding: the output is the bias
+        mat = _patches(xp, o0 * stride + t0 - pad + row_pad, o1 - o0, t1 - t0, ow, kw, stride)
+        kmat = kt[:, t0:t1].reshape(co, -1).T
+        if o1 - o0 == oh:
+            np.matmul(mat, kmat, out=out.reshape(-1, co))
+        else:
+            out[:, o0:o1] = (mat @ kmat).reshape(n, o1 - o0, ow, co)
+        del mat  # before the next run's patches are built
     out += b
-    return out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2), mat
+    return out.transpose(0, 3, 1, 2)
+
+
+def conv2d_kernel_grad(dout: Array, x: Array, k_shape, stride: int, pad: int) -> Array:
+    """d(loss)/dk of `conv2d_value`, given dout in channel-last (n, oh, ow, c_out) layout.
+
+    One GEMM per run of kernel rows that land on the input for the same
+    output rows, over just those output rows: the run's patches are rebuilt
+    from x, so the largest temporary is a fraction of a full patch matrix.
+    Returns a channel-last NCHW view of a fresh array.
+    """
+    n, c, h, w = x.shape
+    co, _, kh, kw = k_shape
+    _, oh, ow, _ = dout.shape
+    xp, row_pad = _padded(x, pad)
+    grad = np.zeros((co, kh * kw * c), dtype=np.float64)
+    for t0, t1, (lo, hi) in _kernel_row_runs(oh, kh, xp.shape[1], stride, pad - row_pad):
+        if lo < hi:
+            mat = _patches(xp, lo * stride + t0 - pad + row_pad, hi - lo, t1 - t0, ow, kw, stride)
+            np.matmul(dout[:, lo:hi].reshape(-1, co).T, mat,
+                      out=grad[:, t0 * kw * c:t1 * kw * c])
+            del mat
+    return grad.reshape(co, kh, kw, c).transpose(0, 3, 1, 2)
 
 
 def conv2d_input_grad(dout: Array, k: Array, x_shape, stride: int, pad: int) -> Array:
     """d(loss)/dx of `conv2d_value`, given dout in channel-last (n, oh, ow, c_out) layout.
 
-    One GEMM gives the patch gradients in `mat` layout, (n, oh, ow, kh, kw,
-    c_in). Each kernel tap is scatter-added into a channel-last padded
-    buffer, so every add reads and writes contiguous channel runs; the
-    unpadded interior is returned as a channel-last NCHW view.
+    One GEMM per run of kernel rows (as in `conv2d_kernel_grad`) gives the
+    run's patch gradients, (n, rows, ow, taps, kw, c_in); each kernel tap is
+    scatter-added into a channel-last buffer padded like the forward input,
+    so every add reads and writes contiguous channel runs. The unpadded
+    interior is returned as a channel-last NCHW view.
     """
     n, c, h, w = x_shape
     co, _, kh, kw = k.shape
     _, oh, ow, _ = dout.shape
-    kmat = k.transpose(0, 2, 3, 1).reshape(co, -1)
-    dcols = (dout.reshape(n * oh * ow, co) @ kmat).reshape(n, oh, ow, kh, kw, c)
-    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, :, i, j]
-    return dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+    row_pad = _row_pad(c, pad)
+    kt = k.transpose(0, 2, 3, 1)
+    dxp = np.zeros((n, h + 2 * row_pad, w + 2 * pad, c), dtype=np.float64)
+    for t0, t1, (lo, hi) in _kernel_row_runs(oh, kh, dxp.shape[1], stride, pad - row_pad):
+        if lo == hi:
+            continue
+        dcols = (dout[:, lo:hi].reshape(-1, co) @ kt[:, t0:t1].reshape(co, -1)).reshape(
+            n, hi - lo, ow, t1 - t0, kw, c)
+        for t in range(t0, t1):
+            row = lo * stride + t - pad + row_pad
+            rows = dxp[:, row:row + stride * (hi - lo):stride]
+            for j in range(kw):
+                rows[:, :, j:j + stride * ow:stride] += dcols[:, :, :, t - t0, j]
+    return dxp[:, row_pad:row_pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
 def leaky_value(x: Array, slope: float) -> Array:
-    # subgradient at exactly 0 takes the positive-side slope (>= 0 branch)
-    return np.where(x >= 0.0, x, slope * x)
+    # max(x, slope * x) is x for x >= 0 and slope * x below, bitwise, for
+    # any slope in [0, 1] (`LayerSpec` admits no other)
+    return np.maximum(x, slope * x)
 
 
 def sigmoid_value(x: Array) -> Array:
@@ -193,9 +280,9 @@ class Node:
             raise ShapeMismatchError(
                 f"{self.kind} gradient has shape {g.shape}, value has {self.value.shape}")
         if self.grad is None:
-            # private, since g may also reach a sibling operand; order "K"
-            # keeps a channel-last gradient channel-last
-            self.grad = g.copy(order="K")
+            # every backward rule hands each operand an array of its own
+            # (`add` copies for its second operand), so g is kept, not copied
+            self.grad = g
         else:
             self.grad += g
 
@@ -237,26 +324,26 @@ class ComputationRecord:
         out = affine_value(x.value, w.value, b.value)
 
         def backward(g: Array) -> None:
-            x._accumulate(g @ w.value.T)
-            w._accumulate(x.value.T @ g)
-            b._accumulate(g.sum(axis=0))
+            if x.requires_grad:
+                x._accumulate(g @ w.value.T)
+            if w.requires_grad:
+                w._accumulate(x.value.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
 
         return self._push(out, "affine", (x, w, b), backward)
 
     def conv2d(self, x: Node, k: Node, b: Node, stride: int = 2, pad: int = 2) -> Node:
-        out, mat = conv2d_value(x.value, k.value, b.value, stride, pad)
-        if not k.requires_grad:
-            mat = None  # only the kernel gradient reads the patch matrix
+        # nothing but the operands is kept for backward: the kernel gradient
+        # rebuilds its patches from x.value, one run of kernel rows at a time
+        out = conv2d_value(x.value, k.value, b.value, stride, pad)
 
         def backward(g: Array) -> None:
             dout = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # no copy if channel-last
-            dmat_out = dout.reshape(-1, k.shape[0])
             if k.requires_grad:
-                co, ci, kh, kw = k.shape
-                # one expression: the GEMM result is freed before the input grad
-                k._accumulate((dmat_out.T @ mat).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
+                k._accumulate(conv2d_kernel_grad(dout, x.value, k.shape, stride, pad))
             if b.requires_grad:
-                b._accumulate(dmat_out.sum(axis=0))
+                b._accumulate(dout.reshape(-1, k.shape[0]).sum(axis=0))
             if x.requires_grad:
                 x._accumulate(conv2d_input_grad(dout, k.value, x.shape, stride, pad))
 
@@ -264,10 +351,12 @@ class ComputationRecord:
 
     def leaky(self, x: Node, slope: float) -> Node:
         mask = x.value >= 0.0
-        out = np.where(mask, x.value, slope * x.value)
+        out = leaky_value(x.value, slope)
 
         def backward(g: Array) -> None:
-            x._accumulate(np.where(mask, g, slope * g))
+            # the subgradient at exactly 0 is 1; max(mask, slope) is 1 or
+            # slope, so the product is bitwise np.where(mask, g, slope * g)
+            x._accumulate(g * np.maximum(mask, slope))
 
         return self._push(out, "leaky", (x,), backward)
 
@@ -332,7 +421,7 @@ class ComputationRecord:
 
         def backward(g: Array) -> None:
             a._accumulate(g)
-            b._accumulate(g)
+            b._accumulate(g.copy(order="K"))  # a may keep g as its gradient
 
         return self._push(a.value + b.value, "add", (a, b), backward)
 
@@ -383,7 +472,7 @@ class ComputationRecord:
 
         The sweep frees the tape as it goes: once an op node's rule has run,
         its gradient and its rule (with the arrays the rule saved, such as a
-        conv's patch matrix) are dropped. Leaf gradients stay. A record can
+        leaky's mask) are dropped. Leaf gradients stay. A record can
         therefore be swept only once; a second call raises GraphError.
         """
         if out._record() is not self:
@@ -432,6 +521,11 @@ class LayerSpec:
     out_width: int = 0        # dense output width / conv output channels
     slope: float = DEFAULT_LEAKY_SLOPE
     pad: int = CONV_PAD
+
+    def __post_init__(self):
+        # the leaky kernels are exact only for slopes in [0, 1] (see `leaky_value`)
+        if not 0.0 <= self.slope <= 1.0:
+            raise ValueError(f"leaky slope must be finite and lie in [0, 1], got {self.slope!r}")
 
 
 def dense(in_width: int, out_width: int) -> LayerSpec:
@@ -513,7 +607,9 @@ class _Untaped:
 
     @staticmethod
     def conv2d(x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
-        return conv2d_value(x, k, b, stride, pad)[0]
+        # looked up at call time, so a wrapper patched over the module's
+        # `conv2d_value` sees untaped calls too
+        return conv2d_value(x, k, b, stride, pad)
 
     @staticmethod
     def reshape(x: Array, shape) -> Array:

@@ -160,20 +160,28 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
             if pn_rows.size:
                 terms.append((N.NEGATIVE, x_pn[pn_rows], None if tags is None else tags[pn_rows]))
             try:
-                record, total, _ = N.head_graph(c, terms, alpha, params="param", inputs="const")
-                loss = record.scale(total, 1.0 / batch.size)
-                grads = T.param_gradients(record, loss)
+                loss = _sgd_step(c, terms, alpha, batch.size, params, velocity, lr, config.momentum)
             except T.NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, sample offset {at}: {exc}"
                 ) from None
-            epoch_sum += float(loss.value) * batch.size
-            for p, g, v in zip(params, grads, velocity):
-                v *= config.momentum
-                v -= lr * g
-                p += v
+            epoch_sum += loss * batch.size
         losses.append(epoch_sum / n_total)
     return losses
+
+
+def _sgd_step(c, terms, alpha, rows, params, velocity, lr, momentum) -> float:
+    """One momentum step on the batch's mean loss; returns that loss. The
+    tape and the gradients die with this call, so none of them is still
+    held while the next batch's graph is built."""
+    record, total, _ = N.head_graph(c, terms, alpha, params="param", inputs="const")
+    loss = record.scale(total, 1.0 / rows)
+    for p, g, v in zip(params, T.param_gradients(record, loss), velocity):
+        v *= momentum
+        g *= lr  # the gradient is the tape's own: scaled in place, not copied
+        v -= g
+        p += v
+    return float(loss.value)
 
 
 def reclassification_step(c, x_s, y_s, store: D.PseudoNegativeStore,

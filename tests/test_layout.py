@@ -117,6 +117,6 @@ def test_conv_values_do_not_depend_on_layout():
     x = gen.standard_normal((3, 4, 9, 9))
     k = gen.standard_normal((5, 4, 5, 5))
     b = gen.standard_normal(5)
-    got, _ = T.conv2d_value(x, k, b, 2, 2)
-    want, _ = T.conv2d_value(T.channel_last(x), T.channel_last(k), b, 2, 2)
+    got = T.conv2d_value(x, k, b, 2, 2)
+    want = T.conv2d_value(T.channel_last(x), T.channel_last(k), b, 2, 2)
     np.testing.assert_array_equal(got, want)

@@ -1,5 +1,7 @@
 """Head semantics and model file round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,34 @@ class TestLoadValidation:
     def test_bytes_after_last_tensor(self, tmp_path, model):
         path = self.edited(tmp_path, model(75), tail=b"\x00")
         self.assert_rejected(path, "bytes after the last tensor")
+
+    def defective(self, tmp_path, defect):
+        """A binary model file with one NaN weight or one bad leaky slope in
+        its header; returns the path and the error it must raise."""
+        c = make_binary(77)
+        if defect == "nan-weight":
+            c.head_w[3, 0] = np.nan
+            return self.edited(tmp_path, c), r"tensor of shape \(16, 1\) holds NaN or Inf"
+        slope = {"nan-slope": b"NaN", "slope-5": b"5.0"}[defect]
+        path = self.edited(tmp_path, c, b'["leaky", 0, 0, 0.2, 2]', b'["leaky", 0, 0, ' + slope + b', 2]')
+        return path, r"slope must be finite and lie in \[0, 1\]"
+
+    @pytest.mark.parametrize("defect", ["nan-weight", "nan-slope", "slope-5"])
+    def test_non_finite_value_or_bad_slope(self, tmp_path, defect):
+        # before: each loaded, and every prediction was -1 (NaN logits)
+        path, match = self.defective(tmp_path, defect)
+        self.assert_rejected(path, match)
+
+    @pytest.mark.parametrize("defect", ["nan-weight", "nan-slope", "slope-5"])
+    def test_adversarial_exits_1_on_non_finite_value_or_bad_slope(self, tmp_path, capsys, defect):
+        from icnet import cli as C
+        good = tmp_path / "good.icnet"
+        N.save_model(good, make_binary(76))
+        bad, match = self.defective(tmp_path, defect)
+        assert C.main(["adversarial", "--model-a", str(good), "--model-b", str(bad),
+                       "--config", str(tmp_path / "unused.ini")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and re.search(match, err)
 
     def test_adversarial_exits_1_naming_the_file(self, tmp_path, capsys):
         from icnet import cli as C

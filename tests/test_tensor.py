@@ -67,8 +67,60 @@ def conv_backward(x, k, b, g, stride, pad):
     return xn.grad, kn.grad, bn.grad
 
 
+def patch_spy(monkeypatch):
+    """Wrap the conv's patch builder; returns the list of weak references
+    to every patch matrix it builds."""
+    built = []
+    patches = T._patches
+
+    def spy(*args):
+        mat = patches(*args)
+        built.append(weakref.ref(mat))
+        return mat
+
+    monkeypatch.setattr(T, "_patches", spy)
+    return built
+
+
+def patch_elements(x_shape, k_shape, stride, pad):
+    """Size of the full im2col patch matrix of one conv call."""
+    n, c, h, w = x_shape
+    _, _, kh, kw = k_shape
+    oh, ow = (T.conv_output_size(d, kd, stride, pad) for d, kd in ((h, kh), (w, kw)))
+    return n * oh * ow * kh * kw * c
+
+
+def tape_arrays(rec):
+    """Every array a record reaches: node values and gradients, the arrays
+    and nodes their backward rules close over, and the bases of views."""
+    arrays, seen, stack = [], set(), list(rec.nodes)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, T.Node):
+            stack += [obj.value, obj.grad, obj._backward]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif callable(obj):
+            stack += [cell.cell_contents for cell in getattr(obj, "__closure__", None) or ()]
+    return arrays
+
+
 CONV_ADJOINT_CASES = [(stride, pad, hw) for stride in (1, 2) for pad in (0, 2)
                       for hw in ((7, 7), (8, 8), (9, 6))]
+# Inputs so small that whole kernel rows land in the padding of every
+# output row, kernel rows that reach no output row at all, a pad as wide as
+# the kernel (an output row sees nothing but padding), and pad 0; each with
+# one input channel (rows padded, one GEMM) and with three.
+CONV_EDGE_CASES = [(stride, pad, hw, c) for stride, pad, hw in (
+    (2, 2, (3, 3)), (2, 2, (4, 4)), (2, 2, (1, 2)), (1, 2, (9, 6)), (1, 2, (2, 3)),
+    (2, 5, (3, 3)), (2, 0, (5, 6)), (1, 0, (9, 6))) for c in (1, 3)]
+EDGE_IDS = [f"s{s}-p{p}-{h}x{w}-c{c}" for s, p, (h, w), c in CONV_EDGE_CASES]
 
 
 class TestForward:
@@ -97,7 +149,7 @@ class TestForward:
         x = np.ones((1, 1, 4, 4))
         k = np.ones((1, 1, 5, 5))
         b = np.zeros(1)
-        out, _ = T.conv2d_value(x, k, b, stride=2, pad=2)
+        out = T.conv2d_value(x, k, b, stride=2, pad=2)
         np.testing.assert_array_equal(out[0, 0], [[9.0, 12.0], [12.0, 16.0]])
 
     def test_conv_matches_brute_force(self):
@@ -106,7 +158,7 @@ class TestForward:
             x = rng.standard_normal((2, 3, 8, 8))
             k = rng.standard_normal((4, 3, 5, 5))
             b = rng.standard_normal(4)
-            got, _ = T.conv2d_value(x, k, b, stride=2, pad=pad)
+            got = T.conv2d_value(x, k, b, stride=2, pad=pad)
             want = brute_force_conv(x, k, b, stride=2, pad=pad)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -155,6 +207,35 @@ class TestForward:
                 T.feature_stack(rec, spec, [rec.leaf(p) for p in params], rec.leaf(x))
             else:
                 T.forward_features(params, spec, x)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_leaky_bitwise_equals_where_form(self, slope):
+        """max(x, slope x) and g * max(mask, slope) are the np.where forms,
+        bit for bit, signed zeros and subnormals included, in the same
+        memory layout: channel-last values stay channel-last."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-308, -1e-308, 1.0, -1.0]
+        gen = np.random.default_rng(13)
+        x = gen.standard_normal((3, 4, 5, 6))
+        x.flat[:len(special)] = special
+        x = T.channel_last(x)
+        g = T.channel_last(gen.standard_normal(x.shape))
+        g.flat[:len(special)] = special[::-1]
+        rec = T.ComputationRecord()
+        xn = rec.leaf(x, kind="input")
+        out = rec.leaky(xn, slope)
+        out._backward(g)  # the rule alone, fed a channel-last gradient
+        want_out = np.where(x >= 0.0, x, slope * x)
+        want_grad = np.where(x >= 0.0, g, slope * g)
+        for got, want in ((out.value, want_out), (T.leaky_value(x, slope), want_out),
+                          (xn.grad, want_grad)):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        assert out.value.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), 5.0, -0.1])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match=r"slope must be finite and lie in \[0, 1\]"):
+            T.leaky(slope)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(T.NonFiniteError):
@@ -219,6 +300,18 @@ class TestParamGradients:
             rec.backward(doubled)
 
 
+class TestAccumulate:
+    def test_add_gives_each_operand_its_own_gradient(self):
+        rec = T.ComputationRecord()
+        a = rec.leaf(np.array([1.0, 2.0]), kind="param")
+        b = rec.leaf(np.array([3.0, 4.0]), kind="param")
+        total = rec.add(rec.add(a, b), a)
+        rec.backward(rec.sum(rec.square(total)))
+        np.testing.assert_array_equal(a.grad, [20.0, 32.0])
+        np.testing.assert_array_equal(b.grad, [10.0, 16.0])
+        assert not np.shares_memory(a.grad, b.grad)
+
+
 class TestInputGradient:
     def test_sum_gives_ones(self):
         rec = T.ComputationRecord()
@@ -267,7 +360,23 @@ class TestConvBackward:
         x = rng.standard_normal((2, 3) + hw)
         k = rng.standard_normal((4, 3, 5, 5))
         b = rng.standard_normal(4)
-        out, _ = T.conv2d_value(x, k, b, stride, pad)
+        out = T.conv2d_value(x, k, b, stride, pad)
+        g = rng.standard_normal(out.shape)
+        got = conv_backward(x, k, b, g, stride, pad)
+        want = brute_force_conv_adjoint(x, k, g, stride, pad)
+        for name, a, e in zip(("input", "kernel", "bias"), got, want):
+            assert a.shape == e.shape, name
+            np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("stride,pad,hw,c", CONV_EDGE_CASES, ids=EDGE_IDS)
+    def test_edge_shapes_match_brute_force(self, stride, pad, hw, c):
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((2, c) + hw)
+        k = rng.standard_normal((4, c, 5, 5))
+        b = rng.standard_normal(4)
+        out = T.conv2d_value(x, k, b, stride, pad)
+        np.testing.assert_allclose(out, brute_force_conv(x, k, b, stride, pad),
+                                   rtol=1e-12, atol=1e-12)
         g = rng.standard_normal(out.shape)
         got = conv_backward(x, k, b, g, stride, pad)
         want = brute_force_conv_adjoint(x, k, g, stride, pad)
@@ -280,33 +389,31 @@ class TestConvBackward:
         x = rng.standard_normal((3, 8, 9, 9))
         k = rng.standard_normal((6, 8, 5, 5))
         b = rng.standard_normal(6)
-        g = rng.standard_normal(T.conv2d_value(x, k, b, 2, 2)[0].shape)
+        g = rng.standard_normal(T.conv2d_value(x, k, b, 2, 2).shape)
         first = conv_backward(x, k, b, g, 2, 2)
         second = conv_backward(x, k, b, g, 2, 2)
         for a, e in zip(first, second):
             assert np.array_equal(a, e) and np.array_equal(np.signbit(a), np.signbit(e))
 
-    def test_const_kernel_drops_patch_matrix(self, monkeypatch):
-        mats = []
-        conv2d_value = T.conv2d_value
-
-        def spy(*args):
-            out, mat = conv2d_value(*args)
-            mats.append(weakref.ref(mat))
-            return out, mat
-
-        monkeypatch.setattr(T, "conv2d_value", spy)
+    def test_no_patch_matrix_reachable_after_forward(self, monkeypatch):
+        """Neither a const nor a param kernel keeps a patch matrix for
+        backward: each is freed by its GEMM's end, without cycle collection,
+        and nothing patch-sized hangs on the tape."""
+        built = patch_spy(monkeypatch)
         rng = np.random.default_rng(33)
-        rec = T.ComputationRecord()
-        x = rec.leaf(rng.standard_normal((2, 2, 8, 8)), kind="input")
-        const_k = rec.leaf(rng.standard_normal((3, 2, 5, 5)))
-        param_k = rec.leaf(rng.standard_normal((3, 2, 5, 5)), kind="param")
-        b = rec.leaf(np.zeros(3))
-        rec.conv2d(x, const_k, b)
-        rec.conv2d(x, param_k, b)
-        gc.collect()
-        assert mats[0]() is None      # input grad only: nothing reads it
-        assert mats[1]() is not None  # kernel grad reads it in backward
+        gc.disable()
+        try:
+            rec = T.ComputationRecord()
+            x = rec.leaf(rng.standard_normal((4, 2, 8, 8)), kind="input")
+            const_k = rec.leaf(rng.standard_normal((3, 2, 5, 5)))
+            param_k = rec.leaf(rng.standard_normal((3, 2, 5, 5)), kind="param")
+            b = rec.leaf(np.zeros(3))
+            rec.conv2d(x, const_k, b)
+            rec.conv2d(x, param_k, b)
+            assert len(built) >= 2 and all(m() is None for m in built)
+        finally:
+            gc.enable()
+        assert max(a.size for a in tape_arrays(rec)) < patch_elements(x.shape, (3, 2, 5, 5), 2, 2)
 
 
 class TestSweptTape:
@@ -314,28 +421,24 @@ class TestSweptTape:
         rng = np.random.default_rng(34)
         spec = [T.conv(2, 3), T.leaky(), T.conv(3, 4), T.leaky(), T.flatten()]
         rec = T.ComputationRecord()
-        x = rec.leaf(rng.standard_normal((2, 2, 8, 8)), kind="input")
+        x = rec.leaf(rng.standard_normal((4, 2, 8, 8)), kind="input")
         params = [rec.leaf(p, kind="param") for p in T.init_layer_params(spec, rng)]
         loss = rec.sum(rec.square(T.feature_stack(rec, spec, params, x)))
         return rec, loss
 
     def test_backward_frees_patch_matrices_and_op_grads(self, monkeypatch):
-        mats = []
-        conv2d_value = T.conv2d_value
-
-        def spy(*args):
-            out, mat = conv2d_value(*args)
-            mats.append(weakref.ref(mat))
-            return out, mat
-
-        monkeypatch.setattr(T, "conv2d_value", spy)
+        built = patch_spy(monkeypatch)
         gc.disable()
         try:
             rec, loss = self.two_conv_loss()
-            assert len(mats) == 2 and all(m() is not None for m in mats)
+            forward = len(built)
+            assert forward >= 2 and all(m() is None for m in built)
+            smallest = patch_elements((4, 3, 4, 4), (4, 3, 5, 5), 2, 2)
+            assert max(a.size for a in tape_arrays(rec)) < smallest
             grads = T.param_gradients(rec, loss)
-            # freed by the sweep itself, with the record still alive
-            assert all(m() is None for m in mats)
+            # the kernel gradients rebuild their patches row by row and free
+            # each one at once, with the record still alive
+            assert len(built) > forward and all(m() is None for m in built)
         finally:
             gc.enable()
         ops = [n for n in rec.nodes if n.kind == "op"]

@@ -2,6 +2,7 @@
 directional behavior of the full loop on the 2D benchmark."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -194,6 +195,25 @@ class TestReclassificationStep:
             outs.append([p.copy() for p in c.all_params()])
         # the dropped learning rate must actually change the trajectory
         assert any(not np.array_equal(a, b) for a, b in zip(*outs))
+
+    def test_two_mnist_net_steps_peak_below_4x_params(self):
+        """Two SGD steps of MNIST_NET, each on 16 labeled rows and 4
+        pseudo-negatives, allocate less than 4x the parameter bytes at their
+        peak: momentum and gradients take 2x, so no conv may keep a patch
+        matrix for backward and no step may outlive its own."""
+        from icnet.cli import MNIST_NET
+        c = N.init_multiclass(MNIST_NET, (1, 28, 28), 10, rng(25, 1))
+        gen = rng(25, 6)
+        x_s, x_pn = gen.uniform(-1, 1, (16, 1, 28, 28)), gen.uniform(-1, 1, (4, 1, 28, 28))
+        param_bytes = sum(p.nbytes for p in c.all_params())
+        tracemalloc.start()
+        try:
+            TR._sgd_epochs(c, x_s, np.arange(16) % 10, x_pn, np.arange(4) % 10, 0.1, 0.01,
+                           2, quick_config(batch_size=20), rng(25, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * param_bytes
 
 
 class TestRunLoop:
