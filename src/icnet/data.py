@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
+
 Array = np.ndarray
 
 NORM_ZERO_CENTERED = "zero-centered-unit-range"
@@ -365,6 +367,9 @@ def save_store(store: PseudoNegativeStore, path) -> None:
 
 
 def load_store(path) -> PseudoNegativeStore:
+    """Read a store file; a bad magic, a truncated entry, a NaN or Inf
+    sample value or bytes after the last entry raise StoreFormatError, and
+    another format version StoreVersionError."""
     with open(path, "rb") as fh:
         if fh.read(len(STORE_MAGIC)) != STORE_MAGIC:
             raise StoreFormatError(f"{path}: bad magic, not a pseudo-negative store")
@@ -390,6 +395,10 @@ def load_store(path) -> PseudoNegativeStore:
             if len(payload) != n_bytes:
                 raise StoreFormatError(f"{path}: truncated entry payload")
             sample = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+            if not T.all_finite(sample):
+                raise StoreFormatError(f"{path}: entry of shape {shape} holds NaN or Inf")
             store.entries.append(StoreEntry(rnd, tag, sample))
+        if fh.read(1):
+            raise StoreFormatError(f"{path}: bytes after the last entry")
         return store
 

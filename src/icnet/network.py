@@ -73,7 +73,12 @@ def init_multiclass(spec: list[T.LayerSpec], input_shape: tuple, n_classes: int,
     params = T.init_layer_params(spec, rng)
     width = T.feature_width(spec, input_shape)
     head_w = rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, n_classes))
-    return Classifier(list(spec), params, head_w, np.zeros(n_classes))
+    c = Classifier(list(spec), params, head_w, np.zeros(n_classes))
+    # checked once here, as after each SGD update and in load_model: graphs
+    # built over the parameters do not rescan them
+    if not all(T.all_finite(p) for p in c.all_params()):
+        raise T.NonFiniteError("initial parameters hold NaN or Inf")
+    return c
 
 
 def init_binary(spec: list[T.LayerSpec], input_shape: tuple,
@@ -143,13 +148,15 @@ def head_graph(c: Classifier, terms, alpha: float = 0.0,
 
     Each term is (kind, x, index) and runs x through the stack on the same
     parameter leaves, of kind `params`; each x is a leaf of kind `inputs`.
+    The parameters enter unscanned, since they were checked for NaN/Inf
+    where they were written (see `init_multiclass`); each x is scanned.
     -ln sigmoid(z) is computed as softplus(-z). Returns (record, scalar,
     [each term's (n, K) logits]).
     """
     if not isinstance(c, Classifier):
         raise TypeError(f"no head graph for {type(c).__name__}")
     record = T.ComputationRecord()
-    p_nodes = [record.leaf(p, params) for p in c.all_params()]
+    p_nodes = [record.leaf(p, params, checked=True) for p in c.all_params()]
     feat_nodes, head_w, head_b = p_nodes[:-2], p_nodes[-2], p_nodes[-1]
     parts, logit_values = [], []
     for kind, x, index in terms:
@@ -241,7 +248,7 @@ def _read_tensor(fh, path, want: tuple) -> Array:
     if len(data) != count * 8:
         raise ModelFormatError(f"{path}: truncated tensor data")
     arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.all(np.isfinite(arr)):
+    if not T.all_finite(arr):
         raise ModelFormatError(f"{path}: tensor of shape {shape} holds NaN or Inf")
     # a conv kernel is laid out channel-last once, here, not in every conv call
     return T.channel_last(arr)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as N
+from . import tensor as T
 
 Array = np.ndarray
 
@@ -68,7 +69,7 @@ class GridDensity:
     @classmethod
     def from_mass(cls, bounds, resolution, mass) -> "GridDensity":
         mass = np.asarray(mass, dtype=np.float64)
-        if np.any(mass < 0) or not np.all(np.isfinite(mass)):
+        if np.any(mass < 0) or not T.all_finite(mass):
             raise OracleError("cell masses must be finite and nonnegative")
         with np.errstate(divide="ignore"):
             return cls.from_log_unnormalized(bounds, resolution, np.log(mass))
@@ -112,7 +113,7 @@ def build_grid(bounds, resolution, density_fn, log_density_fn=None) -> GridDensi
         log_d = np.asarray(log_density_fn(centers), dtype=np.float64)
     else:
         d = np.asarray(density_fn(centers), dtype=np.float64)
-        if np.any(d < 0) or not np.all(np.isfinite(d)):
+        if np.any(d < 0) or not T.all_finite(d):
             raise OracleError("density must be finite and nonnegative on the grid")
         with np.errstate(divide="ignore"):
             log_d = np.log(d)

@@ -62,7 +62,7 @@ def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP,
     # each row's gradient of its own loss
     record, loss, (logits,) = N.head_graph(model, [(N.LABELED, x, labels)])
     grad = T.input_gradient(record, loss)
-    if not np.all(np.isfinite(grad)):
+    if not T.all_finite(grad):
         raise RobustnessError("non-finite attack gradient")
     adv = x + epsilon * np.sign(grad)
     if clamp is not None:

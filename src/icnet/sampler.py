@@ -86,7 +86,7 @@ def langevin_step(x: Array, grad: Array, eps: float, rng: np.random.Generator,
     """x + (eps/2) * grad + eta with eta ~ N(0, eps) per coordinate."""
     if grad.shape != x.shape:
         raise SamplerError(f"gradient shape {grad.shape} vs sample shape {x.shape}")
-    if not np.all(np.isfinite(grad)):
+    if not T.all_finite(grad):
         raise SamplerError("non-finite gradient")
     out = x + (eps / 2.0) * grad
     if noise:
@@ -175,7 +175,7 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         x = np.array(init, dtype=np.float64)
         if x.shape[0] != count:
             raise SamplerError(f"init holds {x.shape[0]} rows, expected {count}")
-        if not np.all(np.isfinite(x)):
+        if not T.all_finite(x):
             raise SamplerError("init holds non-finite values")
     classes = None
     if class_index is not None:
@@ -190,7 +190,6 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
     steps = np.zeros(count, dtype=int)
     reasons = np.full(count, "", dtype=object)
     final_logits = np.zeros(count)
-    paths: list[list[float]] = [[] for _ in range(count)]
     active = np.ones(count, dtype=bool)
 
     def stop(rows, k, reason):
@@ -198,6 +197,11 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
             steps[rows], reasons[rows], active[rows] = k, reason, False
 
     limit = config.fixed_steps if config.stopping == "option3" else config.max_steps
+    # chain j's logit path is paths[:path_len[j], j]: a chain active at step
+    # k writes row k, so a chain tagged in its forward pass has no entry for
+    # its last step
+    paths = np.empty((limit + 1, count))
+    path_len = np.zeros(count, dtype=np.intp)
     # overflow is detected and tagged per row below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(limit + 1):
@@ -211,8 +215,8 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                 final_logits[overflowed] = np.nan
                 stop(overflowed, k, STOP_NON_FINITE)
                 for rows, (record, scalar, logits) in graphs:
-                    for j, z in zip(rows.tolist(), logits.tolist()):
-                        paths[j].append(z)
+                    paths[k, rows] = logits
+                    path_len[rows] = k + 1
                     final_logits[rows] = logits
                     if config.stopping == "option1":
                         stop_now = logits > 0.0
@@ -256,6 +260,6 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
 
     confidences = T.sigmoid_value(final_logits)
     traces = [SynthesisTrace(int(steps[j]), float(final_logits[j]),
-                             float(confidences[j]), reasons[j], np.asarray(paths[j]))
+                             float(confidences[j]), reasons[j], paths[:path_len[j], j].copy())
               for j in range(count)]
     return x, traces

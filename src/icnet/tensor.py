@@ -34,6 +34,16 @@ class GraphError(TensorError):
     pass
 
 
+def all_finite(a) -> bool:
+    """True when no value of `a` is NaN or Inf; True for an empty array.
+
+    The one finiteness test of the package: exact for any float values
+    (a sum-based shortcut would overflow, and warn, on huge finite ones)
+    and without `np.all`'s dispatch cost, which dominates on small arrays.
+    """
+    return bool(np.isfinite(a).all())
+
+
 def as_tensor(data, shape=None) -> Array:
     """Coerce to a float64 array, verifying finiteness.
 
@@ -43,7 +53,7 @@ def as_tensor(data, shape=None) -> Array:
     arr = np.asarray(data, dtype=np.float64)
     if shape is not None:
         arr = arr.reshape(shape)
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise NonFiniteError("tensor contains NaN or Inf")
     return arr
 
@@ -59,12 +69,6 @@ def channel_last(a: Array) -> Array:
     if a.ndim != 4 or a.transpose(0, 2, 3, 1).flags.c_contiguous:
         return a
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-
-
-def _check_finite(arr: Array, op: str) -> Array:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values produced by {op}")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +231,12 @@ def leaky_value(x: Array, slope: float) -> Array:
 
 
 def sigmoid_value(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument never overflows: 1 / (1 + e^-x) for
+    # x >= 0 and e^x / (1 + e^x) below, both from e = e^-|x|; min(x, -x)
+    # is -|x| but keeps a NaN's sign bit, which -np.abs(x) would flip
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softmax_value(x: Array) -> Array:
@@ -296,10 +300,14 @@ class ComputationRecord:
 
     # -- leaves --------------------------------------------------------------
 
-    def leaf(self, value, kind: str = "const", shape=None) -> Node:
+    def leaf(self, value, kind: str = "const", shape=None, checked: bool = False) -> Node:
+        """A leaf node over `value`, coerced by `as_tensor`. With `checked`
+        the caller vouches that `value` is a float64 array already found
+        finite, as classifier parameters are wherever they are written
+        (init, SGD update, model load); it enters the record unscanned."""
         if kind not in ("param", "input", "const"):
             raise GraphError(f"unknown leaf kind {kind!r}")
-        node = Node(as_tensor(value, shape), kind, kind != "const", self)
+        node = Node(value if checked else as_tensor(value, shape), kind, kind != "const", self)
         self.nodes.append(node)
         return node
 
@@ -308,8 +316,9 @@ class ComputationRecord:
         for p in parents:
             if p._record() is not self:
                 raise GraphError("operand belongs to a different record")
-        node = Node(_check_finite(value, op), "op",
-                    any(p.requires_grad for p in parents), self)
+        if not all_finite(value):
+            raise NonFiniteError(f"non-finite values produced by {op}")
+        node = Node(value, "op", any(p.requires_grad for p in parents), self)
         if node.requires_grad:
             node._backward = backward
         self.nodes.append(node)

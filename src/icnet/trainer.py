@@ -163,7 +163,7 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
                 loss = _sgd_step(c, terms, alpha, batch.size, params, velocity, lr, config.momentum)
             except T.NonFiniteError as exc:
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, sample offset {at}: {exc}"
+                    f"training diverged at epoch {epoch}, sample offset {at}: {exc}"
                 ) from None
             epoch_sum += loss * batch.size
         losses.append(epoch_sum / n_total)
@@ -173,7 +173,9 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
 def _sgd_step(c, terms, alpha, rows, params, velocity, lr, momentum) -> float:
     """One momentum step on the batch's mean loss; returns that loss. The
     tape and the gradients die with this call, so none of them is still
-    held while the next batch's graph is built."""
+    held while the next batch's graph is built. Each updated parameter is
+    checked for NaN/Inf here, where it is written, so graphs need not
+    rescan it; a non-finite one raises NonFiniteError."""
     record, total, _ = N.head_graph(c, terms, alpha, params="param", inputs="const")
     loss = record.scale(total, 1.0 / rows)
     for p, g, v in zip(params, T.param_gradients(record, loss), velocity):
@@ -181,6 +183,8 @@ def _sgd_step(c, terms, alpha, rows, params, velocity, lr, momentum) -> float:
         g *= lr  # the gradient is the tape's own: scaled in place, not copied
         v -= g
         p += v
+        if not T.all_finite(p):
+            raise T.NonFiniteError("the update left a parameter with NaN or Inf")
     return float(loss.value)
 
 

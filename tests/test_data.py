@@ -256,6 +256,24 @@ class TestStore:
             with pytest.raises(D.StoreFormatError):
                 D.load_store(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected_naming_the_file(self, tmp_path, value):
+        store = D.PseudoNegativeStore()
+        store.add_batch(1, -1, np.array([[0.5, value]]))
+        path = tmp_path / "nan.pn"
+        D.save_store(store, path)
+        with pytest.raises(D.StoreFormatError, match=r"nan\.pn: .*NaN or Inf"):
+            D.load_store(path)
+
+    def test_bytes_after_last_entry_rejected_naming_the_file(self, tmp_path):
+        store = D.PseudoNegativeStore()
+        store.add_batch(1, -1, np.ones((2, 2)))
+        path = tmp_path / "tail.pn"
+        D.save_store(store, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(D.StoreFormatError, match=r"tail\.pn: bytes after the last entry"):
+            D.load_store(path)
+
     def test_image_shaped_samples_roundtrip(self, tmp_path):
         store = D.PseudoNegativeStore()
         store.add_batch(2, 5, rng(9, 6).standard_normal((2, 1, 4, 4)))

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from icnet import cli as C
 from icnet import network as N
+from icnet import sampler as S
 from icnet import tensor as T
 from icnet.seeding import rng
 
@@ -187,6 +189,46 @@ class TestLogitSumGraph:
             r1, s1, _ = N.logit_sum_graph(c, x[j:j + 1], class_index=int(cls))
             np.testing.assert_allclose(grad[j:j + 1], T.input_gradient(r1, s1),
                                        rtol=0, atol=1e-13)
+
+
+class TestFinitenessChecks:
+    """Parameters are checked for NaN/Inf where they are written, so the
+    graphs built over them scan only their inputs and op outputs."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        """ids of the arrays handed to np.isfinite while the test runs."""
+        ids, isfinite = [], np.isfinite
+
+        def spy(a, *args, **kwargs):
+            ids.append(id(a))
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        return ids
+
+    def test_synthesis_scans_no_parameter(self, scanned):
+        c = N.init_binary(C.SYNTH_NET, (2,), rng(40, 1))
+        scanned.clear()  # the checks at init are not the sampler's
+        config = S.SamplerConfig(stopping="option2", max_steps=20, step_size=0.5)
+        _, traces = S.synthesize_pseudo_negatives(c, config, 8, rng(40, 3), (2,))
+        assert max(t.steps for t in traces) > 1
+        assert scanned  # op outputs were checked
+        assert not {id(p) for p in c.all_params()} & set(scanned)
+
+    def test_mnist_logit_graph_scans_its_input_but_no_parameter(self, scanned):
+        c = N.init_multiclass(C.MNIST_NET, (1, 28, 28), 10, rng(41, 1))
+        x = rng(41, 6).standard_normal((2, 1, 28, 28))
+        scanned.clear()  # the checks at init are not the graph's
+        N.logit_sum_graph(c, x, class_index=3)
+        assert id(x) in scanned
+        assert not {id(p) for p in c.all_params()} & set(scanned)
+
+    def test_non_finite_input_still_raises(self):
+        c = make_binary(42)
+        x = np.array([[0.5, np.nan]])
+        with pytest.raises(T.NonFiniteError):
+            N.head_graph(c, [(N.LOGIT, x, None)])
 
 
 class TestSerialization:

@@ -317,6 +317,39 @@ class TestNonFiniteChains:
             c, config, 1, rng(54, 3), (2,), init=init[2:].copy())
         np.testing.assert_array_equal(samples[2], alone[0])
 
+    def test_nan_parameter_tags_every_chain(self):
+        c = N.init_binary([T.dense(2, 4), T.leaky()], (2,), rng(55, 1))
+        c.feature_params[0][0, 0] = np.nan
+        init = np.array([[0.1, 0.2], [0.3, -0.1], [-0.5, 0.4]])
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, S.SamplerConfig(stopping="option2", max_steps=5), 3, rng(55, 3), (2,),
+            init=init.copy())
+        assert [(t.stop_reason, t.steps, t.logit_path.size) for t in traces] == \
+            [(S.STOP_NON_FINITE, 0, 0)] * 3
+        np.testing.assert_array_equal(samples, init)
+
+    def test_logit_paths_of_a_run_with_a_late_forward_overflow(self):
+        # logit x0 + x1 through a feature 1e307 * x0, which overflows once
+        # x0 passes 17.97: the first chain's forward overflows at step 9,
+        # so its path holds steps 0..8; the second runs all 12 steps
+        c = N.Classifier([T.dense(2, 2)], [np.diag([1e307, 1.0]), np.zeros(2)],
+                         np.array([[1e-307], [1.0]]), np.zeros(1))
+        init = np.array([[0.0, 0.0], [-17.0, 0.0]])
+        config = S.SamplerConfig(stopping="option3", fixed_steps=12, max_steps=12,
+                                 step_size=2.0, anneal=1.0)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 2, rng(56, 3), (2,), init=init.copy())
+        assert [(t.stop_reason, t.steps, t.logit_path.shape) for t in traces] == \
+            [(S.STOP_NON_FINITE, 9, (9,)), (S.STOP_FIXED, 12, (13,))]
+        for t, start in zip(traces, (0.0, -17.0)):
+            assert t.logit_path.dtype == np.float64 and t.logit_path.flags.c_contiguous
+            # Adam moves both coordinates by about the step size per step
+            np.testing.assert_allclose(t.logit_path, start + 4.0 * np.arange(t.logit_path.size),
+                                       rtol=0, atol=1e-5)
+        assert traces[1].logit_path[-1] == traces[1].final_logit == \
+            N.logit_binary(c, samples[1:])[0]
+        assert np.isnan(traces[0].final_logit)
+
     def test_non_finite_init_rejected(self):
         c = peaked_classifier()
         with pytest.raises(S.SamplerError, match="non-finite"):

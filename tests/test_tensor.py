@@ -2,6 +2,7 @@
 gradients against central finite differences."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -240,6 +241,51 @@ class TestForward:
     def test_nonfinite_rejected(self):
         with pytest.raises(T.NonFiniteError):
             T.as_tensor(np.array([1.0, np.nan]))
+
+    def test_sigmoid_bitwise_equals_masked_form(self):
+        """The whole-array sigmoid gives the boolean-mask form's bits and
+        warns no more than it, on signed zeros, subnormals, saturating and
+        non-finite inputs."""
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        x = np.array([0.0, -0.0, 1e-320, -1e-320, 40.0, -40.0, 745.0, -745.0,
+                      np.inf, -np.inf, np.nan])
+        results = []
+        for fn in (masked, T.sigmoid_value):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append(fn(x))
+            results.append(sorted(str(w.message) for w in caught))
+        want, want_warnings, got, got_warnings = results
+        assert got.tobytes() == want.tobytes()
+        assert got_warnings == want_warnings == []
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("values, finite", [
+        (np.array([[0.5, -2.0], [1e-320, 3.0]]), True),
+        (np.full(4, 1e308), True),  # its sum overflows
+        (np.array([-1e308, -1e308, 1.0]), True),
+        (np.array([1.0, np.inf]), False),
+        (np.array([-np.inf, 1.0]), False),
+        (np.array([1.0, np.nan]), False),
+        (np.array([np.inf, -np.inf]), False),
+        (np.zeros((0,)), True),
+        (np.zeros((3, 0)), True),
+        (np.array(2.5), True),
+        (np.array(np.nan), False),
+        (np.array(-np.inf), False),
+    ])
+    def test_table_without_warnings(self, values, finite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert T.all_finite(values) is finite
 
 
 class TestFeatureWidth:

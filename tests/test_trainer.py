@@ -183,6 +183,36 @@ class TestReclassificationStep:
                                          D.PseudoNegativeStore(), cfg, 1,
                                          rng(23, 2, 1))
 
+    def test_nan_written_between_steps_diverges(self, monkeypatch):
+        # graphs do not rescan the parameters, but the NaN reaches an op
+        # output of the next step's forward pass
+        ds, _ = benchmark(25)
+        c = N.init_binary(SPEC_2D, (2,), rng(25, 1))
+        sgd_step, calls = TR._sgd_step, []
+
+        def poisoned_after_first(c, terms, alpha, rows, params, *rest):
+            if calls:
+                params[0][0, 0] = np.nan
+            calls.append(rows)
+            return sgd_step(c, terms, alpha, rows, params, *rest)
+
+        monkeypatch.setattr(TR, "_sgd_step", poisoned_after_first)
+        with pytest.raises(TR.TrainingDivergedError, match="epoch 0, sample offset 32"):
+            TR.reclassification_step(c, ds.samples, ds.labels, D.PseudoNegativeStore(),
+                                     quick_config(), 1, rng(25, 2, 1))
+        assert len(calls) == 2
+
+    def test_update_to_inf_raises_in_that_step(self):
+        # the update itself is checked: no later graph is needed to see it
+        ds, _ = benchmark(26)
+        c = N.init_binary(SPEC_2D, (2,), rng(26, 1))
+        params = c.all_params()
+        velocity = [np.full_like(p, 1e308) for p in params]
+        terms = [(N.LABELED, ds.samples[:4], ds.labels[:4])]
+        with np.errstate(over="ignore"):
+            with pytest.raises(T.NonFiniteError, match="the update left a parameter"):
+                TR._sgd_step(c, terms, 0.0, 4, params, velocity, 0.01, 2.0)
+
     def test_lr_drop_applies_at_round(self):
         ds, _ = benchmark(24)
         outs = []
