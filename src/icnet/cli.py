@@ -276,11 +276,11 @@ def read_pgm(path):
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 
-def dump_images(samples, path, inverse_normalization=None):
+def dump_images(samples, path):
     """Tile samples into a grayscale grid and write it as binary PGM.
 
-    Values are inverse-normalized to [0, 255], clamped, and rounded half-up
-    (so a normalized all-zero image lands on 128).
+    Values are mapped back to [0, 255] by `data.denormalize`, clamped, and
+    rounded half-up (so a normalized all-zero image lands on 128).
     """
     try:
         arr = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
@@ -290,9 +290,7 @@ def dump_images(samples, path, inverse_normalization=None):
         arr = arr[:, 0]
     if arr.ndim != 3:
         raise CliError(f"expected image-shaped samples, got shape {arr.shape}")
-    if inverse_normalization is None:
-        inverse_normalization = lambda v: (v + 1.0) * 127.5
-    vals = np.clip(inverse_normalization(arr), 0.0, 255.0)
+    vals = np.clip(D.denormalize(arr), 0.0, 255.0)
     pixels = np.clip(np.floor(vals + 0.5), 0, 255).astype(np.uint8)
     n, h, w = pixels.shape
     cols = int(np.ceil(np.sqrt(n)))
@@ -449,9 +447,8 @@ def _run_experiment_inner(config, out_dir):
         N.save_model(ckpt_dir / f"model_round_{t:02d}.bin", model_t)
         D.save_store(store_t, ckpt_dir / f"store_round_{t:02d}.bin")
         if image_task and t >= 1:
-            round_samples = [e.sample for e in store_t.entries if e.round == t]
-            dump_images(round_samples[:64], img_dir / f"pseudo_round_{t:02d}.pgm",
-                        D.denormalize)
+            round_samples = store_t.samples[store_t.rounds == t]
+            dump_images(round_samples[:64], img_dir / f"pseudo_round_{t:02d}.pgm")
         rows.append(row)
         emit_metrics(rows, out_dir / "metrics.csv")
         print(f"round {t}: train_loss {format_float(row.train_loss)}  "

@@ -7,6 +7,7 @@ splits, and the on-disk pseudo-negative store.
 """
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -17,9 +18,6 @@ import numpy as np
 from . import tensor as T
 
 Array = np.ndarray
-
-NORM_ZERO_CENTERED = "zero-centered-unit-range"
-
 
 class DataError(Exception):
     pass
@@ -61,7 +59,6 @@ class LabeledDataset:
     samples: Array
     labels: Array
     class_count: int
-    normalization: str | None = None
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
@@ -80,8 +77,7 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return LabeledDataset(self.samples[idx], self.labels[idx],
-                              self.class_count, self.normalization)
+        return LabeledDataset(self.samples[idx], self.labels[idx], self.class_count)
 
 
 def split_dataset(ds: LabeledDataset, counts, seed: int) -> list[LabeledDataset]:
@@ -301,17 +297,13 @@ def load_mnist(root=None) -> tuple[LabeledDataset, LabeledDataset]:
 # normalization
 # ---------------------------------------------------------------------------
 
-def normalize(ds: LabeledDataset, mode: str = NORM_ZERO_CENTERED) -> LabeledDataset:
-    """Map raw pixels [0,255] to [-1,1]; the mode tag rides on the dataset so
-    image dumps can invert it."""
-    if mode != NORM_ZERO_CENTERED:
-        raise DataError(f"unknown normalization {mode!r}")
-    return LabeledDataset(ds.samples / 127.5 - 1.0, ds.labels, ds.class_count, mode)
+def normalize(ds: LabeledDataset) -> LabeledDataset:
+    """Map raw pixels [0,255] to [-1,1]."""
+    return LabeledDataset(ds.samples / 127.5 - 1.0, ds.labels, ds.class_count)
 
 
-def denormalize(samples: Array, mode: str = NORM_ZERO_CENTERED) -> Array:
-    if mode != NORM_ZERO_CENTERED:
-        raise DataError(f"unknown normalization {mode!r}")
+def denormalize(samples: Array) -> Array:
+    """Map [-1,1] back to raw pixels [0,255], inverting `normalize`."""
     return (np.asarray(samples) + 1.0) * 127.5
 
 
@@ -320,85 +312,76 @@ def denormalize(samples: Array, mode: str = NORM_ZERO_CENTERED) -> Array:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StoreEntry:
-    round: int
-    class_tag: int  # -1 for binary; synthesizing class index for multi-class
-    sample: Array
-
-
-@dataclass
 class PseudoNegativeStore:
-    """Append-only archive of synthesized samples across rounds."""
+    """Append-only archive of synthesized samples across rounds: row i of
+    `samples` was made in round `rounds[i]` for class `tags[i]` (-1 for a
+    binary classifier). Before the first batch, `samples` has shape (0,)."""
 
-    entries: list[StoreEntry] = field(default_factory=list)
+    samples: Array = field(default_factory=lambda: np.zeros((0,)))
+    rounds: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    tags: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rounds)
 
-    def add_batch(self, round_index: int, class_tag: int, samples: Array) -> None:
-        for s in np.asarray(samples, dtype=np.float64):
-            self.entries.append(StoreEntry(round_index, class_tag, s.copy()))
+    def add_batch(self, round_index: int, tags, samples: Array) -> None:
+        """Append `samples`, made in round `round_index`; `tags` is one class
+        tag for every row or one per row."""
+        samples = np.asarray(samples, dtype=np.float64)
+        n = len(samples)
+        self.samples = np.concatenate([self.samples, samples]) if len(self) else samples.copy()
+        self.rounds = np.concatenate([self.rounds, np.full(n, round_index, dtype=np.int64)])
+        self.tags = np.concatenate([self.tags, np.broadcast_to(tags, (n,)).astype(np.int64)])
 
-    def samples_for(self, class_tag: int | None = None) -> Array:
-        picked = [e.sample for e in self.entries
-                  if class_tag is None or e.class_tag == class_tag]
-        if not picked:
-            return np.zeros((0,))
-        return np.stack(picked)
-
-    def rounds(self) -> list[int]:
-        return sorted({e.round for e in self.entries})
+    def samples_for(self) -> Array:
+        # every sample, in the order added; kept because bench/worker.py
+        # times calls to it by name
+        return self.samples
 
 
 STORE_MAGIC = b"ICNPN1\n"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 def save_store(store: PseudoNegativeStore, path) -> None:
+    """Magic, then version, row count and sample shape, then every round
+    and every tag (int32) and every sample (f8), all little-endian."""
+    shape = store.samples.shape[1:]
     with open(path, "wb") as fh:
         fh.write(STORE_MAGIC)
-        fh.write(struct.pack("<IQ", STORE_VERSION, len(store.entries)))
-        for e in store.entries:
-            fh.write(struct.pack("<Ii", e.round, e.class_tag))
-            fh.write(struct.pack("<I", e.sample.ndim))
-            for d in e.sample.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(e.sample, dtype="<f8").tobytes())
+        fh.write(struct.pack(f"<IQI{len(shape)}I", STORE_VERSION, len(store), len(shape), *shape))
+        for arr, dtype in ((store.rounds, "<i4"), (store.tags, "<i4"), (store.samples, "<f8")):
+            fh.write(arr.astype(dtype, copy=False).tobytes())
 
 
 def load_store(path) -> PseudoNegativeStore:
-    """Read a store file; a bad magic, a truncated entry, a NaN or Inf
-    sample value or bytes after the last entry raise StoreFormatError, and
-    another format version StoreVersionError."""
+    """Read a store file; a bad magic, a cut or oversized field, a NaN or
+    Inf sample value or bytes after the samples raise StoreFormatError, and
+    another format version (1 included) StoreVersionError. Each read is
+    checked against the bytes left in the file before it is made, so no
+    header field can ask for more memory than the file holds."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - fh.tell():
+                raise StoreFormatError(f"{path}: truncated {what}")
+            return fh.read(n)
+
         if fh.read(len(STORE_MAGIC)) != STORE_MAGIC:
             raise StoreFormatError(f"{path}: bad magic, not a pseudo-negative store")
-        head = fh.read(12)
-        if len(head) != 12:
-            raise StoreFormatError(f"{path}: truncated store header")
-        version, count = struct.unpack("<IQ", head)
+        version, count = struct.unpack("<IQ", read(12, "store header"))
         if version != STORE_VERSION:
             raise StoreVersionError(f"{path}: store version {version}, "
                                     f"this build reads {STORE_VERSION}")
-        store = PseudoNegativeStore()
-        for _ in range(count):
-            head = fh.read(12)
-            if len(head) != 12:
-                raise StoreFormatError(f"{path}: truncated entry header")
-            rnd, tag, ndim = struct.unpack("<IiI", head)
-            raw = fh.read(4 * ndim)
-            if len(raw) != 4 * ndim:
-                raise StoreFormatError(f"{path}: truncated entry shape")
-            shape = struct.unpack(f"<{ndim}I", raw)
-            n_bytes = int(np.prod(shape)) * 8 if shape else 8
-            payload = fh.read(n_bytes)
-            if len(payload) != n_bytes:
-                raise StoreFormatError(f"{path}: truncated entry payload")
-            sample = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-            if not T.all_finite(sample):
-                raise StoreFormatError(f"{path}: entry of shape {shape} holds NaN or Inf")
-            store.entries.append(StoreEntry(rnd, tag, sample))
+        ndim = struct.unpack("<I", read(4, "sample shape"))[0]
+        shape = struct.unpack(f"<{ndim}I", read(4 * ndim, "sample shape"))
+        rounds = np.frombuffer(read(4 * count, "rounds"), dtype="<i4").astype(np.int64)
+        tags = np.frombuffer(read(4 * count, "tags"), dtype="<i4").astype(np.int64)
+        samples = np.frombuffer(read(8 * count * math.prod(shape), "samples"), dtype="<f8")
+        samples = samples.astype(np.float64).reshape((count,) + shape)
+        if not T.all_finite(samples):
+            raise StoreFormatError(f"{path}: a sample of shape {shape} holds NaN or Inf")
         if fh.read(1):
             raise StoreFormatError(f"{path}: bytes after the last entry")
-        return store
-
+        return PseudoNegativeStore(samples, rounds, tags)

@@ -9,6 +9,8 @@ independent binary classifiers. Bias terms ride along with every head.
 
 import functools
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -243,11 +245,14 @@ def _read_tensor(fh, path, want: tuple) -> Array:
     shape = struct.unpack(f"<{ndim}q", raw)
     if any(w is not None and d != w for d, w in zip(shape, want)):
         raise ModelFormatError(f"{path}: tensor of shape {shape} where the header implies {want}")
-    count = int(np.prod(shape)) if shape else 1
-    data = fh.read(count * 8)
-    if len(data) != count * 8:
-        raise ModelFormatError(f"{path}: truncated tensor data")
-    arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+    n_bytes = 8 * math.prod(shape)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    # checked before the read, so a huge shape field cannot ask for more
+    # memory than the file holds
+    if not 0 <= n_bytes <= left:
+        raise ModelFormatError(f"{path}: truncated tensor data: shape {shape} "
+                               f"needs {n_bytes} bytes, {left} left")
+    arr = np.frombuffer(fh.read(n_bytes), dtype="<f8").astype(np.float64).reshape(shape)
     if not T.all_finite(arr):
         raise ModelFormatError(f"{path}: tensor of shape {shape} holds NaN or Inf")
     # a conv kernel is laid out channel-last once, here, not in every conv call

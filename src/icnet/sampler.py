@@ -24,6 +24,8 @@ STOP_FIXED = "fixed_steps"
 STOP_MAX = "max_steps"
 STOP_NON_FINITE = "non_finite"
 
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
@@ -43,8 +45,6 @@ class SamplerConfig:
     clamp: tuple[float, float] | None = None
     reference_sigma: float = 0.3
     noise: bool = True              # test hook: disables Langevin noise
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
 
     def __post_init__(self):
         if self.method not in ("plain-gradient", "langevin"):
@@ -102,7 +102,7 @@ def _adam_step(x, grad, m, v, k, config: SamplerConfig, eps_k: float):
     grad*grad can overflow, which would freeze a chain at step size 0. A
     finite v_hat bounds the step, so it alone decides the row's finiteness.
     """
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = b1 * m + (1 - b1) * grad
     v = b2 * v + (1 - b2) * grad * grad
     m_hat = m / (1 - b1 ** (k + 1))

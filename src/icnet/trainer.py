@@ -89,52 +89,18 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-def _check_classes(c: N.Classifier, index, what: str) -> None:
-    if index is not None and len(index) and (index.min() < 0 or index.max() >= c.n_classes):
-        raise TrainerError(f"{what} outside 0..{c.n_classes - 1}")
-
-
-def binary_icn_loss(c: N.Classifier, x_s, y_s, x_pn=None) -> float:
-    """Value of the binary objective (a sum, not a mean) on full arrays."""
-    n_s = 0 if x_s is None else len(x_s)
-    if n_s == 0:
-        raise TrainerError("the supervised batch may not be empty")
-    logit = N.logit_binary(c, x_s)
-    total = T.softplus_value(-np.asarray(y_s, dtype=np.float64) * logit).sum()
-    if x_pn is not None and len(x_pn):
-        total += T.softplus_value(N.logit_binary(c, x_pn)).sum()
-    return float(total)
-
-
-def multiclass_icn_loss(c: N.Classifier, x_s, y_s, x_pn, tags,
-                        alpha: float) -> float:
-    """Value of the integrated multi-class objective (a sum) on full arrays."""
-    y_s = np.asarray(y_s)
-    _check_classes(c, y_s, "labels")
-    total = 0.0
-    if y_s.size:
-        log_probs = T.log_softmax_value(N.class_logits(c, x_s))
-        total += (1.0 - alpha) * float(-log_probs[np.arange(y_s.size), y_s].sum())
-    if x_pn is not None and len(x_pn):
-        tags = np.asarray(tags)
-        _check_classes(c, tags, "pseudo-negative tag")
-        logits = N.class_logits(c, x_pn)
-        total += alpha * float(T.softplus_value(
-            logits[np.arange(tags.size), tags]).sum())
-    return float(total)
-
-
-# ---------------------------------------------------------------------------
 # SGD epochs over the union of S and the store
 # ---------------------------------------------------------------------------
 
+def _check_classes(c: N.Classifier, index, what: str) -> None:
+    if len(index) and (index.min() < 0 or index.max() >= c.n_classes):
+        raise TrainerError(f"{what} outside 0..{c.n_classes - 1}")
+
 def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
                 gen: np.random.Generator) -> list[float]:
-    """Momentum SGD over shuffled unions of S and pseudo-negatives; returns
-    the per-epoch mean loss trace. Momentum buffers are fresh per call.
+    """Momentum SGD over shuffled unions of S and pseudo-negatives x_pn,
+    one tag per row; returns the per-epoch mean loss trace. Momentum
+    buffers are fresh per call.
 
     Each batch loss is the mean over its rows of the head graph's labeled
     term on S and negative term on the store slice."""
@@ -142,8 +108,7 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
         _check_classes(c, y_s, "labels")
         _check_classes(c, tags, "pseudo-negative tag")
     n_s = x_s.shape[0]
-    n_pn = 0 if x_pn is None else x_pn.shape[0]
-    n_total = n_s + n_pn
+    n_total = n_s + len(x_pn)
     params = c.all_params()
     velocity = [np.zeros_like(p) for p in params]
     losses = []
@@ -158,7 +123,7 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
             if s_rows.size:
                 terms.append((N.LABELED, x_s[s_rows], y_s[s_rows]))
             if pn_rows.size:
-                terms.append((N.NEGATIVE, x_pn[pn_rows], None if tags is None else tags[pn_rows]))
+                terms.append((N.NEGATIVE, x_pn[pn_rows], tags[pn_rows]))
             try:
                 loss = _sgd_step(c, terms, alpha, batch.size, params, velocity, lr, config.momentum)
             except T.NonFiniteError as exc:
@@ -195,10 +160,7 @@ def reclassification_step(c, x_s, y_s, store: D.PseudoNegativeStore,
     from lr_drop_round on; alpha weighting applies only to the multi-class
     integrated loss. Returns the per-epoch loss trace."""
     lr = config.learning_rate / (10.0 if round_t >= config.lr_drop_round else 1.0)
-    x_pn = store.samples_for() if len(store) else None
-    tags = (np.array([e.class_tag for e in store.entries], dtype=np.int64)
-            if len(store) and not c.binary else None)
-    return _sgd_epochs(c, x_s, y_s, x_pn, tags, config.alpha, lr,
+    return _sgd_epochs(c, x_s, y_s, store.samples, store.tags, config.alpha, lr,
                        config.epochs_per_round, config, gen)
 
 
@@ -216,12 +178,21 @@ def error_rate(model, x, y, chunk: int = 256) -> float:
 
 
 def _val_stats(c, x, y) -> tuple[float, float]:
-    """(error, mean plain loss) on a held-out set; alpha plays no role here."""
+    """(error, mean plain loss) on a held-out set; alpha plays no role here.
+    Both are read off one pass of the head graph's labeled term, the loss
+    SGD minimizes, per chunk of at most 64 rows, so the peak does not grow
+    with the set."""
     if len(x) == 0:
         return float("nan"), float("nan")
-    loss = (binary_icn_loss(c, x, y) if c.binary
-            else multiclass_icn_loss(c, x, y, None, None, 0.0))
-    return error_rate(c, x, y), loss / len(x)
+    chunk = 64
+    wrong, total = 0, 0.0
+    for at in range(0, len(x), chunk):
+        y_at = y[at:at + chunk]
+        _, loss, (logits,) = N.head_graph(c, [(N.LABELED, x[at:at + chunk], y_at)],
+                                          inputs="const")
+        wrong += int((N.labels_from_logits(logits) != y_at).sum())
+        total += float(loss.value)
+    return wrong / len(x), total / len(x)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +260,10 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig,
     n_classes = ds.class_count
 
     c = _init_classifier(spec, input_shape, mode, n_classes, config)
-    init_losses = _sgd_epochs(c, x_s, y_s, None, None, 0.0,
+    store = D.PseudoNegativeStore()
+    init_losses = _sgd_epochs(c, x_s, y_s, store.samples, store.tags, 0.0,
                               config.learning_rate, config.init_epochs, config,
                               rng(config.seed, STREAM_EPOCH, 0))
-    store = D.PseudoNegativeStore()
     val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
     metrics = [RoundMetrics(0, init_losses,
                             init_losses[-1] if init_losses else float("nan"),
@@ -313,8 +284,7 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig,
             # every class's chains in one call, per_class rows each, in class order
             classes = np.repeat(np.arange(n_classes), per_class)
             samples, traces = synthesize(c, classes.size, gen, class_index=classes)
-            for k in range(n_classes):
-                store.add_batch(t, k, samples[k * per_class:(k + 1) * per_class])
+            store.add_batch(t, classes, samples)
         if config.reinit_each_round:
             c = _init_classifier(spec, input_shape, mode, n_classes, config)
         losses = reclassification_step(c, x_s, y_s, store, config, t,
@@ -442,7 +412,8 @@ def train_one_vs_all_ensemble(ds: D.LabeledDataset, spec, config: TrainConfig,
 
 
 def _merged_store(stores):
-    """One store holding each member's entries in member order, tagged with
+    """One store holding each member's rows in member order, tagged with
     the member's class."""
-    return D.PseudoNegativeStore([D.StoreEntry(e.round, k, e.sample)
-                                  for k, store in enumerate(stores) for e in store.entries])
+    tags = [np.full(len(s), k) for k, s in enumerate(stores)]
+    return D.PseudoNegativeStore(np.concatenate([s.samples for s in stores]),
+                                 np.concatenate([s.rounds for s in stores]), np.concatenate(tags))

@@ -160,7 +160,6 @@ class TestNormalize:
                               np.array([0, 1, 2]), 3)
         out = D.normalize(ds)
         np.testing.assert_array_equal(out.samples[:, 0], [-1.0, 1.0, 0.0])
-        assert out.normalization == D.NORM_ZERO_CENTERED
 
     def test_roundtrip_within_1e12(self):
         vals = rng(6, 6).uniform(0, 255, size=(10, 1, 4, 4))
@@ -210,6 +209,7 @@ class TestStore:
         D.save_store(store, tmp_path / "empty.pn")
         back = D.load_store(tmp_path / "empty.pn")
         assert len(back) == 0
+        assert back.samples.shape == (0,) and back.rounds.size == back.tags.size == 0
 
     def test_entries_roundtrip_bitwise_in_order(self, tmp_path):
         store = D.PseudoNegativeStore()
@@ -220,22 +220,44 @@ class TestStore:
         D.save_store(store, tmp_path / "s.pn")
         back = D.load_store(tmp_path / "s.pn")
         assert len(back) == 12
-        for a, b in zip(store.entries, back.entries):
-            assert a.round == b.round and a.class_tag == b.class_tag
-            assert a.sample.tobytes() == b.sample.tobytes()
+        np.testing.assert_array_equal(back.rounds, np.repeat([0, 1, 2], 4))
+        np.testing.assert_array_equal(back.tags, np.full(12, -1))
+        assert back.samples.tobytes() == store.samples.tobytes()
+
+    def test_v2_layout_read_independently(self, tmp_path):
+        # magic; version, count, sample rank and shape; int32 rounds and
+        # tags; f8 samples; all little-endian
+        store = D.PseudoNegativeStore()
+        store.add_batch(3, [0, 2], np.arange(12.0).reshape(2, 1, 2, 3))
+        D.save_store(store, tmp_path / "s.pn")
+        data = (tmp_path / "s.pn").read_bytes()
+        assert data[:7] == b"ICNPN1\n"
+        assert struct.unpack_from("<IQI3I", data, 7) == (2, 2, 3, 1, 2, 3)
+        assert struct.unpack_from("<4i", data, 35) == (3, 3, 0, 2)
+        assert struct.unpack_from("<12d", data, 51) == tuple(np.arange(12.0))
+        assert len(data) == 51 + 12 * 8
 
     def test_class_tags_filterable(self):
         store = D.PseudoNegativeStore()
         store.add_batch(0, 0, np.ones((2, 3)))
-        store.add_batch(0, 1, np.zeros((3, 3)))
-        assert store.samples_for(0).shape == (2, 3)
-        assert store.samples_for(1).shape == (3, 3)
+        store.add_batch(0, [1, 0, 1], np.zeros((3, 3)))
+        np.testing.assert_array_equal(store.tags, [0, 0, 1, 0, 1])
+        assert store.samples[store.tags == 0].shape == (3, 3)
+        assert store.samples[store.tags == 1].shape == (2, 3)
         assert store.samples_for().shape == (5, 3)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.pn"
         path.write_bytes(D.STORE_MAGIC + struct.pack("<IQ", 99, 0))
         with pytest.raises(D.StoreVersionError):
+            D.load_store(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # a version 1 store: per-entry round, tag, rank, shape and values
+        path = tmp_path / "v1.pn"
+        path.write_bytes(D.STORE_MAGIC + struct.pack("<IQ", 1, 1)
+                         + struct.pack("<IiII", 1, -1, 1, 2) + struct.pack("<2d", 0.5, 1.5))
+        with pytest.raises(D.StoreVersionError, match=r"v1\.pn: store version 1"):
             D.load_store(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -255,6 +277,21 @@ class TestStore:
             path.write_bytes(data[:n])
             with pytest.raises(D.StoreFormatError):
                 D.load_store(path)
+
+    @pytest.mark.parametrize("offset, value", [(11, 2 ** 60), (23, 2 ** 31)],
+                             ids=["count", "sample_shape"])
+    def test_huge_header_field_rejected_before_reading(self, tmp_path, offset, value):
+        # before: a sample-shape field of 2**31 raised MemoryError
+        store = D.PseudoNegativeStore()
+        store.add_batch(1, -1, np.ones((2, 3)))
+        path = tmp_path / "huge.pn"
+        D.save_store(store, path)
+        data = bytearray(path.read_bytes())
+        fmt = "<Q" if offset == 11 else "<I"
+        struct.pack_into(fmt, data, offset, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(D.StoreFormatError, match=r"huge\.pn: truncated"):
+            D.load_store(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected_naming_the_file(self, tmp_path, value):
@@ -279,5 +316,6 @@ class TestStore:
         store.add_batch(2, 5, rng(9, 6).standard_normal((2, 1, 4, 4)))
         D.save_store(store, tmp_path / "img.pn")
         back = D.load_store(tmp_path / "img.pn")
-        assert back.entries[0].sample.shape == (1, 4, 4)
-        assert back.entries[0].round == 2 and back.entries[0].class_tag == 5
+        assert back.samples.shape == (2, 1, 4, 4)
+        assert back.rounds.tolist() == [2, 2] and back.tags.tolist() == [5, 5]
+        assert back.samples.tobytes() == store.samples.tobytes()

@@ -1,6 +1,7 @@
 """Head semantics and model file round-trips."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -377,23 +378,30 @@ class TestLoadValidation:
         self.assert_rejected(path, "bytes after the last tensor")
 
     def defective(self, tmp_path, defect):
-        """A binary model file with one NaN weight or one bad leaky slope in
-        its header; returns the path and the error it must raise."""
+        """A binary model file with one NaN weight, a head width field of
+        2**58 or one bad leaky slope in its header; returns the path and the
+        error it must raise."""
         c = make_binary(77)
         if defect == "nan-weight":
             c.head_w[3, 0] = np.nan
             return self.edited(tmp_path, c), r"tensor of shape \(16, 1\) holds NaN or Inf"
+        if defect == "huge-width":
+            # the header leaves the head width open; before, reading this
+            # tensor raised MemoryError
+            path = self.edited(tmp_path, c, struct.pack("<3q", 2, 16, 1),
+                               struct.pack("<3q", 2, 2 ** 58, 1))
+            return path, r"truncated tensor data: shape \(288230376151711744, 1\) needs"
         slope = {"nan-slope": b"NaN", "slope-5": b"5.0"}[defect]
         path = self.edited(tmp_path, c, b'["leaky", 0, 0, 0.2, 2]', b'["leaky", 0, 0, ' + slope + b', 2]')
         return path, r"slope must be finite and lie in \[0, 1\]"
 
-    @pytest.mark.parametrize("defect", ["nan-weight", "nan-slope", "slope-5"])
+    @pytest.mark.parametrize("defect", ["nan-weight", "huge-width", "nan-slope", "slope-5"])
     def test_non_finite_value_or_bad_slope(self, tmp_path, defect):
         # before: each loaded, and every prediction was -1 (NaN logits)
         path, match = self.defective(tmp_path, defect)
         self.assert_rejected(path, match)
 
-    @pytest.mark.parametrize("defect", ["nan-weight", "nan-slope", "slope-5"])
+    @pytest.mark.parametrize("defect", ["nan-weight", "huge-width", "nan-slope", "slope-5"])
     def test_adversarial_exits_1_on_non_finite_value_or_bad_slope(self, tmp_path, capsys, defect):
         from icnet import cli as C
         good = tmp_path / "good.icnet"

@@ -38,6 +38,14 @@ def benchmark(seed, n_pos=24, n_neg=24):
     return D.gen_synthetic_2d(spec, rng(seed, 6))
 
 
+def head_total(c, x, y, pn=None, tags=None, alpha=0.0):
+    """The total head_graph returns for a LABELED term on (x, y) and a
+    NEGATIVE term on pn: the loss SGD minimizes, as a sum."""
+    terms = [(N.LABELED, x, y)] + ([] if pn is None else [(N.NEGATIVE, pn, tags)])
+    _, total, _ = N.head_graph(c, terms, alpha)
+    return float(total.value)
+
+
 class TestBinaryLoss:
     def test_perfect_classifier_loss_vanishes(self):
         c = N.init_binary(SPEC_2D, (2,), rng(0, 1))
@@ -48,7 +56,7 @@ class TestBinaryLoss:
         c.head_b = c.head_b + np.array([1000.0]) - logits[0]
         c.head_w = np.zeros_like(c.head_w)
         c.head_b = np.array([1000.0])
-        loss = TR.binary_icn_loss(c, x[:1], y[:1])
+        loss = head_total(c, x[:1], y[:1])
         assert loss < 1e-6
 
     def test_zero_logits_give_ln2_per_sample(self):
@@ -58,7 +66,7 @@ class TestBinaryLoss:
         x = rng(1, 6).standard_normal((5, 2))
         y = np.array([1, -1, 1, 1, -1])
         pn = rng(2, 6).standard_normal((3, 2))
-        loss = TR.binary_icn_loss(c, x, y, pn)
+        loss = head_total(c, x, y, pn)
         assert abs(loss - 8 * math.log(2)) < 1e-12
 
     def test_matches_independent_elementwise_sum(self):
@@ -73,12 +81,7 @@ class TestBinaryLoss:
             want += -math.log(1.0 / (1.0 + math.exp(-yi * z)))
         for z in pn_logits:
             want += -math.log(1.0 - 1.0 / (1.0 + math.exp(-z)))
-        assert abs(TR.binary_icn_loss(c, x, y, pn) - want) < 1e-9
-
-    def test_empty_supervised_batch_rejected(self):
-        c = N.init_binary(SPEC_2D, (2,), rng(5, 1))
-        with pytest.raises(TR.TrainerError):
-            TR.binary_icn_loss(c, np.zeros((0, 2)), np.zeros(0))
+        assert abs(head_total(c, x, y, pn) - want) < 1e-9
 
     def test_additivity_over_pseudo_negatives(self):
         c = N.init_binary(SPEC_2D, (2,), rng(6, 1))
@@ -86,8 +89,8 @@ class TestBinaryLoss:
         y = np.where(rng(7, 6).standard_normal(6) > 0, 1, -1)
         pn = rng(8, 6).standard_normal((5, 2))
         pn_term = T.softplus_value(N.logit_binary(c, pn)).sum()
-        got = TR.binary_icn_loss(c, x, y, pn)
-        want = TR.binary_icn_loss(c, x, y) + pn_term
+        got = head_total(c, x, y, pn)
+        want = head_total(c, x, y) + pn_term
         assert abs(got - want) < 1e-12
 
 
@@ -98,7 +101,7 @@ class TestMulticlassLoss:
         y = rng(11, 6).integers(0, 3, size=8)
         probs = N.class_probs_softmax(c, x)
         want = float(-np.log(probs[np.arange(8), y]).sum())
-        got = TR.multiclass_icn_loss(c, x, y, None, None, 0.0)
+        got = head_total(c, x, y, alpha=0.0)
         assert abs(got - want) < 1e-9
 
     def test_zero_logit_pseudo_negative_adds_alpha_ln2(self):
@@ -107,9 +110,8 @@ class TestMulticlassLoss:
         c.head_b = np.zeros_like(c.head_b)
         x = rng(12, 6).standard_normal((2, 2))
         y = np.array([0, 2])
-        base = TR.multiclass_icn_loss(c, x, y, None, None, 0.25)
-        with_pn = TR.multiclass_icn_loss(c, x, y, np.zeros((1, 2)),
-                                         np.array([1]), 0.25)
+        base = head_total(c, x, y, alpha=0.25)
+        with_pn = head_total(c, x, y, np.zeros((1, 2)), np.array([1]), 0.25)
         assert abs(with_pn - base - 0.25 * math.log(2)) < 1e-12
 
     def test_matches_independent_term_by_term(self):
@@ -127,14 +129,47 @@ class TestMulticlassLoss:
             want += (1 - alpha) * -math.log(e[yi] / e.sum())
         for row, k in zip(pn_logits, tags):
             want += alpha * math.log(1.0 + math.exp(row[k]))
-        got = TR.multiclass_icn_loss(c, x, y, pn, tags, alpha)
+        got = head_total(c, x, y, pn, tags, alpha)
         assert abs(got - want) < 1e-9
 
     def test_tag_out_of_range_rejected(self):
         c = N.init_multiclass(SPEC_2D, (2,), 3, rng(16, 1))
-        with pytest.raises(TR.TrainerError, match="tag"):
-            TR.multiclass_icn_loss(c, np.zeros((1, 2)), np.array([0]),
-                                   np.zeros((1, 2)), np.array([3]), 0.1)
+        before = [p.copy() for p in c.all_params()]
+        with pytest.raises(TR.TrainerError, match="pseudo-negative tag outside 0..2"):
+            TR._sgd_epochs(c, np.zeros((1, 2)), np.array([0]), np.zeros((1, 2)),
+                           np.array([3]), 0.1, 0.01, 1, quick_config(), rng(16, 2))
+        for a, b in zip(before, c.all_params()):
+            assert np.array_equal(a, b)
+
+
+class TestValStats:
+    @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
+    def test_error_and_loss_over_chunks(self, k):
+        # 150 rows: two full chunks of 64 and a partial one
+        c = N.init_multiclass(SPEC_2D, (2,), k, rng(17, 1))
+        x = rng(17, 6).standard_normal((150, 2))
+        y = (np.where(x[:, 0] > 0, 1, -1) if k == 1
+             else rng(18, 6).integers(0, k, size=150))
+        error, loss = TR._val_stats(c, x, y)
+        assert error == TR.error_rate(c, x, y)
+        assert abs(loss - head_total(c, x, y) / 150) < 1e-12
+
+    def test_256_mnist_net_rows_peak_below_3x_params(self):
+        """Validation on 256 MNIST_NET rows allocates less than 3x the
+        parameter bytes at its peak: it runs in chunks, so the peak does
+        not grow with the rows."""
+        from icnet.cli import MNIST_NET
+        c = N.init_multiclass(MNIST_NET, (1, 28, 28), 10, rng(27, 1))
+        gen = rng(27, 6)
+        x, y = gen.uniform(-1, 1, (256, 1, 28, 28)), np.arange(256) % 10
+        param_bytes = sum(p.nbytes for p in c.all_params())
+        tracemalloc.start()
+        try:
+            TR._val_stats(c, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * param_bytes
 
 
 class TestReclassificationStep:
@@ -272,7 +307,7 @@ class TestRunLoop:
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
                                                    quick_sampler(), "binary")
         assert len(run.store) == 3 * 10
-        assert run.store.rounds() == [1, 2, 3]
+        np.testing.assert_array_equal(run.store.rounds, np.repeat([1, 2, 3], 10))
 
     def test_store_is_append_only_across_rounds(self):
         ds, _ = benchmark(32)
@@ -289,9 +324,7 @@ class TestRunLoop:
                                                    "binary",
                                                    synthesize=spying_synthesize)
         for t in (1, 2, 3):
-            stored = np.stack([e.sample for e in run.store.entries
-                               if e.round == t])
-            assert np.array_equal(stored, captured[t])
+            assert np.array_equal(run.store.samples[run.store.rounds == t], captured[t])
 
     def test_mixture_fraction_exact(self):
         ds, _ = benchmark(33)
@@ -314,8 +347,7 @@ class TestRunLoop:
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
                                                    quick_sampler(), "multiclass")
         assert len(run.store) == 2 * 3 * 4
-        tags = sorted({e.class_tag for e in run.store.entries})
-        assert tags == [0, 1, 2]
+        np.testing.assert_array_equal(run.store.tags, np.tile(np.repeat([0, 1, 2], 4), 2))
 
     def test_early_stop_honors_patience(self):
         ds, _ = benchmark(35, n_pos=40, n_neg=40)
@@ -399,8 +431,7 @@ class TestRunLoop:
             assert count == 12
             np.testing.assert_array_equal(classes, np.repeat(np.arange(3), 4))
         # the store gets l rows per class, in class order, from the one batch
-        for e in run.store.entries:
-            assert e.class_tag == int(e.sample[0]) // 4
+        np.testing.assert_array_equal(run.store.tags, run.store.samples[:, 0] // 4)
 
 
 def directional_config(seed):
@@ -457,8 +488,7 @@ class TestNoiseAblation:
         cfg = quick_config(rounds=2, pseudo_per_round=4)
         run = TR.train_icn_noise_ablation(
             ds, SPEC_2D, cfg, quick_sampler(reference_sigma=0.0), "binary")
-        for e in run.store.entries:
-            assert np.array_equal(e.sample, np.zeros(2))
+        assert np.array_equal(run.store.samples, np.zeros((8, 2)))
 
 
 class TestOneVsAll:
@@ -482,8 +512,7 @@ class TestOneVsAll:
         result = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler())
         assert result.selected.n_classes == 3
         assert len(result.store) == 3 * 4
-        tags = sorted({e.class_tag for e in result.store.entries})
-        assert tags == [0, 1, 2]
+        np.testing.assert_array_equal(result.store.tags, np.repeat([0, 1, 2], 4))
 
     def test_members_equal_independent_sequential_runs(self):
         ds = self.three_class_set(51)
@@ -518,7 +547,8 @@ class TestOneVsAll:
 
         def on_round(m, ensemble, store):
             seen.append((m, [[p.tobytes() for p in c.all_params()] for c in ensemble.members],
-                         [(e.round, e.class_tag, e.sample.tobytes()) for e in store.entries]))
+                         list(zip(store.rounds.tolist(), store.tags.tolist(),
+                                  [x.tobytes() for x in store.samples]))))
 
         result = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler(),
                                               on_round=on_round)
@@ -534,8 +564,9 @@ class TestOneVsAll:
             for k in range(3):
                 cut = self.member_run(ds, replace(cfg, rounds=t), k)
                 assert params[k] == [p.tobytes() for p in cut.classifier.all_params()]
-            assert entries == [(e.round, k, e.sample.tobytes()) for k, r in enumerate(solo)
-                               for e in r.store.entries if e.round <= t]
+            assert entries == [(rnd, k, x.tobytes()) for k, r in enumerate(solo)
+                               for rnd, x in zip(r.store.rounds.tolist(), r.store.samples)
+                               if rnd <= t]
         # member 2 trained on after the reports ended
         assert result.classifier.members[2].all_params()[0].tobytes() == \
             solo[2].classifier.all_params()[0].tobytes()
