@@ -349,26 +349,9 @@ def _load_task_data(config):
     return train_ds, test_ds, None, input_files
 
 
-def _binary_view(ds):
-    """Map {0,1} class labels onto the {-1,+1} convention if needed."""
-    if set(np.unique(ds.labels)) <= {-1, 1}:
-        return ds
-    return D.LabeledDataset(ds.samples, np.where(ds.labels == 1, 1, -1), 2)
-
-
-def _class_view(ds):
-    """The two synthetic classes as class indices: +1 -> 1, -1 -> 0. Labels
-    without a -1 (image digits, or +1 only) already are class indices."""
-    if not np.any(ds.labels == -1):
-        return ds
-    return D.LabeledDataset(ds.samples, np.where(ds.labels == 1, 1, 0).astype(np.int64), 2)
-
-
 def _inner_mode(config):
     """The trainer a run uses: "binary", "multiclass" or "one-vs-all".
-
-    Image tasks are multi-class. On synthetic2d, softmax and one-vs-all see
-    the classes as 0 / 1, every other mode as -1 / +1."""
+    Image tasks are multi-class."""
     if config.mode == "one-vs-all":
         return "one-vs-all"
     if config.task == "synthetic2d" and config.mode != "softmax":
@@ -382,21 +365,19 @@ def _run_training(config, train_ds, inner_mode, on_round):
     net = network_spec_for(config.task)
     tcfg = config.train
     scfg = config.sampler
-    ds = _binary_view(train_ds) if inner_mode == "binary" else _class_view(train_ds)
     if inner_mode == "one-vs-all":
-        return TR.train_one_vs_all_ensemble(ds, net, tcfg, scfg, on_round=on_round)
+        return TR.train_one_vs_all_ensemble(train_ds, net, tcfg, scfg, on_round=on_round)
     if config.mode == "baseline":
-        return TR.baseline_train(ds, net, tcfg, inner_mode, on_round=on_round)
+        return TR.baseline_train(train_ds, net, tcfg, inner_mode, on_round=on_round)
     if config.mode == "icn-noise":
-        return TR.train_icn_noise_ablation(ds, net, tcfg, scfg, inner_mode, on_round=on_round)
-    return TR.run_reclassification_by_synthesis(ds, net, tcfg, scfg, inner_mode,
+        return TR.train_icn_noise_ablation(train_ds, net, tcfg, scfg, inner_mode,
+                                           on_round=on_round)
+    return TR.run_reclassification_by_synthesis(train_ds, net, tcfg, scfg, inner_mode,
                                                 on_round=on_round)
 
 
-def _test_error(model, test_ds, inner_mode):
-    """Error against the test labels mapped as `_run_training` maps the
-    training labels."""
-    test_ds = _binary_view(test_ds) if inner_mode == "binary" else _class_view(test_ds)
+def _test_error(model, test_ds):
+    """The test error, in a function of its own so bench/worker.py can time it."""
     return TR.error_rate(model, test_ds.samples, test_ds.labels)
 
 
@@ -442,7 +423,7 @@ def _run_experiment_inner(config, out_dir):
             if t >= 1:
                 write_pgm(O.heatmap_gray(p_t), heat_dir / f"heatmap_round_{t:02d}.pgm")
         row = MetricsRow(round=t, train_loss=m.train_loss, val_error=m.val_error,
-                         test_error=_test_error(model_t, test_ds, inner_mode),
+                         test_error=_test_error(model_t, test_ds),
                          store_size=m.store_size, kl_to_positive=kl)
         N.save_model(ckpt_dir / f"model_round_{t:02d}.bin", model_t)
         D.save_store(store_t, ckpt_dir / f"store_round_{t:02d}.bin")
@@ -530,16 +511,20 @@ def cmd_oracle_verify(args):
 def cmd_adversarial(args):
     model_a = N.load_model(args.model_a)
     model_b = N.load_model(args.model_b)
+    _, test_ds, _, _ = _load_task_data(parse_config(args.config))
+    shape = test_ds.samples.shape[1:]
+    top = int(test_ds.labels.max(initial=0))
     for path, model in ((args.model_a, model_a), (args.model_b, model_b)):
         if isinstance(model, N.OneVsAllEnsemble):
             raise CliError(f"{path}: a one-vs-all ensemble has no FGSM loss; "
                            "adversarial takes binary or softmax models")
-    if model_a.binary != model_b.binary:
-        raise CliError("adversarial needs two binary or two softmax models, "
-                       "since both are scored against the same labels")
-    config = parse_config(args.config)
-    _, test_ds, _, _ = _load_task_data(config)
-    test_ds = _binary_view(test_ds) if model_a.binary else _class_view(test_ds)
+        try:
+            fits = T.feature_width(model.spec, shape) == model.width
+        except T.ShapeMismatchError:
+            fits = False
+        if not fits or top >= max(model.n_classes, 2):
+            raise CliError(f"{path}: does not fit the config's test set: samples of "
+                           f"shape {shape}, labels up to {top}")
     ab, ba = R.two_way_fool_experiment(model_a, model_b, test_ds, args.eps)
     path_a, path_b = Path(args.model_a), Path(args.model_b)
     name_a, name_b = path_a.stem, path_b.stem

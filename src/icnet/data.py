@@ -53,8 +53,8 @@ class StoreVersionError(StoreFormatError):
 
 @dataclass
 class LabeledDataset:
-    """Samples with integer labels: either 0..class_count-1, or the binary
-    convention {+1, -1}."""
+    """Samples with integer class labels 0..class_count-1. A binary task's
+    positive class is 1, the paper's y = +1."""
 
     samples: Array
     labels: Array
@@ -66,11 +66,8 @@ class LabeledDataset:
         if self.samples.shape[0] != self.labels.shape[0]:
             raise DataError(f"{self.samples.shape[0]} samples vs "
                             f"{self.labels.shape[0]} labels")
-        if self.labels.size:
-            in_range = (self.labels >= 0) & (self.labels < self.class_count)
-            binary = np.isin(self.labels, (-1, 1))
-            if not (in_range.all() or (self.class_count == 2 and binary.all())):
-                raise DataError("labels outside the declared class range")
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
+            raise DataError(f"labels outside 0..{self.class_count - 1}")
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -170,12 +167,13 @@ def _component_counts(total: int, k: int) -> list[int]:
 
 def gen_synthetic_2d(spec: SyntheticSpec,
                      rng: np.random.Generator) -> tuple[LabeledDataset, MixtureDensity]:
-    """Draw the two-class 2D benchmark; also return the analytic positive
-    density p+ whose mixture weights equal the per-component share."""
+    """Draw the two-class 2D benchmark, positives labeled 1 and negatives 0;
+    also return the analytic positive density p+ whose mixture weights equal
+    the per-component share."""
     samples, labels = [], []
     for means, covs, total, label in (
             (spec.positive_means, spec.positive_covs, spec.n_positive, 1),
-            (spec.negative_means, spec.negative_covs, spec.n_negative, -1)):
+            (spec.negative_means, spec.negative_covs, spec.n_negative, 0)):
         counts = _component_counts(total, len(means))
         for mean, cov, count in zip(means, covs, counts):
             chol = np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
@@ -218,8 +216,20 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
+IDX_GZIP_CHUNK = 4 << 20
+
+
 def _read_exact(fh, n: int, what: str, path) -> bytes:
-    data = fh.read(n)
+    """The next n bytes, or IdxTruncatedError. No header field can ask for
+    more memory than the file holds: a plain file is checked against the
+    bytes left, and a gzip stream, which has no size, is read in chunks."""
+    if isinstance(fh, gzip.GzipFile):
+        data = bytearray()
+        while len(data) < n and (chunk := fh.read(min(n - len(data), IDX_GZIP_CHUNK))):
+            data += chunk
+    else:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        data = fh.read(n) if n <= left else b""
     if len(data) != n:
         raise IdxTruncatedError(f"{path}: truncated while reading {what}")
     return data
@@ -248,8 +258,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         raise IdxCountMismatchError(
             f"{count} images in {images_path} vs {n_labels} labels in {labels_path}")
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    return LabeledDataset(images.astype(np.float64), labels.astype(np.int64),
-                          max(n_classes, 1) if labels.size else 0)
+    return LabeledDataset(images.astype(np.float64), labels.astype(np.int64), n_classes)
 
 
 MNIST_STEMS = {

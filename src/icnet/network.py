@@ -2,9 +2,10 @@
 
 A classifier is a feature stack w0 plus a linear head of K columns. With one
 column it is binary: its logit w1 . phi(x; w0) is the log ratio
-q(+1|x)/q(-1|x) under the sigmoid model. With K >= 2 the columns are K class
-heads over the one shared stack; the one-vs-all ensemble keeps K fully
-independent binary classifiers. Bias terms ride along with every head.
+q(+1|x)/q(-1|x) under the sigmoid model, where class 1 is the paper's y = +1
+and class 0 its y = -1. With K >= 2 the columns are K class heads over the
+one shared stack; the one-vs-all ensemble keeps K fully independent binary
+classifiers. Bias terms ride along with every head.
 """
 
 import functools
@@ -120,10 +121,10 @@ def ensemble_logits(e: OneVsAllEnsemble, x) -> Array:
 
 
 def labels_from_logits(logits: Array) -> Array:
-    """One column: +1 where the logit is positive, else -1. More columns:
-    the argmax, ties going to the lowest class index."""
+    """One column: class 1 where the logit is positive, else 0. More
+    columns: the argmax, ties going to the lowest class index."""
     if logits.shape[1] == 1:
-        return np.where(logits[:, 0] > 0, 1, -1)
+        return (logits[:, 0] > 0).astype(np.int64)
     return np.argmax(logits, axis=1)
 
 
@@ -138,7 +139,7 @@ def predict_label(model, x) -> Array:
 # ---------------------------------------------------------------------------
 
 # Kinds of head-graph term, each summed over its own batch of rows. `index`
-# holds labels: {+1, -1} for a binary head, class indices otherwise.
+# holds class indices; a binary head's labels are 0 and 1.
 LOGIT = "logit"          # each row's logit (class index[i] on a K-column head)
 LABELED = "labeled"      # -ln q(y|x); weighted 1 - alpha on a K-column head
 NEGATIVE = "negative"    # -ln q(-1|x), or alpha * softplus(logit of class index[i])
@@ -172,7 +173,8 @@ def head_graph(c: Classifier, terms, alpha: float = 0.0,
         elif c.binary:
             z = record.reshape(logits, (n,))
             if kind == LABELED:
-                z = record.mul_const(z, -np.asarray(index, dtype=np.float64))
+                # the one place a label becomes a sign: -ln q(y|x) = softplus(-y z)
+                z = record.mul_const(z, 1.0 - 2.0 * np.asarray(index, dtype=np.float64))
             parts.append(record.sum(record.softplus(z)))
         elif kind == LABELED:
             picked = record.select(record.log_softmax(logits), index)

@@ -92,9 +92,9 @@ class RunResult:
 # SGD epochs over the union of S and the store
 # ---------------------------------------------------------------------------
 
-def _check_classes(c: N.Classifier, index, what: str) -> None:
-    if len(index) and (index.min() < 0 or index.max() >= c.n_classes):
-        raise TrainerError(f"{what} outside 0..{c.n_classes - 1}")
+def _check_classes(index, count: int, what: str) -> None:
+    if len(index) and (index.min() < 0 or index.max() >= count):
+        raise TrainerError(f"{what} outside 0..{count - 1}")
 
 def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
                 gen: np.random.Generator) -> list[float]:
@@ -103,10 +103,11 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
     buffers are fresh per call.
 
     Each batch loss is the mean over its rows of the head graph's labeled
-    term on S and negative term on the store slice."""
+    term on S and negative term on the store slice. A binary head's labels
+    are 0 and 1; its NEGATIVE term reads no tag, so tags go unchecked."""
+    _check_classes(y_s, max(c.n_classes, 2), "labels")
     if not c.binary:
-        _check_classes(c, y_s, "labels")
-        _check_classes(c, tags, "pseudo-negative tag")
+        _check_classes(tags, c.n_classes, "pseudo-negative tag")
     n_s = x_s.shape[0]
     n_total = n_s + len(x_pn)
     params = c.all_params()
@@ -242,10 +243,11 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig,
         raise TrainerError(f"unknown mode {mode!r}")
     if len(ds) == 0:
         raise TrainerError("empty training set")
-    if mode == "binary" and len(np.unique(ds.labels)) < 2:
-        raise TrainerError("binary mode needs both labels present")
-    if mode == "multiclass" and ds.class_count < 2:
-        raise TrainerError("multiclass mode needs at least two classes")
+    if ds.class_count < 2 or (mode == "binary" and ds.class_count > 2):
+        want = "two classes" if mode == "binary" else "two classes or more"
+        raise TrainerError(f"{mode} mode needs {want}, not {ds.class_count}")
+    if len(np.unique(ds.labels)) < 2:
+        raise TrainerError(f"{mode} mode needs two classes present in the training set")
     input_shape = ds.samples.shape[1:]
     if synthesize is None:
         sampler_config = sampler_config or S.SamplerConfig()
@@ -380,7 +382,7 @@ def train_one_vs_all_ensemble(ds: D.LabeledDataset, spec, config: TrainConfig,
         raise TrainerError(f"no training samples for class {missing[0]}")
     members = []
     for k in range(ds.class_count):
-        relabeled = D.LabeledDataset(ds.samples, np.where(ds.labels == k, 1, -1), 2)
+        relabeled = D.LabeledDataset(ds.samples, ds.labels == k, 2)
         members.append(_rounds(relabeled, spec, replace(config, seed=member_seed(config.seed, k)),
                                sampler_config, "binary", synthesize))
     results = [None] * len(members)

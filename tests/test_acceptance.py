@@ -194,7 +194,7 @@ def test_criterion_05_bookkeeping_exact():
                          momentum=0.9, alpha=0.1, val_fraction=0.0,
                          patience=99, seed=5)
     run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg, "binary")
-    n_neg = int((ds.labels == -1).sum())
+    n_neg = int((ds.labels == 0).sum())
     binary_ok = len(run.store) == 4 * 7
     frac_ok = (Fraction(len(run.store), n_neg + len(run.store))
                == Fraction(4 * 7, n_neg + 4 * 7))

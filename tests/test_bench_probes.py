@@ -52,7 +52,7 @@ def test_untraced_probes_read_sgd_arguments_and_snapshots():
     worker = load_worker()
     tracer = worker.Tracer()
     gen = np.random.default_rng(5)
-    ds = D.LabeledDataset(gen.standard_normal((10, 2)), np.where(np.arange(10) < 5, 1, -1), 2)
+    ds = D.LabeledDataset(gen.standard_normal((10, 2)), np.where(np.arange(10) < 5, 1, 0), 2)
     config = TR.TrainConfig(rounds=1, pseudo_per_round=2, init_epochs=2, epochs_per_round=1,
                             val_fraction=0.0)
     uninstall = worker.install(tracer, worker.coarse_probes(TR, S, N, O, R))

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from icnet import data as D
 from icnet import network as N
 from icnet import robustness as R
 from icnet import sampler as S
+from icnet import tensor as T
 from icnet import trainer as TR
+from icnet.seeding import rng
 
 
 def config_text(out, task="synthetic2d", mode="binary", seed=0, rounds=3,
@@ -51,6 +54,23 @@ def write_config(tmp_path, name="exp.ini", **kw):
     path = tmp_path / name
     path.write_text(config_text(out, **kw))
     return path
+
+
+def write_mnist_ini(tmp_path, n=20):
+    """An mnist-subset softmax config over n seeded 28x28 images of the ten
+    digits, written as the four MNIST files (big-endian IDX headers, then
+    raw bytes), train and test alike."""
+    root = tmp_path / "mnist"
+    root.mkdir()
+    images = rng(60, 6).integers(0, 256, size=(n, 28, 28)).astype(np.uint8)
+    labels = (np.arange(n) % 10).astype(np.uint8)
+    for prefix in ("train", "t10k"):
+        (root / f"{prefix}-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x00000803, n, 28, 28) + images.tobytes())
+        (root / f"{prefix}-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 0x00000801, n) + labels.tobytes())
+    return write_config(tmp_path, name="mnist.ini", task="mnist-subset", mode="softmax",
+                        extra_experiment=f"mnist_dir = {root}\nsubset_size = 10\ntest_subset = 10")
 
 
 class TestMetricsCsv:
@@ -325,6 +345,15 @@ class TestRunExperiment:
         assert (out / "error.txt").read_text().startswith("DataError")
         assert (out / "config.ini").is_file()  # partial artifacts remain
 
+    def test_huge_idx_header_exits_1_naming_the_file(self, tmp_path, capsys):
+        # 2**31 images of 2**15 x 2**15 pixels claimed by a 48-byte file
+        ini = write_mnist_ini(tmp_path)
+        images = tmp_path / "mnist" / "train-images-idx3-ubyte"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 2 ** 31, 2 ** 15, 2 ** 15) + bytes(32))
+        assert C.main(["train", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {images}: truncated while reading pixels\n"
+
     def test_softmax_mode_on_synthetic(self, tmp_path):
         out = tmp_path / "run"
         cfg = C.parse_config(write_config(tmp_path, mode="softmax", rounds=1))
@@ -349,25 +378,25 @@ class TestRunExperiment:
 
 
 class TestTestError:
-    # five 2D test points with the task's raw +1 / -1 labels; every model
-    # below predicts the positive class exactly where x0 > 0, so rows 1
-    # (-1, labeled +1) and 4 (3, labeled -1) are wrong: 2 of 5
+    # five 2D test points labeled as the task labels them, positives 1 and
+    # negatives 0; every model below predicts class 1 exactly where x0 > 0,
+    # so rows 1 (-1, labeled 1) and 4 (3, labeled 0) are wrong: 2 of 5
     X = np.array([[-2.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    Y = np.array([-1, 1, 1, 1, -1])
+    Y = np.array([0, 1, 1, 1, 0])
 
     @staticmethod
     def linear(head_w):
         head_w = np.array(head_w, dtype=np.float64)
         return N.Classifier([], [], head_w, np.zeros(head_w.shape[1]))
 
-    @pytest.mark.parametrize("inner_mode", ["binary", "multiclass", "one-vs-all"])
-    def test_hand_counted_error_on_pm1_labels(self, inner_mode):
+    @pytest.mark.parametrize("kind", ["binary", "multiclass", "one-vs-all"])
+    def test_hand_counted_error_on_class_labels(self, kind):
         model = {"binary": self.linear([[1.0], [0.0]]),
                  "multiclass": self.linear([[-1.0, 1.0], [0.0, 0.0]]),
                  "one-vs-all": N.OneVsAllEnsemble([self.linear([[-1.0], [0.0]]),
-                                                   self.linear([[1.0], [0.0]])])}[inner_mode]
+                                                   self.linear([[1.0], [0.0]])])}[kind]
         test_ds = D.LabeledDataset(self.X, self.Y, 2)
-        assert C._test_error(model, test_ds, inner_mode) == 2 / 5
+        assert C._test_error(model, test_ds) == 2 / 5
 
 
 class TestStreamingRounds:
@@ -462,13 +491,16 @@ class TestAdversarialInputs:
         assert captured.err.startswith(f"error: {ova}: a one-vs-all ensemble")
         assert captured.err.count("\n") == 1
 
-    def test_binary_and_softmax_pair_rejected(self, runs_2d, capsys):
+    def test_binary_and_softmax_pair_attacked(self, runs_2d, tmp_path):
+        # both predict the same class indices, so each is scored on the same labels
         ini, run_dir = runs_2d["binary"]
         status = C.main(["adversarial", "--model-a", str(run_dir / "model_final.bin"),
                          "--model-b", str(runs_2d["softmax"][1] / "model_final.bin"),
-                         "--config", str(ini)])
-        assert status == 1
-        assert "two binary or two softmax" in capsys.readouterr().err
+                         "--config", str(ini), "--out", str(tmp_path / "adv")])
+        assert status == 0
+        rows = (tmp_path / "adv" / "fooling.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a_to_b", "b_to_a"]
+        assert all(int(row.split(",")[1]) > 0 for row in rows)
 
     def test_softmax_2d_pair_attacks_both_classes(self, runs_2d, tmp_path, monkeypatch):
         ini, run_dir = runs_2d["softmax"]
@@ -488,10 +520,39 @@ class TestAdversarialInputs:
         (labels,) = seen
         assert sorted(set(labels.tolist())) == [0, 1]
         rows = (tmp_path / "adv" / "fooling.csv").read_text().splitlines()[1:]
-        # +1 rows keep class 1, so more eligible rows than positives means
-        # negative-class rows count too
+        # more eligible rows than positives means negative-class rows
+        # count too
         for row in rows:
             assert int(row.split(",")[1]) > int((labels == 1).sum())
+
+
+class TestAdversarialFit:
+    """A model that does not take the config's test samples, or has no class
+    for some test label, is rejected before any attack."""
+
+    CONV = [T.conv(1, 2), T.leaky(), T.flatten()]
+
+    @pytest.mark.parametrize("model_a, model_b, task, rejected", [
+        ("softmax-2d", "conv-10", "mnist", "a"),
+        ("conv-10", "conv-10", "2d", "a"),
+        ("conv-10", "conv-3", "mnist", "b"),
+    ], ids=["2d-model-on-images", "image-model-on-2d", "too-few-classes"])
+    def test_misfit_model_exits_1_naming_it(self, tmp_path, capsys, model_a, model_b,
+                                            task, rejected):
+        models = {"softmax-2d": N.init_multiclass(C.SYNTH_NET, (2,), 2, rng(61, 1)),
+                  "conv-10": N.init_multiclass(self.CONV, (1, 28, 28), 10, rng(62, 1)),
+                  "conv-3": N.init_multiclass(self.CONV, (1, 28, 28), 3, rng(63, 1))}
+        paths = {}
+        for side, name in (("a", model_a), ("b", model_b)):
+            paths[side] = tmp_path / f"{side}-{name}.bin"
+            N.save_model(paths[side], models[name])
+        ini = write_mnist_ini(tmp_path) if task == "mnist" else write_config(tmp_path)
+        status = C.main(["adversarial", "--model-a", str(paths["a"]),
+                         "--model-b", str(paths["b"]), "--config", str(ini)])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {paths[rejected]}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestSubcommands:

@@ -26,6 +26,14 @@ def write_idx_fixture(images_path, labels_path, pixels, labels):
         fh.write(lab.tobytes())
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels, count", [([1, -1, 1], 2), ([0, 2, 1], 2), ([-1, 0], 10)],
+                             ids=["plus-minus-one", "past-class-count", "negative"])
+    def test_labels_outside_class_indices_rejected(self, labels, count):
+        with pytest.raises(D.DataError, match=f"labels outside 0..{count - 1}"):
+            D.LabeledDataset(np.zeros((len(labels), 2)), np.array(labels), count)
+
+
 class TestSynthetic2D:
     def test_near_zero_covariance_collapses_to_means(self):
         eps = ((1e-30, 0.0), (0.0, 1e-30))
@@ -36,7 +44,7 @@ class TestSynthetic2D:
         ds, _ = D.gen_synthetic_2d(spec, rng(0, 6))
         np.testing.assert_allclose(ds.samples[ds.labels == 1], [[1.0, 2.0]] * 5,
                                    atol=1e-12)
-        np.testing.assert_allclose(ds.samples[ds.labels == -1], [[-3.0, 0.5]] * 5,
+        np.testing.assert_allclose(ds.samples[ds.labels == 0], [[-3.0, 0.5]] * 5,
                                    atol=1e-12)
 
     def test_single_component_mean_within_3_sigma(self):
@@ -97,7 +105,7 @@ class TestSynthetic2D:
     def test_benchmark_counts_and_labels(self):
         ds, density = D.gen_synthetic_2d(D.default_benchmark_spec(201, 99), rng(4, 6))
         assert int((ds.labels == 1).sum()) == 201
-        assert int((ds.labels == -1).sum()) == 99
+        assert int((ds.labels == 0).sum()) == 99
         total = density.pdf(rng(5, 6).standard_normal((4, 2)))
         assert np.all(total > 0)
 
@@ -147,6 +155,43 @@ class TestIdx:
         (tmp_path / "img").write_bytes(data[:-2])
         with pytest.raises(D.IdxTruncatedError):
             D.load_idx(tmp_path / "img", tmp_path / "lab")
+
+    @staticmethod
+    def huge_header_files(tmp_path, block):
+        """A 48-byte image file whose header asks for 2**31 images of
+        2**15 x 2**15 pixels, or a label file whose header asks for 2**32 - 1
+        labels, beside a valid partner file."""
+        write_idx_fixture(tmp_path / "img", tmp_path / "lab", [[[1, 1], [1, 1]]], [1])
+        if block == "pixels":
+            path = tmp_path / "img"
+            path.write_bytes(struct.pack(">IIII", 0x00000803, 2 ** 31, 2 ** 15, 2 ** 15) + bytes(32))
+        else:
+            path = tmp_path / "lab"
+            path.write_bytes(struct.pack(">II", 0x00000801, 2 ** 32 - 1) + bytes(40))
+        return path
+
+    @pytest.mark.parametrize("block", ["pixels", "labels"])
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
+    def test_huge_header_count_raises_truncated(self, tmp_path, block, gzipped):
+        path = self.huge_header_files(tmp_path, block)
+        if gzipped:
+            raw = path.read_bytes()
+            with gzip.open(path, "wb") as fh:
+                fh.write(raw)
+        with pytest.raises(D.IdxTruncatedError, match=f"{path}: truncated while reading {block}"):
+            D.load_idx(tmp_path / "img", tmp_path / "lab")
+
+    def test_gzip_reads_in_chunks_match_plain(self, tmp_path, monkeypatch):
+        pixels = rng(8, 6).integers(0, 256, size=(5, 3, 4))
+        write_idx_fixture(tmp_path / "img", tmp_path / "lab", pixels, [0, 1, 2, 3, 4])
+        plain = D.load_idx(tmp_path / "img", tmp_path / "lab")
+        for name in ("img", "lab"):
+            with gzip.open(tmp_path / f"{name}.gz", "wb") as fh:
+                fh.write((tmp_path / name).read_bytes())
+        monkeypatch.setattr(D, "IDX_GZIP_CHUNK", 7)  # every block spans several chunks
+        packed = D.load_idx(tmp_path / "img.gz", tmp_path / "lab.gz")
+        assert packed.samples.tobytes() == plain.samples.tobytes()
+        np.testing.assert_array_equal(packed.labels, plain.labels)
 
     def test_error_kinds_are_distinct(self):
         kinds = {D.IdxMagicError, D.IdxTruncatedError, D.IdxCountMismatchError}

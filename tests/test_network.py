@@ -192,6 +192,41 @@ class TestLogitSumGraph:
                                        rtol=0, atol=1e-13)
 
 
+class TestHeadGraphGradients:
+    """The loss SGD minimizes, checked against central differences: the
+    labeled and negative terms of a binary and of a 3-class head."""
+
+    @staticmethod
+    def rel_err(analytic, numeric):
+        return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+
+    @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
+    def test_param_and_input_gradients_match_central_differences(self, k):
+        c = N.init_multiclass(SPEC_2D, (2,), k, rng(50, 1))
+        c.head_b = c.head_b + 0.1 * rng(50, 2).standard_normal(k)
+        gen = rng(50, 6)
+        x, pn = gen.standard_normal((5, 2)), gen.standard_normal((4, 2))
+        y = gen.integers(0, max(k, 2), size=5)
+        tags = np.full(4, -1) if k == 1 else gen.integers(0, k, size=4)
+        terms = [(N.LABELED, x, y), (N.NEGATIVE, pn, tags)]
+        record, total, _ = N.head_graph(c, terms, 0.3, params="param", inputs="input")
+        record.backward(total)
+        analytic = ([n.grad for n in record.param_nodes()]
+                    + [n.grad for n in record.nodes if n.kind == "input"])
+        arrays = c.all_params() + [x, pn]
+        h, worst = 1e-5, 0.0
+        for arr, grad in zip(arrays, analytic):
+            for at in np.ndindex(arr.shape):
+                orig = arr[at]
+                arr[at] = orig + h
+                up = float(N.head_graph(c, terms, 0.3)[1].value)
+                arr[at] = orig - h
+                down = float(N.head_graph(c, terms, 0.3)[1].value)
+                arr[at] = orig
+                worst = max(worst, self.rel_err(grad[at], (up - down) / (2 * h)))
+        assert worst < 1e-4
+
+
 class TestFinitenessChecks:
     """Parameters are checked for NaN/Inf where they are written, so the
     graphs built over them scan only their inputs and op outputs."""

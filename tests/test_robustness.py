@@ -41,7 +41,7 @@ class TestFgsmPerturb:
         c = N.init_binary(SPEC_2D, (2,), rng(1, 1))
         x = 0.5 * rng(1, 6).standard_normal((20, 2))
         eps = 0.125
-        adv = R.fgsm_perturb(c, x, np.where(x[:, 0] > 0, 1, -1), eps,
+        adv = R.fgsm_perturb(c, x, np.where(x[:, 0] > 0, 1, 0), eps,
                              clamp=None)
         assert np.abs(adv - x).max() <= eps + 1e-15
         # every coordinate moves by exactly 0, +eps, or -eps
@@ -51,17 +51,18 @@ class TestFgsmPerturb:
     def test_clamp_keeps_normalized_range(self):
         c = N.init_binary(SPEC_2D, (2,), rng(2, 1))
         x = np.array([[0.95, -0.99], [1.0, 1.0], [-1.0, 0.5]])
-        adv = R.fgsm_perturb(c, x, np.array([1, -1, 1]), 0.125)
+        adv = R.fgsm_perturb(c, x, np.array([1, 0, 1]), 0.125)
         assert adv.max() <= 1.0 and adv.min() >= -1.0
 
     def test_linear_model_loss_never_decreases(self):
         c = N.init_binary(LINEAR_SPEC, (2,), rng(3, 1))
         gen = rng(3, 6)
         x = gen.standard_normal((50, 2))
-        y = np.where(gen.standard_normal(50) > 0, 1, -1)
+        y = np.where(gen.standard_normal(50) > 0, 1, 0)
         adv = R.fgsm_perturb(c, x, y, 0.01, clamp=None)
-        before = T.softplus_value(-y * N.logit_binary(c, x))
-        after = T.softplus_value(-y * N.logit_binary(c, adv))
+        sign = 2 * y - 1  # the paper's y in {-1, +1}
+        before = T.softplus_value(-sign * N.logit_binary(c, x))
+        after = T.softplus_value(-sign * N.logit_binary(c, adv))
         assert np.all(after >= before - 1e-12)
 
     def test_multiclass_attack_raises_loss(self):
@@ -123,7 +124,7 @@ class TestTwoWayExperiment:
     def test_empty_eligible_set_rejected(self):
         c = N.init_binary(SPEC_2D, (2,), rng(12, 1))
         x = rng(12, 6).standard_normal((10, 2))
-        labels = np.where(N.logit_binary(c, x) > 0, -1, 1)  # force all wrong
+        labels = np.where(N.logit_binary(c, x) > 0, 0, 1)  # force all wrong
         ds = D.LabeledDataset(x, labels, 2)
         with pytest.raises(R.RobustnessError, match="correctly"):
             R.two_way_fool_experiment(c, c, ds, 0.125)
@@ -170,7 +171,7 @@ class TestOneForwardPerChunk:
         if mode == "binary":
             a = N.init_binary(self.SPEC, (1, 8, 8), rng(90, 1))
             b = N.init_binary(self.SPEC, (1, 8, 8), rng(91, 1))
-            y = np.where(gen.random(23) < 0.5, 1, -1)
+            y = np.where(gen.random(23) < 0.5, 1, 0)
         else:
             a = N.init_multiclass(self.SPEC, (1, 8, 8), 3, rng(90, 1))
             b = N.init_multiclass(self.SPEC, (1, 8, 8), 3, rng(91, 1))

@@ -50,7 +50,7 @@ class TestBinaryLoss:
     def test_perfect_classifier_loss_vanishes(self):
         c = N.init_binary(SPEC_2D, (2,), rng(0, 1))
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        y = np.array([1, -1])
+        y = np.array([1, 0])
         logits = N.logit_binary(c, x)
         # scale the head so signed logits are huge and correct
         c.head_b = c.head_b + np.array([1000.0]) - logits[0]
@@ -64,7 +64,7 @@ class TestBinaryLoss:
         c.head_w = np.zeros_like(c.head_w)
         c.head_b = np.zeros_like(c.head_b)
         x = rng(1, 6).standard_normal((5, 2))
-        y = np.array([1, -1, 1, 1, -1])
+        y = np.array([1, 0, 1, 1, 0])
         pn = rng(2, 6).standard_normal((3, 2))
         loss = head_total(c, x, y, pn)
         assert abs(loss - 8 * math.log(2)) < 1e-12
@@ -72,13 +72,15 @@ class TestBinaryLoss:
     def test_matches_independent_elementwise_sum(self):
         c = N.init_binary(SPEC_2D, (2,), rng(3, 1))
         x = rng(3, 6).standard_normal((7, 2))
-        y = np.array([1, -1, 1, -1, -1, 1, 1])
+        y = np.array([1, 0, 1, 0, 0, 1, 1])
         pn = rng(4, 6).standard_normal((4, 2))
         logits = N.logit_binary(c, x)
         pn_logits = N.logit_binary(c, pn)
         want = 0.0
         for z, yi in zip(logits, y):
-            want += -math.log(1.0 / (1.0 + math.exp(-yi * z)))
+            # -ln q(1|x) = -ln sigmoid(z) and -ln q(0|x) = -ln(1 - sigmoid(z))
+            q_one = 1.0 / (1.0 + math.exp(-z))
+            want += -math.log(q_one if yi == 1 else 1.0 - q_one)
         for z in pn_logits:
             want += -math.log(1.0 - 1.0 / (1.0 + math.exp(-z)))
         assert abs(head_total(c, x, y, pn) - want) < 1e-9
@@ -86,12 +88,22 @@ class TestBinaryLoss:
     def test_additivity_over_pseudo_negatives(self):
         c = N.init_binary(SPEC_2D, (2,), rng(6, 1))
         x = rng(6, 6).standard_normal((6, 2))
-        y = np.where(rng(7, 6).standard_normal(6) > 0, 1, -1)
+        y = np.where(rng(7, 6).standard_normal(6) > 0, 1, 0)
         pn = rng(8, 6).standard_normal((5, 2))
         pn_term = T.softplus_value(N.logit_binary(c, pn)).sum()
         got = head_total(c, x, y, pn)
         want = head_total(c, x, y) + pn_term
         assert abs(got - want) < 1e-12
+
+    def test_label_outside_0_1_rejected(self):
+        # 1 - 2 * label is the sign the binary loss needs only for labels 0 and 1
+        c = N.init_binary(SPEC_2D, (2,), rng(19, 1))
+        before = [p.copy() for p in c.all_params()]
+        with pytest.raises(TR.TrainerError, match="labels outside 0..1"):
+            TR._sgd_epochs(c, np.zeros((2, 2)), np.array([1, -1]), np.zeros((1, 2)),
+                           np.array([-1]), 0.1, 0.01, 1, quick_config(), rng(19, 2))
+        for a, b in zip(before, c.all_params()):
+            assert np.array_equal(a, b)
 
 
 class TestMulticlassLoss:
@@ -148,7 +160,7 @@ class TestValStats:
         # 150 rows: two full chunks of 64 and a partial one
         c = N.init_multiclass(SPEC_2D, (2,), k, rng(17, 1))
         x = rng(17, 6).standard_normal((150, 2))
-        y = (np.where(x[:, 0] > 0, 1, -1) if k == 1
+        y = (np.where(x[:, 0] > 0, 1, 0) if k == 1
              else rng(18, 6).integers(0, k, size=150))
         error, loss = TR._val_stats(c, x, y)
         assert error == TR.error_rate(c, x, y)
@@ -188,7 +200,7 @@ class TestReclassificationStep:
     def test_separable_set_trains_below_ln2(self):
         gen = rng(21, 6)
         x = gen.standard_normal((60, 2)) + np.array([0.0, 0.0])
-        y = np.where(x[:, 0] > 0, 1, -1)
+        y = np.where(x[:, 0] > 0, 1, 0)
         x[:, 0] += 0.5 * np.sign(x[:, 0])  # widen the margin
         c = N.init_binary(SPEC_2D, (2,), rng(21, 1))
         cfg = quick_config(epochs_per_round=40, learning_rate=0.1)
@@ -291,6 +303,22 @@ class TestRunLoop:
         with pytest.raises(TR.TrainerError, match="both labels|two classes"):
             TR.run_reclassification_by_synthesis(ds, SPEC_2D, quick_config(), mode=mode)
 
+    def test_ten_classes_in_binary_mode_rejected(self):
+        ds = D.LabeledDataset(np.zeros((20, 2)), np.arange(20) % 10, 10)
+        with pytest.raises(TR.TrainerError, match="binary mode needs two classes, not 10"):
+            TR.run_reclassification_by_synthesis(ds, SPEC_2D, quick_config(), mode="binary")
+
+    def test_binary_run_trains_class_0(self):
+        # two blobs of 20, labeled 0 and 1: every class-0 row must pull the
+        # logit down, so the run separates them
+        x, y = 0.3 * rng(29, 6).standard_normal((40, 2)), np.repeat([0, 1], 20)
+        x[:20, 0] -= 1.0
+        x[20:, 0] += 1.0
+        cfg = quick_config(rounds=1, pseudo_per_round=4, init_epochs=30, val_fraction=0.0)
+        run = TR.run_reclassification_by_synthesis(D.LabeledDataset(x, y, 2), SPEC_2D, cfg,
+                                                   quick_sampler(), "binary")
+        assert TR.error_rate(run.selected, x, y) < 0.1
+
     def test_rounds_zero_equals_baseline_bitwise(self):
         ds, _ = benchmark(30)
         cfg = quick_config(rounds=0)
@@ -333,7 +361,7 @@ class TestRunLoop:
                                                    quick_sampler(), "binary")
         train_ds, _ = D.split_dataset(ds, [len(ds) - round(0.2 * len(ds))],
                                       cfg.seed)
-        n_neg = int((train_ds.labels == -1).sum())
+        n_neg = int((train_ds.labels == 0).sum())
         t, l = cfg.rounds, cfg.pseudo_per_round
         got = Fraction(len(run.store), n_neg + len(run.store))
         assert got == Fraction(t * l, n_neg + t * l)
@@ -520,8 +548,7 @@ class TestOneVsAll:
                            epochs_per_round=2, val_fraction=0.0)
         result = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler())
         k = 1
-        relabeled = D.LabeledDataset(ds.samples,
-                                     np.where(ds.labels == k, 1, -1), 2)
+        relabeled = D.LabeledDataset(ds.samples, np.where(ds.labels == k, 1, 0), 2)
         solo_cfg = replace(cfg, seed=TR.member_seed(cfg.seed, k))
         solo = TR.run_reclassification_by_synthesis(
             relabeled, SPEC_2D, solo_cfg, quick_sampler(), "binary")
@@ -532,7 +559,7 @@ class TestOneVsAll:
     @staticmethod
     def member_run(ds, cfg, k):
         """Member k trained alone: class k against the rest, the member seed."""
-        relabeled = D.LabeledDataset(ds.samples, np.where(ds.labels == k, 1, -1), 2)
+        relabeled = D.LabeledDataset(ds.samples, np.where(ds.labels == k, 1, 0), 2)
         return TR.run_reclassification_by_synthesis(
             relabeled, SPEC_2D, replace(cfg, seed=TR.member_seed(cfg.seed, k)),
             quick_sampler(), "binary")
@@ -580,18 +607,15 @@ class TestOneVsAll:
         x = sig * gen.standard_normal((n, 2))
         x[: n // 2, 0] -= sep
         x[n // 2:, 0] += sep
-        y01 = np.repeat([0, 1], n // 2)
-        ds = D.LabeledDataset(x, y01, 2)
+        ds = D.LabeledDataset(x, np.repeat([0, 1], n // 2), 2)
         cfg = quick_config(rounds=2, pseudo_per_round=10, init_epochs=60,
                            epochs_per_round=5, val_fraction=0.0)
         ova = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler())
-        binary_ds = D.LabeledDataset(x, np.where(y01 == 1, 1, -1), 2)
         direct = TR.run_reclassification_by_synthesis(
-            binary_ds, SPEC_2D, cfg, quick_sampler(), "binary")
+            ds, SPEC_2D, cfg, quick_sampler(), "binary")
         held = sig * gen.standard_normal((200, 2))
         held[:100, 0] -= sep
         held[100:, 0] += sep
         ova_pred = N.predict_label(ova.selected, held)
-        logits = N.logit_binary(direct.selected, held)
-        direct_pred = (logits > 0).astype(int)
+        direct_pred = N.predict_label(direct.selected, held)
         assert (ova_pred == direct_pred).mean() >= 0.95
