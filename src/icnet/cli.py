@@ -163,9 +163,12 @@ def parse_config(path, seed_override=None, out_override=None):
         exp["out"] = out_override
 
     batch_default = 32 if exp.get("task") == "synthetic2d" else 64
-    train = replace(TR.TrainConfig(batch_size=batch_default, seed=exp.get("seed", 0)),
-                    **_cast_section(cp, "train", _TRAIN_CASTS))
-    sampler = replace(S.SamplerConfig(), **_cast_section(cp, "sampler", _SAMPLER_CASTS))
+    try:
+        train = replace(TR.TrainConfig(batch_size=batch_default, seed=exp.get("seed", 0)),
+                        **_cast_section(cp, "train", _TRAIN_CASTS))
+        sampler = replace(S.SamplerConfig(), **_cast_section(cp, "sampler", _SAMPLER_CASTS))
+    except (TR.TrainerError, S.SamplerError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
     if exp.get("task") != "synthetic2d":
         # synthesized pixels must stay inside the normalized image range
         sampler = replace(sampler, clamp=(-1.0, 1.0))

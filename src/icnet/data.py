@@ -10,6 +10,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -222,11 +223,22 @@ IDX_GZIP_CHUNK = 4 << 20
 def _read_exact(fh, n: int, what: str, path) -> bytes:
     """The next n bytes, or IdxTruncatedError. No header field can ask for
     more memory than the file holds: a plain file is checked against the
-    bytes left, and a gzip stream, which has no size, is read in chunks."""
+    bytes left, and a gzip stream, which has no size, is read in chunks.
+    A gzip stream that is cut short raises IdxTruncatedError and a garbled
+    one IdxFormatError, each naming the file."""
     if isinstance(fh, gzip.GzipFile):
         data = bytearray()
-        while len(data) < n and (chunk := fh.read(min(n - len(data), IDX_GZIP_CHUNK))):
-            data += chunk
+        try:
+            while len(data) < n and (chunk := fh.read(min(n - len(data), IDX_GZIP_CHUNK))):
+                data += chunk
+            # after a file's last block this reaches the trailer, whose CRC
+            # and length are checked only there
+            fh.peek(1)
+        except EOFError as exc:
+            raise IdxTruncatedError(f"{path}: truncated while reading {what}") from exc
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise IdxFormatError(f"{path}: corrupt gzip stream while reading {what} "
+                                 f"({exc})") from exc
     else:
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         data = fh.read(n) if n <= left else b""

@@ -9,6 +9,7 @@ after a fixed step count (option3); chains that never meet an early-stop
 criterion are kept and tagged rather than discarded.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,13 @@ class SamplerConfig:
             raise SamplerError(f"unknown method {self.method!r}")
         if self.stopping not in ("option1", "option2", "option3"):
             raise SamplerError(f"unknown stopping rule {self.stopping!r}")
-        if self.step_size <= 0:
-            raise SamplerError("step_size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise SamplerError(f"step_size must be finite and positive, got {self.step_size}")
+        if self.max_steps < 0:
+            raise SamplerError(f"max_steps must be at least 0, got {self.max_steps}")
+        if not (math.isfinite(self.reference_sigma) and self.reference_sigma >= 0):
+            raise SamplerError("reference_sigma must be finite and at least 0, "
+                               f"got {self.reference_sigma}")
         if not 0 < self.anneal <= 1:
             raise SamplerError("anneal must lie in (0, 1]")
         if self.stopping == "option2" and not 0 < self.confidence_threshold < 1:
@@ -97,7 +103,8 @@ def langevin_step(x: Array, grad: Array, eps: float, rng: np.random.Generator,
 
 
 def _adam_step(x, grad, m, v, k, config: SamplerConfig, eps_k: float):
-    """One Adam-style ascent step; also returns which rows stayed finite.
+    """One Adam-style ascent step; also returns v_hat, whose rows decide
+    which chains stayed finite.
 
     grad*grad can overflow, which would freeze a chain at step size 0. A
     finite v_hat bounds the step, so it alone decides the row's finiteness.
@@ -110,7 +117,7 @@ def _adam_step(x, grad, m, v, k, config: SamplerConfig, eps_k: float):
     out = x + eps_k * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if config.clamp is not None:
         out = np.clip(out, config.clamp[0], config.clamp[1])
-    return out, m, v, _finite_rows(v_hat)
+    return out, m, v, v_hat
 
 
 def _finite_rows(a: Array) -> Array:
@@ -118,7 +125,12 @@ def _finite_rows(a: Array) -> Array:
     return np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
 
 
-# Active chains are evaluated in graphs of at most this many rows, so one
+def _take(rows, *arrays):
+    """Each array's `rows`; None stays None."""
+    return [None if a is None else a[rows] for a in arrays]
+
+
+# Live chains are evaluated in graphs of at most this many rows, so one
 # step's memory stays bounded however many chains run: for MNIST_NET the c2
 # input-grad patch matrix alone takes about 0.6 MB per row.
 MAX_GRAPH_ROWS = 256
@@ -159,9 +171,11 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
 
     On a multi-class classifier `class_index` names each chain's head: one
     int for every chain, or one int per chain, so a single call synthesizes
-    for every class. Each step evaluates the active chains in graphs of at
+    for every class. Each step evaluates the live chains in graphs of at
     most MAX_GRAPH_ROWS rows and draws one Langevin noise array for all of
-    them, so the result does not depend on that cap. A chain whose forward
+    them, so the result does not depend on that cap. The loop carries only
+    the live chains; a chain that stops leaves them once, and only then are
+    its sample and trace written to the output. A chain whose forward
     pass, gradient or update stops being finite is tagged non_finite and
     keeps its last finite sample; the other chains go on.
 
@@ -185,39 +199,39 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         if classes.shape != (count,):
             raise SamplerError(f"class_index holds {classes.shape} entries, "
                                f"expected one or {count}")
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
     steps = np.zeros(count, dtype=int)
     reasons = np.full(count, "", dtype=object)
     final_logits = np.zeros(count)
-    active = np.ones(count, dtype=bool)
-
-    def stop(rows, k, reason):
-        if rows.size:
-            steps[rows], reasons[rows], active[rows] = k, reason, False
-
     limit = config.fixed_steps if config.stopping == "option3" else config.max_steps
-    # chain j's logit path is paths[:path_len[j], j]: a chain active at step
-    # k writes row k, so a chain tagged in its forward pass has no entry for
+    # chain j's logit path is paths[:path_len[j], j]: a chain live at step k
+    # writes row k, so a chain tagged in its forward pass has no entry for
     # its last step
     paths = np.empty((limit + 1, count))
     path_len = np.zeros(count, dtype=np.intp)
+    # the live chains, in chain-id order: ids, samples, Adam moments and
+    # classes; x receives a chain's sample only when the chain stops
+    ids, live_x, live_m, live_v, live_classes = (
+        np.arange(count), x, np.zeros_like(x), np.zeros_like(x), classes)
+
+    def stop(rows, k, reason, logged=True):
+        """Retire the live rows `rows` at step k, writing back sample and trace."""
+        if not rows.size:
+            return
+        j = ids[rows]
+        x[j], steps[j], reasons[j], path_len[j] = live_x[rows], k, reason, k + logged
+        final_logits[j] = paths[k, j] if logged else np.nan
+
     # overflow is detected and tagged per row below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(limit + 1):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
             moving, grads = [], []
-            for at in range(0, idx.size, MAX_GRAPH_ROWS):
+            for at in range(0, ids.size, MAX_GRAPH_ROWS):
                 overflowed, graphs = _chain_graphs(
-                    classifier, x, idx[at:at + MAX_GRAPH_ROWS], classes)
-                final_logits[overflowed] = np.nan
-                stop(overflowed, k, STOP_NON_FINITE)
+                    classifier, live_x, np.arange(at, min(at + MAX_GRAPH_ROWS, ids.size)),
+                    live_classes)
+                stop(overflowed, k, STOP_NON_FINITE, logged=False)
                 for rows, (record, scalar, logits) in graphs:
-                    paths[k, rows] = logits
-                    path_len[rows] = k + 1
-                    final_logits[rows] = logits
+                    paths[k, ids[rows]] = logits
                     if config.stopping == "option1":
                         stop_now = logits > 0.0
                         reason = STOP_POSITIVE
@@ -231,32 +245,36 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                     if k == limit:
                         stop(rows[~stop_now], k, STOP_MAX)
                     elif not stop_now.all():
-                        moving.append(rows[~stop_now])
-                        grads.append(T.input_gradient(record, scalar)[~stop_now])
+                        # a slice keeps the common all-moving case free of gathers
+                        keep = ~stop_now if stop_now.any() else slice(None)
+                        moving.append(rows[keep])
+                        grads.append(T.input_gradient(record, scalar)[keep])
             if not moving:
-                continue
+                break
             moving, g = np.concatenate(moving), np.concatenate(grads)
-            ok = _finite_rows(g)
-            if not ok.all():
+            if not T.all_finite(g):
+                ok = _finite_rows(g)
                 stop(moving[~ok], k, STOP_NON_FINITE)
                 moving, g = moving[ok], g[ok]
                 if moving.size == 0:
-                    continue
+                    break
+            if moving.size < ids.size:  # some chain stopped: gather the others
+                ids, live_x, live_m, live_v, live_classes = _take(
+                    moving, ids, live_x, live_m, live_v, live_classes)
             eps_k = config.step_size * config.anneal ** k
             if config.method == "langevin":
-                new_x = langevin_step(x[moving], g, eps_k, rng,
+                new_x = langevin_step(live_x, g, eps_k, rng,
                                       noise=config.noise, clamp=config.clamp)
-                updated, ok = [(x, new_x)], _finite_rows(new_x)
+                new_m, new_v, bound = live_m, live_v, new_x
             else:
-                new_x, new_m, new_v, ok = _adam_step(
-                    x[moving], g, m[moving], v[moving], k, config, eps_k)
-                updated = [(x, new_x), (m, new_m), (v, new_v)]
-            if not ok.all():
-                stop(moving[~ok], k, STOP_NON_FINITE)
-                moving = moving[ok]
-                updated = [(target, value[ok]) for target, value in updated]
-            for target, value in updated:
-                target[moving] = value
+                new_x, new_m, new_v, bound = _adam_step(
+                    live_x, g, live_m, live_v, k, config, eps_k)
+            if not T.all_finite(bound):
+                ok = _finite_rows(bound)
+                stop(~ok, k, STOP_NON_FINITE)
+                ids, new_x, new_m, new_v, live_classes = _take(
+                    ok, ids, new_x, new_m, new_v, live_classes)
+            live_x, live_m, live_v = new_x, new_m, new_v
 
     confidences = T.sigmoid_value(final_logits)
     traces = [SynthesisTrace(int(steps[j]), float(final_logits[j]),

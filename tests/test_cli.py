@@ -1,5 +1,6 @@
 """Config grammar, CSV/PGM format contracts, and end-to-end run artifacts."""
 
+import gzip
 import hashlib
 import re
 import struct
@@ -216,6 +217,19 @@ class TestParseConfig:
         assert C.main(["train", "--config", str(path)]) == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, line, match", [
+        ("sampler", "method = foo", "unknown method 'foo'"),
+        ("train", "alpha = 2", "alpha must lie in")])
+    def test_invalid_value_exits_1_naming_the_file(self, tmp_path, capsys, section, line, match):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        with pytest.raises(C.CliError, match=f"^{re.escape(str(path))}: {match}"):
+            C.parse_config(path)
+        assert C.main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {match}") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(C.CliError, match="not found"):
             C.parse_config(tmp_path / "nope.ini")
@@ -353,6 +367,15 @@ class TestRunExperiment:
         assert C.main(["train", "--config", str(ini)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {images}: truncated while reading pixels\n"
+
+    def test_cut_gzip_idx_exits_1_naming_the_file(self, tmp_path, capsys):
+        ini = write_mnist_ini(tmp_path)
+        images = tmp_path / "mnist" / "train-images-idx3-ubyte"
+        packed = gzip.compress(images.read_bytes(), mtime=0)
+        images.write_bytes(packed[:len(packed) // 2])
+        assert C.main(["train", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {images}: truncated") and err.count("\n") == 1
 
     def test_softmax_mode_on_synthetic(self, tmp_path):
         out = tmp_path / "run"

@@ -3,6 +3,7 @@ pseudo-negative store."""
 
 import gzip
 import math
+import re
 import struct
 
 import numpy as np
@@ -192,6 +193,32 @@ class TestIdx:
         packed = D.load_idx(tmp_path / "img.gz", tmp_path / "lab.gz")
         assert packed.samples.tobytes() == plain.samples.tobytes()
         np.testing.assert_array_equal(packed.labels, plain.labels)
+
+    @staticmethod
+    def gzipped_images(tmp_path):
+        """A gzipped 3-image 28x28 IDX file of seeded pixels, beside its
+        plain label file; returns (image path, compressed bytes)."""
+        pixels = rng(8, 7).integers(0, 256, size=(3, 28, 28))
+        write_idx_fixture(tmp_path / "raw", tmp_path / "lab", pixels, [0, 1, 2])
+        packed = gzip.compress((tmp_path / "raw").read_bytes(), mtime=0)
+        return tmp_path / "img.gz", packed
+
+    def test_gzip_cut_at_every_offset_raises_truncated(self, tmp_path):
+        path, packed = self.gzipped_images(tmp_path)
+        for cut in range(len(packed)):
+            path.write_bytes(packed[:cut])
+            with pytest.raises(D.IdxTruncatedError, match=f"^{re.escape(str(path))}: truncated"):
+                D.load_idx(path, tmp_path / "lab")
+        path.write_bytes(packed)
+        assert len(D.load_idx(path, tmp_path / "lab")) == 3
+
+    def test_gzip_flipped_body_byte_raises_format_error(self, tmp_path):
+        path, packed = self.gzipped_images(tmp_path)
+        garbled = bytearray(packed)
+        garbled[len(packed) // 2] ^= 0xFF
+        path.write_bytes(bytes(garbled))
+        with pytest.raises(D.IdxFormatError, match=f"^{re.escape(str(path))}: corrupt gzip"):
+            D.load_idx(path, tmp_path / "lab")
 
     def test_error_kinds_are_distinct(self):
         kinds = {D.IdxMagicError, D.IdxTruncatedError, D.IdxCountMismatchError}

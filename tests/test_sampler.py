@@ -95,6 +95,24 @@ class TestConfigValidation:
         with pytest.raises(S.SamplerError):
             S.SamplerConfig(anneal=0.0)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("max_steps", -1, "max_steps"),
+        ("step_size", math.nan, "step_size"), ("step_size", math.inf, "step_size"),
+        ("step_size", 0.0, "step_size"), ("step_size", -0.1, "step_size"),
+        ("reference_sigma", -0.3, "reference_sigma"),
+        ("reference_sigma", math.nan, "reference_sigma"),
+        ("reference_sigma", math.inf, "reference_sigma")])
+    def test_out_of_range_value_rejected(self, key, value, match):
+        with pytest.raises(S.SamplerError, match=match):
+            S.SamplerConfig(**{key: value})
+
+    def test_zero_steps_and_zero_sigma_allowed(self):
+        config = S.SamplerConfig(max_steps=0, reference_sigma=0.0, confidence_threshold=0.99)
+        samples, traces = S.synthesize_pseudo_negatives(
+            peaked_classifier(), config, 2, rng(46, 3), (2,))
+        np.testing.assert_array_equal(samples, np.zeros((2, 2)))
+        assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_MAX, 0)] * 2
+
 
 class TestSynthesize:
     def test_zero_logit_classifier_stays_at_init(self):
@@ -252,6 +270,32 @@ class TestBatchedClasses:
             c, config, 6, rng(44, 3), (2,), class_index=classes)
         want = N.class_logits(c, samples)[np.arange(6), classes]
         np.testing.assert_allclose([t.final_logit for t in traces], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("cap", [S.MAX_GRAPH_ROWS, 5])
+    def test_chains_run_as_if_alone(self, monkeypatch, cap):
+        # 24 chains stop at widely spread steps, one is tagged non_finite at
+        # step 0, and the graphs hold 5 rows or every row: each chain still
+        # runs exactly as it does alone
+        monkeypatch.setattr(S, "MAX_GRAPH_ROWS", cap)
+        c = peaked_classifier()
+        config = S.SamplerConfig(method="plain-gradient", stopping="option2",
+                                 confidence_threshold=0.9, step_size=0.05, anneal=1.0,
+                                 max_steps=120)
+        init = S.draw_reference(24, (2,), 1.5, rng(47, 3))
+        init[7] = 1e308
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 24, rng(47, 4), (2,), init=init.copy())
+        assert (traces[7].stop_reason, traces[7].steps) == (S.STOP_NON_FINITE, 0)
+        stopped_at = [t.steps for t in traces if t.stop_reason == S.STOP_THRESHOLD]
+        assert len(set(stopped_at)) > 10 and max(stopped_at) - min(stopped_at) > 40
+        for j in range(24):
+            alone, (trace,) = S.synthesize_pseudo_negatives(
+                c, config, 1, rng(47, 4), (2,), init=init[j:j + 1].copy())
+            np.testing.assert_allclose(samples[j], alone[0], rtol=0, atol=1e-12)
+            t = traces[j]
+            assert (t.stop_reason, t.steps) == (trace.stop_reason, trace.steps)
+            np.testing.assert_allclose(t.final_logit, trace.final_logit, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t.logit_path, trace.logit_path, rtol=0, atol=1e-12)
 
     def test_class_index_length_checked(self):
         c = N.init_multiclass([T.dense(2, 8), T.leaky()], (2,), 3, rng(45, 1))
