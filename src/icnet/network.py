@@ -140,7 +140,6 @@ def predict_label(model, x) -> Array:
 
 # Kinds of head-graph term, each summed over its own batch of rows. `index`
 # holds class indices; a binary head's labels are 0 and 1.
-LOGIT = "logit"          # each row's logit (class index[i] on a K-column head)
 LABELED = "labeled"      # -ln q(y|x); weighted 1 - alpha on a K-column head
 NEGATIVE = "negative"    # -ln q(-1|x), or alpha * softplus(logit of class index[i])
 
@@ -167,10 +166,7 @@ def head_graph(c: Classifier, terms, alpha: float = 0.0,
         logits = record.affine(feats, head_w, head_b)
         logit_values.append(logits.value)
         n = logits.shape[0]
-        if kind == LOGIT:
-            picked = logits if c.binary else record.select(logits, np.broadcast_to(index, (n,)))
-            parts.append(record.sum(picked))
-        elif c.binary:
+        if c.binary:
             z = record.reshape(logits, (n,))
             if kind == LABELED:
                 # the one place a label becomes a sign: -ln q(y|x) = softplus(-y z)
@@ -185,26 +181,28 @@ def head_graph(c: Classifier, terms, alpha: float = 0.0,
     return record, functools.reduce(record.add, parts), logit_values
 
 
-def logit_sum_graph(c, x, class_index: int | Array | None = None,
-                    trainable_params: bool = False):
-    """Graph for the summed per-sample logit of each sample's head.
+def logit_sum_graph(c: Classifier, x, class_index: int | Array | None = None):
+    """A `T.InputGradPass` for the summed per-sample logit of each sample's head.
 
     Per-sample chains are independent, so the input gradient of the batch sum
     is exactly the per-sample logit gradient. A multi-class classifier takes
     `class_index` as one int for every row or one int per row; the full head
-    is evaluated and each row's logit selected, so chains of every class share
-    one graph. With trainable_params=False the parameters enter as constants
-    and backward skips their gradients, which is what synthesis wants.
-    Returns (record, scalar_node, logits (n,)).
+    is evaluated and each row's logit selected by a one-hot seed, so chains
+    of every class share one pass. Returns (pass, seed, logits (n,)), where
+    `T.input_gradient(pass, seed)` is d(sum)/dx.
     """
     if class_index is None and not c.binary:
         raise ValueError("multi-class synthesis needs a class index")
-    record, scalar, (logits,) = head_graph(
-        c, [(LOGIT, x, class_index)], params="param" if trainable_params else "const")
+    grad_pass = T.InputGradPass()
+    feats = T.feature_stack(grad_pass, c.spec, c.feature_params, T.as_tensor(x))
+    logits = grad_pass.affine(feats, c.head_w, c.head_b)
     if c.binary:
-        return record, scalar, logits[:, 0]
+        return grad_pass, np.ones_like(logits), logits[:, 0]
     rows = np.arange(logits.shape[0])
-    return record, scalar, logits[rows, np.broadcast_to(class_index, rows.shape)]
+    cols = np.broadcast_to(class_index, rows.shape)
+    seed = np.zeros_like(logits)
+    seed[rows, cols] = 1.0
+    return grad_pass, seed, logits[rows, cols]
 
 
 # ---------------------------------------------------------------------------

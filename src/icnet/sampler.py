@@ -140,9 +140,9 @@ def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
     """`logit_sum_graph`s over x[rows]; returns (overflowing rows, [(rows,
     graph), ...]).
 
-    Rows whose forward pass overflows are dropped. Rows whose logits are all
-    finite but whose taped sum overflows are split in halves, each with its
-    own graph; the sum decouples over rows, so no row's gradient changes.
+    Rows whose logits overflow are dropped. A pass that overflows where no
+    logit shows it, in a conv pixel no later kernel reads, is split in
+    halves instead. Rows are independent, so no row's gradient changes.
     """
     try:
         graph = N.logit_sum_graph(classifier, x[rows],
@@ -161,6 +161,31 @@ def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
             overflowed.append(part_overflowed)
             graphs += part_graphs
     return np.concatenate(overflowed), graphs
+
+
+def logit_threshold(p: float) -> float:
+    """The smallest double t with `T.sigmoid_value(t) >= p`, for p in (0, 1).
+
+    sigmoid_value never decreases, so a logit z clears confidence p exactly
+    when z >= t. t is found by bisection over the doubles in order (their
+    bit patterns, sign folded), asking sigmoid_value itself rather than
+    inverting it, so no rounding of a closed form can move the boundary.
+    """
+    def key(d: float) -> int:
+        bits = int(np.float64(d).view(np.int64))
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    def double(k: int) -> np.float64:
+        return np.int64(k if k >= 0 else -k | -(1 << 63)).view(np.float64)
+
+    lo, hi = key(-math.inf), key(math.inf)  # sigmoid 0 < p and 1 >= p
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if T.sigmoid_value(double(mid)) >= p:
+            hi = mid
+        else:
+            lo = mid
+    return float(double(hi))
 
 
 def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
@@ -199,6 +224,8 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         if classes.shape != (count,):
             raise SamplerError(f"class_index holds {classes.shape} entries, "
                                f"expected one or {count}")
+    if config.stopping == "option2":
+        threshold = logit_threshold(config.confidence_threshold)
     steps = np.zeros(count, dtype=int)
     reasons = np.full(count, "", dtype=object)
     final_logits = np.zeros(count)
@@ -236,7 +263,7 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                         stop_now = logits > 0.0
                         reason = STOP_POSITIVE
                     elif config.stopping == "option2":
-                        stop_now = T.sigmoid_value(logits) >= config.confidence_threshold
+                        stop_now = logits >= threshold
                         reason = STOP_THRESHOLD
                     else:
                         stop_now = np.full(rows.size, k == config.fixed_steps)

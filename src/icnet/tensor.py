@@ -500,6 +500,12 @@ class ComputationRecord:
             if rule is not None and g is not None:
                 rule(g)
 
+    def input_gradient(self, out: Node) -> Array:
+        """d(out)/dx for the record's registered differentiable input."""
+        x = self.input_node()
+        self.backward(out)
+        return np.zeros_like(x.value) if x.grad is None else x.grad
+
     def param_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "param"]
 
@@ -628,12 +634,54 @@ class _Untaped:
 UNTAPED = _Untaped()
 
 
+class InputGradPass:
+    """The four layer ops on plain arrays, keeping of each only the tape's
+    input-side gradient rule, so one reversed sweep gives d(out)/dx with the
+    parameters fixed. The tape's kernels, rules and op-output checks, so
+    values and input gradients equal a ComputationRecord's bitwise."""
+
+    def __init__(self):
+        self._rules: list[Callable[[Array], Array]] = []
+
+    def _keep(self, value: Array, op: str, rule: Callable[[Array], Array]) -> Array:
+        if not all_finite(value):
+            raise NonFiniteError(f"non-finite values produced by {op}")
+        self._rules.append(rule)
+        return value
+
+    def affine(self, x: Array, w: Array, b: Array) -> Array:
+        return self._keep(affine_value(x, w, b), "affine", lambda g: g @ w.T)
+
+    def conv2d(self, x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
+        shape = x.shape
+
+        def rule(g: Array) -> Array:
+            dout = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # no copy if channel-last
+            return conv2d_input_grad(dout, k, shape, stride, pad)
+
+        return self._keep(conv2d_value(x, k, b, stride, pad), "conv2d", rule)
+
+    def leaky(self, x: Array, slope: float) -> Array:
+        mask = x >= 0.0
+        return self._keep(leaky_value(x, slope), "leaky", lambda g: g * np.maximum(mask, slope))
+
+    def reshape(self, x: Array, shape) -> Array:
+        return self._keep(x.reshape(shape), "reshape", lambda g: g.reshape(x.shape))
+
+    def input_gradient(self, seed: Array) -> Array:
+        """d(sum of seed * the last op's output)/dx; drops each rule once run."""
+        g = seed
+        while self._rules:
+            g = self._rules.pop()(g)
+        return g
+
+
 def feature_stack(ops, spec: Sequence[LayerSpec], params: Sequence, x):
     """Run the layer stack on a batch and return its (n, width) features.
 
     `ops` is a ComputationRecord, with `params` and `x` its nodes, or
-    UNTAPED, with plain arrays. A shape mismatch or an unknown layer kind
-    raises ShapeMismatchError naming the layer.
+    UNTAPED or an InputGradPass, with plain arrays. A shape mismatch or an
+    unknown layer kind raises ShapeMismatchError naming the layer.
     """
     out = x
     pi = 0
@@ -681,11 +729,9 @@ def param_gradients(record: ComputationRecord, loss: Node) -> list[Array]:
             for n in record.param_nodes()]
 
 
-def input_gradient(record: ComputationRecord, scalar: Node) -> Array:
-    """d(scalar)/dx for the record's registered differentiable input."""
-    x = record.input_node()
-    record.backward(scalar)
-    return np.zeros_like(x.value) if x.grad is None else x.grad
+def input_gradient(graph, out) -> Array:
+    """d(out)/dx of a ComputationRecord (out: a scalar node) or an InputGradPass (out: a seed)."""
+    return graph.input_gradient(out)
 
 
 @dataclass

@@ -15,6 +15,7 @@ Determinism: every random decision draws from a stream keyed by
 """
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,8 +62,15 @@ class TrainConfig:
             raise TrainerError("alpha must lie in [0, 1)")
         if not 0.0 <= self.val_fraction < 1.0:
             raise TrainerError("val_fraction must lie in [0, 1)")
-        if self.batch_size < 1 or self.learning_rate <= 0:
-            raise TrainerError("batch_size and learning_rate must be positive")
+        if self.batch_size < 1:
+            raise TrainerError("batch_size must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainerError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise TrainerError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.init_epochs < 0 or self.epochs_per_round < 0:
+            raise TrainerError("init_epochs and epochs_per_round must be nonnegative")
 
 
 @dataclass

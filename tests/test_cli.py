@@ -219,7 +219,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section, line, match", [
         ("sampler", "method = foo", "unknown method 'foo'"),
-        ("train", "alpha = 2", "alpha must lie in")])
+        ("train", "alpha = 2", "alpha must lie in"),
+        ("train", "momentum = nan", "momentum must lie in")])
     def test_invalid_value_exits_1_naming_the_file(self, tmp_path, capsys, section, line, match):
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))

@@ -151,20 +151,51 @@ class TestPredictLabel:
                                       np.argmax(scores, axis=1))
 
 
+CONV_SPEC = [T.conv(1, 3), T.leaky(), T.conv(3, 4), T.leaky(), T.flatten(),
+             T.dense(16, 5), T.leaky()]
+
+
 class TestLogitSumGraph:
-    def test_scalar_matches_sum_of_logits(self):
+    @staticmethod
+    def stack(name, k, seed):
+        """A classifier and a batch of 6 inputs on the dense 2D or the conv stack."""
+        spec, shape = (SPEC_2D, (2,)) if name == "dense" else (CONV_SPEC, (1, 8, 8))
+        c = N.init_multiclass(spec, shape, k, rng(seed, 1))
+        c.head_b = c.head_b + 0.1 * rng(seed, 2).standard_normal(k)
+        return c, rng(seed, 6).standard_normal((6,) + shape)
+
+    @pytest.mark.parametrize("name", ["dense", "conv"])
+    @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
+    def test_matches_taped_graph_bitwise(self, name, k):
+        c, x = self.stack(name, k, 30)
+        classes = np.array([2, 0, 1, 0, 2, 1]) if k == 3 else np.zeros(6, dtype=int)
+        record = T.ComputationRecord()
+        x_node = record.leaf(x, "input")
+        p_nodes = [record.leaf(p, "const", checked=True) for p in c.all_params()]
+        feats = T.feature_stack(record, c.spec, p_nodes[:-2], x_node)
+        logits = record.select(record.affine(feats, p_nodes[-2], p_nodes[-1]), classes)
+        want_grad = T.input_gradient(record, record.sum(logits))
+        grad_pass, seed, got = N.logit_sum_graph(c, x, None if k == 1 else classes)
+        assert got.tobytes() == logits.value.tobytes()
+        grad = T.input_gradient(grad_pass, seed)
+        assert grad.shape == x.shape and grad.tobytes() == want_grad.tobytes()
+        # the taped graph's constant parameters get no gradient either
+        assert record.param_nodes() == [] and all(n.grad is None for n in p_nodes)
+
+    @pytest.mark.parametrize("name, op", [("dense", "affine"), ("conv", "conv2d")])
+    def test_intermediate_overflow_names_the_op(self, name, op):
+        c, x = self.stack(name, 1, 31)
+        c.feature_params[0] = 1e300 * c.feature_params[0]  # finite; the products are not
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(T.NonFiniteError, match=f"produced by {op}$"):
+            N.logit_sum_graph(c, 1e10 * x)
+
+    def test_binary_seed_is_ones_and_logits_match(self):
         c = make_binary(30)
         x = rng(30, 6).standard_normal((6, 2))
-        _, scalar, logits = N.logit_sum_graph(c, x)
-        np.testing.assert_allclose(float(scalar.value), logits.sum(), rtol=1e-13)
+        _, seed, logits = N.logit_sum_graph(c, x)
+        np.testing.assert_array_equal(seed, np.ones((6, 1)))
         np.testing.assert_allclose(logits, N.logit_binary(c, x), rtol=1e-13)
-
-    def test_const_params_get_no_gradients(self):
-        c = make_binary(31)
-        x = rng(31, 6).standard_normal((3, 2))
-        record, scalar, _ = N.logit_sum_graph(c, x, trainable_params=False)
-        record.backward(scalar)
-        assert record.param_nodes() == []
 
     def test_multiclass_column_selection(self):
         c = make_multiclass(32)
@@ -181,11 +212,11 @@ class TestLogitSumGraph:
         c = make_multiclass(34)
         x = rng(34, 6).standard_normal((5, 2))
         classes = np.array([2, 0, 1, 0, 2])
-        record, scalar, logits = N.logit_sum_graph(c, x, class_index=classes)
+        grad_pass, seed, logits = N.logit_sum_graph(c, x, class_index=classes)
         np.testing.assert_allclose(logits, N.class_logits(c, x)[np.arange(5), classes],
                                    rtol=1e-13)
         # each row's input gradient is that row's own head's gradient alone
-        grad = T.input_gradient(record, scalar)
+        grad = T.input_gradient(grad_pass, seed)
         for j, cls in enumerate(classes):
             r1, s1, _ = N.logit_sum_graph(c, x[j:j + 1], class_index=int(cls))
             np.testing.assert_allclose(grad[j:j + 1], T.input_gradient(r1, s1),
@@ -264,7 +295,9 @@ class TestFinitenessChecks:
         c = make_binary(42)
         x = np.array([[0.5, np.nan]])
         with pytest.raises(T.NonFiniteError):
-            N.head_graph(c, [(N.LOGIT, x, None)])
+            N.logit_sum_graph(c, x)
+        with pytest.raises(T.NonFiniteError):
+            N.head_graph(c, [(N.LABELED, x, np.array([1]))])
 
 
 class TestSerialization:

@@ -143,6 +143,14 @@ class TestSynthesize:
             if t.stop_reason == S.STOP_THRESHOLD:
                 assert p >= 0.95 - 1e-12
 
+    @pytest.mark.parametrize("p", [0.5, 0.9, 0.95, 0.99])
+    def test_logit_threshold_agrees_with_sigmoid_at_every_point(self, p):
+        t = S.logit_threshold(p)
+        near = (np.array(t).view(np.int64) + np.arange(-4096, 4097)).view(np.float64)
+        for z in (near, np.linspace(-40.0, 40.0, 80001)):
+            np.testing.assert_array_equal(z >= t, T.sigmoid_value(z) >= p)
+        assert T.sigmoid_value(np.float64(t)) >= p > T.sigmoid_value(np.nextafter(t, -np.inf))
+
     def test_option1_stops_once_positive(self):
         c = peaked_classifier(peak_logit=1.5, slope_scale=1.0)
         config = S.SamplerConfig(stopping="option1", max_steps=300)
@@ -336,7 +344,7 @@ class TestNonFiniteChains:
         np.testing.assert_array_equal(samples, init)
 
     def test_finite_logits_whose_sum_overflows_still_stop(self):
-        # each logit is 1.5e308, their taped sum is inf
+        # each logit is 1.5e308; their sum would be inf, but no sum is formed
         c = N.Classifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
                          np.array([[1.0], [0.0]]), np.zeros(1))
         init = np.full((2, 2), 1.5e308)
@@ -348,8 +356,8 @@ class TestNonFiniteChains:
         np.testing.assert_array_equal(samples, init)
 
     def test_sum_overflow_split_keeps_moving_chains_exact(self):
-        # two chains whose logit sum overflows, one that ascends normally:
-        # the split graphs give the healthy chain the same steps as alone
+        # two chains whose logit sum would overflow, one that ascends
+        # normally: sharing their pass, it takes the same steps as alone
         c = N.Classifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
                          np.array([[1.0], [0.0]]), np.zeros(1))
         init = np.array([[1.5e308, 0.0], [1.5e308, 0.0], [0.1, 0.2]])
@@ -360,6 +368,28 @@ class TestNonFiniteChains:
         alone, _ = S.synthesize_pseudo_negatives(
             c, config, 1, rng(54, 3), (2,), init=init[2:].copy())
         np.testing.assert_array_equal(samples[2], alone[0])
+
+    def test_overflow_no_logit_reads_tags_only_that_chain(self):
+        # pad-0 convs on 15x15: the first conv's output row 5 reads input
+        # rows 10-14 and overflows for chain 1, but the second conv reads
+        # only rows 0-4 of it, so every logit stays finite
+        spec = [T.conv(1, 1, pad=0), T.leaky(), T.conv(1, 1, pad=0), T.flatten()]
+        c = N.Classifier(spec, [np.full((1, 1, 5, 5), 10.0), np.zeros(1),
+                                np.full((1, 1, 5, 5), 0.01), np.zeros(1)],
+                         np.array([[1.0]]), np.zeros(1))
+        init = S.draw_reference(3, (1, 15, 15), 0.3, rng(57, 3))
+        init[1, 0, 14, 0] = 1e308
+        with np.errstate(over="ignore"):
+            assert T.all_finite(N.class_logits(c, init))
+        config = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=3)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 3, rng(57, 4), (1, 15, 15), init=init.copy())
+        assert [(t.stop_reason, t.steps) for t in traces] == \
+            [(S.STOP_FIXED, 3), (S.STOP_NON_FINITE, 0), (S.STOP_FIXED, 3)]
+        np.testing.assert_array_equal(samples[1], init[1])
+        alone, _ = S.synthesize_pseudo_negatives(
+            c, config, 2, rng(57, 4), (1, 15, 15), init=init[[0, 2]].copy())
+        np.testing.assert_allclose(samples[[0, 2]], alone, rtol=0, atol=1e-12)
 
     def test_nan_parameter_tags_every_chain(self):
         c = N.init_binary([T.dense(2, 4), T.leaky()], (2,), rng(55, 1))

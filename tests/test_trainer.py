@@ -184,6 +184,21 @@ class TestValStats:
         assert peak < 3 * param_bytes
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("key, value, match", [
+        ("learning_rate", math.nan, "learning_rate"), ("learning_rate", math.inf, "learning_rate"),
+        ("learning_rate", 0.0, "learning_rate"), ("momentum", math.nan, "momentum"),
+        ("momentum", -0.1, "momentum"), ("momentum", 1.0, "momentum"),
+        ("momentum", math.inf, "momentum"), ("init_epochs", -1, "init_epochs"),
+        ("epochs_per_round", -1, "epochs_per_round"), ("batch_size", 0, "batch_size")])
+    def test_out_of_range_value_rejected(self, key, value, match):
+        with pytest.raises(TR.TrainerError, match=match):
+            quick_config(**{key: value})
+
+    def test_zero_momentum_and_zero_epochs_allowed(self):
+        quick_config(momentum=0.0, init_epochs=0, epochs_per_round=0)
+
+
 class TestReclassificationStep:
     def test_zero_epochs_leave_params_unchanged(self):
         ds, _ = benchmark(20)
