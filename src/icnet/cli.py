@@ -13,7 +13,7 @@ import hashlib
 import sys
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +81,11 @@ class ExperimentConfig:
             raise CliError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.task != "synthetic2d" and self.mode == "binary":
             raise CliError("binary mode applies to the synthetic2d task only")
-        # every mode trains on both synthetic classes; the grid oracle needs 2 cells per axis
-        for key, low in (("n_positive", 1), ("n_negative", 1), ("test_positive", 0),
-                         ("test_negative", 0), ("subset_size", 1), ("test_subset", 0),
-                         ("grid_resolution", 2)):
+        # numpy seeds are nonnegative; every mode trains on both synthetic
+        # classes; the grid oracle needs 2 cells per axis
+        for key, low in (("seed", 0), ("n_positive", 1), ("n_negative", 1),
+                         ("test_positive", 0), ("test_negative", 0), ("subset_size", 1),
+                         ("test_subset", 0), ("grid_resolution", 2)):
             if getattr(self, key) < low:
                 raise CliError(f"experiment.{key} must be at least {low}, "
                                f"got {getattr(self, key)}")
@@ -92,54 +93,48 @@ class ExperimentConfig:
             raise CliError("experiment.test_positive + test_negative must be at least 1")
 
 
-_EXPERIMENT_CASTS = {
-    "task": str, "mode": str, "out": str, "seed": int,
-    "n_positive": int, "n_negative": int,
-    "test_positive": int, "test_negative": int,
-    "subset_size": int, "test_subset": int,
-    "mnist_dir": str, "grid_resolution": int,
-}
-
-_TRAIN_CASTS = {
-    "rounds": int, "pseudo_per_round": int, "epochs_per_round": int,
-    "init_epochs": int, "batch_size": int, "learning_rate": float,
-    "lr_drop_round": int, "momentum": float, "alpha": float,
-    "val_fraction": float, "patience": int,
-    "reinit_each_round": lambda s: s.strip().lower() in ("1", "true", "yes"),
-}
+# Each section's ini keys are its config's fields, in field order, less those
+# set another way: the sub-configs, TrainConfig.seed ([experiment] sets it)
+# and SamplerConfig.clamp (it follows from the task).
+_INI_FIELDS = {
+    section: [f for f in fields(cls) if f.name not in skipped]
+    for section, cls, skipped in (("experiment", ExperimentConfig, ("train", "sampler")),
+                                  ("train", TR.TrainConfig, ("seed",)),
+                                  ("sampler", S.SamplerConfig, ("clamp",)))}
 
 
-def _optional_int(raw):
-    """An int, or None (unset) for an empty value or the snapshot's `None`."""
-    return None if raw.strip() in ("", "None") else int(raw)
+def _cast(annotation, raw):
+    """One ini value as a field of type `annotation`; ValueError (KeyError for
+    a bool) if it is not one. `int | None` reads an empty value or the
+    snapshot's `None` as unset; a bool takes configparser's words
+    (1/yes/true/on, 0/no/false/off)."""
+    if annotation == int | None:
+        return None if raw in ("", "None") else int(raw)
+    if annotation is bool:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    return annotation(raw)
 
 
-_SAMPLER_CASTS = {
-    "method": str, "stopping": str, "step_size": float, "anneal": float,
-    "max_steps": int, "confidence_threshold": float, "fixed_steps": _optional_int,
-    "reference_sigma": float,
-    "noise": lambda s: s.strip().lower() in ("1", "true", "yes"),
-}
-
-
-def _cast_section(cp, section, casts):
-    """The section's values, each cast by its key's entry in `casts`."""
+def _cast_section(cp, section):
+    """The section's values, each cast by its config field's annotation."""
+    types = {f.name: f.type for f in _INI_FIELDS[section]}
     values = {}
     if not cp.has_section(section):
         return values
     for key, raw in cp.items(section):
-        if key not in casts:
+        if key not in types:
             raise CliError(f"unknown key {key!r} in section [{section}]")
         try:
-            values[key] = casts[key](raw)
-        except ValueError as exc:
+            values[key] = _cast(types[key], raw)
+        except (ValueError, KeyError) as exc:
             raise CliError(f"bad value for {section}.{key}: {raw!r}") from exc
     return values
 
 
 def parse_config(path, seed_override=None, out_override=None):
     """Parse the line-oriented `key = value` config with [experiment],
-    [train], and [sampler] sections into an ExperimentConfig."""
+    [train], and [sampler] sections into an ExperimentConfig. Every error
+    but a missing file names the file."""
     path = Path(path)
     if not path.is_file():
         raise CliError(f"config file not found: {path}")
@@ -148,47 +143,41 @@ def parse_config(path, seed_override=None, out_override=None):
         cp.read_string(path.read_text())
     except configparser.Error as exc:
         raise CliError(f"config parse error in {path}: {exc}") from exc
-    for section in cp.sections():
-        if section not in ("experiment", "train", "sampler"):
-            raise CliError(f"unknown section [{section}]")
-    if not cp.has_section("experiment"):
-        raise CliError("config must have an [experiment] section")
-    exp = _cast_section(cp, "experiment", _EXPERIMENT_CASTS)
-    for required in ("task", "mode", "out"):
-        if required not in exp:
-            raise CliError(f"experiment.{required} is required")
-    if seed_override is not None:
-        exp["seed"] = seed_override
-    if out_override is not None:
-        exp["out"] = out_override
-
-    batch_default = 32 if exp.get("task") == "synthetic2d" else 64
     try:
+        for section in cp.sections():
+            if section not in _INI_FIELDS:
+                raise CliError(f"unknown section [{section}]")
+        if not cp.has_section("experiment"):
+            raise CliError("config must have an [experiment] section")
+        exp = _cast_section(cp, "experiment")
+        for required in ("task", "mode", "out"):
+            if required not in exp:
+                raise CliError(f"experiment.{required} is required")
+        if seed_override is not None:
+            exp["seed"] = seed_override
+        if out_override is not None:
+            exp["out"] = out_override
+
+        batch_default = 32 if exp["task"] == "synthetic2d" else 64
         train = replace(TR.TrainConfig(batch_size=batch_default, seed=exp.get("seed", 0)),
-                        **_cast_section(cp, "train", _TRAIN_CASTS))
-        sampler = replace(S.SamplerConfig(), **_cast_section(cp, "sampler", _SAMPLER_CASTS))
-    except (TR.TrainerError, S.SamplerError) as exc:
+                        **_cast_section(cp, "train"))
+        sampler = replace(S.SamplerConfig(), **_cast_section(cp, "sampler"))
+        if exp["task"] != "synthetic2d":
+            # synthesized pixels must stay inside the normalized image range
+            sampler = replace(sampler, clamp=(-1.0, 1.0))
+        return ExperimentConfig(train=train, sampler=sampler, **exp)
+    except (CliError, TR.TrainerError, S.SamplerError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-    if exp.get("task") != "synthetic2d":
-        # synthesized pixels must stay inside the normalized image range
-        sampler = replace(sampler, clamp=(-1.0, 1.0))
-    return ExperimentConfig(train=train, sampler=sampler, **exp)
 
 
 def config_snapshot_text(config):
     """Normalized, fully explicit config rendering; stable across reruns."""
-    lines = ["[experiment]"]
-    for key in _EXPERIMENT_CASTS:
-        lines.append(f"{key} = {getattr(config, key)}")
-    lines.append("")
-    lines.append("[train]")
-    for key in _TRAIN_CASTS:
-        lines.append(f"{key} = {getattr(config.train, key)}")
-    lines.append("")
-    lines.append("[sampler]")
-    for key in _SAMPLER_CASTS:
-        lines.append(f"{key} = {getattr(config.sampler, key)}")
-    lines.append("")
+    lines = []
+    for section, values in (("experiment", config), ("train", config.train),
+                            ("sampler", config.sampler)):
+        lines.append(f"[{section}]")
+        lines += [f"{f.name} = {getattr(values, f.name)}" for f in _INI_FIELDS[section]]
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -482,6 +471,9 @@ def cmd_train(args):
 def cmd_oracle_verify(args):
     """Check the round-ratio identity for random classifier pairs on the
     exact grid; the gap must sit at numerical-noise level."""
+    for flag, low in (("pairs", 1), ("resolution", 2), ("seed", 0)):
+        if getattr(args, flag) < low:
+            raise CliError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
     res = (args.resolution, args.resolution)
     prior = O.reference_grid(resolution=res)
     p_plus_density = D.MixtureDensity(
@@ -617,7 +609,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, D.DataError, N.ModelFormatError) as exc:
+    except (CliError, D.DataError, N.ModelFormatError, R.RobustnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,7 @@ container used by MNIST-style files, pixel normalization, deterministic
 splits, and the on-disk pseudo-negative store.
 """
 
+import functools
 import gzip
 import math
 import os
@@ -220,12 +221,12 @@ def _open_maybe_gzip(path):
 IDX_GZIP_CHUNK = 4 << 20
 
 
-def _read_exact(fh, n: int, what: str, path) -> bytes:
-    """The next n bytes, or IdxTruncatedError. No header field can ask for
-    more memory than the file holds: a plain file is checked against the
-    bytes left, and a gzip stream, which has no size, is read in chunks.
-    A gzip stream that is cut short raises IdxTruncatedError and a garbled
-    one IdxFormatError, each naming the file."""
+def read_exact(fh, n: int, what: str, path, error) -> bytes:
+    """The next n bytes of an outside file, or `error` naming the file. No
+    header field can ask for more memory than the file holds: a plain file
+    is checked against the bytes left (model shape fields are signed, so n
+    may be negative), and a gzip stream, which has no size, is read in
+    chunks. A garbled gzip stream, only ever an IDX file, is an IdxFormatError."""
     if isinstance(fh, gzip.GzipFile):
         data = bytearray()
         try:
@@ -235,16 +236,17 @@ def _read_exact(fh, n: int, what: str, path) -> bytes:
             # and length are checked only there
             fh.peek(1)
         except EOFError as exc:
-            raise IdxTruncatedError(f"{path}: truncated while reading {what}") from exc
+            raise error(f"{path}: truncated {what}") from exc
         except (gzip.BadGzipFile, zlib.error) as exc:
             raise IdxFormatError(f"{path}: corrupt gzip stream while reading {what} "
                                  f"({exc})") from exc
-    else:
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        data = fh.read(n) if n <= left else b""
-    if len(data) != n:
-        raise IdxTruncatedError(f"{path}: truncated while reading {what}")
-    return data
+        if len(data) != n:
+            raise error(f"{path}: truncated {what}")
+        return data
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= n <= left:
+        raise error(f"{path}: truncated {what}: needs {n} bytes, {left} left")
+    return fh.read(n)
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
@@ -252,20 +254,20 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     raw pixel values in [0,255]."""
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(
-            ">IIII", _read_exact(fh, 16, "image header", images_path))
+            ">IIII", read_exact(fh, 16, "image header", images_path, IdxTruncatedError))
         if magic != IDX_IMAGES_MAGIC:
             raise IdxMagicError(f"{images_path}: magic {magic:#010x}, "
                                 f"expected {IDX_IMAGES_MAGIC:#010x}")
-        raw = _read_exact(fh, count * rows * cols, "pixels", images_path)
+        raw = read_exact(fh, count * rows * cols, "pixels", images_path, IdxTruncatedError)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
     with _open_maybe_gzip(labels_path) as fh:
         magic, n_labels = struct.unpack(
-            ">II", _read_exact(fh, 8, "label header", labels_path))
+            ">II", read_exact(fh, 8, "label header", labels_path, IdxTruncatedError))
         if magic != IDX_LABELS_MAGIC:
             raise IdxMagicError(f"{labels_path}: magic {magic:#010x}, "
                                 f"expected {IDX_LABELS_MAGIC:#010x}")
-        labels = np.frombuffer(_read_exact(fh, n_labels, "labels", labels_path),
-                               dtype=np.uint8)
+        labels = np.frombuffer(read_exact(fh, n_labels, "labels", labels_path,
+                                          IdxTruncatedError), dtype=np.uint8)
     if count != n_labels:
         raise IdxCountMismatchError(
             f"{count} images in {images_path} vs {n_labels} labels in {labels_path}")
@@ -378,17 +380,10 @@ def save_store(store: PseudoNegativeStore, path) -> None:
 def load_store(path) -> PseudoNegativeStore:
     """Read a store file; a bad magic, a cut or oversized field, a NaN or
     Inf sample value or bytes after the samples raise StoreFormatError, and
-    another format version (1 included) StoreVersionError. Each read is
-    checked against the bytes left in the file before it is made, so no
-    header field can ask for more memory than the file holds."""
+    another format version (1 included) StoreVersionError. Every counted
+    read goes through `read_exact`."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def read(n: int, what: str) -> bytes:
-            if n > size - fh.tell():
-                raise StoreFormatError(f"{path}: truncated {what}")
-            return fh.read(n)
-
+        read = functools.partial(read_exact, fh, path=path, error=StoreFormatError)
         if fh.read(len(STORE_MAGIC)) != STORE_MAGIC:
             raise StoreFormatError(f"{path}: bad magic, not a pseudo-negative store")
         version, count = struct.unpack("<IQ", read(12, "store header"))

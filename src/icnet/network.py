@@ -11,12 +11,12 @@ classifiers. Bias terms ride along with every head.
 import functools
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as D
 from . import tensor as T
 
 Array = np.ndarray
@@ -233,26 +233,17 @@ def _write_tensor(fh, arr: Array) -> None:
 def _read_tensor(fh, path, want: tuple) -> Array:
     """The next tensor, whose shape must match `want`; None in `want`
     matches any size."""
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise ModelFormatError(f"{path}: truncated tensor header")
-    ndim = struct.unpack("<q", raw)[0]
+    read = functools.partial(D.read_exact, fh, path=path, error=ModelFormatError)
+    ndim = struct.unpack("<q", read(8, "tensor header"))[0]
     if ndim != len(want):
         raise ModelFormatError(f"{path}: tensor of rank {ndim} where the header implies {want}")
-    raw = fh.read(8 * ndim)
-    if len(raw) != 8 * ndim:
-        raise ModelFormatError(f"{path}: truncated tensor shape")
-    shape = struct.unpack(f"<{ndim}q", raw)
+    shape = struct.unpack(f"<{ndim}q", read(8 * ndim, "tensor shape"))
     if any(w is not None and d != w for d, w in zip(shape, want)):
         raise ModelFormatError(f"{path}: tensor of shape {shape} where the header implies {want}")
-    n_bytes = 8 * math.prod(shape)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    # checked before the read, so a huge shape field cannot ask for more
-    # memory than the file holds
-    if not 0 <= n_bytes <= left:
-        raise ModelFormatError(f"{path}: truncated tensor data: shape {shape} "
-                               f"needs {n_bytes} bytes, {left} left")
-    arr = np.frombuffer(fh.read(n_bytes), dtype="<f8").astype(np.float64).reshape(shape)
+    # the raw bytes stay a temporary: bound to a name, a conv kernel's bytes
+    # would live on through its channel-last copy below
+    arr = np.frombuffer(read(8 * math.prod(shape), f"tensor data of shape {shape}"),
+                        dtype="<f8").astype(np.float64).reshape(shape)
     if not T.all_finite(arr):
         raise ModelFormatError(f"{path}: tensor of shape {shape} holds NaN or Inf")
     # a conv kernel is laid out channel-last once, here, not in every conv call
@@ -286,13 +277,14 @@ def load_model(path):
     with open(path, "rb") as fh:
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
             raise ModelFormatError(f"{path}: bad magic, not a model file")
-        # a cut or garbled header line: JSON and UTF-8 errors are ValueErrors
+        # a cut or garbled header line: JSON and UTF-8 errors are ValueErrors,
+        # and int() of an infinite field (1e999) is an OverflowError
         try:
             header = json.loads(fh.readline().decode())
             spec = _spec_from_descriptor(header["spec"])
             kind = header["kind"]
             classes = int(header.get("classes", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: malformed header: {exc!r}") from None
         for layer in spec:
             if layer.kind not in T.LAYER_KINDS:

@@ -52,7 +52,7 @@ def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP,
     each row, read off the logits of the attack's own forward pass.
     """
     x = np.asarray(x, dtype=np.float64)
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN too
         raise RobustnessError(f"epsilon must be >= 0, got {epsilon}")
     labels = np.atleast_1d(np.asarray(true_label))
     if labels.shape[0] != x.shape[0]:

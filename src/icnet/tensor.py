@@ -541,6 +541,11 @@ class LayerSpec:
         # the leaky kernels are exact only for slopes in [0, 1] (see `leaky_value`)
         if not 0.0 <= self.slope <= 1.0:
             raise ValueError(f"leaky slope must be finite and lie in [0, 1], got {self.slope!r}")
+        if self.kind in ("dense", "conv") and min(self.in_width, self.out_width) < 1:
+            raise ValueError(f"{self.kind} widths must be at least 1, "
+                             f"got {self.in_width} and {self.out_width}")
+        if self.kind == "conv" and self.pad < 0:
+            raise ValueError(f"conv pad must be at least 0, got {self.pad}")
 
 
 def dense(in_width: int, out_width: int) -> LayerSpec:

@@ -71,6 +71,10 @@ class TrainConfig:
             raise TrainerError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.init_epochs < 0 or self.epochs_per_round < 0:
             raise TrainerError("init_epochs and epochs_per_round must be nonnegative")
+        if self.patience < 1:
+            raise TrainerError(f"patience must be at least 1, got {self.patience}")
+        if self.lr_drop_round < 0:
+            raise TrainerError(f"lr_drop_round must be at least 0, got {self.lr_drop_round}")
 
 
 @dataclass

@@ -159,6 +159,22 @@ class TestPgm:
             C.dump_images(np.zeros((5, 2)), tmp_path / "bad.pgm")
 
 
+# one non-default legal value per ini key, in the config's field order
+NON_DEFAULT = {
+    "experiment": {"task": "mnist-full", "mode": "baseline", "out": "elsewhere", "seed": "5",
+                   "n_positive": "7", "n_negative": "8", "test_positive": "9",
+                   "test_negative": "10", "subset_size": "11", "test_subset": "12",
+                   "mnist_dir": "digits", "grid_resolution": "16"},
+    "train": {"rounds": "2", "pseudo_per_round": "3", "epochs_per_round": "4",
+              "init_epochs": "6", "batch_size": "8", "learning_rate": "0.125",
+              "lr_drop_round": "3", "momentum": "0.5", "alpha": "0.25",
+              "val_fraction": "0.2", "patience": "5", "reinit_each_round": "on"},
+    "sampler": {"method": "langevin", "stopping": "option1", "step_size": "0.5",
+                "anneal": "0.5", "max_steps": "9", "confidence_threshold": "0.75",
+                "fixed_steps": "3", "reference_sigma": "0.5", "noise": "off"},
+}
+
+
 class TestParseConfig:
     def test_minimal_config_and_defaults(self, tmp_path):
         path = write_config(tmp_path)
@@ -200,7 +216,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("grid_resolution", 0), ("grid_resolution", 1), ("test_positive", -3),
         ("test_negative", -1), ("n_positive", 0), ("n_negative", -1),
-        ("subset_size", 0), ("test_subset", -1)])
+        ("subset_size", 0), ("test_subset", -1), ("seed", -1)])
     def test_out_of_range_size_rejected(self, tmp_path, key, value):
         with pytest.raises(C.CliError, match=f"experiment.{key} must be at least"):
             C.ExperimentConfig("synthetic2d", "binary", str(tmp_path), **{key: value})
@@ -220,10 +236,15 @@ class TestParseConfig:
     @pytest.mark.parametrize("section, line, match", [
         ("sampler", "method = foo", "unknown method 'foo'"),
         ("train", "alpha = 2", "alpha must lie in"),
-        ("train", "momentum = nan", "momentum must lie in")])
+        ("train", "momentum = nan", "momentum must lie in"),
+        ("train", "patience = 0", "patience must be at least 1"),
+        ("train", "lr_drop_round = -3", "lr_drop_round must be at least 0"),
+        ("experiment", "seed = -1", "experiment.seed must be at least 0")])
     def test_invalid_value_exits_1_naming_the_file(self, tmp_path, capsys, section, line, match):
         path = write_config(tmp_path)
-        path.write_text(path.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        # the line replaces the config's own value for its key, if it has one
+        text = re.sub(f"^{line.split(' = ')[0]} = .*\n", "", path.read_text(), flags=re.M)
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
         with pytest.raises(C.CliError, match=f"^{re.escape(str(path))}: {match}"):
             C.parse_config(path)
         assert C.main(["train", "--config", str(path)]) == 1
@@ -282,6 +303,45 @@ class TestParseConfig:
         assert "batch = 64\n" in snippet
         exec(snippet.replace("batch = 64\n", "batch = 2\n"), {})
         assert "SGD step at batch 2: median" in capsys.readouterr().out
+
+    def test_schema_is_the_config_fields(self):
+        # adding a config field means adding its non-default value below
+        assert {s: list(keys) for s, keys in NON_DEFAULT.items()} == {
+            s: [f.name for f in fields] for s, fields in C._INI_FIELDS.items()}
+        assert sum(map(len, NON_DEFAULT.values())) == 33
+
+    @pytest.mark.parametrize("section, key", [(s, k) for s, keys in NON_DEFAULT.items()
+                                              for k in keys])
+    def test_every_key_round_trips(self, tmp_path, section, key):
+        sections = {"experiment": {"task": "synthetic2d", "mode": "softmax",
+                                   "out": str(tmp_path / "run")}, "train": {}, "sampler": {}}
+
+        def parse(name):
+            path = tmp_path / name
+            path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                                    for s, kv in sections.items()))
+            cfg = C.parse_config(path)
+            return cfg, (cfg if section == "experiment" else getattr(cfg, section))
+
+        _, default = parse("default.ini")
+        sections[section][key] = NON_DEFAULT[section][key]
+        cfg, values = parse("edited.ini")
+        assert getattr(values, key) != getattr(default, key)
+        snap = tmp_path / "config.ini"
+        snap.write_text(C.config_snapshot_text(cfg))
+        assert C.parse_config(snap) == cfg
+
+    @pytest.mark.parametrize("word, value", [("on", True), ("Yes", True), ("1", True),
+                                             ("off", False), ("NO", False), ("0", False),
+                                             ("maybe", None), ("", None)])
+    def test_boolean_words(self, tmp_path, word, value):
+        # before: any word but 1, true or yes read as False
+        path = write_config(tmp_path, extra_train=f"reinit_each_round = {word}")
+        if value is None:
+            with pytest.raises(C.CliError, match="bad value for train.reinit_each_round"):
+                C.parse_config(path)
+        else:
+            assert C.parse_config(path).train.reinit_each_round is value
 
     @pytest.mark.parametrize("raw", ["", "None"])
     def test_unset_fixed_steps(self, tmp_path, raw):
@@ -367,7 +427,7 @@ class TestRunExperiment:
         images.write_bytes(struct.pack(">IIII", 0x00000803, 2 ** 31, 2 ** 15, 2 ** 15) + bytes(32))
         assert C.main(["train", "--config", str(ini)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {images}: truncated while reading pixels\n"
+        assert err == f"error: {images}: truncated pixels: needs {2 ** 61} bytes, 32 left\n"
 
     def test_cut_gzip_idx_exits_1_naming_the_file(self, tmp_path, capsys):
         ini = write_mnist_ini(tmp_path)
@@ -599,6 +659,24 @@ class TestSubcommands:
         assert lines[0] == b"pair,identity_gap"
         gaps = [float(l.split(b",")[1]) for l in lines[1:] if l]
         assert len(gaps) == 5 and max(gaps) < 1e-9
+
+    @pytest.mark.parametrize("argv, match", [
+        (["oracle-verify", "--seed", "-1"], "--seed must be at least 0"),
+        (["oracle-verify", "--pairs", "0"], "--pairs must be at least 1"),
+        (["oracle-verify", "--resolution", "1"], "--resolution must be at least 2"),
+        (["adversarial", "--eps", "-1"], "epsilon must be >= 0"),
+        (["adversarial", "--eps", "nan"], "epsilon must be >= 0")],
+        ids=["seed", "pairs", "resolution", "eps", "eps-nan"])
+    def test_out_of_range_flag_exits_1_with_one_error_line(self, runs_2d, capsys, argv, match):
+        # before: each ended in a traceback
+        if argv[0] == "adversarial":
+            ini, run_dir = runs_2d["binary"]
+            model = str(run_dir / "model_final.bin")
+            argv = argv + ["--model-a", model, "--model-b", model, "--config", str(ini)]
+        assert C.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {match}") and captured.err.count("\n") == 1
 
     def test_adversarial_and_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, rounds=1,

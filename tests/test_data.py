@@ -179,7 +179,7 @@ class TestIdx:
             raw = path.read_bytes()
             with gzip.open(path, "wb") as fh:
                 fh.write(raw)
-        with pytest.raises(D.IdxTruncatedError, match=f"{path}: truncated while reading {block}"):
+        with pytest.raises(D.IdxTruncatedError, match=f"{path}: truncated {block}"):
             D.load_idx(tmp_path / "img", tmp_path / "lab")
 
     def test_gzip_reads_in_chunks_match_plain(self, tmp_path, monkeypatch):
@@ -202,15 +202,6 @@ class TestIdx:
         write_idx_fixture(tmp_path / "raw", tmp_path / "lab", pixels, [0, 1, 2])
         packed = gzip.compress((tmp_path / "raw").read_bytes(), mtime=0)
         return tmp_path / "img.gz", packed
-
-    def test_gzip_cut_at_every_offset_raises_truncated(self, tmp_path):
-        path, packed = self.gzipped_images(tmp_path)
-        for cut in range(len(packed)):
-            path.write_bytes(packed[:cut])
-            with pytest.raises(D.IdxTruncatedError, match=f"^{re.escape(str(path))}: truncated"):
-                D.load_idx(path, tmp_path / "lab")
-        path.write_bytes(packed)
-        assert len(D.load_idx(path, tmp_path / "lab")) == 3
 
     def test_gzip_flipped_body_byte_raises_format_error(self, tmp_path):
         path, packed = self.gzipped_images(tmp_path)

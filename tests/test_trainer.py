@@ -190,7 +190,8 @@ class TestConfigValidation:
         ("learning_rate", 0.0, "learning_rate"), ("momentum", math.nan, "momentum"),
         ("momentum", -0.1, "momentum"), ("momentum", 1.0, "momentum"),
         ("momentum", math.inf, "momentum"), ("init_epochs", -1, "init_epochs"),
-        ("epochs_per_round", -1, "epochs_per_round"), ("batch_size", 0, "batch_size")])
+        ("epochs_per_round", -1, "epochs_per_round"), ("batch_size", 0, "batch_size"),
+        ("patience", 0, "patience"), ("lr_drop_round", -1, "lr_drop_round")])
     def test_out_of_range_value_rejected(self, key, value, match):
         with pytest.raises(TR.TrainerError, match=match):
             quick_config(**{key: value})
