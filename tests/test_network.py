@@ -353,6 +353,51 @@ class TestSerialization:
             N.load_model(path)
 
 
+class TestTruncatedModelFiles:
+    """Every proper prefix of a model file fails with ModelFormatError."""
+
+    @pytest.mark.parametrize("model", [
+        lambda: N.init_binary([T.dense(2, 2), T.leaky()], (2,), rng(60, 1)),
+        lambda: N.init_multiclass([T.dense(2, 2), T.leaky()], (2,), 3, rng(61, 1)),
+        lambda: N.OneVsAllEnsemble([N.init_binary([T.dense(2, 2)], (2,), rng(62 + k, 1))
+                                    for k in range(2)]),
+    ], ids=["binary", "multiclass", "one_vs_all"])
+    def test_every_truncation_raises_typed(self, tmp_path, model):
+        path = tmp_path / "m.icnet"
+        N.save_model(path, model())
+        data = path.read_bytes()
+        N.load_model(path)
+        cut = tmp_path / "cut.icnet"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(N.ModelFormatError):
+                N.load_model(cut)
+
+    def test_every_error_names_the_file(self, tmp_path):
+        path = tmp_path / "m.icnet"
+        N.save_model(path, N.init_binary([T.dense(2, 2), T.leaky()], (2,), rng(63, 1)))
+        data = path.read_bytes()
+        cut = tmp_path / "cut-model.icnet"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(N.ModelFormatError) as info:
+                N.load_model(cut)
+            assert str(cut) in str(info.value)
+
+    def test_tensor_header_and_data_cuts_name_the_file(self, tmp_path):
+        path = tmp_path / "m.icnet"
+        N.save_model(path, N.init_binary([T.dense(2, 2), T.leaky()], (2,), rng(64, 1)))
+        data = path.read_bytes()
+        first_tensor = data.index(b"\n", len(N.MODEL_MAGIC)) + 1
+        cut = tmp_path / "cut-model.icnet"
+        for n, what in ((first_tensor + 4, "tensor header"),
+                        (first_tensor + 8 + 2 * 8 + 8, "tensor data")):
+            cut.write_bytes(data[:n])
+            with pytest.raises(N.ModelFormatError, match=f"truncated {what}") as info:
+                N.load_model(cut)
+            assert str(info.value).startswith(f"{cut}: ")
+
+
 class TestLoadValidation:
     """load_model checks what it reads against the header; each defect is a
     ModelFormatError that starts with the path."""
