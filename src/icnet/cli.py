@@ -328,6 +328,8 @@ def _load_task_data(config):
     root = Path(config.mnist_dir) if config.mnist_dir else D.default_mnist_dir()
     train_full, test_full = D.load_mnist(root)
     input_files = [D.find_mnist_file(root, key) for key in D.MNIST_STEMS]
+    if not len(test_full):
+        raise D.DataError(f"{D.find_mnist_file(root, 'test_images')}: no test images")
     train_full = D.normalize(train_full)
     test_full = D.normalize(test_full)
     if config.task == "mnist-subset":
@@ -418,10 +420,13 @@ def _run_experiment_inner(config, out_dir):
                          test_error=_test_error(model_t, test_ds),
                          store_size=m.store_size, kl_to_positive=kl)
         N.save_model(ckpt_dir / f"model_round_{t:02d}.bin", model_t)
-        D.save_store(store_t, ckpt_dir / f"store_round_{t:02d}.bin")
+        # this round's rows only: the whole store is store_final.bin
+        made = store_t.rounds == t
+        round_store = D.PseudoNegativeStore(store_t.samples[made], store_t.rounds[made],
+                                            store_t.tags[made])
+        D.save_store(round_store, ckpt_dir / f"store_round_{t:02d}.bin")
         if image_task and t >= 1:
-            round_samples = store_t.samples[store_t.rounds == t]
-            dump_images(round_samples[:64], img_dir / f"pseudo_round_{t:02d}.pgm")
+            dump_images(round_store.samples[:64], img_dir / f"pseudo_round_{t:02d}.pgm")
         rows.append(row)
         emit_metrics(rows, out_dir / "metrics.csv")
         print(f"round {t}: train_loss {format_float(row.train_loss)}  "

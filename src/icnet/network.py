@@ -138,47 +138,40 @@ def predict_label(model, x) -> Array:
 # graphs over the stack and head: training loss, FGSM loss, synthesis logit
 # ---------------------------------------------------------------------------
 
-# Kinds of head-graph term, each summed over its own batch of rows. `index`
-# holds class indices; a binary head's labels are 0 and 1.
-LABELED = "labeled"      # -ln q(y|x); weighted 1 - alpha on a K-column head
-NEGATIVE = "negative"    # -ln q(-1|x), or alpha * softplus(logit of class index[i])
-
-
-def head_graph(c: Classifier, terms, alpha: float = 0.0,
+def head_graph(c: Classifier, x, labels, negative=None, alpha: float = 0.0,
                params: str = "const", inputs: str = "input"):
-    """One record over c's stack and head, summing `terms`.
+    """One record that runs the batch x once through c's stack and head.
 
-    Each term is (kind, x, index) and runs x through the stack on the same
-    parameter leaves, of kind `params`; each x is a leaf of kind `inputs`.
-    The parameters enter unscanned, since they were checked for NaN/Inf
-    where they were written (see `init_multiclass`); each x is scanned.
-    -ln sigmoid(z) is computed as softplus(-z). Returns (record, scalar,
-    [each term's (n, K) logits]).
+    Row i is labeled labels[i], or is a pseudo-negative tagged labels[i]
+    where the bool mask `negative` is set. Its loss is -ln q(y|x), times
+    1 - alpha on a K-column head; a pseudo-negative's is -ln q(-1|x) on a
+    binary head and alpha * softplus(tagged logit) on a K-column one. The
+    `params` leaves enter unscanned (checked where written, see
+    `init_multiclass`); x, a leaf of kind `inputs`, is scanned. Returns
+    (record, scalar, (n, K) logits).
     """
     if not isinstance(c, Classifier):
         raise TypeError(f"no head graph for {type(c).__name__}")
     record = T.ComputationRecord()
     p_nodes = [record.leaf(p, params, checked=True) for p in c.all_params()]
-    feat_nodes, head_w, head_b = p_nodes[:-2], p_nodes[-2], p_nodes[-1]
-    parts, logit_values = [], []
-    for kind, x, index in terms:
-        feats = T.feature_stack(record, c.spec, feat_nodes, record.leaf(x, inputs))
-        logits = record.affine(feats, head_w, head_b)
-        logit_values.append(logits.value)
-        n = logits.shape[0]
-        if c.binary:
-            z = record.reshape(logits, (n,))
-            if kind == LABELED:
-                # the one place a label becomes a sign: -ln q(y|x) = softplus(-y z)
-                z = record.mul_const(z, 1.0 - 2.0 * np.asarray(index, dtype=np.float64))
-            parts.append(record.sum(record.softplus(z)))
-        elif kind == LABELED:
-            picked = record.select(record.log_softmax(logits), index)
-            parts.append(record.scale(record.sum(picked), -(1.0 - alpha)))
-        else:
-            picked = record.select(logits, index)
-            parts.append(record.scale(record.sum(record.softplus(picked)), alpha))
-    return record, functools.reduce(record.add, parts), logit_values
+    feats = T.feature_stack(record, c.spec, p_nodes[:-2], record.leaf(x, inputs))
+    logits = record.affine(feats, p_nodes[-2], p_nodes[-1])
+    neg = np.zeros(len(labels), bool) if negative is None else np.asarray(negative, bool)
+    if c.binary:
+        # the one place a label becomes a sign, -ln q(y|x) = softplus(-y z);
+        # a pseudo-negative's -ln q(-1|x) is the labeled term of class 0
+        z = record.reshape(logits, (logits.shape[0],))
+        z = record.mul_const(z, np.where(neg, 1.0, 1.0 - 2.0 * labels))
+        return record, record.sum(record.softplus(z)), logits.value
+    # K columns: labeled rows through log_softmax, pseudo-negatives' tagged logits through softplus
+    split = neg.any()
+    labeled = record.take_rows(logits, ~neg) if split else logits
+    picked = record.select(record.log_softmax(labeled), labels[~neg])
+    total = record.scale(record.sum(picked), -(1.0 - alpha))
+    if split:
+        picked = record.select(record.take_rows(logits, neg), labels[neg])
+        total = record.add(total, record.scale(record.sum(record.softplus(picked)), alpha))
+    return record, total, logits.value
 
 
 def logit_sum_graph(c: Classifier, x, class_index: int | Array | None = None):

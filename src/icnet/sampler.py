@@ -9,6 +9,7 @@ after a fixed step count (option3); chains that never meet an early-stop
 criterion are kept and tagged rather than discarded.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -163,6 +164,7 @@ def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
     return np.concatenate(overflowed), graphs
 
 
+@functools.lru_cache
 def logit_threshold(p: float) -> float:
     """The smallest double t with `T.sigmoid_value(t) >= p`, for p in (0, 1).
 
@@ -170,6 +172,7 @@ def logit_threshold(p: float) -> float:
     when z >= t. t is found by bisection over the doubles in order (their
     bit patterns, sign folded), asking sigmoid_value itself rather than
     inverting it, so no rounding of a closed form can move the boundary.
+    The bisection runs once per p; later calls read the cache.
     """
     def key(d: float) -> int:
         bits = int(np.float64(d).view(np.int64))

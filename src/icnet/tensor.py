@@ -451,20 +451,25 @@ class ComputationRecord:
 
         return self._push(x.value * carr, "mul_const", (x,), backward)
 
+    def _gather(self, x: Node, index, op: str) -> Node:
+        """out = x[index], for an index that names each element at most once."""
+        def backward(g: Array) -> None:
+            dx = np.zeros_like(x.value)
+            dx[index] = g
+            x._accumulate(dx)
+
+        return self._push(x.value[index], op, (x,), backward)
+
     def select(self, x: Node, idx) -> Node:
         """Row gather: out[i] = x[i, idx[i]] for a 2D operand."""
         idx = np.asarray(idx, dtype=np.intp)
         if x.value.ndim != 2 or idx.shape != (x.shape[0],):
             raise ShapeMismatchError("select expects a 2D operand and one index per row")
-        rows = np.arange(x.shape[0])
-        out = x.value[rows, idx]
+        return self._gather(x, (np.arange(x.shape[0]), idx), "select")
 
-        def backward(g: Array) -> None:
-            dx = np.zeros_like(x.value)
-            dx[rows, idx] = g
-            x._accumulate(dx)
-
-        return self._push(out, "select", (x,), backward)
+    def take_rows(self, x: Node, rows) -> Node:
+        """Row gather: out = x[rows], for a bool mask or distinct row indices."""
+        return self._gather(x, rows, "take_rows")
 
     def reshape(self, x: Node, shape) -> Node:
         out = x.value.reshape(shape)

@@ -114,9 +114,9 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
     one tag per row; returns the per-epoch mean loss trace. Momentum
     buffers are fresh per call.
 
-    Each batch loss is the mean over its rows of the head graph's labeled
-    term on S and negative term on the store slice. A binary head's labels
-    are 0 and 1; its NEGATIVE term reads no tag, so tags go unchecked."""
+    Each batch loss is the mean over its rows of one head graph over the
+    batch's S rows, then its store rows marked negative. A binary head's
+    labels are 0 and 1; its pseudo-negatives read no tag, so tags go unchecked."""
     _check_classes(y_s, max(c.n_classes, 2), "labels")
     if not c.binary:
         _check_classes(tags, c.n_classes, "pseudo-negative tag")
@@ -132,13 +132,14 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
             batch = order[at:at + config.batch_size]
             s_rows = batch[batch < n_s]
             pn_rows = batch[batch >= n_s] - n_s
-            terms = []
-            if s_rows.size:
-                terms.append((N.LABELED, x_s[s_rows], y_s[s_rows]))
+            x, y, negative = x_s[s_rows], y_s[s_rows], None
             if pn_rows.size:
-                terms.append((N.NEGATIVE, x_pn[pn_rows], tags[pn_rows]))
+                # per batch, never per dataset; an empty store's samples are 1-D
+                x = np.concatenate([x, x_pn[pn_rows]])
+                y = np.concatenate([y, tags[pn_rows]])
+                negative = np.arange(batch.size) >= s_rows.size
             try:
-                loss = _sgd_step(c, terms, alpha, batch.size, params, velocity, lr, config.momentum)
+                loss = _sgd_step(c, x, y, negative, alpha, params, velocity, lr, config.momentum)
             except T.NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, sample offset {at}: {exc}"
@@ -148,14 +149,14 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
     return losses
 
 
-def _sgd_step(c, terms, alpha, rows, params, velocity, lr, momentum) -> float:
+def _sgd_step(c, x, labels, negative, alpha, params, velocity, lr, momentum) -> float:
     """One momentum step on the batch's mean loss; returns that loss. The
     tape and the gradients die with this call, so none of them is still
     held while the next batch's graph is built. Each updated parameter is
     checked for NaN/Inf here, where it is written, so graphs need not
     rescan it; a non-finite one raises NonFiniteError."""
-    record, total, _ = N.head_graph(c, terms, alpha, params="param", inputs="const")
-    loss = record.scale(total, 1.0 / rows)
+    record, total, _ = N.head_graph(c, x, labels, negative, alpha, params="param", inputs="const")
+    loss = record.scale(total, 1.0 / len(x))
     for p, g, v in zip(params, T.param_gradients(record, loss), velocity):
         v *= momentum
         g *= lr  # the gradient is the tape's own: scaled in place, not copied
@@ -192,17 +193,16 @@ def error_rate(model, x, y, chunk: int = 256) -> float:
 
 def _val_stats(c, x, y) -> tuple[float, float]:
     """(error, mean plain loss) on a held-out set; alpha plays no role here.
-    Both are read off one pass of the head graph's labeled term, the loss
-    SGD minimizes, per chunk of at most 64 rows, so the peak does not grow
-    with the set."""
+    Both are read off one pass of the head graph, the loss SGD minimizes
+    on labeled rows, per chunk of at most 64 rows, so the peak does not
+    grow with the set."""
     if len(x) == 0:
         return float("nan"), float("nan")
     chunk = 64
     wrong, total = 0, 0.0
     for at in range(0, len(x), chunk):
         y_at = y[at:at + chunk]
-        _, loss, (logits,) = N.head_graph(c, [(N.LABELED, x[at:at + chunk], y_at)],
-                                          inputs="const")
+        _, loss, logits = N.head_graph(c, x[at:at + chunk], y_at, inputs="const")
         wrong += int((N.labels_from_logits(logits) != y_at).sum())
         total += float(loss.value)
     return wrong / len(x), total / len(x)

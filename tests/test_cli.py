@@ -381,8 +381,10 @@ class TestRunExperiment:
         assert img.shape == (48, 48) and img.max() == 255
         for t in range(4):
             assert (out / "checkpoints" / f"model_round_{t:02d}.bin").is_file()
+            # each store checkpoint holds its own round's rows only
             store_t = D.load_store(out / "checkpoints" / f"store_round_{t:02d}.bin")
-            assert len(store_t) == 4 * t
+            assert len(store_t) == (4 if t else 0)
+            assert set(store_t.rounds.tolist()) == ({t} if t else set())
         model = N.load_model(out / "model_final.bin")
         assert isinstance(model, N.Classifier) and model.binary
         final_store = D.load_store(out / "store_final.bin")
@@ -437,6 +439,18 @@ class TestRunExperiment:
         assert C.main(["train", "--config", str(ini)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {images}: truncated") and err.count("\n") == 1
+
+    def test_empty_test_set_exits_1_before_training(self, tmp_path, capsys, monkeypatch):
+        ini = write_mnist_ini(tmp_path)
+        ini.write_text(ini.read_text().replace("mode = softmax", "mode = baseline")
+                       .replace("test_subset = 10", "test_subset = 0"))
+        images = tmp_path / "mnist" / "t10k-images-idx3-ubyte"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 0, 28, 28))
+        (tmp_path / "mnist" / "t10k-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 0x00000801, 0))
+        monkeypatch.setattr(TR, "_sgd_epochs", lambda *a: pytest.fail("training ran"))
+        assert C.main(["train", "--config", str(ini)]) == 1
+        assert capsys.readouterr().err == f"error: {images}: no test images\n"
 
     def test_softmax_mode_on_synthetic(self, tmp_path):
         out = tmp_path / "run"

@@ -223,9 +223,18 @@ class TestLogitSumGraph:
                                        rtol=0, atol=1e-13)
 
 
+def mixed_batch(k, gen, n_s=5, n_pn=4, shape=(2,)):
+    """A batch of n_s labeled rows, then n_pn pseudo-negatives: (x, labels,
+    negative), with the tags -1 on a binary head as the store keeps them."""
+    x = gen.standard_normal((n_s + n_pn,) + shape)
+    tags = np.full(n_pn, -1) if k == 1 else gen.integers(0, k, size=n_pn)
+    labels = np.concatenate([gen.integers(0, max(k, 2), size=n_s), tags])
+    return x, labels, np.arange(n_s + n_pn) >= n_s
+
+
 class TestHeadGraphGradients:
     """The loss SGD minimizes, checked against central differences: the
-    labeled and negative terms of a binary and of a 3-class head."""
+    labeled and pseudo-negative rows of a binary and of a 3-class head."""
 
     @staticmethod
     def rel_err(analytic, numeric):
@@ -235,27 +244,63 @@ class TestHeadGraphGradients:
     def test_param_and_input_gradients_match_central_differences(self, k):
         c = N.init_multiclass(SPEC_2D, (2,), k, rng(50, 1))
         c.head_b = c.head_b + 0.1 * rng(50, 2).standard_normal(k)
-        gen = rng(50, 6)
-        x, pn = gen.standard_normal((5, 2)), gen.standard_normal((4, 2))
-        y = gen.integers(0, max(k, 2), size=5)
-        tags = np.full(4, -1) if k == 1 else gen.integers(0, k, size=4)
-        terms = [(N.LABELED, x, y), (N.NEGATIVE, pn, tags)]
-        record, total, _ = N.head_graph(c, terms, 0.3, params="param", inputs="input")
+        x, labels, negative = mixed_batch(k, rng(50, 6))
+        record, total, _ = N.head_graph(c, x, labels, negative, 0.3,
+                                        params="param", inputs="input")
         record.backward(total)
-        analytic = ([n.grad for n in record.param_nodes()]
-                    + [n.grad for n in record.nodes if n.kind == "input"])
-        arrays = c.all_params() + [x, pn]
+        analytic = [n.grad for n in record.param_nodes()] + [record.input_node().grad]
         h, worst = 1e-5, 0.0
-        for arr, grad in zip(arrays, analytic):
+        for arr, grad in zip(c.all_params() + [x], analytic):
             for at in np.ndindex(arr.shape):
                 orig = arr[at]
                 arr[at] = orig + h
-                up = float(N.head_graph(c, terms, 0.3)[1].value)
+                up = float(N.head_graph(c, x, labels, negative, 0.3)[1].value)
                 arr[at] = orig - h
-                down = float(N.head_graph(c, terms, 0.3)[1].value)
+                down = float(N.head_graph(c, x, labels, negative, 0.3)[1].value)
                 arr[at] = orig
                 worst = max(worst, self.rel_err(grad[at], (up - down) / (2 * h)))
         assert worst < 1e-4
+
+
+CONV_SPEC = [T.conv(1, 2), T.leaky(), T.conv(2, 3), T.leaky(), T.flatten()]
+STACKS = pytest.mark.parametrize("spec, shape", [(SPEC_2D, (2,)), (CONV_SPEC, (1, 8, 8))],
+                                 ids=["dense", "conv"])
+
+
+class TestHeadGraphOnePass:
+    """A mixed batch runs the stack once, and its loss and gradients are
+    those of one pass per kind of row, summed."""
+
+    @STACKS
+    @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
+    def test_mixed_batch_record_holds_one_stack(self, spec, shape, k):
+        c = N.init_multiclass(spec, shape, k, rng(51, 1))
+        x, labels, negative = mixed_batch(k, rng(51, 6), shape=shape)
+        record, _, logits = N.head_graph(c, x, labels, negative, 0.1, params="param")
+        # each op node's backward rule is named after the op that made it
+        ops = [n._backward.__qualname__.split(".")[1] for n in record.nodes if n.kind == "op"]
+        kinds = [layer.kind for layer in spec]
+        assert ops.count("affine") == kinds.count("dense") + 1  # the head
+        assert ops.count("conv2d") == kinds.count("conv")
+        assert logits.shape == (len(x), k)
+
+    @STACKS
+    @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
+    def test_loss_and_gradients_equal_two_per_kind_passes(self, spec, shape, k):
+        c = N.init_multiclass(spec, shape, k, rng(52, 1))
+        x, labels, negative = mixed_batch(k, rng(52, 6), n_s=6, n_pn=5, shape=shape)
+        record, total, _ = N.head_graph(c, x, labels, negative, 0.3, params="param")
+        grads = T.param_gradients(record, total)
+        want_loss, want_grads = 0.0, [np.zeros_like(p) for p in c.all_params()]
+        for rows in (~negative, negative):
+            part, part_total, _ = N.head_graph(c, x[rows], labels[rows], negative[rows], 0.3,
+                                               params="param")
+            want_loss += float(part_total.value)
+            for w, g in zip(want_grads, T.param_gradients(part, part_total)):
+                w += g
+        np.testing.assert_allclose(float(total.value), want_loss, rtol=1e-12)
+        for g, w in zip(grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
 
 class TestFinitenessChecks:
@@ -297,7 +342,7 @@ class TestFinitenessChecks:
         with pytest.raises(T.NonFiniteError):
             N.logit_sum_graph(c, x)
         with pytest.raises(T.NonFiniteError):
-            N.head_graph(c, [(N.LABELED, x, np.array([1]))])
+            N.head_graph(c, x, np.array([1]))
 
 
 class TestSerialization:

@@ -151,6 +151,15 @@ class TestSynthesize:
             np.testing.assert_array_equal(z >= t, T.sigmoid_value(z) >= p)
         assert T.sigmoid_value(np.float64(t)) >= p > T.sigmoid_value(np.nextafter(t, -np.inf))
 
+    def test_logit_threshold_bisects_once_per_confidence(self):
+        c = peaked_classifier(peak_logit=1.5, slope_scale=1.0)
+        config = S.SamplerConfig(stopping="option2", confidence_threshold=0.77, max_steps=3)
+        S.logit_threshold.cache_clear()
+        for seed in (14, 15):
+            S.synthesize_pseudo_negatives(c, config, 4, rng(seed, 3), (2,))
+        info = S.logit_threshold.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_option1_stops_once_positive(self):
         c = peaked_classifier(peak_logit=1.5, slope_scale=1.0)
         config = S.SamplerConfig(stopping="option1", max_steps=300)

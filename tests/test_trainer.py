@@ -39,10 +39,16 @@ def benchmark(seed, n_pos=24, n_neg=24):
 
 
 def head_total(c, x, y, pn=None, tags=None, alpha=0.0):
-    """The total head_graph returns for a LABELED term on (x, y) and a
-    NEGATIVE term on pn: the loss SGD minimizes, as a sum."""
-    terms = [(N.LABELED, x, y)] + ([] if pn is None else [(N.NEGATIVE, pn, tags)])
-    _, total, _ = N.head_graph(c, terms, alpha)
+    """The total head_graph returns for one batch of the labeled rows
+    (x, y), then the pseudo-negatives pn tagged `tags`: the loss SGD
+    minimizes, as a sum."""
+    if pn is None:
+        _, total, _ = N.head_graph(c, x, y, alpha=alpha)
+    else:
+        tags = np.full(len(pn), -1) if tags is None else tags
+        negative = np.arange(len(x) + len(pn)) >= len(x)
+        _, total, _ = N.head_graph(c, np.concatenate([x, pn]), np.concatenate([y, tags]),
+                                   negative, alpha)
     return float(total.value)
 
 
@@ -253,11 +259,11 @@ class TestReclassificationStep:
         c = N.init_binary(SPEC_2D, (2,), rng(25, 1))
         sgd_step, calls = TR._sgd_step, []
 
-        def poisoned_after_first(c, terms, alpha, rows, params, *rest):
+        def poisoned_after_first(c, x, labels, negative, alpha, params, *rest):
             if calls:
                 params[0][0, 0] = np.nan
-            calls.append(rows)
-            return sgd_step(c, terms, alpha, rows, params, *rest)
+            calls.append(len(x))
+            return sgd_step(c, x, labels, negative, alpha, params, *rest)
 
         monkeypatch.setattr(TR, "_sgd_step", poisoned_after_first)
         with pytest.raises(TR.TrainingDivergedError, match="epoch 0, sample offset 32"):
@@ -271,10 +277,10 @@ class TestReclassificationStep:
         c = N.init_binary(SPEC_2D, (2,), rng(26, 1))
         params = c.all_params()
         velocity = [np.full_like(p, 1e308) for p in params]
-        terms = [(N.LABELED, ds.samples[:4], ds.labels[:4])]
         with np.errstate(over="ignore"):
             with pytest.raises(T.NonFiniteError, match="the update left a parameter"):
-                TR._sgd_step(c, terms, 0.0, 4, params, velocity, 0.01, 2.0)
+                TR._sgd_step(c, ds.samples[:4], ds.labels[:4], None, 0.0, params, velocity,
+                             0.01, 2.0)
 
     def test_lr_drop_applies_at_round(self):
         ds, _ = benchmark(24)
