@@ -135,47 +135,75 @@ def predict_label(model, x) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# graphs over the stack and head: training loss, FGSM loss, synthesis logit
+# gradient passes over the stack and head: training loss, FGSM loss, synthesis logit
 # ---------------------------------------------------------------------------
 
-def head_graph(c: Classifier, x, labels, negative=None, alpha: float = 0.0,
-               params: str = "const", inputs: str = "input"):
-    """One record that runs the batch x once through c's stack and head.
+def head_pass(c: Classifier, x, grads=None, input_grad: bool = True):
+    """A `T.GradPass` that has run the batch x, scanned for NaN/Inf, once
+    through c's stack and head, and the (n, K) logits. The parameters enter
+    unscanned (checked where written, see `init_multiclass`); `grads` and
+    `input_grad` are the pass's."""
+    if not isinstance(c, Classifier):
+        raise TypeError(f"no gradient pass for {type(c).__name__}")
+    grad_pass = T.GradPass(grads, input_grad)
+    feats = T.feature_stack(grad_pass, c.spec, c.feature_params, T.as_tensor(x))
+    return grad_pass, grad_pass.affine(feats, c.head_w, c.head_b)
+
+
+def head_loss(logits: Array, labels, negative=None, alpha: float = 0.0,
+              scale: float = 1.0) -> tuple[float, Array]:
+    """A batch's training loss from its (n, K) head logits, and its gradient.
 
     Row i is labeled labels[i], or is a pseudo-negative tagged labels[i]
     where the bool mask `negative` is set. Its loss is -ln q(y|x), times
     1 - alpha on a K-column head; a pseudo-negative's is -ln q(-1|x) on a
-    binary head and alpha * softplus(tagged logit) on a K-column one. The
-    `params` leaves enter unscanned (checked where written, see
-    `init_multiclass`); x, a leaf of kind `inputs`, is scanned. Returns
-    (record, scalar, (n, K) logits).
+    binary head and alpha * softplus(tagged logit) on a K-column one.
+    Returns (total, d(scale * total)/d logits). Both come from the tape's
+    elementwise ops in the tape's order, so they equal those of the same
+    loss built on a ComputationRecord bitwise. A NaN or Inf loss raises
+    NonFiniteError.
     """
-    if not isinstance(c, Classifier):
-        raise TypeError(f"no head graph for {type(c).__name__}")
-    record = T.ComputationRecord()
-    p_nodes = [record.leaf(p, params, checked=True) for p in c.all_params()]
-    feats = T.feature_stack(record, c.spec, p_nodes[:-2], record.leaf(x, inputs))
-    logits = record.affine(feats, p_nodes[-2], p_nodes[-1])
-    neg = np.zeros(len(labels), bool) if negative is None else np.asarray(negative, bool)
-    if c.binary:
+    n = logits.shape[0]
+    neg = np.zeros(n, bool) if negative is None else np.asarray(negative, bool)
+    if logits.shape[1] == 1:
         # the one place a label becomes a sign, -ln q(y|x) = softplus(-y z);
         # a pseudo-negative's -ln q(-1|x) is the labeled term of class 0
-        z = record.reshape(logits, (logits.shape[0],))
-        z = record.mul_const(z, np.where(neg, 1.0, 1.0 - 2.0 * labels))
-        return record, record.sum(record.softplus(z)), logits.value
-    # K columns: labeled rows through log_softmax, pseudo-negatives' tagged logits through softplus
-    split = neg.any()
-    labeled = record.take_rows(logits, ~neg) if split else logits
-    picked = record.select(record.log_softmax(labeled), labels[~neg])
-    total = record.scale(record.sum(picked), -(1.0 - alpha))
-    if split:
-        picked = record.select(record.take_rows(logits, neg), labels[neg])
-        total = record.add(total, record.scale(record.sum(record.softplus(picked)), alpha))
-    return record, total, logits.value
+        sign = np.where(neg, 1.0, 1.0 - 2.0 * labels)
+        z = logits[:, 0] * sign
+        total = T.softplus_value(z).sum()
+        grad = (sign * (scale * T.sigmoid_value(z))).reshape(n, 1)
+    else:
+        # labeled rows through log_softmax, pseudo-negatives' tagged logits
+        # through softplus; each part's gradient is scattered into zeros
+        split = neg.any()
+        log_q = T.log_softmax_value(logits[~neg] if split else logits)
+        if not T.all_finite(log_q):
+            raise T.NonFiniteError("non-finite values produced by log_softmax")
+        at = (np.arange(len(log_q)), np.asarray(labels[~neg], dtype=np.intp))
+        total = -(1.0 - alpha) * log_q[at].sum()
+        g = _scattered(log_q.shape, at, -(1.0 - alpha) * scale)
+        grad = g - np.exp(log_q) * g.sum(axis=-1, keepdims=True)
+        if split:
+            at = (np.arange(np.count_nonzero(neg)), np.asarray(labels[neg], dtype=np.intp))
+            tagged = logits[neg][at]
+            total = total + alpha * T.softplus_value(tagged).sum()
+            g = _scattered((len(tagged), logits.shape[1]), at,
+                           (alpha * scale) * T.sigmoid_value(tagged))
+            grad = _scattered(logits.shape, neg, g) + _scattered(logits.shape, ~neg, grad)
+    if not math.isfinite(total):
+        raise T.NonFiniteError("non-finite values produced by the loss")
+    return float(total), grad
+
+
+def _scattered(shape, index, values) -> Array:
+    """Zeros of `shape` with `values` written at `index`."""
+    out = np.zeros(shape)
+    out[index] = values
+    return out
 
 
 def logit_sum_graph(c: Classifier, x, class_index: int | Array | None = None):
-    """A `T.InputGradPass` for the summed per-sample logit of each sample's head.
+    """A `T.GradPass` for the summed per-sample logit of each sample's head.
 
     Per-sample chains are independent, so the input gradient of the batch sum
     is exactly the per-sample logit gradient. A multi-class classifier takes
@@ -186,9 +214,7 @@ def logit_sum_graph(c: Classifier, x, class_index: int | Array | None = None):
     """
     if class_index is None and not c.binary:
         raise ValueError("multi-class synthesis needs a class index")
-    grad_pass = T.InputGradPass()
-    feats = T.feature_stack(grad_pass, c.spec, c.feature_params, T.as_tensor(x))
-    logits = grad_pass.affine(feats, c.head_w, c.head_b)
+    grad_pass, logits = head_pass(c, x)
     if c.binary:
         return grad_pass, np.ones_like(logits), logits[:, 0]
     rows = np.arange(logits.shape[0])

@@ -21,6 +21,10 @@ Array = np.ndarray
 
 DEFAULT_BOUNDS = ((-3.0, 3.0), (-3.0, 3.0))
 DEFAULT_RESOLUTION = (128, 128)
+# grid cells per classifier forward: one pass over a 128x128 grid spends
+# most of its time page-faulting its megabyte-sized temporaries, and the
+# chunks' logits equal the one pass's bitwise
+GRID_CHUNK = 2048
 
 
 class OracleError(Exception):
@@ -132,7 +136,12 @@ def reference_grid(sigma: float = 0.3, bounds=DEFAULT_BOUNDS,
 
 
 def _grid_logits(grid: GridDensity, classifier: N.Classifier) -> Array:
-    return N.logit_binary(classifier, grid.cell_centers()).reshape(grid.resolution)
+    """The classifier's logit at every cell center, GRID_CHUNK cells per forward."""
+    centers = grid.cell_centers()
+    logits = np.empty(len(centers))
+    for at in range(0, len(centers), GRID_CHUNK):
+        logits[at:at + GRID_CHUNK] = N.logit_binary(classifier, centers[at:at + GRID_CHUNK])
+    return logits.reshape(grid.resolution)
 
 
 def density_update(prior: GridDensity,

@@ -60,8 +60,8 @@ def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP,
             f"label count {labels.shape[0]} != batch size {x.shape[0]}")
     # the per-row losses are summed: the input gradient of the total is
     # each row's gradient of its own loss
-    record, loss, logits = N.head_graph(model, x, labels)
-    grad = T.input_gradient(record, loss)
+    grad_pass, logits = N.head_pass(model, x)
+    grad = T.input_gradient(grad_pass, N.head_loss(logits, labels)[1])
     if not T.all_finite(grad):
         raise RobustnessError("non-finite attack gradient")
     adv = x + epsilon * np.sign(grad)

@@ -3,9 +3,11 @@
 Small by design: exactly the primitives a stride-2 convolutional classifier
 needs (affine, 5x5/stride-2 convolution, leaky rectifier, sigmoid, softmax,
 log, sum and a few glue ops), with gradients w.r.t. both parameters and
-inputs. Values are plain numpy arrays; the graph is an append-only tape
-(`ComputationRecord`) whose creation order is already topological, so one
-reversed sweep backpropagates every node exactly once.
+inputs. Values are plain numpy arrays. The package's gradients come from
+`GradPass`, one reversed sweep of the layer stack's own rules. The
+append-only tape (`ComputationRecord`), whose creation order is already
+topological, is the general engine that `gradient_check` runs and that
+tests build references with.
 """
 
 import weakref
@@ -174,26 +176,34 @@ def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
     return out.transpose(0, 3, 1, 2)
 
 
-def conv2d_kernel_grad(dout: Array, x: Array, k_shape, stride: int, pad: int) -> Array:
+def conv2d_kernel_grad(dout: Array, x: Array, k_shape, stride: int, pad: int,
+                       out: Array | None = None) -> Array:
     """d(loss)/dk of `conv2d_value`, given dout in channel-last (n, oh, ow, c_out) layout.
 
     One GEMM per run of kernel rows that land on the input for the same
     output rows, over just those output rows: the run's patches are rebuilt
     from x, so the largest temporary is a fraction of a full patch matrix.
-    Returns a channel-last NCHW view of a fresh array.
+    Writes into `out`, a channel-last array of the kernel's shape, if given;
+    else into a fresh array. Returns it as a channel-last NCHW array.
     """
     n, c, h, w = x.shape
     co, _, kh, kw = k_shape
     _, oh, ow, _ = dout.shape
     xp, row_pad = _padded(x, pad)
-    grad = np.zeros((co, kh * kw * c), dtype=np.float64)
+    if out is None:
+        out = np.empty((co, kh, kw, c), dtype=np.float64).transpose(0, 3, 1, 2)
+    elif not out.transpose(0, 2, 3, 1).flags.c_contiguous:
+        raise ValueError("the kernel gradient is written channel-last only")
+    grad = out.transpose(0, 2, 3, 1).reshape(co, kh * kw * c)  # a view, by the check above
     for t0, t1, (lo, hi) in _kernel_row_runs(oh, kh, xp.shape[1], stride, pad - row_pad):
         if lo < hi:
             mat = _patches(xp, lo * stride + t0 - pad + row_pad, hi - lo, t1 - t0, ow, kw, stride)
             np.matmul(dout[:, lo:hi].reshape(-1, co).T, mat,
                       out=grad[:, t0 * kw * c:t1 * kw * c])
             del mat
-    return grad.reshape(co, kh, kw, c).transpose(0, 3, 1, 2)
+        else:
+            grad[:, t0 * kw * c:t1 * kw * c] = 0.0  # kernel rows that reach no output row
+    return out
 
 
 def conv2d_input_grad(dout: Array, k: Array, x_shape, stride: int, pad: int) -> Array:
@@ -467,10 +477,6 @@ class ComputationRecord:
             raise ShapeMismatchError("select expects a 2D operand and one index per row")
         return self._gather(x, (np.arange(x.shape[0]), idx), "select")
 
-    def take_rows(self, x: Node, rows) -> Node:
-        """Row gather: out = x[rows], for a bool mask or distinct row indices."""
-        return self._gather(x, rows, "take_rows")
-
     def reshape(self, x: Node, shape) -> Node:
         out = x.value.reshape(shape)
 
@@ -510,6 +516,12 @@ class ComputationRecord:
         x = self.input_node()
         self.backward(out)
         return np.zeros_like(x.value) if x.grad is None else x.grad
+
+    def param_gradients(self, out: Node) -> list[Array]:
+        """d(out)/dθ for every param leaf, in declaration order."""
+        self.backward(out)
+        return [np.zeros_like(n.value) if n.grad is None else n.grad
+                for n in self.param_nodes()]
 
     def param_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "param"]
@@ -644,30 +656,60 @@ class _Untaped:
 UNTAPED = _Untaped()
 
 
-class InputGradPass:
-    """The four layer ops on plain arrays, keeping of each only the tape's
-    input-side gradient rule, so one reversed sweep gives d(out)/dx with the
-    parameters fixed. The tape's kernels, rules and op-output checks, so
-    values and input gradients equal a ComputationRecord's bitwise."""
+class GradPass:
+    """The four layer ops on plain arrays, each keeping one backward rule,
+    so one reversed sweep gives the input gradient, the parameter gradients
+    or both. The tape's kernels, rules, summation order and op-output
+    checks, so values and gradients equal a ComputationRecord's bitwise.
 
-    def __init__(self):
-        self._rules: list[Callable[[Array], Array]] = []
+    `grads`, if given, holds one array per parameter, in the order the ops
+    read the parameters (stack, then head); the sweep writes each
+    parameter's gradient into its array with `out=`. Without `input_grad`
+    the batch is a constant, as the tape treats SGD's batch: the ops before
+    the first parameterized one keep no rule, and that one's rule skips its
+    input side.
+    """
 
-    def _keep(self, value: Array, op: str, rule: Callable[[Array], Array]) -> Array:
+    def __init__(self, grads: Sequence[Array] | None = None, input_grad: bool = True):
+        self._rules: list[Callable[[Array], Array | None]] = []
+        self._grads = grads
+        self._outs = None if grads is None else iter(grads)
+        self._tracked = input_grad  # whether the next op's input leads to a gradient
+
+    def _keep(self, value: Array, op: str, rule) -> Array:
         if not all_finite(value):
             raise NonFiniteError(f"non-finite values produced by {op}")
-        self._rules.append(rule)
+        if self._tracked:
+            self._rules.append(rule)
         return value
 
     def affine(self, x: Array, w: Array, b: Array) -> Array:
-        return self._keep(affine_value(x, w, b), "affine", lambda g: g @ w.T)
+        if self._outs is None:
+            # the input gradient alone (synthesis, FGSM): on a small dense
+            # stack the rule's Python overhead is a visible part of a step
+            return self._keep(affine_value(x, w, b), "affine", lambda g: g @ w.T)
+        gw, gb, tracked = next(self._outs), next(self._outs), self._tracked
+        self._tracked = True
+
+        def rule(g: Array) -> Array | None:
+            np.matmul(x.T, g, out=gw)
+            g.sum(axis=0, out=gb)
+            return g @ w.T if tracked else None
+
+        return self._keep(affine_value(x, w, b), "affine", rule)
 
     def conv2d(self, x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
-        shape = x.shape
+        outs = None if self._outs is None else (next(self._outs), next(self._outs))
+        tracked, self._tracked = self._tracked, True
 
-        def rule(g: Array) -> Array:
+        def rule(g: Array) -> Array | None:
+            # the conv kernels are module globals, looked up at call time, so
+            # a wrapper patched over one sees every call
             dout = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # no copy if channel-last
-            return conv2d_input_grad(dout, k, shape, stride, pad)
+            if outs is not None:
+                conv2d_kernel_grad(dout, x, k.shape, stride, pad, out=outs[0])
+                dout.reshape(-1, k.shape[0]).sum(axis=0, out=outs[1])
+            return conv2d_input_grad(dout, k, x.shape, stride, pad) if tracked else None
 
         return self._keep(conv2d_value(x, k, b, stride, pad), "conv2d", rule)
 
@@ -678,19 +720,27 @@ class InputGradPass:
     def reshape(self, x: Array, shape) -> Array:
         return self._keep(x.reshape(shape), "reshape", lambda g: g.reshape(x.shape))
 
-    def input_gradient(self, seed: Array) -> Array:
-        """d(sum of seed * the last op's output)/dx; drops each rule once run."""
+    def input_gradient(self, seed: Array) -> Array | None:
+        """d(sum of seed * the last op's output)/dx (None without
+        `input_grad`), writing the parameter gradients on the way; drops
+        each rule once run."""
         g = seed
         while self._rules:
             g = self._rules.pop()(g)
         return g
+
+    def param_gradients(self, seed: Array) -> Sequence[Array]:
+        """Writes d(sum of seed * the last op's output)/dθ into `grads` and
+        returns them."""
+        self.input_gradient(seed)
+        return self._grads
 
 
 def feature_stack(ops, spec: Sequence[LayerSpec], params: Sequence, x):
     """Run the layer stack on a batch and return its (n, width) features.
 
     `ops` is a ComputationRecord, with `params` and `x` its nodes, or
-    UNTAPED or an InputGradPass, with plain arrays. A shape mismatch or an
+    UNTAPED or a GradPass, with plain arrays. A shape mismatch or an
     unknown layer kind raises ShapeMismatchError naming the layer.
     """
     out = x
@@ -732,15 +782,15 @@ def forward_features(params: Sequence[Array], spec: Sequence[LayerSpec], x) -> A
 # gradient extraction and checking
 # ---------------------------------------------------------------------------
 
-def param_gradients(record: ComputationRecord, loss: Node) -> list[Array]:
-    """d(loss)/dθ for every param leaf, in declaration order."""
-    record.backward(loss)
-    return [np.zeros_like(n.value) if n.grad is None else n.grad
-            for n in record.param_nodes()]
+def param_gradients(graph, out) -> Sequence[Array]:
+    """d(out)/dθ of a ComputationRecord (out: a scalar node; the param
+    leaves' gradients, in declaration order) or a GradPass (out: a seed;
+    written into the pass's `grads`, which are returned)."""
+    return graph.param_gradients(out)
 
 
 def input_gradient(graph, out) -> Array:
-    """d(out)/dx of a ComputationRecord (out: a scalar node) or an InputGradPass (out: a seed)."""
+    """d(out)/dx of a ComputationRecord (out: a scalar node) or a GradPass (out: a seed)."""
     return graph.input_gradient(out)
 
 

@@ -112,9 +112,10 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
                 gen: np.random.Generator) -> list[float]:
     """Momentum SGD over shuffled unions of S and pseudo-negatives x_pn,
     one tag per row; returns the per-epoch mean loss trace. Momentum
-    buffers are fresh per call.
+    buffers are fresh per call, and c's parameters become views of one
+    flat array (`_pack`).
 
-    Each batch loss is the mean over its rows of one head graph over the
+    Each batch loss is the mean over its rows of one head loss over the
     batch's S rows, then its store rows marked negative. A binary head's
     labels are 0 and 1; its pseudo-negatives read no tag, so tags go unchecked."""
     _check_classes(y_s, max(c.n_classes, 2), "labels")
@@ -122,8 +123,7 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
         _check_classes(tags, c.n_classes, "pseudo-negative tag")
     n_s = x_s.shape[0]
     n_total = n_s + len(x_pn)
-    params = c.all_params()
-    velocity = [np.zeros_like(p) for p in params]
+    flat, velocity, grad = _pack(c)
     losses = []
     for epoch in range(epochs):
         order = gen.permutation(n_total)
@@ -139,7 +139,8 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
                 y = np.concatenate([y, tags[pn_rows]])
                 negative = np.arange(batch.size) >= s_rows.size
             try:
-                loss = _sgd_step(c, x, y, negative, alpha, params, velocity, lr, config.momentum)
+                loss = _sgd_step(c, x, y, negative, alpha, flat, velocity, grad, lr,
+                                 config.momentum)
             except T.NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, sample offset {at}: {exc}"
@@ -149,22 +150,55 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
     return losses
 
 
-def _sgd_step(c, x, labels, negative, alpha, params, velocity, lr, momentum) -> float:
-    """One momentum step on the batch's mean loss; returns that loss. The
-    tape and the gradients die with this call, so none of them is still
-    held while the next batch's graph is built. Each updated parameter is
-    checked for NaN/Inf here, where it is written, so graphs need not
-    rescan it; a non-finite one raises NonFiniteError."""
-    record, total, _ = N.head_graph(c, x, labels, negative, alpha, params="param", inputs="const")
-    loss = record.scale(total, 1.0 / len(x))
-    for p, g, v in zip(params, T.param_gradients(record, loss), velocity):
-        v *= momentum
-        g *= lr  # the gradient is the tape's own: scaled in place, not copied
-        v -= g
-        p += v
-        if not T.all_finite(p):
-            raise T.NonFiniteError("the update left a parameter with NaN or Inf")
-    return float(loss.value)
+def _flat_views(flat: Array, like: list[Array]) -> list[Array]:
+    """Consecutive views of the 1-D `flat`, one per array of `like`, each
+    of its shape; a conv kernel's is channel-last (see `T.channel_last`)."""
+    views, at = [], 0
+    for a in like:
+        view = flat[at:at + a.size]
+        at += a.size
+        if a.ndim == 4:
+            co, ci, kh, kw = a.shape
+            views.append(view.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
+        else:
+            views.append(view.reshape(a.shape))
+    return views
+
+
+def _pack(c):
+    """Copies c's parameters into one flat float64 array and gives c views
+    of it. Returns that array, a zeroed momentum buffer of its size, and a
+    gradient buffer with its views laid out as c's parameters."""
+    params = c.all_params()
+    flat = np.empty(sum(p.size for p in params))
+    views = _flat_views(flat, params)
+    for view, p in zip(views, params):
+        view[...] = p
+    c.set_params(views)
+    # np.zeros, not zeros_like: fresh zero pages, no 34.6 MB fill per call on MNIST_NET
+    grad = np.zeros(flat.size)
+    return flat, np.zeros(flat.size), (grad, _flat_views(grad, params))
+
+
+def _sgd_step(c, x, labels, negative, alpha, flat, velocity, grad, lr, momentum) -> float:
+    """One momentum step on the batch's mean loss; returns that loss.
+    `flat`, `velocity` and `grad` are `_pack`'s. One gradient pass writes
+    every parameter's gradient into the gradient buffer, and the update
+    runs once over the flat arrays, which are checked for NaN/Inf here,
+    where the parameters are written, so passes need not rescan them; a
+    non-finite one raises NonFiniteError."""
+    g, grads = grad
+    scale = 1.0 / len(x)
+    grad_pass, logits = N.head_pass(c, x, grads, input_grad=False)
+    total, seed = N.head_loss(logits, labels, negative, alpha, scale)
+    T.param_gradients(grad_pass, seed)
+    velocity *= momentum
+    g *= lr
+    velocity -= g
+    flat += velocity
+    if not T.all_finite(flat):
+        raise T.NonFiniteError("the update left a parameter with NaN or Inf")
+    return scale * total
 
 
 def reclassification_step(c, x_s, y_s, store: D.PseudoNegativeStore,
@@ -193,18 +227,18 @@ def error_rate(model, x, y, chunk: int = 256) -> float:
 
 def _val_stats(c, x, y) -> tuple[float, float]:
     """(error, mean plain loss) on a held-out set; alpha plays no role here.
-    Both are read off one pass of the head graph, the loss SGD minimizes
-    on labeled rows, per chunk of at most 64 rows, so the peak does not
-    grow with the set."""
+    Both are read off one untaped forward and the head loss, the loss SGD
+    minimizes on labeled rows, per chunk of at most 64 rows, so the peak
+    does not grow with the set."""
     if len(x) == 0:
         return float("nan"), float("nan")
     chunk = 64
     wrong, total = 0, 0.0
     for at in range(0, len(x), chunk):
         y_at = y[at:at + chunk]
-        _, loss, logits = N.head_graph(c, x[at:at + chunk], y_at, inputs="const")
+        logits = N.class_logits(c, x[at:at + chunk])
         wrong += int((N.labels_from_logits(logits) != y_at).sum())
-        total += float(loss.value)
+        total += N.head_loss(logits, y_at)[0]
     return wrong / len(x), total / len(x)
 
 

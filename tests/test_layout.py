@@ -49,9 +49,12 @@ class TestChannelLast:
 class TestLayoutGuard:
     def test_softmax_run_pays_no_per_call_relayout(self, monkeypatch, tmp_path):
         """SGD, synthesis, FGSM and a save/load: every conv call reads a
-        channel-last kernel and every conv forward a channel-last input."""
+        channel-last kernel, every conv forward a channel-last input, and
+        every kernel gradient is written channel-last into SGD's flat
+        gradient buffer."""
         seen = []
         conv_value, input_grad = T.conv2d_value, T.conv2d_input_grad
+        kernel_grad = T.conv2d_kernel_grad
 
         def spy_value(x, k, b, stride, pad):
             seen.append(("value", is_channel_last(x) and is_channel_last(k)))
@@ -61,8 +64,14 @@ class TestLayoutGuard:
             seen.append(("input_grad", is_channel_last(k)))
             return input_grad(dout, k, x_shape, stride, pad)
 
+        def spy_kernel_grad(dout, x, k_shape, stride, pad, out):
+            seen.append(("kernel_grad", is_channel_last(x) and is_channel_last(out)
+                         and out.base is not None and out.base.ndim == 1))
+            return kernel_grad(dout, x, k_shape, stride, pad, out=out)
+
         monkeypatch.setattr(T, "conv2d_value", spy_value)
         monkeypatch.setattr(T, "conv2d_input_grad", spy_input_grad)
+        monkeypatch.setattr(T, "conv2d_kernel_grad", spy_kernel_grad)
 
         spec = [T.conv(1, 4), T.leaky(), T.conv(4, 6), T.leaky(), T.flatten()]
         gen = rng(80, 6)
@@ -78,9 +87,14 @@ class TestLayoutGuard:
         R.fool_direction(run.selected, model, ds.samples, ds.labels, 0.125)
 
         kinds = {kind for kind, _ in seen}
-        assert kinds == {"value", "input_grad"}
+        assert kinds == {"value", "input_grad", "kernel_grad"}
         assert all(ok for _, ok in seen)
         assert all(is_channel_last(p) for p in model.feature_params if p.ndim == 4)
+        # the trained classifier holds views of one flat array, kernels channel-last
+        kernels = [p for p in run.classifier.feature_params if p.ndim == 4]
+        assert all(is_channel_last(p) and p.base is not None and p.base.ndim == 1
+                   for p in kernels)
+        assert len({id(p.base) for p in run.classifier.all_params()}) == 1
 
 
 class TestCompatibility:

@@ -10,6 +10,7 @@ from icnet import cli as C
 from icnet import network as N
 from icnet import sampler as S
 from icnet import tensor as T
+from icnet import trainer as TR
 from icnet.seeding import rng
 
 SPEC_2D = [T.dense(2, 16), T.leaky(), T.dense(16, 16), T.leaky()]
@@ -233,8 +234,9 @@ def mixed_batch(k, gen, n_s=5, n_pn=4, shape=(2,)):
 
 
 class TestHeadGraphGradients:
-    """The loss SGD minimizes, checked against central differences: the
-    labeled and pseudo-negative rows of a binary and of a 3-class head."""
+    """The loss SGD minimizes and its gradient pass, checked against central
+    differences: the labeled and pseudo-negative rows of a binary and of a
+    3-class head."""
 
     @staticmethod
     def rel_err(analytic, numeric):
@@ -245,18 +247,22 @@ class TestHeadGraphGradients:
         c = N.init_multiclass(SPEC_2D, (2,), k, rng(50, 1))
         c.head_b = c.head_b + 0.1 * rng(50, 2).standard_normal(k)
         x, labels, negative = mixed_batch(k, rng(50, 6))
-        record, total, _ = N.head_graph(c, x, labels, negative, 0.3,
-                                        params="param", inputs="input")
-        record.backward(total)
-        analytic = [n.grad for n in record.param_nodes()] + [record.input_node().grad]
+        grads = [np.zeros_like(p) for p in c.all_params()]
+        grad_pass, logits = N.head_pass(c, x, grads)
+        _, seed = N.head_loss(logits, labels, negative, 0.3)
+        analytic = grads + [T.input_gradient(grad_pass, seed)]
+
+        def loss():
+            return N.head_loss(N.class_logits(c, x), labels, negative, 0.3)[0]
+
         h, worst = 1e-5, 0.0
         for arr, grad in zip(c.all_params() + [x], analytic):
             for at in np.ndindex(arr.shape):
                 orig = arr[at]
                 arr[at] = orig + h
-                up = float(N.head_graph(c, x, labels, negative, 0.3)[1].value)
+                up = loss()
                 arr[at] = orig - h
-                down = float(N.head_graph(c, x, labels, negative, 0.3)[1].value)
+                down = loss()
                 arr[at] = orig
                 worst = max(worst, self.rel_err(grad[at], (up - down) / (2 * h)))
         assert worst < 1e-4
@@ -267,38 +273,59 @@ STACKS = pytest.mark.parametrize("spec, shape", [(SPEC_2D, (2,)), (CONV_SPEC, (1
                                  ids=["dense", "conv"])
 
 
+def pass_loss_and_grads(c, x, labels, negative, alpha):
+    """The head loss of one batch and its parameter gradients, from one pass."""
+    grads = [np.zeros_like(p) for p in c.all_params()]
+    grad_pass, logits = N.head_pass(c, x, grads, input_grad=False)
+    total, seed = N.head_loss(logits, labels, negative, alpha)
+    return total, T.param_gradients(grad_pass, seed)
+
+
 class TestHeadGraphOnePass:
     """A mixed batch runs the stack once, and its loss and gradients are
     those of one pass per kind of row, summed."""
 
     @STACKS
     @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
-    def test_mixed_batch_record_holds_one_stack(self, spec, shape, k):
+    def test_mixed_batch_record_holds_one_stack(self, spec, shape, k, monkeypatch):
+        # one SGD step's pass runs each layer op once, on all rows together
+        calls = []
+
+        def count(name):
+            kernel = getattr(T, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+            monkeypatch.setattr(T, name, spy)
+
+        for name in ("affine_value", "conv2d_value", "conv2d_kernel_grad", "conv2d_input_grad"):
+            count(name)
         c = N.init_multiclass(spec, shape, k, rng(51, 1))
         x, labels, negative = mixed_batch(k, rng(51, 6), shape=shape)
-        record, _, logits = N.head_graph(c, x, labels, negative, 0.1, params="param")
-        # each op node's backward rule is named after the op that made it
-        ops = [n._backward.__qualname__.split(".")[1] for n in record.nodes if n.kind == "op"]
+        flat, velocity, grad = TR._pack(c)
+        TR._sgd_step(c, x, labels, negative, 0.1, flat, velocity, grad, 0.01, 0.9)
         kinds = [layer.kind for layer in spec]
-        assert ops.count("affine") == kinds.count("dense") + 1  # the head
-        assert ops.count("conv2d") == kinds.count("conv")
-        assert logits.shape == (len(x), k)
+        assert calls.count("affine_value") == kinds.count("dense") + 1  # the head
+        assert calls.count("conv2d_value") == kinds.count("conv")
+        assert calls.count("conv2d_kernel_grad") == kinds.count("conv")
+        # as on the tape, the batch itself gets no gradient
+        assert calls.count("conv2d_input_grad") == max(kinds.count("conv") - 1, 0)
 
     @STACKS
     @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
     def test_loss_and_gradients_equal_two_per_kind_passes(self, spec, shape, k):
         c = N.init_multiclass(spec, shape, k, rng(52, 1))
         x, labels, negative = mixed_batch(k, rng(52, 6), n_s=6, n_pn=5, shape=shape)
-        record, total, _ = N.head_graph(c, x, labels, negative, 0.3, params="param")
-        grads = T.param_gradients(record, total)
+        total, grads = pass_loss_and_grads(c, x, labels, negative, 0.3)
         want_loss, want_grads = 0.0, [np.zeros_like(p) for p in c.all_params()]
         for rows in (~negative, negative):
-            part, part_total, _ = N.head_graph(c, x[rows], labels[rows], negative[rows], 0.3,
-                                               params="param")
-            want_loss += float(part_total.value)
-            for w, g in zip(want_grads, T.param_gradients(part, part_total)):
+            part_total, part_grads = pass_loss_and_grads(c, x[rows], labels[rows],
+                                                         negative[rows], 0.3)
+            want_loss += part_total
+            for w, g in zip(want_grads, part_grads):
                 w += g
-        np.testing.assert_allclose(float(total.value), want_loss, rtol=1e-12)
+        np.testing.assert_allclose(total, want_loss, rtol=1e-12)
         for g, w in zip(grads, want_grads):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
@@ -342,7 +369,7 @@ class TestFinitenessChecks:
         with pytest.raises(T.NonFiniteError):
             N.logit_sum_graph(c, x)
         with pytest.raises(T.NonFiniteError):
-            N.head_graph(c, x, np.array([1]))
+            N.head_pass(c, x)
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ import pytest
 from icnet import network as N
 from icnet import oracle as O
 from icnet import tensor as T
+from icnet.cli import SYNTH_NET
 from icnet.seeding import rng
 
 SPEC_2D = [T.dense(2, 12), T.leaky(), T.dense(12, 12), T.leaky()]
@@ -87,6 +88,17 @@ class TestDensityUpdate:
                 logit = float(N.logit_binary(c, centers[i, j][None])[0])
                 total += math.exp(logit) * prior.mass[i, j]
         assert abs(z - total) < 1e-12 * max(1.0, abs(total))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_chunked_grid_logits_equal_one_pass_bitwise(self, seed):
+        # 50 x 50 cells: one full chunk, then a partial one
+        resolution = (50, 50)
+        assert O.GRID_CHUNK < 2500 and 2500 % O.GRID_CHUNK
+        c = N.init_binary(SYNTH_NET, (2,), rng(seed, 1))
+        c.head_b = c.head_b + rng(seed, 2).standard_normal(1)
+        grid = O.reference_grid(resolution=resolution)
+        one_pass = N.logit_binary(c, grid.cell_centers()).reshape(resolution)
+        assert O._grid_logits(grid, c).tobytes() == one_pass.tobytes()
 
     def test_updated_grid_normalized(self):
         prior = O.reference_grid(resolution=(32, 32))

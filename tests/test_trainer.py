@@ -11,6 +11,7 @@ import pytest
 
 from icnet import data as D
 from icnet import network as N
+from icnet import robustness as R
 from icnet import sampler as S
 from icnet import tensor as T
 from icnet import trainer as TR
@@ -39,17 +40,15 @@ def benchmark(seed, n_pos=24, n_neg=24):
 
 
 def head_total(c, x, y, pn=None, tags=None, alpha=0.0):
-    """The total head_graph returns for one batch of the labeled rows
+    """The total head_loss returns for one batch of the labeled rows
     (x, y), then the pseudo-negatives pn tagged `tags`: the loss SGD
     minimizes, as a sum."""
     if pn is None:
-        _, total, _ = N.head_graph(c, x, y, alpha=alpha)
-    else:
-        tags = np.full(len(pn), -1) if tags is None else tags
-        negative = np.arange(len(x) + len(pn)) >= len(x)
-        _, total, _ = N.head_graph(c, np.concatenate([x, pn]), np.concatenate([y, tags]),
-                                   negative, alpha)
-    return float(total.value)
+        return N.head_loss(N.class_logits(c, x), y, alpha=alpha)[0]
+    tags = np.full(len(pn), -1) if tags is None else tags
+    negative = np.arange(len(x) + len(pn)) >= len(x)
+    logits = N.class_logits(c, np.concatenate([x, pn]))
+    return N.head_loss(logits, np.concatenate([y, tags]), negative, alpha)[0]
 
 
 class TestBinaryLoss:
@@ -190,6 +189,94 @@ class TestValStats:
         assert peak < 3 * param_bytes
 
 
+CONV_SPEC = [T.conv(1, 2), T.leaky(), T.conv(2, 3), T.leaky(), T.flatten()]
+PASS_CASES = pytest.mark.parametrize("spec, shape, k", [
+    (SPEC_2D, (2,), 1), (CONV_SPEC, (1, 8, 8), 3)], ids=["binary-dense", "multiclass-conv"])
+
+
+def tape_head(c, x, labels, negative=None, alpha=0.0, params="const", inputs="const"):
+    """The head loss of a batch built from ComputationRecord ops, in the
+    order `network.head_loss` follows: (record, total, logits)."""
+    record = T.ComputationRecord()
+    p_nodes = [record.leaf(p, params, checked=True) for p in c.all_params()]
+    feats = T.feature_stack(record, c.spec, p_nodes[:-2], record.leaf(x, inputs))
+    logits = record.affine(feats, p_nodes[-2], p_nodes[-1])
+    neg = np.zeros(len(labels), bool) if negative is None else negative
+    if c.binary:
+        z = record.reshape(logits, (len(x),))
+        z = record.mul_const(z, np.where(neg, 1.0, 1.0 - 2.0 * labels))
+        return record, record.sum(record.softplus(z)), logits
+    split = neg.any()
+    labeled = record._gather(logits, ~neg, "take_rows") if split else logits
+    picked = record.select(record.log_softmax(labeled), labels[~neg])
+    total = record.scale(record.sum(picked), -(1.0 - alpha))
+    if split:
+        picked = record.select(record._gather(logits, neg, "take_rows"), labels[neg])
+        total = record.add(total, record.scale(record.sum(record.softplus(picked)), alpha))
+    return record, total, logits
+
+
+def pass_batch(k, shape, gen, n_s, n_pn):
+    """n_s labeled rows, then n_pn pseudo-negatives tagged as the store tags
+    them (-1 on a binary head): (x, labels, negative or None)."""
+    x = gen.uniform(-1, 1, (n_s + n_pn,) + shape)
+    tags = np.full(n_pn, -1) if k == 1 else gen.integers(0, k, size=n_pn)
+    labels = np.concatenate([gen.integers(0, max(k, 2), size=n_s), tags])
+    return x, labels, (np.arange(n_s + n_pn) >= n_s) if n_pn else None
+
+
+class TestPassMatchesTape:
+    """SGD steps, the FGSM gradient and the validation statistics from the
+    gradient pass and head loss equal a tape's, compared bitwise."""
+
+    @PASS_CASES
+    def test_sgd_steps_match_tape_bitwise(self, spec, shape, k):
+        alpha, lr, momentum = (0.1 if k == 1 else 0.3), 0.05, 0.9
+        c = N.init_multiclass(spec, shape, k, rng(90, 1))
+        ref = TR.with_params(c, c.all_params())
+        velocity = [np.zeros_like(p) for p in ref.all_params()]
+        flat, flat_velocity, grad = TR._pack(c)
+        gen = rng(90, 6)
+        for n_s, n_pn in ((6, 3), (8, 0), (2, 7), (5, 4)):
+            x, labels, negative = pass_batch(k, shape, gen, n_s, n_pn)
+            loss = TR._sgd_step(c, x, labels, negative, alpha, flat, flat_velocity, grad,
+                                lr, momentum)
+            record, total, _ = tape_head(ref, x, labels, negative, alpha, params="param")
+            want = record.scale(total, 1.0 / len(x))
+            for p, g, v in zip(ref.all_params(), T.param_gradients(record, want), velocity):
+                v *= momentum
+                g *= lr
+                v -= g
+                p += v
+            assert loss == float(want.value)
+        assert [p.tobytes() for p in c.all_params()] == [p.tobytes() for p in ref.all_params()]
+
+    @PASS_CASES
+    def test_fgsm_input_gradient_matches_tape_bitwise(self, spec, shape, k):
+        c = N.init_multiclass(spec, shape, k, rng(91, 1))
+        x, labels, _ = pass_batch(k, shape, rng(91, 6), 7, 0)
+        record, total, logits = tape_head(c, x, labels, inputs="input")
+        want = T.input_gradient(record, total)
+        grad_pass, got_logits = N.head_pass(c, x)
+        got = T.input_gradient(grad_pass, N.head_loss(got_logits, labels)[1])
+        assert got.tobytes() == want.tobytes()
+        adv, pred = R.fgsm_perturb(c, x, labels, 0.125, return_pred=True)
+        assert adv.tobytes() == np.clip(x + 0.125 * np.sign(want), -1.0, 1.0).tobytes()
+        assert pred.tobytes() == N.labels_from_logits(logits.value).tobytes()
+
+    @PASS_CASES
+    def test_val_stats_match_tape_bitwise(self, spec, shape, k):
+        # 150 rows: two full chunks of 64 and a partial one
+        c = N.init_multiclass(spec, shape, k, rng(92, 1))
+        x, y, _ = pass_batch(k, shape, rng(92, 6), 150, 0)
+        wrong, loss = 0, 0.0
+        for at in range(0, len(x), 64):
+            _, total, logits = tape_head(c, x[at:at + 64], y[at:at + 64])
+            wrong += int((N.labels_from_logits(logits.value) != y[at:at + 64]).sum())
+            loss += float(total.value)
+        assert TR._val_stats(c, x, y) == (wrong / len(x), loss / len(x))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("key, value, match", [
         ("learning_rate", math.nan, "learning_rate"), ("learning_rate", math.inf, "learning_rate"),
@@ -259,11 +346,11 @@ class TestReclassificationStep:
         c = N.init_binary(SPEC_2D, (2,), rng(25, 1))
         sgd_step, calls = TR._sgd_step, []
 
-        def poisoned_after_first(c, x, labels, negative, alpha, params, *rest):
+        def poisoned_after_first(c, x, labels, negative, alpha, flat, *rest):
             if calls:
-                params[0][0, 0] = np.nan
+                flat[0] = np.nan  # the first weight of the first layer
             calls.append(len(x))
-            return sgd_step(c, x, labels, negative, alpha, params, *rest)
+            return sgd_step(c, x, labels, negative, alpha, flat, *rest)
 
         monkeypatch.setattr(TR, "_sgd_step", poisoned_after_first)
         with pytest.raises(TR.TrainingDivergedError, match="epoch 0, sample offset 32"):
@@ -275,12 +362,12 @@ class TestReclassificationStep:
         # the update itself is checked: no later graph is needed to see it
         ds, _ = benchmark(26)
         c = N.init_binary(SPEC_2D, (2,), rng(26, 1))
-        params = c.all_params()
-        velocity = [np.full_like(p, 1e308) for p in params]
+        flat, velocity, grad = TR._pack(c)
+        velocity[:] = 1e308
         with np.errstate(over="ignore"):
             with pytest.raises(T.NonFiniteError, match="the update left a parameter"):
-                TR._sgd_step(c, ds.samples[:4], ds.labels[:4], None, 0.0, params, velocity,
-                             0.01, 2.0)
+                TR._sgd_step(c, ds.samples[:4], ds.labels[:4], None, 0.0, flat, velocity,
+                             grad, 0.01, 2.0)
 
     def test_lr_drop_applies_at_round(self):
         ds, _ = benchmark(24)
@@ -298,8 +385,9 @@ class TestReclassificationStep:
     def test_two_mnist_net_steps_peak_below_4x_params(self):
         """Two SGD steps of MNIST_NET, each on 16 labeled rows and 4
         pseudo-negatives, allocate less than 4x the parameter bytes at their
-        peak: momentum and gradients take 2x, so no conv may keep a patch
-        matrix for backward and no step may outlive its own."""
+        peak: the flat copy of the parameters, momentum and gradients take
+        3x, so no conv may keep a patch matrix for backward and no step may
+        outlive its own."""
         from icnet.cli import MNIST_NET
         c = N.init_multiclass(MNIST_NET, (1, 28, 28), 10, rng(25, 1))
         gen = rng(25, 6)
