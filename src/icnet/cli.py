@@ -141,7 +141,7 @@ def parse_config(path, seed_override=None, out_override=None):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read_string(path.read_text())
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise CliError(f"config parse error in {path}: {exc}") from exc
     try:
         for section in cp.sections():
@@ -217,24 +217,28 @@ def emit_metrics(rows, path):
 
 
 def parse_metrics(path):
+    """The rows of a metrics.csv; a malformed file, a cell that is not a
+    number or bytes that are not UTF-8 raise CliError naming the file."""
+    fv = lambda s: None if s == "" else float(s)
     with open(path, "r", newline="") as f:
         reader = csv.reader(f)
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise CliError(f"{path}: empty metrics file") from None
-        if header != METRICS_HEADER:
-            raise CliError(f"{path}: unexpected header {header}")
-        rows = []
-        for cells in reader:
-            if len(cells) != len(METRICS_HEADER):
-                raise CliError(f"{path}: bad row {cells}")
-            fv = lambda s: None if s == "" else float(s)
-            rows.append(MetricsRow(
-                round=int(cells[0]), train_loss=fv(cells[1]),
-                val_error=fv(cells[2]), test_error=fv(cells[3]),
-                store_size=int(cells[4]), kl_to_positive=fv(cells[5]),
-                wall_time=fv(cells[6])))
+            header = next(reader, None)
+            if header is None:
+                raise CliError(f"{path}: empty metrics file")
+            if tuple(header) != METRICS_HEADER:
+                raise CliError(f"{path}: unexpected header {tuple(header)}")
+            rows = []
+            for cells in reader:
+                if len(cells) != len(METRICS_HEADER):
+                    raise CliError(f"{path}: bad row {cells}")
+                rows.append(MetricsRow(
+                    round=int(cells[0]), train_loss=fv(cells[1]),
+                    val_error=fv(cells[2]), test_error=fv(cells[3]),
+                    store_size=int(cells[4]), kl_to_positive=fv(cells[5]),
+                    wall_time=fv(cells[6])))
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise CliError(f"{path}: malformed metrics file: {exc}") from None
     return rows
 
 
@@ -251,21 +255,6 @@ def write_pgm(gray, path):
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(gray.tobytes())
-
-
-def read_pgm(path):
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5\n"):
-        raise CliError(f"{path}: not a raw PGM file")
-    rest = data[3:]
-    dims, rest = rest.split(b"\n", 1)
-    maxval, payload = rest.split(b"\n", 1)
-    w, h = (int(tok) for tok in dims.split())
-    if maxval != b"255":
-        raise CliError(f"{path}: unsupported maxval {maxval!r}")
-    if len(payload) != w * h:
-        raise CliError(f"{path}: truncated pixel payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 
 def dump_images(samples, path):
@@ -555,6 +544,11 @@ def cmd_report(args):
     if not metrics_path.is_file():
         raise CliError(f"no metrics.csv under {run_dir}")
     rows = parse_metrics(metrics_path)
+    fooling = run_dir / "fooling_summary.txt"
+    try:
+        summary = fooling.read_text() if fooling.is_file() else None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{fooling}: {exc}") from None
     cells = lambda r: (str(r.round), format_float(r.train_loss),
                        format_float(r.val_error), format_float(r.test_error),
                        str(r.store_size), format_float(r.kl_to_positive))
@@ -563,10 +557,9 @@ def cmd_report(args):
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    fooling = run_dir / "fooling_summary.txt"
-    if fooling.is_file():
+    if summary is not None:
         print()
-        print(fooling.read_text().rstrip())
+        print(summary.rstrip())
     return 0
 
 

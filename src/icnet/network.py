@@ -29,12 +29,27 @@ class ModelFormatError(Exception):
 @dataclass
 class Classifier:
     """A feature stack plus one linear head of K logit columns. K = 1 is the
-    binary classifier; K >= 2 is the joint softmax classifier."""
+    binary classifier; K >= 2 is the joint softmax classifier.
+
+    The parameters are copied once into one flat float64 array, `flat`; the
+    fields are views of it, kernels channel-last (`T.flat_views`). SGD
+    updates `flat` in place: change a parameter by writing into its array,
+    never by binding the field to another one.
+    """
 
     spec: list[T.LayerSpec]
     feature_params: list[Array]
     head_w: Array  # (width, K)
     head_b: Array  # (K,)
+    flat: Array = field(init=False, repr=False)
+
+    def __post_init__(self):
+        params = self.all_params()
+        self.flat = np.empty(sum(p.size for p in params))
+        views = T.flat_views(self.flat, params)
+        for view, p in zip(views, params):
+            view[...] = p
+        self.feature_params, self.head_w, self.head_b = views[:-2], views[-2], views[-1]
 
     @property
     def width(self) -> int:
@@ -51,10 +66,6 @@ class Classifier:
 
     def all_params(self) -> list[Array]:
         return self.feature_params + [self.head_w, self.head_b]
-
-    def set_params(self, params: list[Array]) -> None:
-        self.feature_params = list(params[:-2])
-        self.head_w, self.head_b = params[-2], params[-1]
 
 
 @dataclass
@@ -77,9 +88,9 @@ def init_multiclass(spec: list[T.LayerSpec], input_shape: tuple, n_classes: int,
     width = T.feature_width(spec, input_shape)
     head_w = rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, n_classes))
     c = Classifier(list(spec), params, head_w, np.zeros(n_classes))
-    # checked once here, as after each SGD update and in load_model: graphs
-    # built over the parameters do not rescan them
-    if not all(T.all_finite(p) for p in c.all_params()):
+    # checked once here, as after each SGD update and in load_model: passes
+    # over the parameters do not rescan them
+    if not T.all_finite(c.flat):
         raise T.NonFiniteError("initial parameters hold NaN or Inf")
     return c
 
@@ -105,14 +116,6 @@ def class_logits(c: Classifier, x) -> Array:
 def logit_binary(c: Classifier, x) -> Array:
     """Per-sample logit w1 . phi(x; w0), shape (n,)."""
     return class_logits(c, x)[:, 0]
-
-
-def prob_positive(c: Classifier, x) -> Array:
-    return T.sigmoid_value(logit_binary(c, x))
-
-
-def class_probs_softmax(c: Classifier, x) -> Array:
-    return T.softmax_value(class_logits(c, x))
 
 
 def ensemble_logits(e: OneVsAllEnsemble, x) -> Array:
@@ -259,14 +262,13 @@ def _read_tensor(fh, path, want: tuple) -> Array:
     shape = struct.unpack(f"<{ndim}q", read(8 * ndim, "tensor shape"))
     if any(w is not None and d != w for d, w in zip(shape, want)):
         raise ModelFormatError(f"{path}: tensor of shape {shape} where the header implies {want}")
-    # the raw bytes stay a temporary: bound to a name, a conv kernel's bytes
-    # would live on through its channel-last copy below
+    # a view of the bytes read: the Classifier copies it into its flat
+    # array, laying a conv kernel out channel-last on the way
     arr = np.frombuffer(read(8 * math.prod(shape), f"tensor data of shape {shape}"),
-                        dtype="<f8").astype(np.float64).reshape(shape)
+                        dtype="<f8").reshape(shape)
     if not T.all_finite(arr):
         raise ModelFormatError(f"{path}: tensor of shape {shape} holds NaN or Inf")
-    # a conv kernel is laid out channel-last once, here, not in every conv call
-    return T.channel_last(arr)
+    return arr
 
 
 def save_model(path, model) -> None:

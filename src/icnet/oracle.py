@@ -70,14 +70,6 @@ class GridDensity:
             raise OracleError("grid carries no mass")
         return cls(tuple(bounds), tuple(resolution), log_u - total)
 
-    @classmethod
-    def from_mass(cls, bounds, resolution, mass) -> "GridDensity":
-        mass = np.asarray(mass, dtype=np.float64)
-        if np.any(mass < 0) or not T.all_finite(mass):
-            raise OracleError("cell masses must be finite and nonnegative")
-        with np.errstate(divide="ignore"):
-            return cls.from_log_unnormalized(bounds, resolution, np.log(mass))
-
     @property
     def mass(self) -> Array:
         return np.exp(self.log_mass)
@@ -235,28 +227,6 @@ def exact_synthesizer(prior: GridDensity):
         return exact_grid_sample(p_t, count, rng), None
 
     return synthesize
-
-
-def cell_mass_at(p: GridDensity, points) -> Array:
-    """Mass of the cell containing each point (0 outside the bounds)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    (x0, x1), (y0, y1) = p.bounds
-    nx, ny = p.resolution
-    ix = np.floor((pts[:, 0] - x0) / (x1 - x0) * nx).astype(np.intp)
-    iy = np.floor((pts[:, 1] - y0) / (y1 - y0) * ny).astype(np.intp)
-    inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    out = np.zeros(pts.shape[0])
-    out[inside] = p.mass[ix[inside], iy[inside]]
-    return out
-
-
-def grid_to_csv(p: GridDensity, path) -> None:
-    centers = p.cell_centers()
-    flat = p.mass.reshape(-1)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,mass\r\n")
-        for (x, y), m in zip(centers, flat):
-            fh.write(f"{x:.9g},{y:.9g},{m:.9g}\r\n")
 
 
 def heatmap_gray(p: GridDensity) -> Array:

@@ -3,13 +3,15 @@
 Small by design: exactly the primitives a stride-2 convolutional classifier
 needs (affine, 5x5/stride-2 convolution, leaky rectifier, sigmoid, softmax,
 log, sum and a few glue ops), with gradients w.r.t. both parameters and
-inputs. Values are plain numpy arrays. The package's gradients come from
-`GradPass`, one reversed sweep of the layer stack's own rules. The
-append-only tape (`ComputationRecord`), whose creation order is already
-topological, is the general engine that `gradient_check` runs and that
-tests build references with.
+inputs. Values are plain numpy arrays. `GradPass` holds the one definition
+of each layer op's value and backward rules; the package's gradients come
+from one reversed sweep of it over the layer stack. The append-only tape
+(`ComputationRecord`), whose creation order is already topological, runs
+each layer op through a one-op `GradPass` and adds the loss ops; the tests
+build their gradient checks and references on it.
 """
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -71,6 +73,21 @@ def channel_last(a: Array) -> Array:
     if a.ndim != 4 or a.transpose(0, 2, 3, 1).flags.c_contiguous:
         return a
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def flat_views(flat: Array, like: Sequence[Array]) -> list[Array]:
+    """Consecutive views of the 1-D `flat`, one per array of `like`, each
+    of its shape; a conv kernel's is channel-last (see `channel_last`)."""
+    views, at = [], 0
+    for a in like:
+        view = flat[at:at + a.size]
+        at += a.size
+        if a.ndim == 4:
+            co, ci, kh, kw = a.shape
+            views.append(view.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
+        else:
+            views.append(view.reshape(a.shape))
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +194,20 @@ def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
 
 
 def conv2d_kernel_grad(dout: Array, x: Array, k_shape, stride: int, pad: int,
-                       out: Array | None = None) -> Array:
+                       out: Array) -> Array:
     """d(loss)/dk of `conv2d_value`, given dout in channel-last (n, oh, ow, c_out) layout.
 
     One GEMM per run of kernel rows that land on the input for the same
     output rows, over just those output rows: the run's patches are rebuilt
     from x, so the largest temporary is a fraction of a full patch matrix.
-    Writes into `out`, a channel-last array of the kernel's shape, if given;
-    else into a fresh array. Returns it as a channel-last NCHW array.
+    Writes into `out`, a channel-last array of the kernel's shape, and
+    returns it.
     """
     n, c, h, w = x.shape
     co, _, kh, kw = k_shape
     _, oh, ow, _ = dout.shape
     xp, row_pad = _padded(x, pad)
-    if out is None:
-        out = np.empty((co, kh, kw, c), dtype=np.float64).transpose(0, 3, 1, 2)
-    elif not out.transpose(0, 2, 3, 1).flags.c_contiguous:
+    if not out.transpose(0, 2, 3, 1).flags.c_contiguous:
         raise ValueError("the kernel gradient is written channel-last only")
     grad = out.transpose(0, 2, 3, 1).reshape(co, kh * kw * c)  # a view, by the check above
     for t0, t1, (lo, hi) in _kernel_row_runs(oh, kh, xp.shape[1], stride, pad - row_pad):
@@ -336,48 +351,32 @@ class ComputationRecord:
 
     # -- primitive ops ---------------------------------------------------------
 
-    def affine(self, x: Node, w: Node, b: Node) -> Node:
-        if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]:
-            raise ShapeMismatchError(
-                f"affine expects (n,{w.shape[0] if w.value.ndim == 2 else '?'}) input, got {x.shape}")
-        out = affine_value(x.value, w.value, b.value)
+    def _layer_op(self, op: str, x: Node, params: Sequence[Node], *args) -> Node:
+        """Layer op `op` through a one-op GradPass, the op's only value
+        kernel and backward rules; the rule accumulates the sweep's input
+        gradient and fresh parameter gradients into the operands' nodes."""
+        grads = None
+        if any(p.requires_grad for p in params):
+            grads = flat_views(np.empty(sum(p.value.size for p in params)),
+                               [p.value for p in params])
+        grad_pass = GradPass(grads, input_grad=x.requires_grad)
+        out = getattr(grad_pass, op)(x.value, *(p.value for p in params), *args)
 
         def backward(g: Array) -> None:
-            if x.requires_grad:
-                x._accumulate(g @ w.value.T)
-            if w.requires_grad:
-                w._accumulate(x.value.T @ g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=0))
+            x._accumulate(grad_pass.input_gradient(g))
+            for p, dp in zip(params, grads or ()):
+                p._accumulate(dp)
 
-        return self._push(out, "affine", (x, w, b), backward)
+        return self._push(out, op, (x, *params), backward)
+
+    def affine(self, x: Node, w: Node, b: Node) -> Node:
+        return self._layer_op("affine", x, (w, b))
 
     def conv2d(self, x: Node, k: Node, b: Node, stride: int = 2, pad: int = 2) -> Node:
-        # nothing but the operands is kept for backward: the kernel gradient
-        # rebuilds its patches from x.value, one run of kernel rows at a time
-        out = conv2d_value(x.value, k.value, b.value, stride, pad)
-
-        def backward(g: Array) -> None:
-            dout = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # no copy if channel-last
-            if k.requires_grad:
-                k._accumulate(conv2d_kernel_grad(dout, x.value, k.shape, stride, pad))
-            if b.requires_grad:
-                b._accumulate(dout.reshape(-1, k.shape[0]).sum(axis=0))
-            if x.requires_grad:
-                x._accumulate(conv2d_input_grad(dout, k.value, x.shape, stride, pad))
-
-        return self._push(out, "conv2d", (x, k, b), backward)
+        return self._layer_op("conv2d", x, (k, b), stride, pad)
 
     def leaky(self, x: Node, slope: float) -> Node:
-        mask = x.value >= 0.0
-        out = leaky_value(x.value, slope)
-
-        def backward(g: Array) -> None:
-            # the subgradient at exactly 0 is 1; max(mask, slope) is 1 or
-            # slope, so the product is bitwise np.where(mask, g, slope * g)
-            x._accumulate(g * np.maximum(mask, slope))
-
-        return self._push(out, "leaky", (x,), backward)
+        return self._layer_op("leaky", x, (), slope)
 
     def sigmoid(self, x: Node) -> Node:
         s = sigmoid_value(x.value)
@@ -478,12 +477,7 @@ class ComputationRecord:
         return self._gather(x, (np.arange(x.shape[0]), idx), "select")
 
     def reshape(self, x: Node, shape) -> Node:
-        out = x.value.reshape(shape)
-
-        def backward(g: Array) -> None:
-            x._accumulate(g.reshape(x.shape))
-
-        return self._push(out, "reshape", (x,), backward)
+        return self._layer_op("reshape", x, (), shape)
 
     # -- backward sweep --------------------------------------------------------
 
@@ -607,10 +601,10 @@ def init_layer_params(spec: Sequence[LayerSpec], rng: np.random.Generator) -> li
     return params
 
 
-def feature_width(spec: Sequence[LayerSpec], input_shape: tuple) -> int:
-    """Width of the flattened feature vector for one sample of input_shape,
-    from the layer specs alone; raises ShapeMismatchError where the forward
-    pass would."""
+def _output_shape(spec: Sequence[LayerSpec], input_shape: tuple) -> tuple:
+    """The shape the layer stack gives one sample of input_shape, from the
+    layer specs alone; raises ShapeMismatchError naming the first layer
+    whose input does not fit it or whose kind is unknown."""
     shape = tuple(input_shape)
     for li, layer in enumerate(spec):
         if layer.kind == "dense":
@@ -628,16 +622,23 @@ def feature_width(spec: Sequence[LayerSpec], input_shape: tuple) -> int:
                     f"layer {li} (conv): conv output would be empty for input {shape[1]}x{shape[2]}")
             shape = (layer.out_width, oh, ow)
         elif layer.kind == "flatten":
-            shape = (int(np.prod(shape)),)
+            shape = (math.prod(shape),)
         elif layer.kind != "leaky":
-            raise ShapeMismatchError(f"layer {li}: unknown layer kind {layer.kind!r}")
-    return int(np.prod(shape))
+            raise ShapeMismatchError(f"layer {li} ({layer.kind}): unknown layer kind {layer.kind!r}")
+    return shape
+
+
+def feature_width(spec: Sequence[LayerSpec], input_shape: tuple) -> int:
+    """Width of the flattened feature vector for one sample of input_shape,
+    from the layer specs alone; raises ShapeMismatchError where the forward
+    pass would."""
+    return math.prod(_output_shape(spec, input_shape))
 
 
 class _Untaped:
-    """The four layer ops of a ComputationRecord on plain arrays, with no
-    tape: the same value kernels, so a taped and an untaped pass agree
-    bitwise."""
+    """The four layer ops on plain arrays, keeping no rules: `GradPass`'s
+    value kernels without its per-op NaN/Inf checks, so an untaped pass
+    agrees with a gradient pass or a tape bitwise."""
 
     affine = staticmethod(affine_value)
     leaky = staticmethod(leaky_value)
@@ -659,15 +660,16 @@ UNTAPED = _Untaped()
 class GradPass:
     """The four layer ops on plain arrays, each keeping one backward rule,
     so one reversed sweep gives the input gradient, the parameter gradients
-    or both. The tape's kernels, rules, summation order and op-output
-    checks, so values and gradients equal a ComputationRecord's bitwise.
+    or both. These methods are the one definition of each layer op's value
+    and backward rules; a ComputationRecord runs its layer ops through a
+    one-op pass. Each op's output is checked for NaN/Inf.
 
     `grads`, if given, holds one array per parameter, in the order the ops
     read the parameters (stack, then head); the sweep writes each
-    parameter's gradient into its array with `out=`. Without `input_grad`
-    the batch is a constant, as the tape treats SGD's batch: the ops before
-    the first parameterized one keep no rule, and that one's rule skips its
-    input side.
+    parameter's gradient into its array with `out=`; a conv kernel's must be
+    channel-last. Without `input_grad` the batch is a constant, as in SGD:
+    the ops before the first parameterized one keep no rule, and that one's
+    rule skips its input side.
     """
 
     def __init__(self, grads: Sequence[Array] | None = None, input_grad: bool = True):
@@ -702,6 +704,8 @@ class GradPass:
         outs = None if self._outs is None else (next(self._outs), next(self._outs))
         tracked, self._tracked = self._tracked, True
 
+        # nothing but the operands is kept for backward: the kernel gradient
+        # rebuilds its patches from x, one run of kernel rows at a time
         def rule(g: Array) -> Array | None:
             # the conv kernels are module globals, looked up at call time, so
             # a wrapper patched over one sees every call
@@ -714,6 +718,8 @@ class GradPass:
         return self._keep(conv2d_value(x, k, b, stride, pad), "conv2d", rule)
 
     def leaky(self, x: Array, slope: float) -> Array:
+        # the subgradient at exactly 0 is 1; max(mask, slope) is 1 or slope,
+        # so the rule's product is bitwise np.where(mask, g, slope * g)
         mask = x >= 0.0
         return self._keep(leaky_value(x, slope), "leaky", lambda g: g * np.maximum(mask, slope))
 
@@ -740,34 +746,26 @@ def feature_stack(ops, spec: Sequence[LayerSpec], params: Sequence, x):
     """Run the layer stack on a batch and return its (n, width) features.
 
     `ops` is a ComputationRecord, with `params` and `x` its nodes, or
-    UNTAPED or a GradPass, with plain arrays. A shape mismatch or an
-    unknown layer kind raises ShapeMismatchError naming the layer.
+    UNTAPED or a GradPass, with plain arrays. The shapes are checked by the
+    walk over the specs that `feature_width` makes, before any op runs: a
+    shape mismatch or an unknown layer kind raises ShapeMismatchError
+    naming the layer.
     """
+    _output_shape(spec, x.shape[1:])
     out = x
     pi = 0
-    for li, layer in enumerate(spec):
-        try:
-            if layer.kind == "dense":
-                if len(out.shape) != 2 or out.shape[1] != layer.in_width:
-                    raise ShapeMismatchError(
-                        f"expected (n,{layer.in_width}) input, got {out.shape}")
-                out = ops.affine(out, params[pi], params[pi + 1])
-                pi += 2
-            elif layer.kind == "conv":
-                if len(out.shape) != 4 or out.shape[1] != layer.in_width:
-                    raise ShapeMismatchError(
-                        f"expected (n,{layer.in_width},h,w) input, got {out.shape}")
-                out = ops.conv2d(out, params[pi], params[pi + 1],
-                                 stride=CONV_STRIDE, pad=layer.pad)
-                pi += 2
-            elif layer.kind == "leaky":
-                out = ops.leaky(out, layer.slope)
-            elif layer.kind == "flatten":
-                out = ops.reshape(out, (out.shape[0], -1))
-            else:
-                raise ShapeMismatchError(f"unknown layer kind {layer.kind!r}")
-        except ShapeMismatchError as exc:
-            raise ShapeMismatchError(f"layer {li} ({layer.kind}): {exc}") from None
+    for layer in spec:
+        if layer.kind == "dense":
+            out = ops.affine(out, params[pi], params[pi + 1])
+            pi += 2
+        elif layer.kind == "conv":
+            out = ops.conv2d(out, params[pi], params[pi + 1],
+                             stride=CONV_STRIDE, pad=layer.pad)
+            pi += 2
+        elif layer.kind == "leaky":
+            out = ops.leaky(out, layer.slope)
+        else:  # flatten: the walk rejects every other kind
+            out = ops.reshape(out, (out.shape[0], -1))
     if len(out.shape) != 2:
         out = ops.reshape(out, (out.shape[0], -1))
     return out
@@ -779,7 +777,7 @@ def forward_features(params: Sequence[Array], spec: Sequence[LayerSpec], x) -> A
 
 
 # ---------------------------------------------------------------------------
-# gradient extraction and checking
+# gradient extraction
 # ---------------------------------------------------------------------------
 
 def param_gradients(graph, out) -> Sequence[Array]:
@@ -792,98 +790,3 @@ def param_gradients(graph, out) -> Sequence[Array]:
 def input_gradient(graph, out) -> Array:
     """d(out)/dx of a ComputationRecord (out: a scalar node) or a GradPass (out: a seed)."""
     return graph.input_gradient(out)
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_err_params: float
-    max_rel_err_input: float
-    coords_checked: int
-
-
-def _rel_err(a: float, n: float) -> float:
-    return abs(a - n) / max(abs(a), abs(n), 1e-6)
-
-
-def gradient_check(spec: Sequence[LayerSpec], seed: int, input_shape: tuple,
-                   head: str = "sigmoid", n_coords: int = 20,
-                   h: float = 1e-5) -> GradCheckReport:
-    """Analytic vs central-finite-difference gradients on a random network."""
-    gen = np.random.default_rng(seed)
-    params = init_layer_params(spec, gen)
-    # non-degenerate random weights for the check (He init already random;
-    # nudge biases off zero so their gradients are exercised away from kinks)
-    params = [channel_last(p + 0.05 * gen.standard_normal(p.shape)) for p in params]
-    x = gen.standard_normal((2,) + tuple(input_shape))
-    width = feature_width(spec, input_shape)
-    if head == "sigmoid":
-        hw = gen.normal(0.0, 1.0 / np.sqrt(width), size=(width, 1))
-        hb = gen.normal(0.0, 0.1, size=(1,))
-    elif head == "softmax":
-        hw = gen.normal(0.0, 1.0 / np.sqrt(width), size=(width, 3))
-        hb = gen.normal(0.0, 0.1, size=(3,))
-        labels = gen.integers(0, 3, size=2)
-    elif head == "quadratic":
-        hw = hb = None
-    else:
-        raise ValueError(f"unknown head {head!r}")
-
-    def build_loss(ps: Sequence[Array], xs: Array):
-        record = ComputationRecord()
-        x_node = record.leaf(xs, kind="input")
-        p_nodes = [record.leaf(p, kind="param") for p in ps]
-        feats = feature_stack(record, spec, p_nodes, x_node)
-        if head == "quadratic":
-            loss = record.scale(record.sum(record.square(feats)), 0.5)
-            return record, loss, x_node
-        w_node = record.leaf(hw, kind="param")
-        b_node = record.leaf(hb, kind="param")
-        logits = record.affine(feats, w_node, b_node)
-        if head == "sigmoid":
-            loss = record.sum(record.sigmoid(logits))
-        else:
-            loss = record.scale(record.sum(record.select(record.log_softmax(logits), labels)), -1.0)
-        return record, loss, x_node
-
-    record, loss, x_node = build_loss(params, x)
-    record.backward(loss)
-    grads = [n.grad if n.grad is not None else np.zeros_like(n.value)
-             for n in record.param_nodes()]
-    gx = x_node.grad if x_node.grad is not None else np.zeros_like(x)
-
-    def loss_value(ps, xs) -> float:
-        _, node, _ = build_loss(ps, xs)
-        return float(node.value)
-
-    all_params = params if head == "quadratic" else params + [hw, hb]
-
-    def central_difference(arr: Array, ci: int) -> float:
-        # perturb the array itself: reshape(-1) would copy a channel-last kernel
-        at = np.unravel_index(ci, arr.shape)
-        orig = arr[at]
-        arr[at] = orig + h
-        up = loss_value(params, x)
-        arr[at] = orig - h
-        down = loss_value(params, x)
-        arr[at] = orig
-        return (up - down) / (2 * h)
-
-    max_p = 0.0
-    checked = 0
-    for _ in range(n_coords):
-        ti = int(gen.integers(0, len(all_params)))
-        ci = int(gen.integers(0, all_params[ti].size))
-        numeric = central_difference(all_params[ti], ci)
-        analytic = grads[ti].reshape(-1)[ci]
-        max_p = max(max_p, _rel_err(analytic, numeric))
-        checked += 1
-
-    max_x = 0.0
-    for _ in range(n_coords):
-        ci = int(gen.integers(0, x.size))
-        numeric = central_difference(x, ci)
-        analytic = gx.reshape(-1)[ci]
-        max_x = max(max_x, _rel_err(analytic, numeric))
-        checked += 1
-
-    return GradCheckReport(max_p, max_x, checked)

@@ -14,7 +14,6 @@ Determinism: every random decision draws from a stream keyed by
 (seed, stream id, round, ...), so runs with equal configs are bitwise equal.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -112,8 +111,8 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
                 gen: np.random.Generator) -> list[float]:
     """Momentum SGD over shuffled unions of S and pseudo-negatives x_pn,
     one tag per row; returns the per-epoch mean loss trace. Momentum
-    buffers are fresh per call, and c's parameters become views of one
-    flat array (`_pack`).
+    buffers are fresh per call; the update runs on c's flat parameter
+    array (`_pack`).
 
     Each batch loss is the mean over its rows of one head loss over the
     batch's S rows, then its store rows marked negative. A binary head's
@@ -150,34 +149,17 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
     return losses
 
 
-def _flat_views(flat: Array, like: list[Array]) -> list[Array]:
-    """Consecutive views of the 1-D `flat`, one per array of `like`, each
-    of its shape; a conv kernel's is channel-last (see `T.channel_last`)."""
-    views, at = [], 0
-    for a in like:
-        view = flat[at:at + a.size]
-        at += a.size
-        if a.ndim == 4:
-            co, ci, kh, kw = a.shape
-            views.append(view.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
-        else:
-            views.append(view.reshape(a.shape))
-    return views
-
-
 def _pack(c):
-    """Copies c's parameters into one flat float64 array and gives c views
-    of it. Returns that array, a zeroed momentum buffer of its size, and a
-    gradient buffer with its views laid out as c's parameters."""
+    """c's flat parameter array (see `N.Classifier`), a zeroed momentum
+    buffer of its size, and a gradient buffer with its views laid out as
+    c's parameters. A parameter field bound to an array outside the flat
+    one would never be updated, so it raises TrainerError."""
     params = c.all_params()
-    flat = np.empty(sum(p.size for p in params))
-    views = _flat_views(flat, params)
-    for view, p in zip(views, params):
-        view[...] = p
-    c.set_params(views)
+    if any(p.base is not c.flat for p in params):
+        raise TrainerError("a classifier parameter is not a view of its flat array")
     # np.zeros, not zeros_like: fresh zero pages, no 34.6 MB fill per call on MNIST_NET
-    grad = np.zeros(flat.size)
-    return flat, np.zeros(flat.size), (grad, _flat_views(grad, params))
+    grad = np.zeros(c.flat.size)
+    return c.flat, np.zeros(c.flat.size), (grad, T.flat_views(grad, params))
 
 
 def _sgd_step(c, x, labels, negative, alpha, flat, velocity, grad, lr, momentum) -> float:
@@ -258,10 +240,8 @@ def _snapshot(c):
 
 
 def with_params(c, params):
-    """A copy of classifier c carrying the given parameter snapshot."""
-    out = copy.copy(c)
-    out.set_params([np.copy(p) for p in params])
-    return out
+    """A copy of classifier c carrying a copy of the given parameter snapshot."""
+    return N.Classifier(c.spec, params[:-2], params[-2], params[-1])
 
 
 def _default_synthesizer(sampler_config: S.SamplerConfig, input_shape):

@@ -24,6 +24,8 @@ from icnet import tensor as T
 from icnet import trainer as TR
 from icnet.seeding import STREAM_EPOCH, STREAM_INIT, rng
 
+from helpers import cell_mass_at, gradient_check
+
 SPEC_2D = [T.dense(2, 16), T.leaky(), T.dense(16, 16), T.leaky()]
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -72,7 +74,7 @@ def test_criterion_01_gradient_correctness():
     start = time.perf_counter()
     worst = 0.0
     for i, (spec, shape, head) in enumerate(cases):
-        rep = T.gradient_check(spec, seed=i, input_shape=shape, head=head)
+        rep = gradient_check(spec, seed=i, input_shape=shape, head=head)
         worst = max(worst, rep.max_rel_err_params, rep.max_rel_err_input)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 30.0
@@ -165,13 +167,13 @@ def test_criterion_04_sampler_contract():
     for key, model in (("round0", c0), ("round4", icn_run.classifier)):
         samples, traces = S.synthesize_pseudo_negatives(
             model, scfg, 200, rng(0, 3, 0 if key == "round0" else 1), (2,))
-        probs = N.prob_positive(model, samples)
+        probs = T.sigmoid_value(N.logit_binary(model, samples))
         for i, tr in enumerate(traces):
             if tr.stop_reason == S.STOP_THRESHOLD:
                 threshold_total += 1
                 threshold_ok += probs[i] >= 0.95 - 1e-12
         p_t, _ = O.density_update(prior, model)
-        masses = O.cell_mass_at(p_t, samples)
+        masses = cell_mass_at(p_t, samples)
         landing_fracs.append(float((masses >= np.median(p_t.mass)).mean()))
 
     all_above = threshold_ok == threshold_total and threshold_total > 0

@@ -18,6 +18,8 @@ from icnet import tensor as T
 from icnet import trainer as TR
 from icnet.seeding import rng
 
+from helpers import read_pgm
+
 
 def config_text(out, task="synthetic2d", mode="binary", seed=0, rounds=3,
                 pseudo=4, extra_experiment="", extra_train=""):
@@ -124,7 +126,7 @@ class TestPgm:
     def test_all_zero_sample_is_mid_gray_128(self, tmp_path):
         path = tmp_path / "zero.pgm"
         C.dump_images(np.zeros((1, 4, 4)), path)
-        img = C.read_pgm(path)
+        img = read_pgm(path)
         assert img.shape == (4, 4)
         assert np.all(img == 128)
 
@@ -377,7 +379,7 @@ class TestRunExperiment:
         assert [p.name for p in heatmaps] == [
             "heatmap_round_01.pgm", "heatmap_round_02.pgm",
             "heatmap_round_03.pgm"]
-        img = C.read_pgm(heatmaps[0])
+        img = read_pgm(heatmaps[0])
         assert img.shape == (48, 48) and img.max() == 255
         for t in range(4):
             assert (out / "checkpoints" / f"model_round_{t:02d}.bin").is_file()

@@ -13,6 +13,8 @@ from icnet import tensor as T
 from icnet import trainer as TR
 from icnet.seeding import rng
 
+from helpers import rel_err
+
 SPEC_2D = [T.dense(2, 16), T.leaky(), T.dense(16, 16), T.leaky()]
 
 
@@ -35,7 +37,7 @@ class TestBinaryLogit:
     def test_exp_logit_is_probability_ratio(self):
         c = make_binary(3)
         x = rng(3, 6).standard_normal((8, 2))
-        p = N.prob_positive(c, x)
+        p = T.sigmoid_value(N.logit_binary(c, x))
         ratio = p / (1.0 - p)
         np.testing.assert_allclose(np.exp(N.logit_binary(c, x)), ratio, rtol=1e-12)
 
@@ -52,7 +54,7 @@ class TestProbPositive:
         c = make_binary()
         c.head_w = np.zeros_like(c.head_w)
         x = np.zeros((3, 2))
-        np.testing.assert_array_equal(N.prob_positive(c, x), 0.5 * np.ones(3))
+        np.testing.assert_array_equal(T.sigmoid_value(N.logit_binary(c, x)), 0.5 * np.ones(3))
 
     def test_monotone_and_saturating(self):
         c = make_binary(5)
@@ -61,7 +63,7 @@ class TestProbPositive:
         base_w = c.head_w.copy()
         for scale in (1.0, 5.0, 25.0, 125.0):
             c.head_w = base_w * scale
-            probs.append(float(N.prob_positive(c, x)[0]))
+            probs.append(float(T.sigmoid_value(N.logit_binary(c, x))[0]))
         logit_sign = np.sign(float(N.logit_binary(c, x)[0]))
         diffs = np.diff(probs) * logit_sign
         assert np.all(diffs >= 0)
@@ -70,16 +72,16 @@ class TestProbPositive:
     def test_flipped_head_complements(self):
         c = make_binary(6)
         x = rng(6, 6).standard_normal((7, 2))
-        p = N.prob_positive(c, x)
+        p = T.sigmoid_value(N.logit_binary(c, x))
         c.head_w = -c.head_w
         c.head_b = -c.head_b
-        q = N.prob_positive(c, x)
+        q = T.sigmoid_value(N.logit_binary(c, x))
         np.testing.assert_allclose(p, 1.0 - q, atol=1e-12)
 
     def test_complement_sums_to_one_exactly(self):
         c = make_binary(7)
         x = rng(7, 6).standard_normal((9, 2))
-        p = N.prob_positive(c, x)
+        p = T.sigmoid_value(N.logit_binary(c, x))
         assert np.all((0 < p) & (p < 1))
         np.testing.assert_array_equal(p + (1.0 - p), np.ones(9))
 
@@ -89,27 +91,27 @@ class TestSoftmaxHead:
         c = make_multiclass(8, k=4)
         c.head_w = np.tile(c.head_w[:, :1], (1, 4))
         c.head_b = np.full(4, 0.3)
-        probs = N.class_probs_softmax(c, rng(8, 6).standard_normal((5, 2)))
+        probs = T.softmax_value(N.class_logits(c, rng(8, 6).standard_normal((5, 2))))
         np.testing.assert_allclose(probs, 0.25, rtol=1e-12)
 
     def test_shift_invariance(self):
         c = make_multiclass(9)
         x = rng(9, 6).standard_normal((4, 2))
-        before = N.class_probs_softmax(c, x)
+        before = T.softmax_value(N.class_logits(c, x))
         c.head_b = c.head_b + 13.7
-        np.testing.assert_allclose(N.class_probs_softmax(c, x), before, atol=1e-12)
+        np.testing.assert_allclose(T.softmax_value(N.class_logits(c, x)), before, atol=1e-12)
 
     def test_matches_explicit_normalization(self):
         c = make_multiclass(10)
         x = rng(10, 6).standard_normal((6, 2))
         logits = N.class_logits(c, x)
         e = np.exp(logits)
-        np.testing.assert_allclose(N.class_probs_softmax(c, x),
+        np.testing.assert_allclose(T.softmax_value(N.class_logits(c, x)),
                                    e / e.sum(axis=1, keepdims=True), rtol=1e-12)
 
     def test_probs_positive_and_normalized(self):
         c = make_multiclass(11, k=5)
-        probs = N.class_probs_softmax(c, rng(11, 6).standard_normal((8, 2)))
+        probs = T.softmax_value(N.class_logits(c, rng(11, 6).standard_normal((8, 2))))
         assert np.all(probs > 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -152,8 +154,9 @@ class TestPredictLabel:
                                       np.argmax(scores, axis=1))
 
 
-CONV_SPEC = [T.conv(1, 3), T.leaky(), T.conv(3, 4), T.leaky(), T.flatten(),
-             T.dense(16, 5), T.leaky()]
+CONV_SPEC = [T.conv(1, 2), T.leaky(), T.conv(2, 3), T.leaky(), T.flatten()]
+STACKS = pytest.mark.parametrize("spec, shape", [(SPEC_2D, (2,)), (CONV_SPEC, (1, 8, 8))],
+                                 ids=["dense", "conv"])
 
 
 class TestLogitSumGraph:
@@ -235,18 +238,18 @@ def mixed_batch(k, gen, n_s=5, n_pn=4, shape=(2,)):
 
 class TestHeadGraphGradients:
     """The loss SGD minimizes and its gradient pass, checked against central
-    differences: the labeled and pseudo-negative rows of a binary and of a
-    3-class head."""
+    differences at every coordinate: the labeled and pseudo-negative rows of
+    a binary and of a 3-class head, over the dense stack and over the conv
+    stack (conv, leaky and flatten rules; input, kernel and bias sides).
+    These rules are the tape's too, so the bitwise pass-against-tape tests
+    do not check them."""
 
-    @staticmethod
-    def rel_err(analytic, numeric):
-        return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-
+    @STACKS
     @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
-    def test_param_and_input_gradients_match_central_differences(self, k):
-        c = N.init_multiclass(SPEC_2D, (2,), k, rng(50, 1))
-        c.head_b = c.head_b + 0.1 * rng(50, 2).standard_normal(k)
-        x, labels, negative = mixed_batch(k, rng(50, 6))
+    def test_param_and_input_gradients_match_central_differences(self, spec, shape, k):
+        c = N.init_multiclass(spec, shape, k, rng(50, 1))
+        c.head_b[...] += 0.1 * rng(50, 2).standard_normal(k)
+        x, labels, negative = mixed_batch(k, rng(50, 6), shape=shape)
         grads = [np.zeros_like(p) for p in c.all_params()]
         grad_pass, logits = N.head_pass(c, x, grads)
         _, seed = N.head_loss(logits, labels, negative, 0.3)
@@ -264,13 +267,8 @@ class TestHeadGraphGradients:
                 arr[at] = orig - h
                 down = loss()
                 arr[at] = orig
-                worst = max(worst, self.rel_err(grad[at], (up - down) / (2 * h)))
+                worst = max(worst, rel_err(grad[at], (up - down) / (2 * h)))
         assert worst < 1e-4
-
-
-CONV_SPEC = [T.conv(1, 2), T.leaky(), T.conv(2, 3), T.leaky(), T.flatten()]
-STACKS = pytest.mark.parametrize("spec, shape", [(SPEC_2D, (2,)), (CONV_SPEC, (1, 8, 8))],
-                                 ids=["dense", "conv"])
 
 
 def pass_loss_and_grads(c, x, labels, negative, alpha):

@@ -12,6 +12,8 @@ from icnet import tensor as T
 from icnet.cli import SYNTH_NET
 from icnet.seeding import rng
 
+from helpers import cell_mass_at
+
 SPEC_2D = [T.dense(2, 12), T.leaky(), T.dense(12, 12), T.leaky()]
 
 
@@ -19,9 +21,16 @@ def random_classifier(seed: int) -> N.Classifier:
     return N.init_binary(SPEC_2D, (2,), rng(seed, 1))
 
 
+def grid_of(bounds, mass) -> O.GridDensity:
+    """The grid density over `bounds` with the given cell masses, normalized;
+    a zero mass is a cell of log mass -inf."""
+    mass = np.asarray(mass, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return O.GridDensity.from_log_unnormalized(bounds, mass.shape, np.log(mass))
+
+
 def random_grid(seed: int, shape=(4, 4)) -> O.GridDensity:
-    mass = rng(seed, 4).uniform(0.05, 1.0, size=shape)
-    return O.GridDensity.from_mass(((-3, 3), (-3, 3)), shape, mass)
+    return grid_of(((-3, 3), (-3, 3)), rng(seed, 4).uniform(0.05, 1.0, size=shape))
 
 
 class TestBuildGrid:
@@ -122,17 +131,13 @@ class TestKl:
     def test_two_state_hand_value(self):
         # 0.7/0.3 vs 0.5/0.5 split across duplicated cells:
         # 0.7 ln(0.7/0.5) + 0.3 ln(0.3/0.5) = 0.0822828785; worked by hand
-        p = O.GridDensity.from_mass(((-1, 1), (-1, 1)), (2, 2),
-                                    [[0.35, 0.35], [0.15, 0.15]])
-        q = O.GridDensity.from_mass(((-1, 1), (-1, 1)), (2, 2),
-                                    [[0.25, 0.25], [0.25, 0.25]])
+        p = grid_of(((-1, 1), (-1, 1)), [[0.35, 0.35], [0.15, 0.15]])
+        q = grid_of(((-1, 1), (-1, 1)), [[0.25, 0.25], [0.25, 0.25]])
         assert abs(O.kl_divergence(p, q) - 0.0822828785) < 1e-9
 
     def test_missing_support_reports_infinity(self):
-        p = O.GridDensity.from_mass(((-1, 1), (-1, 1)), (2, 2),
-                                    [[0.5, 0.5], [0.0, 0.0]])
-        q = O.GridDensity.from_mass(((-1, 1), (-1, 1)), (2, 2),
-                                    [[0.0, 0.0], [0.5, 0.5]])
+        p = grid_of(((-1, 1), (-1, 1)), [[0.5, 0.5], [0.0, 0.0]])
+        q = grid_of(((-1, 1), (-1, 1)), [[0.0, 0.0], [0.5, 0.5]])
         assert O.kl_divergence(p, q) == float("inf")
 
     def test_grid_mismatch_rejected(self):
@@ -184,7 +189,7 @@ class TestExactSample:
     def test_point_mass_lands_in_cell(self):
         mass = np.zeros((4, 4))
         mass[1, 2] = 1.0
-        grid = O.GridDensity.from_mass(((-2, 2), (-2, 2)), (4, 4), mass)
+        grid = grid_of(((-2, 2), (-2, 2)), mass)
         samples = O.exact_grid_sample(grid, 50, rng(20, 4))
         # cell (1,2): x in [-1,0), y in [0,1)
         assert np.all((samples[:, 0] >= -1) & (samples[:, 0] <= 0))
@@ -213,22 +218,12 @@ class TestExactSample:
     def test_cell_mass_lookup(self):
         grid = random_grid(23, (4, 4))
         centers = grid.cell_centers()
-        np.testing.assert_allclose(O.cell_mass_at(grid, centers),
+        np.testing.assert_allclose(cell_mass_at(grid, centers),
                                    grid.mass.reshape(-1), rtol=1e-14)
-        assert O.cell_mass_at(grid, [[99.0, 0.0]])[0] == 0.0
+        assert cell_mass_at(grid, [[99.0, 0.0]])[0] == 0.0
 
 
 class TestExports:
-    def test_csv_roundtrip(self, tmp_path):
-        grid = random_grid(24, (4, 4))
-        path = tmp_path / "grid.csv"
-        O.grid_to_csv(grid, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].strip() == "x,y,mass"
-        assert len(lines) == 17
-        total = sum(float(line.strip().split(",")[2]) for line in lines[1:])
-        assert abs(total - 1.0) < 1e-6
-
     def test_heatmap_peak_is_255(self):
         grid = random_grid(25)
         gray = O.heatmap_gray(grid)

@@ -72,7 +72,7 @@ class TestFgsmPerturb:
         y = gen.integers(0, 3, size=30)
         adv = R.fgsm_perturb(c, x, y, 0.05, clamp=None)
         def ce(samples):
-            probs = N.class_probs_softmax(c, samples)
+            probs = T.softmax_value(N.class_logits(c, samples))
             return -np.log(probs[np.arange(30), y])
         # summed loss must go up; FGSM maximizes the batch total
         assert ce(adv).sum() > ce(x).sum()

@@ -12,6 +12,8 @@ from icnet import sampler as S
 from icnet import tensor as T
 from icnet.seeding import rng
 
+from helpers import cell_mass_at
+
 
 def peaked_classifier(peak_logit=3.5, slope_scale=2.0) -> N.Classifier:
     """Hand-built net whose logit is peak - c*(|x| + |y|): a pyramid over the
@@ -221,7 +223,7 @@ class TestSynthesize:
         config = S.SamplerConfig(method="plain-gradient", stopping="option2",
                                  confidence_threshold=0.95, max_steps=300)
         samples, _ = S.synthesize_pseudo_negatives(c, config, 100, rng(19, 3), (2,))
-        masses = O.cell_mass_at(p_t, samples)
+        masses = cell_mass_at(p_t, samples)
         median = np.median(p_t.mass)
         assert (masses > median).mean() >= 0.9
 

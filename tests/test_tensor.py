@@ -10,6 +10,8 @@ import pytest
 
 from icnet import tensor as T
 
+from helpers import gradient_check
+
 
 def brute_force_conv(x, k, b, stride, pad):
     """Direct nested-loop convolution, written independently of the engine."""
@@ -93,7 +95,8 @@ def patch_elements(x_shape, k_shape, stride, pad):
 
 def tape_arrays(rec):
     """Every array a record reaches: node values and gradients, the arrays
-    and nodes their backward rules close over, and the bases of views."""
+    and nodes their backward rules close over (the layer ops' through their
+    one-op GradPass), and the bases of views."""
     arrays, seen, stack = [], set(), list(rec.nodes)
     while stack:
         obj = stack.pop()
@@ -107,6 +110,8 @@ def tape_arrays(rec):
             stack += [obj.value, obj.grad, obj._backward]
         elif isinstance(obj, (list, tuple)):
             stack += obj
+        elif isinstance(obj, T.GradPass):
+            stack += list(vars(obj).values())
         elif callable(obj):
             stack += [cell.cell_contents for cell in getattr(obj, "__closure__", None) or ()]
     return arrays
@@ -334,7 +339,7 @@ class TestParamGradients:
 
     def test_two_layer_net_finite_differences(self):
         spec = [T.dense(6, 5), T.leaky(), T.dense(5, 1)]
-        report = T.gradient_check(spec, seed=123, input_shape=(6,), head="sigmoid")
+        report = gradient_check(spec, seed=123, input_shape=(6,), head="sigmoid")
         assert report.coords_checked >= 20
         assert report.max_rel_err_params < 1e-4
 
@@ -375,7 +380,7 @@ class TestInputGradient:
 
     def test_conv_logit_finite_differences(self):
         spec = [T.conv(1, 3), T.leaky(), T.conv(3, 4), T.leaky(), T.flatten()]
-        report = T.gradient_check(spec, seed=42, input_shape=(1, 8, 8), head="sigmoid")
+        report = gradient_check(spec, seed=42, input_shape=(1, 8, 8), head="sigmoid")
         assert report.max_rel_err_input < 1e-4
 
     def test_dropped_record_freed_without_cycle_collection(self):
@@ -508,14 +513,14 @@ class TestSweptTape:
 class TestGradientCheck:
     def test_linear_quadratic_is_exact(self):
         spec = [T.dense(5, 4)]
-        report = T.gradient_check(spec, seed=3, input_shape=(5,),
+        report = gradient_check(spec, seed=3, input_shape=(5,),
                                   head="quadratic", h=1e-3)
         assert report.max_rel_err_params < 1e-9
         assert report.max_rel_err_input < 1e-9
 
     def test_conv_leaky_under_1e4(self):
         spec = [T.conv(1, 2), T.leaky(), T.flatten(), T.dense(2 * 4 * 4, 3)]
-        report = T.gradient_check(spec, seed=9, input_shape=(1, 7, 7), head="softmax")
+        report = gradient_check(spec, seed=9, input_shape=(1, 7, 7), head="softmax")
         assert report.max_rel_err_params < 1e-4
         assert report.max_rel_err_input < 1e-4
 
@@ -524,15 +529,15 @@ class TestGradientCheck:
         # C-contiguous: the check must perturb them in place, not a copy
         spec = [T.conv(2, 3), T.leaky(), T.conv(3, 2), T.leaky(), T.flatten(),
                 T.dense(2 * 2 * 2, 3)]
-        report = T.gradient_check(spec, seed=10, input_shape=(2, 7, 7), head="softmax",
+        report = gradient_check(spec, seed=10, input_shape=(2, 7, 7), head="softmax",
                                   n_coords=60)
         assert report.max_rel_err_params < 1e-4
         assert report.max_rel_err_input < 1e-4
 
     def test_same_seed_same_report(self):
         spec = [T.dense(4, 3), T.leaky(), T.dense(3, 1)]
-        a = T.gradient_check(spec, seed=77, input_shape=(4,))
-        b = T.gradient_check(spec, seed=77, input_shape=(4,))
+        a = gradient_check(spec, seed=77, input_shape=(4,))
+        b = gradient_check(spec, seed=77, input_shape=(4,))
         assert a == b
 
 

@@ -116,7 +116,7 @@ class TestMulticlassLoss:
         c = N.init_multiclass(SPEC_2D, (2,), 3, rng(10, 1))
         x = rng(10, 6).standard_normal((8, 2))
         y = rng(11, 6).integers(0, 3, size=8)
-        probs = N.class_probs_softmax(c, x)
+        probs = T.softmax_value(N.class_logits(c, x))
         want = float(-np.log(probs[np.arange(8), y]).sum())
         got = head_total(c, x, y, alpha=0.0)
         assert abs(got - want) < 1e-9
@@ -369,6 +369,14 @@ class TestReclassificationStep:
                 TR._sgd_step(c, ds.samples[:4], ds.labels[:4], None, 0.0, flat, velocity,
                              grad, 0.01, 2.0)
 
+    def test_rebound_parameter_field_rejected(self):
+        # SGD updates the classifier's flat array: a field bound to another
+        # array would silently never train
+        c = N.init_binary(SPEC_2D, (2,), rng(27, 1))
+        c.head_w = c.head_w.copy()
+        with pytest.raises(TR.TrainerError, match="not a view of its flat array"):
+            TR._pack(c)
+
     def test_lr_drop_applies_at_round(self):
         ds, _ = benchmark(24)
         outs = []
@@ -385,9 +393,9 @@ class TestReclassificationStep:
     def test_two_mnist_net_steps_peak_below_4x_params(self):
         """Two SGD steps of MNIST_NET, each on 16 labeled rows and 4
         pseudo-negatives, allocate less than 4x the parameter bytes at their
-        peak: the flat copy of the parameters, momentum and gradients take
-        3x, so no conv may keep a patch matrix for backward and no step may
-        outlive its own."""
+        peak: momentum and gradients take 2x (the parameters' flat array is
+        the classifier's own), so no conv may keep a patch matrix for
+        backward and no step may outlive its own."""
         from icnet.cli import MNIST_NET
         c = N.init_multiclass(MNIST_NET, (1, 28, 28), 10, rng(25, 1))
         gen = rng(25, 6)
