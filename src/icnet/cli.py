@@ -30,9 +30,6 @@ from .seeding import STREAM_DATA, STREAM_ORACLE, rng
 TASKS = ("synthetic2d", "mnist-subset", "mnist-full")
 MODES = ("binary", "one-vs-all", "softmax", "icn-noise", "baseline")
 
-METRICS_HEADER = ("round", "train_loss", "val_error", "test_error",
-                  "store_size", "kl_to_positive", "wall_time")
-
 
 class CliError(Exception):
     pass
@@ -187,6 +184,7 @@ def config_snapshot_text(config):
 
 @dataclass(frozen=True)
 class MetricsRow:
+    """One metrics.csv row; its fields are the file's columns, in order."""
     round: int
     train_loss: float = None
     val_error: float = None
@@ -194,6 +192,18 @@ class MetricsRow:
     store_size: int = 0
     kl_to_positive: float = None
     wall_time: float = None
+
+    def cells(self):
+        """The row's cells, in field order: counts as written, the rest by
+        `format_float`. bench/test_bench.py edits these lines by their text."""
+        r = self
+        return [str(r.round), format_float(r.train_loss),
+                format_float(r.val_error), format_float(r.test_error),
+                str(r.store_size), format_float(r.kl_to_positive),
+                format_float(r.wall_time)]
+
+
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRow))
 
 
 def format_float(x):
@@ -203,23 +213,23 @@ def format_float(x):
     return "%.9g" % x
 
 
-def emit_metrics(rows, path):
+def write_csv(path, header, rows):
+    """A CSV table with CRLF line ends: the format of every table a command
+    writes."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\r\n")
-        writer.writerow(METRICS_HEADER)
-        for r in rows:
-            writer.writerow([
-                str(r.round), format_float(r.train_loss),
-                format_float(r.val_error), format_float(r.test_error),
-                str(r.store_size), format_float(r.kl_to_positive),
-                format_float(r.wall_time),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def emit_metrics(rows, path):
+    write_csv(path, METRICS_HEADER, (r.cells() for r in rows))
 
 
 def parse_metrics(path):
     """The rows of a metrics.csv; a malformed file, a cell that is not a
     number or bytes that are not UTF-8 raise CliError naming the file."""
-    fv = lambda s: None if s == "" else float(s)
+    cast = lambda f, s: int(s) if f.type is int else None if s == "" else float(s)
     with open(path, "r", newline="") as f:
         reader = csv.reader(f)
         try:
@@ -232,11 +242,7 @@ def parse_metrics(path):
             for cells in reader:
                 if len(cells) != len(METRICS_HEADER):
                     raise CliError(f"{path}: bad row {cells}")
-                rows.append(MetricsRow(
-                    round=int(cells[0]), train_loss=fv(cells[1]),
-                    val_error=fv(cells[2]), test_error=fv(cells[3]),
-                    store_size=int(cells[4]), kl_to_positive=fv(cells[5]),
-                    wall_time=fv(cells[6])))
+                rows.append(MetricsRow(*map(cast, fields(MetricsRow), cells)))
         except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise CliError(f"{path}: malformed metrics file: {exc}") from None
     return rows
@@ -287,17 +293,10 @@ def dump_images(samples, path):
 # run directory artifacts
 # ---------------------------------------------------------------------------
 
-def _sha256(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
 def write_manifest(out_dir, config, input_files):
     lines = [f"seed = {config.seed}"]
-    snapshot = (out_dir / "config.ini").read_bytes()
-    lines.append(f"sha256 {_sha256(snapshot)}  config.ini")
-    for p in input_files:
-        p = Path(p)
-        lines.append(f"sha256 {_sha256(p.read_bytes())}  {p.name}")
+    for p in [out_dir / "config.ini", *map(Path, input_files)]:
+        lines.append(f"sha256 {hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}")
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -342,21 +341,17 @@ def _inner_mode(config):
     return "multiclass"
 
 
-def _run_training(config, train_ds, inner_mode, on_round):
-    """The trainer's result; every mode reports each round to `on_round` as
-    it ends."""
-    net = network_spec_for(config.task)
-    tcfg = config.train
-    scfg = config.sampler
-    if inner_mode == "one-vs-all":
-        return TR.train_one_vs_all_ensemble(train_ds, net, tcfg, scfg, on_round=on_round)
+def _run_training(config, train_ds, mode, on_round):
+    """The trainer's result, from one call for every mode; each round is
+    reported to `on_round` as it ends. `baseline` trains with no rounds and
+    `icn-noise` synthesizes raw reference draws."""
+    train, synthesize = config.train, None
     if config.mode == "baseline":
-        return TR.baseline_train(train_ds, net, tcfg, inner_mode, on_round=on_round)
+        train = replace(train, rounds=0)
     if config.mode == "icn-noise":
-        return TR.train_icn_noise_ablation(train_ds, net, tcfg, scfg, inner_mode,
-                                           on_round=on_round)
-    return TR.run_reclassification_by_synthesis(train_ds, net, tcfg, scfg, inner_mode,
-                                                on_round=on_round)
+        synthesize = TR.noise_synthesizer(config.sampler, train_ds.samples.shape[1:])
+    return TR.run_reclassification_by_synthesis(train_ds, network_spec_for(config.task), train,
+                                                config.sampler, mode, synthesize, on_round)
 
 
 def _test_error(model, test_ds):
@@ -364,10 +359,8 @@ def _test_error(model, test_ds):
     return TR.error_rate(model, test_ds.samples, test_ds.labels)
 
 
-def _positive_grid(p_plus, config):
-    res = (config.grid_resolution, config.grid_resolution)
-    return O.build_grid(O.DEFAULT_BOUNDS, res, p_plus.pdf,
-                        log_density_fn=p_plus.log_pdf)
+def _positive_grid(p_plus, res):
+    return O.build_grid(O.DEFAULT_BOUNDS, res, p_plus.pdf, log_density_fn=p_plus.log_pdf)
 
 
 def _run_experiment_inner(config, out_dir):
@@ -384,9 +377,9 @@ def _run_experiment_inner(config, out_dir):
     inner_mode = _inner_mode(config)
     synthetic_binary = config.task == "synthetic2d" and inner_mode == "binary"
     if synthetic_binary:
-        prior = O.reference_grid(config.sampler.reference_sigma,
-                                 resolution=(config.grid_resolution, config.grid_resolution))
-        pos_grid = _positive_grid(p_plus, config)
+        res = (config.grid_resolution, config.grid_resolution)
+        prior = O.reference_grid(config.sampler.reference_sigma, resolution=res)
+        pos_grid = _positive_grid(p_plus, res)
         heat_dir = out_dir / "heatmaps"
         heat_dir.mkdir(exist_ok=True)
     image_task = config.task != "synthetic2d"
@@ -429,11 +422,9 @@ def _run_experiment_inner(config, out_dir):
     D.save_store(result.store, out_dir / "store_final.bin")
 
     timings.append(("done", time.perf_counter()))
-    with open(out_dir / "timing.csv", "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\r\n")
-        writer.writerow(("phase", "seconds"))
-        for (name, start), (_, end) in zip(timings, timings[1:]):
-            writer.writerow((name, "%.3f" % (end - start)))
+    write_csv(out_dir / "timing.csv", ("phase", "seconds"),
+              [(name, "%.3f" % (end - start))
+               for (name, start), (_, end) in zip(timings, timings[1:])])
     return 0
 
 
@@ -473,8 +464,7 @@ def cmd_oracle_verify(args):
     p_plus_density = D.MixtureDensity(
         D.default_benchmark_spec().positive_means,
         D.default_benchmark_spec().positive_covs, (1, 1))
-    p_plus = O.build_grid(O.DEFAULT_BOUNDS, res, p_plus_density.pdf,
-                          log_density_fn=p_plus_density.log_pdf)
+    p_plus = _positive_grid(p_plus_density, res)
     gaps = []
     for i in range(args.pairs):
         c_t = N.init_binary(SYNTH_NET, (2,), rng(args.seed, STREAM_ORACLE, i, 0))
@@ -485,11 +475,8 @@ def cmd_oracle_verify(args):
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "oracle_verify.csv", "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\r\n")
-            writer.writerow(("pair", "identity_gap"))
-            for i, gap in enumerate(gaps):
-                writer.writerow((i, "%.9g" % gap))
+        write_csv(out_dir / "oracle_verify.csv", ("pair", "identity_gap"),
+                  [(i, "%.9g" % gap) for i, gap in enumerate(gaps)])
     ok = worst < args.tolerance
     print(f"oracle-verify: {args.pairs} pairs on a {args.resolution}x"
           f"{args.resolution} grid, max identity gap {worst:.3e} "
@@ -500,7 +487,8 @@ def cmd_oracle_verify(args):
 def cmd_adversarial(args):
     model_a = N.load_model(args.model_a)
     model_b = N.load_model(args.model_b)
-    _, test_ds, _, _ = _load_task_data(parse_config(args.config))
+    config = parse_config(args.config)
+    _, test_ds, _, _ = _load_task_data(config)
     shape = test_ds.samples.shape[1:]
     top = int(test_ds.labels.max(initial=0))
     for path, model in ((args.model_a, model_a), (args.model_b, model_b)):
@@ -514,7 +502,9 @@ def cmd_adversarial(args):
         if not fits or top >= max(model.n_classes, 2):
             raise CliError(f"{path}: does not fit the config's test set: samples of "
                            f"shape {shape}, labels up to {top}")
-    ab, ba = R.two_way_fool_experiment(model_a, model_b, test_ds, args.eps)
+    # the run's own input box: none on synthetic2d, the pixel range on images
+    ab, ba = R.two_way_fool_experiment(model_a, model_b, test_ds, args.eps,
+                                       config.sampler.clamp)
     path_a, path_b = Path(args.model_a), Path(args.model_b)
     name_a, name_b = path_a.stem, path_b.stem
     if name_a == name_b:
@@ -526,14 +516,10 @@ def cmd_adversarial(args):
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "fooling.csv", "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\r\n")
-            writer.writerow(("direction", "eligible", "adversarial",
-                             "cross_fool", "epsilon"))
-            writer.writerow(("a_to_b", ab.eligible_count, ab.adversarial_count,
-                             ab.cross_fool_count, "%.9g" % ab.epsilon))
-            writer.writerow(("b_to_a", ba.eligible_count, ba.adversarial_count,
-                             ba.cross_fool_count, "%.9g" % ba.epsilon))
+        write_csv(out_dir / "fooling.csv",
+                  ("direction", "eligible", "adversarial", "cross_fool", "epsilon"),
+                  [(name, rep.eligible_count, rep.adversarial_count, rep.cross_fool_count,
+                    "%.9g" % rep.epsilon) for name, rep in (("a_to_b", ab), ("b_to_a", ba))])
         (out_dir / "fooling_summary.txt").write_text(text + "\n")
     return 0
 
@@ -549,12 +535,9 @@ def cmd_report(args):
         summary = fooling.read_text() if fooling.is_file() else None
     except UnicodeDecodeError as exc:
         raise CliError(f"{fooling}: {exc}") from None
-    cells = lambda r: (str(r.round), format_float(r.train_loss),
-                       format_float(r.val_error), format_float(r.test_error),
-                       str(r.store_size), format_float(r.kl_to_positive))
-    header = METRICS_HEADER[:6]
-    table = [header] + [cells(r) for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+    # every column but wall_time, which metrics.csv leaves empty
+    table = [METRICS_HEADER[:-1]] + [r.cells()[:-1] for r in rows]
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     if summary is not None:

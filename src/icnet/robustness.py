@@ -1,8 +1,8 @@
 """Fast-gradient-sign attacks and the two-way cross-model fooling experiment.
 
 The attack gradient is taken through the model's own training loss at the
-clean label. Adversarial pixels are clamped back to the normalized input
-range afterward.
+clean label. Adversarial inputs are clamped back into the caller's input
+box afterward, by default the normalized pixel range; None clamps nothing.
 """
 
 from dataclasses import dataclass

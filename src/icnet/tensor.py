@@ -52,7 +52,7 @@ def as_tensor(data, shape=None) -> Array:
     """Coerce to a float64 array, verifying finiteness.
 
     An array that already is float64 comes back as is, so a channel-last
-    kernel or activation keeps its memory layout (see `channel_last`).
+    kernel or activation keeps its memory layout (see `flat_views`).
     """
     arr = np.asarray(data, dtype=np.float64)
     if shape is not None:
@@ -62,22 +62,10 @@ def as_tensor(data, shape=None) -> Array:
     return arr
 
 
-def channel_last(a: Array) -> Array:
-    """`a` with its logical shape kept, laid out channel-last in memory.
-
-    4-D arrays are activations (n, c, h, w) or conv kernels (c_out, c_in,
-    kh, kw); channel-last means `a.transpose(0, 2, 3, 1)` is C-contiguous,
-    which is the order the conv GEMMs read and write. Returns `a` itself
-    when it already is; other ranks come back unchanged.
-    """
-    if a.ndim != 4 or a.transpose(0, 2, 3, 1).flags.c_contiguous:
-        return a
-    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-
-
 def flat_views(flat: Array, like: Sequence[Array]) -> list[Array]:
     """Consecutive views of the 1-D `flat`, one per array of `like`, each
-    of its shape; a conv kernel's is channel-last (see `channel_last`)."""
+    of its shape; a conv kernel's is channel-last: its `transpose(0, 2, 3,
+    1)` is C-contiguous, the order the conv GEMMs read and write."""
     views, at = [], 0
     for a in like:
         view = flat[at:at + a.size]
@@ -158,7 +146,7 @@ def _kernel_row_runs(oh: int, kh: int, h: int, stride: int, pad: int) -> list:
 def conv2d_value(x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
     """5x5-style convolution. x: (n, c_in, h, w); k: (c_out, c_in, kh, kw); b: (c_out,).
 
-    Activations and kernels are read channel-last (see `channel_last`); any
+    Activations and kernels are read channel-last (see `flat_views`); any
     other layout gives the same values after one relayout copy. The input
     is copied into a channel-last buffer padded in width only, and each run
     of output rows that reads the same kernel rows is one GEMM of its
@@ -594,9 +582,9 @@ def init_layer_params(spec: Sequence[LayerSpec], rng: np.random.Generator) -> li
     gain = np.sqrt(2.0 / (1.0 + slope * slope))
     for wshape, bshape in layer_param_shapes(spec):
         fan_in = int(np.prod(wshape[1:])) if len(wshape) == 4 else wshape[0]
-        # drawn in logical (c_out, c_in, kh, kw) order, so a seed gives the
-        # same values whatever the memory layout
-        params.append(channel_last(rng.normal(0.0, gain / np.sqrt(fan_in), size=wshape)))
+        # drawn in logical (c_out, c_in, kh, kw) order; a classifier lays
+        # each kernel out channel-last as it copies it into its flat array
+        params.append(rng.normal(0.0, gain / np.sqrt(fan_in), size=wshape))
         params.append(np.zeros(bshape))
     return params
 

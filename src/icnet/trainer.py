@@ -6,9 +6,10 @@ on the original data plus every pseudo-negative collected so far. The loop
 covers the binary setting (loss: -sum ln q(y|x) over S minus sum ln q(-1|x)
 over the store), the joint softmax multi-class setting (cross-entropy on S
 weighted 1-alpha, plus alpha times a softplus that pushes the tagged class
-logit down on pseudo-negatives), a one-vs-all ensemble of independent binary
-members, a noise ablation whose "synthesis" is raw reference draws, and the
-plain baseline trainer the regressions compare against.
+logit down on pseudo-negatives) and a one-vs-all ensemble of independent
+binary members, all through `run_reclassification_by_synthesis`. The plain
+baseline is the loop with no rounds; the noise ablation passes
+`noise_synthesizer`, whose "synthesis" is raw reference draws.
 
 Determinism: every random decision draws from a stream keyed by
 (seed, stream id, round, ...), so runs with equal configs are bitwise equal.
@@ -259,12 +260,10 @@ def noise_synthesizer(sampler_config: S.SamplerConfig, input_shape):
     return synthesize
 
 
-def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig,
-            sampler_config: S.SamplerConfig | None = None, mode: str = "binary",
-            synthesize=None):
-    """The loop of `run_reclassification_by_synthesis` as a generator: yields
-    (metrics_row, classifier, store) after round 0 and after each round's
-    retrain, before the patience check, and returns the RunResult."""
+def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mode, synthesize):
+    """One run as a generator, which `run_reclassification_by_synthesis`
+    drives: yields (metrics_row, classifier, store) after round 0 and after
+    each round's retrain, before the patience check; returns the RunResult."""
     if mode not in ("binary", "multiclass"):
         raise TrainerError(f"unknown mode {mode!r}")
     if len(ds) == 0:
@@ -339,78 +338,67 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig,
     return RunResult(c, selected, metrics, store, stopped_round)
 
 
-def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
-                                      config: TrainConfig,
-                                      sampler_config: S.SamplerConfig | None = None,
-                                      mode: str = "binary",
-                                      synthesize=None, on_round=None) -> RunResult:
-    """Full training loop: initial classifier on S, then `rounds` rounds of
-    synthesize / augment / retrain with validation-based early stopping.
-
-    `on_round(metrics_row, classifier, store)`, if given, is called after
-    round 0 and after each round's retrain, before the patience check. The
-    classifier and store are live and keep changing, so the callback must
-    copy what it keeps. Parameters are copied only at each new best
-    validation error."""
-    rounds = _rounds(ds, spec, config, sampler_config, mode, synthesize)
-    while True:
-        try:
-            row, c, store = next(rounds)
-        except StopIteration as done:
-            return done.value
-        if on_round is not None:
-            on_round(row, c, store)
-
-
-def baseline_train(ds: D.LabeledDataset, spec, config: TrainConfig,
-                   mode: str = "binary", on_round=None) -> RunResult:
-    """Plain training on S alone: exactly the initial phase of the loop, so a
-    rounds=0 run must reproduce it bitwise."""
-    no_rounds = replace(config, rounds=0)
-    return run_reclassification_by_synthesis(ds, spec, no_rounds, mode=mode,
-                                             on_round=on_round)
-
-
-def train_icn_noise_ablation(ds: D.LabeledDataset, spec, config: TrainConfig,
-                             sampler_config: S.SamplerConfig | None = None,
-                             mode: str = "binary", on_round=None) -> RunResult:
-    """Same loop, but pseudo-negatives are raw reference draws."""
-    sampler_config = sampler_config or S.SamplerConfig()
-    return run_reclassification_by_synthesis(
-        ds, spec, config, sampler_config, mode,
-        synthesize=noise_synthesizer(sampler_config, ds.samples.shape[1:]),
-        on_round=on_round)
-
-
-# ---------------------------------------------------------------------------
-# one-vs-all
-# ---------------------------------------------------------------------------
-
 def member_seed(seed: int, class_index: int) -> int:
     """Deterministic per-member seed; members are fully independent."""
     ss = np.random.SeedSequence([seed, STREAM_MEMBER, class_index])
     return int(ss.generate_state(1)[0])
 
 
-def train_one_vs_all_ensemble(ds: D.LabeledDataset, spec, config: TrainConfig,
-                              sampler_config: S.SamplerConfig | None = None,
-                              synthesize=None, on_round=None) -> RunResult:
-    """K independent binary runs, class k versus the rest, merged by argmax,
-    trained round-major: every member's round t, then round t + 1. For each
-    round all K members reach, `on_round` gets the ensemble row (member
-    means, summed store size), the live members as an ensemble and
-    `_merged_store` of their stores; members that stop later train on
-    without reports. `selected` is the ensemble of the members' selected
-    classifiers, `stopped_round` the first member's stop."""
-    counts = np.bincount(ds.labels, minlength=ds.class_count)
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise TrainerError(f"no training samples for class {missing[0]}")
-    members = []
-    for k in range(ds.class_count):
-        relabeled = D.LabeledDataset(ds.samples, ds.labels == k, 2)
-        members.append(_rounds(relabeled, spec, replace(config, seed=member_seed(config.seed, k)),
-                               sampler_config, "binary", synthesize))
+def _ensemble_round(reached):
+    """One round's (row, ensemble, merged store) from every member's."""
+    rows, live, stores = zip(*reached)
+    row = RoundMetrics(
+        rows[0].round, np.mean([r.epoch_losses for r in rows], axis=0).tolist(),
+        float(np.mean([r.train_loss for r in rows])),
+        float(np.mean([r.val_error for r in rows])),
+        float(np.mean([r.val_loss for r in rows])),
+        sum(r.store_size for r in rows),
+        float(np.mean([r.synth_steps_mean for r in rows])))
+    return row, N.OneVsAllEnsemble(list(live)), _merged_store(stores)
+
+
+def _merged_store(stores):
+    """One store holding each member's rows in member order, tagged with
+    the member's class."""
+    tags = [np.full(len(s), k) for k, s in enumerate(stores)]
+    return D.PseudoNegativeStore(np.concatenate([s.samples for s in stores]),
+                                 np.concatenate([s.rounds for s in stores]), np.concatenate(tags))
+
+
+def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
+                                      config: TrainConfig,
+                                      sampler_config: S.SamplerConfig | None = None,
+                                      mode: str = "binary",
+                                      synthesize=None, on_round=None) -> RunResult:
+    """The one training entry point: an initial classifier on S, then
+    `rounds` rounds of synthesize / augment / retrain with validation-based
+    early stopping; `rounds = 0` is the plain baseline. `synthesize`
+    replaces the sampler, e.g. by `noise_synthesizer`.
+
+    `mode` is "binary", "multiclass" or "one-vs-all": K binary members,
+    class k versus the rest, merged by argmax and trained round-major. Its
+    rows are member means over the rounds all members reached; members that
+    stop later train on without reports. `selected` is the ensemble of the
+    members' selected classifiers, `stopped_round` the first member's stop.
+
+    `on_round(metrics_row, classifier, store)`, if given, is called after
+    round 0 and after each round's retrain, before the patience check. The
+    classifier and store are live and keep changing, so the callback must
+    copy what it keeps. Parameters are copied only at each new best
+    validation error."""
+    one_vs_all = mode == "one-vs-all"
+    if one_vs_all:
+        counts = np.bincount(ds.labels, minlength=ds.class_count)
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            raise TrainerError(f"no training samples for class {missing[0]}")
+        # member k: class k versus the rest, on its own seed
+        members = [_rounds(D.LabeledDataset(ds.samples, ds.labels == k, 2), spec,
+                           replace(config, seed=member_seed(config.seed, k)),
+                           sampler_config, "binary", synthesize)
+                   for k in range(ds.class_count)]
+    else:
+        members = [_rounds(ds, spec, config, sampler_config, mode, synthesize)]
     results = [None] * len(members)
     metrics = []
     while None in results:
@@ -422,26 +410,14 @@ def train_one_vs_all_ensemble(ds: D.LabeledDataset, spec, config: TrainConfig,
                 except StopIteration as done:
                     results[k] = done.value
         if len(reached) < len(members):
-            continue  # a member has stopped: no ensemble from here on
-        rows, live, stores = zip(*reached)
-        metrics.append(RoundMetrics(
-            rows[0].round, np.mean([r.epoch_losses for r in rows], axis=0).tolist(),
-            float(np.mean([r.train_loss for r in rows])),
-            float(np.mean([r.val_error for r in rows])),
-            float(np.mean([r.val_loss for r in rows])),
-            sum(r.store_size for r in rows),
-            float(np.mean([r.synth_steps_mean for r in rows]))))
+            continue  # a member has stopped: no report from here on
+        row, c, store = _ensemble_round(reached) if one_vs_all else reached[0]
+        metrics.append(row)
         if on_round is not None:
-            on_round(metrics[-1], N.OneVsAllEnsemble(list(live)), _merged_store(stores))
+            on_round(row, c, store)
+    if not one_vs_all:
+        return results[0]
     stops = [r.stopped_round for r in results if r.stopped_round is not None]
     return RunResult(N.OneVsAllEnsemble([r.classifier for r in results]),
                      N.OneVsAllEnsemble([r.selected for r in results]), metrics,
                      _merged_store([r.store for r in results]), min(stops, default=None))
-
-
-def _merged_store(stores):
-    """One store holding each member's rows in member order, tagged with
-    the member's class."""
-    tags = [np.full(len(s), k) for k, s in enumerate(stores)]
-    return D.PseudoNegativeStore(np.concatenate([s.samples for s in stores]),
-                                 np.concatenate([s.rounds for s in stores]), np.concatenate(tags))

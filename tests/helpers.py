@@ -1,5 +1,5 @@
-"""Test-only helpers: the central-difference gradient check on the tape, a
-grid-cell mass lookup and a PGM reader."""
+"""Test-only helpers: a channel-last relayout, the central-difference
+gradient check on the tape, a grid-cell mass lookup and a PGM reader."""
 
 from dataclasses import dataclass
 from pathlib import Path
@@ -9,6 +9,19 @@ import numpy as np
 
 from icnet import oracle as O
 from icnet import tensor as T
+
+
+def channel_last(a: np.ndarray) -> np.ndarray:
+    """`a` with its logical shape kept, laid out channel-last in memory.
+
+    4-D arrays are activations (n, c, h, w) or conv kernels (c_out, c_in,
+    kh, kw); channel-last means `a.transpose(0, 2, 3, 1)` is C-contiguous,
+    which is the order the conv GEMMs read and write. Returns `a` itself
+    when it already is; other ranks come back unchanged.
+    """
+    if a.ndim != 4 or a.transpose(0, 2, 3, 1).flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 @dataclass
@@ -30,7 +43,7 @@ def gradient_check(spec: Sequence[T.LayerSpec], seed: int, input_shape: tuple,
     params = T.init_layer_params(spec, gen)
     # non-degenerate random weights for the check (He init already random;
     # nudge biases off zero so their gradients are exercised away from kinks)
-    params = [T.channel_last(p + 0.05 * gen.standard_normal(p.shape)) for p in params]
+    params = [channel_last(p + 0.05 * gen.standard_normal(p.shape)) for p in params]
     x = gen.standard_normal((2,) + tuple(input_shape))
     width = T.feature_width(spec, input_shape)
     if head == "sigmoid":

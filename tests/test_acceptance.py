@@ -8,6 +8,7 @@ an explicit message when the files are absent; they are never faked.
 
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,7 +158,7 @@ def test_criterion_04_sampler_contract():
                               init_epochs=40, batch_size=64, learning_rate=0.01,
                               momentum=0.9, alpha=0.1, val_fraction=0.0,
                               patience=99, seed=0)
-    c0 = TR.baseline_train(ds, SPEC_2D, base_cfg, "binary").classifier
+    c0 = TR.run_reclassification_by_synthesis(ds, SPEC_2D, base_cfg, mode="binary").classifier
     icn_run, _ = exact_sampler_run(seed=0, rounds=4)
     scfg = S.SamplerConfig(stopping="option2", max_steps=300, step_size=0.02)
 
@@ -243,7 +244,8 @@ def mnist_models(seed, subset_size, rounds, pseudo_per_round):
                            clamp=(-1.0, 1.0))
     icn = TR.run_reclassification_by_synthesis(train_ds, C.MNIST_NET, cfg,
                                                scfg, "multiclass")
-    base = TR.baseline_train(train_ds, C.MNIST_NET, cfg, "multiclass")
+    base = TR.run_reclassification_by_synthesis(train_ds, C.MNIST_NET, replace(cfg, rounds=0),
+                                                mode="multiclass")
     out = (icn.selected, base.selected, test_ds)
     _mnist_cache[key] = out
     return out
@@ -381,7 +383,7 @@ def test_criterion_10_equivalence_regressions():
                          init_epochs=8, batch_size=16, learning_rate=0.05,
                          momentum=0.9, alpha=0.0, val_fraction=0.0,
                          patience=99, seed=10)
-    via_loop = TR.baseline_train(ds, SPEC_2D, cfg, "multiclass")
+    via_loop = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, mode="multiclass")
     trace_a = via_loop.metrics[0].epoch_losses
 
     c = N.init_multiclass(SPEC_2D, (2,), 3, rng(10, STREAM_INIT))
@@ -400,7 +402,7 @@ def test_criterion_10_equivalence_regressions():
     scfg = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=5)
     t0_run = TR.run_reclassification_by_synthesis(ds_bin, SPEC_2D, bcfg, scfg,
                                                   "binary")
-    base_run = TR.baseline_train(ds_bin, SPEC_2D, bcfg, "binary")
+    base_run = TR.run_reclassification_by_synthesis(ds_bin, SPEC_2D, bcfg, mode="binary")
     t0_equal = all(
         p.tobytes() == q.tobytes()
         for p, q in zip(t0_run.classifier.all_params(),

@@ -2,6 +2,7 @@
 
 import gzip
 import hashlib
+import inspect
 import re
 import struct
 from pathlib import Path
@@ -368,6 +369,27 @@ class TestRunExperiment:
         assert (out / "timing.csv").is_file()
         assert not list((out / "heatmaps").glob("*.pgm"))
 
+    @pytest.mark.parametrize("mode, trainer_mode", [
+        ("binary", "binary"), ("softmax", "multiclass"), ("one-vs-all", "one-vs-all"),
+        ("icn-noise", "binary"), ("baseline", "binary")])
+    def test_every_mode_trains_through_one_entry_call(self, tmp_path, monkeypatch,
+                                                      mode, trainer_mode):
+        # the one training entry point; its first call also ends the
+        # benchmark's set-up phase
+        real = TR.run_reclassification_by_synthesis
+        modes = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            modes.append(bound.arguments["mode"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "run_reclassification_by_synthesis", spy)
+        cfg = C.parse_config(write_config(tmp_path, mode=mode, rounds=1))
+        assert C.run_experiment(cfg) == 0
+        assert modes == [trainer_mode]
+
     def test_icn_run_artifacts_and_counts(self, tmp_path):
         out = tmp_path / "run"
         cfg = C.parse_config(write_config(tmp_path, rounds=3, pseudo=4))
@@ -607,9 +629,9 @@ class TestAdversarialInputs:
         seen = []
         real = R.two_way_fool_experiment
 
-        def spy(model_a, model_b, test_set, epsilon):
+        def spy(model_a, model_b, test_set, epsilon, clamp):
             seen.append(test_set.labels)
-            return real(model_a, model_b, test_set, epsilon)
+            return real(model_a, model_b, test_set, epsilon, clamp)
 
         monkeypatch.setattr(R, "two_way_fool_experiment", spy)
         status = C.main(["adversarial",
@@ -624,6 +646,27 @@ class TestAdversarialInputs:
         # count too
         for row in rows:
             assert int(row.split(",")[1]) > int((labels == 1).sum())
+
+
+    def test_2d_attack_moves_no_coordinate_beyond_eps(self, runs_2d, monkeypatch):
+        # synthetic2d inputs have no box: clamping them into the image range
+        # [-1, 1] would move every point that lies outside it
+        ini, run_dir = runs_2d["binary"]
+        moved, outside = [], []
+        real = R.fgsm_perturb
+
+        def spy(model, x, *args, **kwargs):
+            adv, pred = real(model, x, *args, **kwargs)
+            moved.append(np.abs(adv - x).max())
+            outside.append(np.abs(x).max() > 1.0)
+            return adv, pred
+
+        monkeypatch.setattr(R, "fgsm_perturb", spy)
+        status = C.main(["adversarial", "--eps", "0.125",
+                         "--model-a", str(run_dir / "checkpoints" / "model_round_00.bin"),
+                         "--model-b", str(run_dir / "model_final.bin"), "--config", str(ini)])
+        assert status == 0 and any(outside)
+        assert max(moved) <= 0.125 + 1e-12
 
 
 class TestAdversarialFit:

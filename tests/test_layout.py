@@ -13,6 +13,8 @@ from icnet import tensor as T
 from icnet import trainer as TR
 from icnet.seeding import rng
 
+from helpers import channel_last
+
 # Written by the code as it was before activations and kernels went
 # channel-last: `N.init_multiclass(FIXTURE_SPEC, (1, 8, 8), 3, rng(70, 1))`.
 FIXTURE = Path(__file__).parent / "data" / "multiclass_conv_model.bin"
@@ -33,17 +35,17 @@ def is_channel_last(a):
 class TestChannelLast:
     def test_keeps_values_and_shape(self):
         a = rng(1, 6).standard_normal((3, 4, 5, 6))
-        b = T.channel_last(a)
+        b = channel_last(a)
         assert b.shape == a.shape and is_channel_last(b)
         np.testing.assert_array_equal(a, b)
 
     def test_no_copy_when_already_channel_last(self):
-        a = T.channel_last(rng(2, 6).standard_normal((3, 4, 5, 6)))
-        assert T.channel_last(a) is a
+        a = channel_last(rng(2, 6).standard_normal((3, 4, 5, 6)))
+        assert channel_last(a) is a
 
     def test_other_ranks_unchanged(self):
         a = np.zeros((3, 4))
-        assert T.channel_last(a) is a
+        assert channel_last(a) is a
 
 
 class TestLayoutGuard:
@@ -132,5 +134,5 @@ def test_conv_values_do_not_depend_on_layout():
     k = gen.standard_normal((5, 4, 5, 5))
     b = gen.standard_normal(5)
     got = T.conv2d_value(x, k, b, 2, 2)
-    want = T.conv2d_value(T.channel_last(x), T.channel_last(k), b, 2, 2)
+    want = T.conv2d_value(channel_last(x), channel_last(k), b, 2, 2)
     np.testing.assert_array_equal(got, want)

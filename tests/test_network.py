@@ -29,8 +29,8 @@ def make_multiclass(seed=0, k=3):
 class TestBinaryLogit:
     def test_zero_head_gives_zero_logit(self):
         c = make_binary()
-        c.head_w = np.zeros_like(c.head_w)
-        c.head_b = np.zeros_like(c.head_b)
+        c.head_w[...] = 0.0
+        c.head_b[...] = 0.0
         x = rng(1, 6).standard_normal((5, 2))
         np.testing.assert_array_equal(N.logit_binary(c, x), np.zeros(5))
 
@@ -52,7 +52,7 @@ class TestBinaryLogit:
 class TestProbPositive:
     def test_zero_logit_is_half(self):
         c = make_binary()
-        c.head_w = np.zeros_like(c.head_w)
+        c.head_w[...] = 0.0
         x = np.zeros((3, 2))
         np.testing.assert_array_equal(T.sigmoid_value(N.logit_binary(c, x)), 0.5 * np.ones(3))
 
@@ -62,7 +62,7 @@ class TestProbPositive:
         probs = []
         base_w = c.head_w.copy()
         for scale in (1.0, 5.0, 25.0, 125.0):
-            c.head_w = base_w * scale
+            c.head_w[...] = base_w * scale
             probs.append(float(T.sigmoid_value(N.logit_binary(c, x))[0]))
         logit_sign = np.sign(float(N.logit_binary(c, x)[0]))
         diffs = np.diff(probs) * logit_sign
@@ -73,8 +73,8 @@ class TestProbPositive:
         c = make_binary(6)
         x = rng(6, 6).standard_normal((7, 2))
         p = T.sigmoid_value(N.logit_binary(c, x))
-        c.head_w = -c.head_w
-        c.head_b = -c.head_b
+        c.head_w[...] = -c.head_w
+        c.head_b[...] = -c.head_b
         q = T.sigmoid_value(N.logit_binary(c, x))
         np.testing.assert_allclose(p, 1.0 - q, atol=1e-12)
 
@@ -89,8 +89,8 @@ class TestProbPositive:
 class TestSoftmaxHead:
     def test_identical_heads_give_uniform(self):
         c = make_multiclass(8, k=4)
-        c.head_w = np.tile(c.head_w[:, :1], (1, 4))
-        c.head_b = np.full(4, 0.3)
+        c.head_w[...] = np.tile(c.head_w[:, :1], (1, 4))
+        c.head_b[...] = np.full(4, 0.3)
         probs = T.softmax_value(N.class_logits(c, rng(8, 6).standard_normal((5, 2))))
         np.testing.assert_allclose(probs, 0.25, rtol=1e-12)
 
@@ -98,7 +98,7 @@ class TestSoftmaxHead:
         c = make_multiclass(9)
         x = rng(9, 6).standard_normal((4, 2))
         before = T.softmax_value(N.class_logits(c, x))
-        c.head_b = c.head_b + 13.7
+        c.head_b += 13.7
         np.testing.assert_allclose(T.softmax_value(N.class_logits(c, x)), before, atol=1e-12)
 
     def test_matches_explicit_normalization(self):
@@ -120,7 +120,7 @@ class TestPredictLabel:
     def test_dominant_head_wins(self):
         c = make_multiclass(12)
         c.head_w[:, 2] = 0.0
-        c.head_b = np.array([0.0, 0.0, 50.0])
+        c.head_b[...] = np.array([0.0, 0.0, 50.0])
         labels = N.predict_label(c, rng(12, 6).standard_normal((6, 2)))
         np.testing.assert_array_equal(labels, np.full(6, 2))
 
@@ -133,8 +133,8 @@ class TestPredictLabel:
 
     def test_tie_breaks_to_lowest_index(self):
         c = make_multiclass(14)
-        c.head_w = np.zeros_like(c.head_w)
-        c.head_b = np.array([1.0, 1.0, 1.0])
+        c.head_w[...] = 0.0
+        c.head_b[...] = np.array([1.0, 1.0, 1.0])
         labels = N.predict_label(c, rng(14, 6).standard_normal((4, 2)))
         np.testing.assert_array_equal(labels, np.zeros(4))
 
@@ -142,8 +142,8 @@ class TestPredictLabel:
         c = make_multiclass(15, k=4)
         x = rng(15, 6).standard_normal((12, 2))
         before = N.predict_label(c, x)
-        c.head_w = 3.0 * c.head_w
-        c.head_b = 3.0 * c.head_b + 0.9  # affine with positive slope
+        c.head_w *= 3.0
+        c.head_b[...] = 3.0 * c.head_b + 0.9  # affine with positive slope
         np.testing.assert_array_equal(N.predict_label(c, x), before)
 
     def test_one_vs_all_uses_member_features(self):
@@ -165,7 +165,7 @@ class TestLogitSumGraph:
         """A classifier and a batch of 6 inputs on the dense 2D or the conv stack."""
         spec, shape = (SPEC_2D, (2,)) if name == "dense" else (CONV_SPEC, (1, 8, 8))
         c = N.init_multiclass(spec, shape, k, rng(seed, 1))
-        c.head_b = c.head_b + 0.1 * rng(seed, 2).standard_normal(k)
+        c.head_b += 0.1 * rng(seed, 2).standard_normal(k)
         return c, rng(seed, 6).standard_normal((6,) + shape)
 
     @pytest.mark.parametrize("name", ["dense", "conv"])
@@ -189,7 +189,7 @@ class TestLogitSumGraph:
     @pytest.mark.parametrize("name, op", [("dense", "affine"), ("conv", "conv2d")])
     def test_intermediate_overflow_names_the_op(self, name, op):
         c, x = self.stack(name, 1, 31)
-        c.feature_params[0] = 1e300 * c.feature_params[0]  # finite; the products are not
+        c.feature_params[0] *= 1e300  # finite; the products are not
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(T.NonFiniteError, match=f"produced by {op}$"):
             N.logit_sum_graph(c, 1e10 * x)

@@ -69,8 +69,8 @@ class TestDensityUpdate:
     def test_zero_logit_keeps_prior(self):
         prior = O.reference_grid(resolution=(32, 32))
         c = random_classifier(0)
-        c.head_w = np.zeros_like(c.head_w)
-        c.head_b = np.zeros_like(c.head_b)
+        c.head_w[...] = 0.0
+        c.head_b[...] = 0.0
         updated, z = O.density_update(prior, c)
         np.testing.assert_allclose(updated.mass, prior.mass, rtol=1e-14)
         assert abs(z - 1.0) < 1e-12
@@ -104,7 +104,7 @@ class TestDensityUpdate:
         resolution = (50, 50)
         assert O.GRID_CHUNK < 2500 and 2500 % O.GRID_CHUNK
         c = N.init_binary(SYNTH_NET, (2,), rng(seed, 1))
-        c.head_b = c.head_b + rng(seed, 2).standard_normal(1)
+        c.head_b += rng(seed, 2).standard_normal(1)
         grid = O.reference_grid(resolution=resolution)
         one_pass = N.logit_binary(c, grid.cell_centers()).reshape(resolution)
         assert O._grid_logits(grid, c).tobytes() == one_pass.tobytes()

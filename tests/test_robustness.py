@@ -1,5 +1,7 @@
 """FGSM construction guarantees and fooling-count bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def trained_pair(seed=0):
     scfg = S.SamplerConfig(stopping="option3", fixed_steps=20, step_size=0.02,
                            max_steps=100)
     icn = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg, "binary")
-    base = TR.baseline_train(ds, SPEC_2D, cfg, "binary")
+    base = TR.run_reclassification_by_synthesis(ds, SPEC_2D, replace(cfg, rounds=0))
     held, _ = D.gen_synthetic_2d(D.default_benchmark_spec(100, 100),
                                  rng(seed, 6, 1))
     return icn.selected, base.selected, held

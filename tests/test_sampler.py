@@ -119,8 +119,8 @@ class TestConfigValidation:
 class TestSynthesize:
     def test_zero_logit_classifier_stays_at_init(self):
         c = peaked_classifier()
-        c.head_w = np.zeros_like(c.head_w)
-        c.head_b = np.zeros_like(c.head_b)
+        c.head_w[...] = 0.0
+        c.head_b[...] = 0.0
         config = S.SamplerConfig(method="langevin", stopping="option3",
                                  fixed_steps=20, noise=False, step_size=0.05)
         init = S.draw_reference(8, 2, 0.3, rng(10, 3))
@@ -327,7 +327,8 @@ class TestNonFiniteChains:
     def test_forward_overflow_tags_only_that_chain(self):
         spec = [T.dense(2, 4), T.leaky(), T.dense(4, 4), T.leaky()]
         c = N.init_binary(spec, (2,), rng(50, 1))
-        c.feature_params = [100.0 * p for p in c.feature_params]
+        for p in c.feature_params:
+            p *= 100.0
         init = np.array([[0.1, 0.2], [1e305, 1e305], [0.3, -0.1]])
         config = S.SamplerConfig(stopping="option3", fixed_steps=5, max_steps=5)
         samples, traces = S.synthesize_pseudo_negatives(
@@ -345,7 +346,7 @@ class TestNonFiniteChains:
     def test_adam_overflow_is_tagged_not_frozen(self):
         spec = [T.dense(2, 4), T.leaky()]
         c = N.init_binary(spec, (2,), rng(51, 1))
-        c.head_w = np.full_like(c.head_w, -1e160)
+        c.head_w[...] = -1e160
         init = np.array([[0.1, 0.2], [0.3, -0.1]])
         config = S.SamplerConfig(method="plain-gradient", stopping="option2",
                                  max_steps=5)

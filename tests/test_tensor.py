@@ -10,7 +10,7 @@ import pytest
 
 from icnet import tensor as T
 
-from helpers import gradient_check
+from helpers import channel_last, gradient_check
 
 
 def brute_force_conv(x, k, b, stride, pad):
@@ -224,8 +224,8 @@ class TestForward:
         gen = np.random.default_rng(13)
         x = gen.standard_normal((3, 4, 5, 6))
         x.flat[:len(special)] = special
-        x = T.channel_last(x)
-        g = T.channel_last(gen.standard_normal(x.shape))
+        x = channel_last(x)
+        g = channel_last(gen.standard_normal(x.shape))
         g.flat[:len(special)] = special[::-1]
         rec = T.ComputationRecord()
         xn = rec.leaf(x, kind="input")

@@ -34,6 +34,11 @@ def quick_sampler(**kw):
     return S.SamplerConfig(**base)
 
 
+def noise_draws(scfg):
+    """The noise ablation's synthesizer: raw reference draws on 2D inputs."""
+    return TR.noise_synthesizer(scfg, (2,))
+
+
 def benchmark(seed, n_pos=24, n_neg=24):
     spec = D.default_benchmark_spec(n_pos, n_neg)
     return D.gen_synthetic_2d(spec, rng(seed, 6))
@@ -58,16 +63,16 @@ class TestBinaryLoss:
         y = np.array([1, 0])
         logits = N.logit_binary(c, x)
         # scale the head so signed logits are huge and correct
-        c.head_b = c.head_b + np.array([1000.0]) - logits[0]
-        c.head_w = np.zeros_like(c.head_w)
-        c.head_b = np.array([1000.0])
+        c.head_b[...] = c.head_b + np.array([1000.0]) - logits[0]
+        c.head_w[...] = 0.0
+        c.head_b[...] = np.array([1000.0])
         loss = head_total(c, x[:1], y[:1])
         assert loss < 1e-6
 
     def test_zero_logits_give_ln2_per_sample(self):
         c = N.init_binary(SPEC_2D, (2,), rng(1, 1))
-        c.head_w = np.zeros_like(c.head_w)
-        c.head_b = np.zeros_like(c.head_b)
+        c.head_w[...] = 0.0
+        c.head_b[...] = 0.0
         x = rng(1, 6).standard_normal((5, 2))
         y = np.array([1, 0, 1, 1, 0])
         pn = rng(2, 6).standard_normal((3, 2))
@@ -123,8 +128,8 @@ class TestMulticlassLoss:
 
     def test_zero_logit_pseudo_negative_adds_alpha_ln2(self):
         c = N.init_multiclass(SPEC_2D, (2,), 3, rng(12, 1))
-        c.head_w = np.zeros_like(c.head_w)
-        c.head_b = np.zeros_like(c.head_b)
+        c.head_w[...] = 0.0
+        c.head_b[...] = 0.0
         x = rng(12, 6).standard_normal((2, 2))
         y = np.array([0, 2])
         base = head_total(c, x, y, alpha=0.25)
@@ -442,7 +447,8 @@ class TestRunLoop:
         cfg = quick_config(rounds=0)
         icn = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
                                                    quick_sampler(), "binary")
-        base = TR.baseline_train(ds, SPEC_2D, quick_config(), "binary")
+        base = TR.run_reclassification_by_synthesis(ds, SPEC_2D, replace(quick_config(), rounds=0),
+                                                    mode="binary")
         for a, b in zip(icn.classifier.all_params(), base.classifier.all_params()):
             assert a.tobytes() == b.tobytes()
         assert icn.metrics[0].epoch_losses == base.metrics[0].epoch_losses
@@ -611,13 +617,14 @@ class TestDirectional2D:
 
     def test_icn_at_least_matches_baseline_over_5_seeds(self):
         icn, base = self.paired_runs(
-            lambda ds, cfg, scfg: TR.baseline_train(ds, SPEC_2D, cfg, "binary"))
+            lambda ds, cfg, scfg: TR.run_reclassification_by_synthesis(
+                ds, SPEC_2D, replace(cfg, rounds=0), mode="binary"))
         assert icn >= base - 1e-12
 
     def test_icn_at_least_matches_noise_ablation_over_5_seeds(self):
         icn, noise = self.paired_runs(
-            lambda ds, cfg, scfg: TR.train_icn_noise_ablation(
-                ds, SPEC_2D, cfg, scfg, "binary"))
+            lambda ds, cfg, scfg: TR.run_reclassification_by_synthesis(
+                ds, SPEC_2D, cfg, scfg, "binary", noise_draws(scfg)))
         assert icn >= noise - 1e-12
 
 
@@ -625,15 +632,16 @@ class TestNoiseAblation:
     def test_store_bookkeeping_matches_icn(self):
         ds, _ = benchmark(40)
         cfg = quick_config(rounds=3, pseudo_per_round=6)
-        run = TR.train_icn_noise_ablation(ds, SPEC_2D, cfg, quick_sampler(),
-                                          "binary")
+        run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(), "binary",
+                                                   noise_draws(quick_sampler()))
         assert len(run.store) == 18
 
     def test_sigma_zero_gives_zero_vectors(self):
         ds, _ = benchmark(41)
         cfg = quick_config(rounds=2, pseudo_per_round=4)
-        run = TR.train_icn_noise_ablation(
-            ds, SPEC_2D, cfg, quick_sampler(reference_sigma=0.0), "binary")
+        scfg = quick_sampler(reference_sigma=0.0)
+        run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg, "binary",
+                                                   noise_draws(scfg))
         assert np.array_equal(run.store.samples, np.zeros((8, 2)))
 
 
@@ -648,14 +656,15 @@ class TestOneVsAll:
     def test_missing_class_rejected(self):
         ds = D.LabeledDataset(np.zeros((4, 2)), np.array([0, 0, 2, 2]), 3)
         with pytest.raises(TR.TrainerError, match="class 1"):
-            TR.train_one_vs_all_ensemble(ds, SPEC_2D, quick_config(),
-                                         quick_sampler())
+            TR.run_reclassification_by_synthesis(ds, SPEC_2D, quick_config(),
+                                                 quick_sampler(), "one-vs-all")
 
     def test_member_positive_counts_match_classes(self):
         ds = self.three_class_set(50)
         cfg = quick_config(rounds=1, pseudo_per_round=4, init_epochs=2,
                            epochs_per_round=1, val_fraction=0.0)
-        result = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler())
+        result = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(),
+                                                      "one-vs-all")
         assert result.selected.n_classes == 3
         assert len(result.store) == 3 * 4
         np.testing.assert_array_equal(result.store.tags, np.repeat([0, 1, 2], 4))
@@ -664,7 +673,8 @@ class TestOneVsAll:
         ds = self.three_class_set(51)
         cfg = quick_config(rounds=1, pseudo_per_round=3, init_epochs=3,
                            epochs_per_round=2, val_fraction=0.0)
-        result = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler())
+        result = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(),
+                                                      "one-vs-all")
         k = 1
         relabeled = D.LabeledDataset(ds.samples, np.where(ds.labels == k, 1, 0), 2)
         solo_cfg = replace(cfg, seed=TR.member_seed(cfg.seed, k))
@@ -695,8 +705,8 @@ class TestOneVsAll:
                          list(zip(store.rounds.tolist(), store.tags.tolist(),
                                   [x.tobytes() for x in store.samples]))))
 
-        result = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler(),
-                                              on_round=on_round)
+        result = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(),
+                                                      "one-vs-all", on_round=on_round)
         # the ensemble rows end where the first member stops
         assert [m.round for m, _, _ in seen] == [0, 1, 2]
         assert result.metrics == [m for m, _, _ in seen]
@@ -728,7 +738,8 @@ class TestOneVsAll:
         ds = D.LabeledDataset(x, np.repeat([0, 1], n // 2), 2)
         cfg = quick_config(rounds=2, pseudo_per_round=10, init_epochs=60,
                            epochs_per_round=5, val_fraction=0.0)
-        ova = TR.train_one_vs_all_ensemble(ds, SPEC_2D, cfg, quick_sampler())
+        ova = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(),
+                                                   "one-vs-all")
         direct = TR.run_reclassification_by_synthesis(
             ds, SPEC_2D, cfg, quick_sampler(), "binary")
         held = sig * gen.standard_normal((200, 2))
