@@ -360,7 +360,7 @@ def _test_error(model, test_ds):
 
 
 def _positive_grid(p_plus, res):
-    return O.build_grid(O.DEFAULT_BOUNDS, res, p_plus.pdf, log_density_fn=p_plus.log_pdf)
+    return O.build_grid(O.DEFAULT_BOUNDS, res, p_plus.log_pdf)
 
 
 def _run_experiment_inner(config, out_dir):
@@ -589,8 +589,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (CliError, D.DataError, N.ModelFormatError, R.RobustnessError) as exc:
+        # an op whose output overflows raises a TensorError, reported below
+        # in one line; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
+    except (CliError, D.DataError, N.ModelFormatError, R.RobustnessError, T.TensorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

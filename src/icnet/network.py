@@ -104,23 +104,17 @@ def init_binary(spec: list[T.LayerSpec], input_shape: tuple,
 # inference
 # ---------------------------------------------------------------------------
 
-def features(c: Classifier, x) -> Array:
-    return T.forward_features(c.feature_params, c.spec, x)
-
-
 def class_logits(c: Classifier, x) -> Array:
-    """Per-sample head logits, shape (n, K)."""
-    return features(c, x) @ c.head_w + c.head_b
+    """Per-sample head logits, shape (n, K). The stack and the head run
+    through `T.GradPass` ops that keep no rule, so an op whose output holds
+    NaN or Inf raises NonFiniteError naming it, as in every other pass."""
+    feats = T.forward_features(c.feature_params, c.spec, x)
+    return T.GradPass(input_grad=False).affine(feats, c.head_w, c.head_b)
 
 
 def logit_binary(c: Classifier, x) -> Array:
     """Per-sample logit w1 . phi(x; w0), shape (n,)."""
     return class_logits(c, x)[:, 0]
-
-
-def ensemble_logits(e: OneVsAllEnsemble, x) -> Array:
-    """Per-class logits, each from that member's own feature extractor."""
-    return np.stack([logit_binary(m, x) for m in e.members], axis=1)
 
 
 def labels_from_logits(logits: Array) -> Array:
@@ -133,7 +127,9 @@ def labels_from_logits(logits: Array) -> Array:
 
 def predict_label(model, x) -> Array:
     if isinstance(model, OneVsAllEnsemble):
-        return np.argmax(ensemble_logits(model, x), axis=1)
+        # per-class logits, each from that member's own feature extractor
+        logits = np.stack([logit_binary(m, x) for m in model.members], axis=1)
+        return np.argmax(logits, axis=1)
     return labels_from_logits(class_logits(model, x))
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as N
-from . import tensor as T
 
 Array = np.ndarray
 
@@ -88,31 +87,21 @@ class GridDensity:
         nx, ny = self.resolution
         return (x1 - x0) / nx * ((y1 - y0) / ny)
 
-    def same_grid(self, other: "GridDensity") -> bool:
-        return (self.resolution == other.resolution
-                and np.allclose(self.bounds, other.bounds, atol=0))
-
 
 def _require_same_grid(a: GridDensity, b: GridDensity) -> None:
-    if not a.same_grid(b):
+    if a.resolution != b.resolution or not np.allclose(a.bounds, b.bounds, atol=0):
         raise GridMismatchError(f"grids differ: {a.bounds}/{a.resolution} vs "
                                 f"{b.bounds}/{b.resolution}")
 
 
-def build_grid(bounds, resolution, density_fn, log_density_fn=None) -> GridDensity:
-    """Discretize a density: cell mass = density(center) * area, normalized."""
+def build_grid(bounds, resolution, log_density_fn) -> GridDensity:
+    """Discretize a density given by its log: cell mass = density(center)
+    * area, normalized. A log density of -inf gives a cell no mass; NaN or
+    +inf raises OracleError."""
     nx, ny = resolution
     probe = GridDensity(tuple(bounds), tuple(resolution),
                         np.zeros((nx, ny)) - np.log(nx * ny))
-    centers = probe.cell_centers()
-    if log_density_fn is not None:
-        log_d = np.asarray(log_density_fn(centers), dtype=np.float64)
-    else:
-        d = np.asarray(density_fn(centers), dtype=np.float64)
-        if np.any(d < 0) or not T.all_finite(d):
-            raise OracleError("density must be finite and nonnegative on the grid")
-        with np.errstate(divide="ignore"):
-            log_d = np.log(d)
+    log_d = np.asarray(log_density_fn(probe.cell_centers()), dtype=np.float64)
     log_u = (log_d + np.log(probe.cell_area())).reshape(nx, ny)
     return GridDensity.from_log_unnormalized(bounds, resolution, log_u)
 
@@ -124,7 +113,7 @@ def reference_grid(sigma: float = 0.3, bounds=DEFAULT_BOUNDS,
     def log_density(pts):
         return -0.5 * (pts ** 2).sum(axis=1) / sigma ** 2 - np.log(2 * np.pi * sigma ** 2)
 
-    return build_grid(bounds, resolution, None, log_density_fn=log_density)
+    return build_grid(bounds, resolution, log_density)
 
 
 def _grid_logits(grid: GridDensity, classifier: N.Classifier) -> Array:

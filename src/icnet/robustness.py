@@ -2,7 +2,7 @@
 
 The attack gradient is taken through the model's own training loss at the
 clean label. Adversarial inputs are clamped back into the caller's input
-box afterward, by default the normalized pixel range; None clamps nothing.
+box afterward: (-1, 1) for normalized images; None clamps nothing.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ from . import network as N
 from . import tensor as T
 
 DEFAULT_EPSILON = 0.125
-DEFAULT_CLAMP = (-1.0, 1.0)
 
 
 class RobustnessError(Exception):
@@ -44,8 +43,7 @@ class FoolingReport:
         return self.cross_fool_count / self.adversarial_count
 
 
-def fgsm_perturb(model, x, true_label, epsilon, clamp=DEFAULT_CLAMP,
-                 return_pred=False):
+def fgsm_perturb(model, x, true_label, epsilon, clamp, return_pred=False):
     """One fast-gradient-sign step: x + eps * sign(d loss / d x), clamped.
 
     With return_pred=True, also returns the model's clean prediction for
@@ -78,8 +76,7 @@ def predict(model, x):
     return N.predict_label(model, x)
 
 
-def fool_direction(source, target, samples, labels, epsilon,
-                   clamp=DEFAULT_CLAMP, chunk=256):
+def fool_direction(source, target, samples, labels, epsilon, clamp, chunk=256):
     """Attack the source model on its correctly classified inputs, then count
     how many adversarials fool the source and how many of those also fool
     the target.
@@ -108,8 +105,7 @@ def fool_direction(source, target, samples, labels, epsilon,
     return FoolingReport(n_eligible, n_adv, n_cross, float(epsilon))
 
 
-def two_way_fool_experiment(model_a, model_b, test_set, epsilon=DEFAULT_EPSILON,
-                            clamp=DEFAULT_CLAMP):
+def two_way_fool_experiment(model_a, model_b, test_set, epsilon, clamp):
     """Returns (a-attacked report replayed on b, b-attacked report replayed
     on a)."""
     ab = fool_direction(model_a, model_b, test_set.samples, test_set.labels,

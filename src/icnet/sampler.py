@@ -141,9 +141,9 @@ def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
     """`logit_sum_graph`s over x[rows]; returns (overflowing rows, [(rows,
     graph), ...]).
 
-    Rows whose logits overflow are dropped. A pass that overflows where no
-    logit shows it, in a conv pixel no later kernel reads, is split in
-    halves instead. Rows are independent, so no row's gradient changes.
+    A pass in which some op overflows is split in halves until each
+    overflowing row is alone, and that row is dropped. Rows are
+    independent, so no row's gradient changes.
     """
     try:
         graph = N.logit_sum_graph(classifier, x[rows],
@@ -152,15 +152,11 @@ def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
     except T.NonFiniteError:
         if rows.size == 1:
             return rows, []
-    # only now pay for an untaped forward that finds the offending rows;
-    # class_logits also serves a binary head, whose width is 1
-    bad = ~_finite_rows(N.class_logits(classifier, x[rows]))
-    overflowed, graphs = [rows[bad]], []
-    for part in [rows[~bad]] if bad.any() else np.array_split(rows, 2):
-        if part.size:
-            part_overflowed, part_graphs = _chain_graphs(classifier, x, part, classes)
-            overflowed.append(part_overflowed)
-            graphs += part_graphs
+    overflowed, graphs = [], []
+    for part in np.array_split(rows, 2):
+        part_overflowed, part_graphs = _chain_graphs(classifier, x, part, classes)
+        overflowed.append(part_overflowed)
+        graphs += part_graphs
     return np.concatenate(overflowed), graphs
 
 

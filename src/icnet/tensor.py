@@ -5,10 +5,11 @@ needs (affine, 5x5/stride-2 convolution, leaky rectifier, sigmoid, softmax,
 log, sum and a few glue ops), with gradients w.r.t. both parameters and
 inputs. Values are plain numpy arrays. `GradPass` holds the one definition
 of each layer op's value and backward rules; the package's gradients come
-from one reversed sweep of it over the layer stack. The append-only tape
-(`ComputationRecord`), whose creation order is already topological, runs
-each layer op through a one-op `GradPass` and adds the loss ops; the tests
-build their gradient checks and references on it.
+from one reversed sweep of it over the layer stack, and its inference from
+a pass of it that keeps no rule. The append-only tape (`ComputationRecord`),
+whose creation order is already topological, runs each layer op through a
+one-op `GradPass` and adds the loss ops; the tests build their gradient
+checks and references on it.
 """
 
 import math
@@ -623,33 +624,12 @@ def feature_width(spec: Sequence[LayerSpec], input_shape: tuple) -> int:
     return math.prod(_output_shape(spec, input_shape))
 
 
-class _Untaped:
-    """The four layer ops on plain arrays, keeping no rules: `GradPass`'s
-    value kernels without its per-op NaN/Inf checks, so an untaped pass
-    agrees with a gradient pass or a tape bitwise."""
-
-    affine = staticmethod(affine_value)
-    leaky = staticmethod(leaky_value)
-
-    @staticmethod
-    def conv2d(x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
-        # looked up at call time, so a wrapper patched over the module's
-        # `conv2d_value` sees untaped calls too
-        return conv2d_value(x, k, b, stride, pad)
-
-    @staticmethod
-    def reshape(x: Array, shape) -> Array:
-        return x.reshape(shape)
-
-
-UNTAPED = _Untaped()
-
-
 class GradPass:
     """The four layer ops on plain arrays, each keeping one backward rule,
     so one reversed sweep gives the input gradient, the parameter gradients
     or both. These methods are the one definition of each layer op's value
-    and backward rules; a ComputationRecord runs its layer ops through a
+    and backward rules: inference, synthesis, FGSM and SGD run the stack
+    through a pass, and a ComputationRecord runs its layer ops through a
     one-op pass. Each op's output is checked for NaN/Inf.
 
     `grads`, if given, holds one array per parameter, in the order the ops
@@ -657,7 +637,8 @@ class GradPass:
     parameter's gradient into its array with `out=`; a conv kernel's must be
     channel-last. Without `input_grad` the batch is a constant, as in SGD:
     the ops before the first parameterized one keep no rule, and that one's
-    rule skips its input side.
+    rule skips its input side. With neither, as in inference, no op keeps a
+    rule, so each activation is freed once the next op has read it.
     """
 
     def __init__(self, grads: Sequence[Array] | None = None, input_grad: bool = True):
@@ -690,7 +671,8 @@ class GradPass:
 
     def conv2d(self, x: Array, k: Array, b: Array, stride: int, pad: int) -> Array:
         outs = None if self._outs is None else (next(self._outs), next(self._outs))
-        tracked, self._tracked = self._tracked, True
+        tracked = self._tracked
+        self._tracked = tracked or outs is not None
 
         # nothing but the operands is kept for backward: the kernel gradient
         # rebuilds its patches from x, one run of kernel rows at a time
@@ -733,8 +715,9 @@ class GradPass:
 def feature_stack(ops, spec: Sequence[LayerSpec], params: Sequence, x):
     """Run the layer stack on a batch and return its (n, width) features.
 
-    `ops` is a ComputationRecord, with `params` and `x` its nodes, or
-    UNTAPED or a GradPass, with plain arrays. The shapes are checked by the
+    `ops` is a ComputationRecord, with `params` and `x` its nodes, or a
+    GradPass, with plain arrays; either raises NonFiniteError naming the
+    first op whose output holds NaN or Inf. The shapes are checked by the
     walk over the specs that `feature_width` makes, before any op runs: a
     shape mismatch or an unknown layer kind raises ShapeMismatchError
     naming the layer.
@@ -760,8 +743,9 @@ def feature_stack(ops, spec: Sequence[LayerSpec], params: Sequence, x):
 
 
 def forward_features(params: Sequence[Array], spec: Sequence[LayerSpec], x) -> Array:
-    """Inference-only feature pass (no tape kept)."""
-    return feature_stack(UNTAPED, spec, params, as_tensor(x))
+    """The stack's features through a GradPass asked for no gradient: the
+    ops and NaN/Inf checks of every other pass, keeping no rule."""
+    return feature_stack(GradPass(input_grad=False), spec, params, as_tensor(x))
 
 
 # ---------------------------------------------------------------------------

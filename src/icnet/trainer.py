@@ -210,9 +210,9 @@ def error_rate(model, x, y, chunk: int = 256) -> float:
 
 def _val_stats(c, x, y) -> tuple[float, float]:
     """(error, mean plain loss) on a held-out set; alpha plays no role here.
-    Both are read off one untaped forward and the head loss, the loss SGD
-    minimizes on labeled rows, per chunk of at most 64 rows, so the peak
-    does not grow with the set."""
+    Both are read off one checked forward that keeps no backward rule and
+    the head loss, the loss SGD minimizes on labeled rows, per chunk of at
+    most 64 rows, so the peak does not grow with the set."""
     if len(x) == 0:
         return float("nan"), float("nan")
     chunk = 64

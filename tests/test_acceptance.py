@@ -94,8 +94,7 @@ def test_criterion_02_kl_identity_on_grid():
     spec = D.default_benchmark_spec()
     p_plus_density = D.MixtureDensity(spec.positive_means, spec.positive_covs,
                                       (1, 1))
-    p_plus = O.build_grid(O.DEFAULT_BOUNDS, res, p_plus_density.pdf,
-                          log_density_fn=p_plus_density.log_pdf)
+    p_plus = O.build_grid(O.DEFAULT_BOUNDS, res, p_plus_density.log_pdf)
     worst = 0.0
     for i in range(20):
         c_t = N.init_binary(SPEC_2D, (2,), rng(2, 4, i, 0))
@@ -118,8 +117,7 @@ def exact_sampler_run(seed=0, rounds=10):
     ds, p_plus = D.gen_synthetic_2d(D.default_benchmark_spec(200, 200),
                                     rng(seed, 6))
     prior = O.reference_grid(0.3, resolution=(128, 128))
-    pos_grid = O.build_grid(O.DEFAULT_BOUNDS, (128, 128), p_plus.pdf,
-                            log_density_fn=p_plus.log_pdf)
+    pos_grid = O.build_grid(O.DEFAULT_BOUNDS, (128, 128), p_plus.log_pdf)
     cfg = TR.TrainConfig(rounds=rounds, pseudo_per_round=100,
                          epochs_per_round=15, init_epochs=40, batch_size=64,
                          learning_rate=0.01, lr_drop_round=3, momentum=0.9,
@@ -289,7 +287,7 @@ def test_criterion_08_adversarial_two_way_direction():
     for seed in (0, 1, 2):
         icn, base, test_ds = mnist_models(seed, 2000, rounds=4,
                                           pseudo_per_round=50)
-        ab, ba = R.two_way_fool_experiment(base, icn, test_ds, 0.125)
+        ab, ba = R.two_way_fool_experiment(base, icn, test_ds, 0.125, (-1.0, 1.0))
         base_to_icn.append(ab.cross_fool_fraction)
         icn_to_base.append(ba.cross_fool_fraction)
     elapsed = time.perf_counter() - start

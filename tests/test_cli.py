@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -612,6 +613,24 @@ class TestAdversarialInputs:
         ova = root / (model_a if model_a.startswith("one-vs-all") else model_b)
         assert captured.err.startswith(f"error: {ova}: a one-vs-all ensemble")
         assert captured.err.count("\n") == 1
+
+    def test_overflowing_finite_model_exits_1_with_one_error_line(self, runs_2d, tmp_path,
+                                                                  capsys):
+        # the weights are finite, so the file loads; its forward overflows.
+        # Before, the NonFiniteError ended the command in a traceback
+        ini, run_dir = runs_2d["binary"]
+        huge = N.init_binary(C.SYNTH_NET, (2,), rng(64, 1))
+        huge.feature_params[0][...] *= 1e200
+        huge.feature_params[2][...] *= 1e200
+        path = tmp_path / "huge.bin"
+        N.save_model(path, huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings too
+            status = C.main(["adversarial", "--model-a", str(path),
+                             "--model-b", str(run_dir / "model_final.bin"), "--config", str(ini)])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err == "error: non-finite values produced by affine\n"
 
     def test_binary_and_softmax_pair_attacked(self, runs_2d, tmp_path):
         # both predict the same class indices, so each is scored on the same labels

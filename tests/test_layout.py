@@ -86,7 +86,7 @@ class TestLayoutGuard:
         path = tmp_path / "m.icnet"
         N.save_model(path, run.selected)
         model = N.load_model(path)
-        R.fool_direction(run.selected, model, ds.samples, ds.labels, 0.125)
+        R.fool_direction(run.selected, model, ds.samples, ds.labels, 0.125, (-1.0, 1.0))
 
         kinds = {kind for kind, _ in seen}
         assert kinds == {"value", "input_grad", "kernel_grad"}

@@ -361,6 +361,18 @@ class TestFinitenessChecks:
         assert id(x) in scanned
         assert not {id(p) for p in c.all_params()} & set(scanned)
 
+    @pytest.mark.parametrize("name, at, op", [
+        ("dense", "stack", "affine"), ("conv", "stack", "conv2d"), ("dense", "head", "affine")])
+    def test_class_logits_overflow_names_the_op(self, name, at, op):
+        # inference checks each op's output, the head's too, as the
+        # gradient passes do; before, it returned inf or NaN logits
+        c, x = TestLogitSumGraph.stack(name, 1, 31)
+        # finite; the products are not
+        (c.feature_params[0] if at == "stack" else c.head_w)[...] *= 1e300
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(T.NonFiniteError, match=f"produced by {op}$"):
+            N.class_logits(c, 1e10 * x)
+
     def test_non_finite_input_still_raises(self):
         c = make_binary(42)
         x = np.array([[0.5, np.nan]])

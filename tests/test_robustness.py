@@ -36,15 +36,14 @@ class TestFgsmPerturb:
     def test_zero_epsilon_is_identity(self):
         c = N.init_binary(SPEC_2D, (2,), rng(0, 1))
         x = 0.4 * rng(0, 6).standard_normal((6, 2))
-        adv = R.fgsm_perturb(c, x, np.ones(6), 0.0)
+        adv = R.fgsm_perturb(c, x, np.ones(6), 0.0, None)
         assert np.array_equal(adv, x)
 
     def test_infinity_norm_budget_exact(self):
         c = N.init_binary(SPEC_2D, (2,), rng(1, 1))
         x = 0.5 * rng(1, 6).standard_normal((20, 2))
         eps = 0.125
-        adv = R.fgsm_perturb(c, x, np.where(x[:, 0] > 0, 1, 0), eps,
-                             clamp=None)
+        adv = R.fgsm_perturb(c, x, np.where(x[:, 0] > 0, 1, 0), eps, None)
         assert np.abs(adv - x).max() <= eps + 1e-15
         # every coordinate moves by exactly 0, +eps, or -eps
         deltas = np.unique(np.round(np.abs(adv - x), 12))
@@ -53,7 +52,7 @@ class TestFgsmPerturb:
     def test_clamp_keeps_normalized_range(self):
         c = N.init_binary(SPEC_2D, (2,), rng(2, 1))
         x = np.array([[0.95, -0.99], [1.0, 1.0], [-1.0, 0.5]])
-        adv = R.fgsm_perturb(c, x, np.array([1, 0, 1]), 0.125)
+        adv = R.fgsm_perturb(c, x, np.array([1, 0, 1]), 0.125, (-1.0, 1.0))
         assert adv.max() <= 1.0 and adv.min() >= -1.0
 
     def test_linear_model_loss_never_decreases(self):
@@ -61,7 +60,7 @@ class TestFgsmPerturb:
         gen = rng(3, 6)
         x = gen.standard_normal((50, 2))
         y = np.where(gen.standard_normal(50) > 0, 1, 0)
-        adv = R.fgsm_perturb(c, x, y, 0.01, clamp=None)
+        adv = R.fgsm_perturb(c, x, y, 0.01, None)
         sign = 2 * y - 1  # the paper's y in {-1, +1}
         before = T.softplus_value(-sign * N.logit_binary(c, x))
         after = T.softplus_value(-sign * N.logit_binary(c, adv))
@@ -72,7 +71,7 @@ class TestFgsmPerturb:
         gen = rng(4, 6)
         x = gen.standard_normal((30, 2))
         y = gen.integers(0, 3, size=30)
-        adv = R.fgsm_perturb(c, x, y, 0.05, clamp=None)
+        adv = R.fgsm_perturb(c, x, y, 0.05, None)
         def ce(samples):
             probs = T.softmax_value(N.class_logits(c, samples))
             return -np.log(probs[np.arange(30), y])
@@ -82,18 +81,18 @@ class TestFgsmPerturb:
     def test_label_count_mismatch_rejected(self):
         c = N.init_binary(SPEC_2D, (2,), rng(5, 1))
         with pytest.raises(R.RobustnessError, match="label count"):
-            R.fgsm_perturb(c, np.zeros((3, 2)), np.ones(2), 0.1)
+            R.fgsm_perturb(c, np.zeros((3, 2)), np.ones(2), 0.1, None)
 
     def test_negative_epsilon_rejected(self):
         c = N.init_binary(SPEC_2D, (2,), rng(6, 1))
         with pytest.raises(R.RobustnessError):
-            R.fgsm_perturb(c, np.zeros((1, 2)), np.ones(1), -0.1)
+            R.fgsm_perturb(c, np.zeros((1, 2)), np.ones(1), -0.1, None)
 
     def test_ensemble_model_unsupported(self):
         members = [N.init_binary(SPEC_2D, (2,), rng(7, 1, k)) for k in range(2)]
         ens = N.OneVsAllEnsemble(members)
         with pytest.raises(TypeError):
-            R.fgsm_perturb(ens, np.zeros((1, 2)), np.array([0]), 0.1)
+            R.fgsm_perturb(ens, np.zeros((1, 2)), np.array([0]), 0.1, None)
 
 
 class TestFoolingReport:
@@ -111,13 +110,13 @@ class TestFoolingReport:
 class TestTwoWayExperiment:
     def test_self_attack_cross_equals_adversarial(self):
         icn, base, held = trained_pair(10)
-        ab, ba = R.two_way_fool_experiment(base, base, held, 0.125)
+        ab, ba = R.two_way_fool_experiment(base, base, held, 0.125, None)
         assert ab.cross_fool_count == ab.adversarial_count
         assert ba.cross_fool_count == ba.adversarial_count
 
     def test_counts_nest_for_trained_models(self):
         icn, base, held = trained_pair(11)
-        ab, ba = R.two_way_fool_experiment(base, icn, held, 0.125)
+        ab, ba = R.two_way_fool_experiment(base, icn, held, 0.125, None)
         for rep in (ab, ba):
             assert rep.cross_fool_count <= rep.adversarial_count
             assert rep.adversarial_count <= rep.eligible_count
@@ -129,12 +128,12 @@ class TestTwoWayExperiment:
         labels = np.where(N.logit_binary(c, x) > 0, 0, 1)  # force all wrong
         ds = D.LabeledDataset(x, labels, 2)
         with pytest.raises(R.RobustnessError, match="correctly"):
-            R.two_way_fool_experiment(c, c, ds, 0.125)
+            R.two_way_fool_experiment(c, c, ds, 0.125, None)
 
     def test_deterministic_counts(self):
         icn, base, held = trained_pair(13)
-        first = R.two_way_fool_experiment(base, icn, held, 0.125)
-        second = R.two_way_fool_experiment(base, icn, held, 0.125)
+        first = R.two_way_fool_experiment(base, icn, held, 0.125, None)
+        second = R.two_way_fool_experiment(base, icn, held, 0.125, None)
         assert first == second
 
     def test_summary_mentions_both_directions(self):
@@ -155,7 +154,7 @@ def two_pass_fool_direction(source, target, samples, labels, epsilon, chunk):
     xs, ys = samples[eligible], labels[eligible]
     n_adv = n_cross = 0
     for i in range(0, len(xs), chunk):
-        adv = R.fgsm_perturb(source, xs[i:i + chunk], ys[i:i + chunk], epsilon)
+        adv = R.fgsm_perturb(source, xs[i:i + chunk], ys[i:i + chunk], epsilon, (-1.0, 1.0))
         fooled_src = R.predict(source, adv) != ys[i:i + chunk]
         fooled_tgt = R.predict(target, adv) != ys[i:i + chunk]
         n_adv += int(fooled_src.sum())
@@ -189,7 +188,7 @@ class TestOneForwardPerChunk:
             return forward(params, spec, xs)
 
         monkeypatch.setattr(T, "forward_features", counting_forward)
-        got = R.fool_direction(a, b, x, y, 0.3, chunk=5)
+        got = R.fool_direction(a, b, x, y, 0.3, (-1.0, 1.0), chunk=5)
         assert got == want
-        # untaped forwards only replay the adversarials, on source and target
+        # inference forwards only replay the adversarials, on source and target
         assert sum(infer_rows) == 2 * got.eligible_count

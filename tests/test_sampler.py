@@ -391,8 +391,14 @@ class TestNonFiniteChains:
                          np.array([[1.0]]), np.zeros(1))
         init = S.draw_reference(3, (1, 15, 15), 0.3, rng(57, 3))
         init[1, 0, 14, 0] = 1e308
-        with np.errstate(over="ignore"):
-            assert T.all_finite(N.class_logits(c, init))
+        # the stack's values, unchecked: the checked pass raises at conv 1
+        k1, b1, k2, b2 = c.feature_params
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = T.conv2d_value(init, k1, b1, T.CONV_STRIDE, 0)
+            second = T.conv2d_value(T.leaky_value(first, T.DEFAULT_LEAKY_SLOPE), k2, b2,
+                                    T.CONV_STRIDE, 0)
+        assert not T.all_finite(first)
+        assert T.all_finite(second.reshape(3, -1) @ c.head_w + c.head_b)
         config = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=3)
         samples, traces = S.synthesize_pseudo_negatives(
             c, config, 3, rng(57, 4), (1, 15, 15), init=init.copy())

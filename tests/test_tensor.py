@@ -403,6 +403,16 @@ class TestInputGradient:
         with pytest.raises(T.GraphError):
             T.input_gradient(rec, loss)
 
+    def test_pass_asked_for_no_gradient_keeps_no_rule(self):
+        # the inference pass: no op keeps a rule (and the activations it
+        # would hold), so the sweep has nothing to run
+        spec = [T.conv(1, 2), T.leaky(), T.flatten(), T.dense(2 * 4 * 4, 3), T.leaky()]
+        params = T.init_layer_params(spec, np.random.default_rng(13))
+        grad_pass = T.GradPass(input_grad=False)
+        out = T.feature_stack(grad_pass, spec, params, np.ones((2, 1, 8, 8)))
+        seed = np.ones_like(out)
+        assert T.input_gradient(grad_pass, seed) is seed
+
 
 class TestConvBackward:
     @pytest.mark.parametrize("stride,pad,hw", CONV_ADJOINT_CASES)

@@ -265,8 +265,8 @@ class TestPassMatchesTape:
         grad_pass, got_logits = N.head_pass(c, x)
         got = T.input_gradient(grad_pass, N.head_loss(got_logits, labels)[1])
         assert got.tobytes() == want.tobytes()
-        adv, pred = R.fgsm_perturb(c, x, labels, 0.125, return_pred=True)
-        assert adv.tobytes() == np.clip(x + 0.125 * np.sign(want), -1.0, 1.0).tobytes()
+        adv, pred = R.fgsm_perturb(c, x, labels, 0.125, None, return_pred=True)
+        assert adv.tobytes() == (x + 0.125 * np.sign(want)).tobytes()
         assert pred.tobytes() == N.labels_from_logits(logits.value).tobytes()
 
     @PASS_CASES
