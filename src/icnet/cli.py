@@ -88,6 +88,9 @@ class ExperimentConfig:
                                f"got {getattr(self, key)}")
         if self.test_positive + self.test_negative < 1:
             raise CliError("experiment.test_positive + test_negative must be at least 1")
+        if self.sampler and self.sampler.reference_sigma <= 0 and _grid_oracle_runs(self):
+            raise CliError("sampler.reference_sigma must be above 0 for the grid oracle of "
+                           f"synthetic2d mode {self.mode}, got {self.sampler.reference_sigma}")
 
 
 # Each section's ini keys are its config's fields, in field order, less those
@@ -341,6 +344,11 @@ def _inner_mode(config):
     return "multiclass"
 
 
+def _grid_oracle_runs(config):
+    """Whether each round's p_t- is computed on the exact grid (synthetic2d, binary inner model)."""
+    return _inner_mode(config) == "binary"
+
+
 def _run_training(config, train_ds, mode, on_round):
     """The trainer's result, from one call for every mode; each round is
     reported to `on_round` as it ends. `baseline` trains with no rounds and
@@ -359,10 +367,6 @@ def _test_error(model, test_ds):
     return TR.error_rate(model, test_ds.samples, test_ds.labels)
 
 
-def _positive_grid(p_plus, res):
-    return O.build_grid(O.DEFAULT_BOUNDS, res, p_plus.log_pdf)
-
-
 def _run_experiment_inner(config, out_dir):
     """Trains and writes each round's artifacts as the round ends: metrics
     row, model and store checkpoints, heatmap or images, and a progress
@@ -375,11 +379,11 @@ def _run_experiment_inner(config, out_dir):
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     inner_mode = _inner_mode(config)
-    synthetic_binary = config.task == "synthetic2d" and inner_mode == "binary"
+    synthetic_binary = _grid_oracle_runs(config)
     if synthetic_binary:
         res = (config.grid_resolution, config.grid_resolution)
         prior = O.reference_grid(config.sampler.reference_sigma, resolution=res)
-        pos_grid = _positive_grid(p_plus, res)
+        pos_grid = O.build_grid(O.DEFAULT_BOUNDS, res, p_plus.log_pdf)
         heat_dir = out_dir / "heatmaps"
         heat_dir.mkdir(exist_ok=True)
     image_task = config.task != "synthetic2d"
@@ -461,10 +465,8 @@ def cmd_oracle_verify(args):
             raise CliError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
     res = (args.resolution, args.resolution)
     prior = O.reference_grid(resolution=res)
-    p_plus_density = D.MixtureDensity(
-        D.default_benchmark_spec().positive_means,
-        D.default_benchmark_spec().positive_covs, (1, 1))
-    p_plus = _positive_grid(p_plus_density, res)
+    p_plus_density = D.positive_density(D.default_benchmark_spec())
+    p_plus = O.build_grid(O.DEFAULT_BOUNDS, res, p_plus_density.log_pdf)
     gaps = []
     for i in range(args.pairs):
         c_t = N.init_binary(SYNTH_NET, (2,), rng(args.seed, STREAM_ORACLE, i, 0))

@@ -101,7 +101,8 @@ def stratified_subset(ds: LabeledDataset, total: int, seed: int) -> LabeledDatas
     if total > len(ds):
         raise DataError(f"requested {total} of {len(ds)} samples")
     gen = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    classes = np.unique(ds.labels)
+    # labels are non-negative ints; np.unique would import numpy.ma
+    classes = np.flatnonzero(np.bincount(ds.labels))
     base, extra = divmod(total, len(classes))
     chosen = []
     for i, cls in enumerate(classes):
@@ -158,9 +159,6 @@ class MixtureDensity:
         m = terms.max(axis=0)
         return m + np.log(np.exp(terms - m).sum(axis=0))
 
-    def pdf(self, points) -> Array:
-        return np.exp(self.log_pdf(points))
-
 
 def _component_counts(total: int, k: int) -> list[int]:
     base, extra = divmod(total, k)
@@ -170,8 +168,7 @@ def _component_counts(total: int, k: int) -> list[int]:
 def gen_synthetic_2d(spec: SyntheticSpec,
                      rng: np.random.Generator) -> tuple[LabeledDataset, MixtureDensity]:
     """Draw the two-class 2D benchmark, positives labeled 1 and negatives 0;
-    also return the analytic positive density p+ whose mixture weights equal
-    the per-component share."""
+    also return its analytic positive density, `positive_density(spec)`."""
     samples, labels = [], []
     for means, covs, total, label in (
             (spec.positive_means, spec.positive_covs, spec.n_positive, 1),
@@ -183,9 +180,13 @@ def gen_synthetic_2d(spec: SyntheticSpec,
             samples.append(np.asarray(mean, dtype=np.float64) + z @ chol.T)
             labels.append(np.full(count, label, dtype=np.int64))
     ds = LabeledDataset(np.concatenate(samples), np.concatenate(labels), 2)
-    pos_weights = _component_counts(spec.n_positive, len(spec.positive_means))
-    density = MixtureDensity(spec.positive_means, spec.positive_covs, pos_weights)
-    return ds, density
+    return ds, positive_density(spec)
+
+
+def positive_density(spec: SyntheticSpec) -> MixtureDensity:
+    """Analytic p+ of `spec`, each weight its component's share of n_positive."""
+    counts = _component_counts(spec.n_positive, len(spec.positive_means))
+    return MixtureDensity(spec.positive_means, spec.positive_covs, counts)
 
 
 def default_benchmark_spec(n_positive: int = 200, n_negative: int = 200) -> SyntheticSpec:

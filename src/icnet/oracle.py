@@ -63,11 +63,13 @@ class GridDensity:
             raise OracleError("log_mass must be finite or -inf")
 
     @classmethod
-    def from_log_unnormalized(cls, bounds, resolution, log_u: Array) -> "GridDensity":
-        total = _logsumexp(log_u.reshape(-1))
-        if not np.isfinite(total):
+    def from_log_unnormalized(cls, bounds, resolution, log_u: Array) -> tuple["GridDensity", float]:
+        """log_u scaled to unit total mass; returns the density and the old
+        total Z, summed after max subtraction so no exponential overflows."""
+        log_z = _logsumexp(log_u.reshape(-1))
+        if not np.isfinite(log_z):
             raise OracleError("grid carries no mass")
-        return cls(tuple(bounds), tuple(resolution), log_u - total)
+        return cls(tuple(bounds), tuple(resolution), log_u - log_z), float(np.exp(log_z))
 
     @property
     def mass(self) -> Array:
@@ -103,7 +105,7 @@ def build_grid(bounds, resolution, log_density_fn) -> GridDensity:
                         np.zeros((nx, ny)) - np.log(nx * ny))
     log_d = np.asarray(log_density_fn(probe.cell_centers()), dtype=np.float64)
     log_u = (log_d + np.log(probe.cell_area())).reshape(nx, ny)
-    return GridDensity.from_log_unnormalized(bounds, resolution, log_u)
+    return GridDensity.from_log_unnormalized(bounds, resolution, log_u)[0]
 
 
 def reference_grid(sigma: float = 0.3, bounds=DEFAULT_BOUNDS,
@@ -125,20 +127,23 @@ def _grid_logits(grid: GridDensity, classifier: N.Classifier) -> Array:
     return logits.reshape(grid.resolution)
 
 
+def _tilt(p: GridDensity, logits: Array) -> tuple[GridDensity, float]:
+    """p tilted by exp(logits) and normalized, with Z = sum(exp(logits) * p mass)."""
+    return GridDensity.from_log_unnormalized(p.bounds, p.resolution, p.log_mass + logits)
+
+
+def _tilt_normalizer(p: GridDensity, logits: Array) -> float:
+    """`_tilt`'s Z alone, with no density built."""
+    return float(np.exp(_logsumexp((p.log_mass + logits).reshape(-1))))
+
+
 def density_update(prior: GridDensity,
                    classifier: N.Classifier) -> tuple[GridDensity, float]:
-    """One pseudo-negative update on the grid.
-
-    New cell mass is prior mass times the probability ratio
-    q(+1|x)/q(-1|x) = exp(logit), divided by the explicit normalizer
-    Z = sum(exp(logit) * prior mass). Returns (p_t-, Z); Z is evaluated
-    after max-logit subtraction so large logits cannot overflow.
-    """
-    logits = _grid_logits(prior, classifier)
-    log_u = prior.log_mass + logits
-    log_z = _logsumexp(log_u.reshape(-1))
-    updated = GridDensity(prior.bounds, prior.resolution, log_u - log_z)
-    return updated, float(np.exp(log_z))
+    """One pseudo-negative update on the grid, the prior tilted by the
+    classifier's logit grid: new cell mass is prior mass times the ratio
+    q(+1|x)/q(-1|x) = exp(logit), divided by the normalizer
+    Z = sum(exp(logit) * prior mass). Returns (p_t-, Z)."""
+    return _tilt(prior, _grid_logits(prior, classifier))
 
 
 def kl_divergence(p: GridDensity, q: GridDensity) -> float:
@@ -154,33 +159,33 @@ def kl_divergence(p: GridDensity, q: GridDensity) -> float:
 
 def round_ratio_normalizer(p_t: GridDensity, c_t: N.Classifier,
                            c_next: N.Classifier) -> float:
-    """H = sum over cells of exp(logit_next - logit_t) * p_t mass.
+    """H = sum over cells of exp(logit_next - logit_t) * p_t mass: the Z of
+    p_t tilted by the difference of the two logit grids.
 
     Equal classifiers give H = 1 exactly. H <= 1 signals that the newer
     classifier scores the current pseudo-negatives lower on average, the
     premise of the convergence argument; callers report H > 1 rounds rather
     than asserting the premise.
     """
-    diff = _grid_logits(p_t, c_t)
-    diff = _grid_logits(p_t, c_next) - diff
-    log_h = _logsumexp((p_t.log_mass + diff).reshape(-1))
-    return float(np.exp(log_h))
+    return _tilt_normalizer(p_t, _grid_logits(p_t, c_next) - _grid_logits(p_t, c_t))
 
 
 def update_identity_sides(p_plus: GridDensity, prior: GridDensity,
                           c_t: N.Classifier,
                           c_next: N.Classifier) -> tuple[float, float]:
-    """Both sides of the per-round KL identity, assembled independently.
-
-    Left: KL[p+ || p_t-] - KL[p+ || p_next-] via two density updates.
-    Right: ln(1/H) + sum over cells of p+ * (logit_next - logit_t).
+    """Both sides of the per-round KL identity, assembled independently
+    from one logit grid per classifier. Left: KL[p+ || p_t-] - KL[p+ ||
+    p_next-], each p- a tilted prior. Right: ln(1/H) + sum over cells of
+    p+ * (logit_next - logit_t), H the Z of p_t- tilted by that difference.
     """
     _require_same_grid(p_plus, prior)
-    p_t, _ = density_update(prior, c_t)
-    p_next, _ = density_update(prior, c_next)
+    z_t = _grid_logits(prior, c_t)
+    z_next = _grid_logits(prior, c_next)
+    p_t, _ = _tilt(prior, z_t)
+    p_next, _ = _tilt(prior, z_next)
     left = kl_divergence(p_plus, p_t) - kl_divergence(p_plus, p_next)
-    h = round_ratio_normalizer(p_t, c_t, c_next)
-    diff = _grid_logits(prior, c_next) - _grid_logits(prior, c_t)
+    diff = z_next - z_t
+    h = _tilt_normalizer(p_t, diff)
     support = p_plus.log_mass > -np.inf
     gain = float((np.exp(p_plus.log_mass[support]) * diff[support]).sum())
     right = -np.log(h) + gain

@@ -138,22 +138,27 @@ MAX_GRAPH_ROWS = 256
 
 
 def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
-    """`logit_sum_graph`s over x[rows]; returns (overflowing rows, [(rows,
-    graph), ...]).
+    """`logit_sum_graph`s over x[rows] in row order, in runs of MAX_GRAPH_ROWS
+    rows; returns (overflowing rows, [(rows, graph), ...]).
 
-    A pass in which some op overflows is split in halves until each
-    overflowing row is alone, and that row is dropped. Rows are
-    independent, so no row's gradient changes.
+    A run in which some op overflows is halved until each overflowing row
+    is alone, and that row is dropped. How many rows share a graph moves a
+    row's logit only in its last bits (a BLAS sum), but that can move the
+    step at which a chain whose logit sits next to a threshold stops.
     """
-    try:
-        graph = N.logit_sum_graph(classifier, x[rows],
-                                  None if classes is None else classes[rows])
-        return rows[:0], [(rows, graph)]
-    except T.NonFiniteError:
-        if rows.size == 1:
-            return rows, []
+    if rows.size > MAX_GRAPH_ROWS:
+        parts = np.split(rows, range(MAX_GRAPH_ROWS, rows.size, MAX_GRAPH_ROWS))
+    else:
+        try:
+            graph = N.logit_sum_graph(classifier, x[rows],
+                                      None if classes is None else classes[rows])
+            return rows[:0], [(rows, graph)]
+        except T.NonFiniteError:
+            if rows.size == 1:
+                return rows, []
+        parts = np.array_split(rows, 2)
     overflowed, graphs = [], []
-    for part in np.array_split(rows, 2):
+    for part in parts:
         part_overflowed, part_graphs = _chain_graphs(classifier, x, part, classes)
         overflowed.append(part_overflowed)
         graphs += part_graphs
@@ -195,11 +200,12 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
 
     On a multi-class classifier `class_index` names each chain's head: one
     int for every chain, or one int per chain, so a single call synthesizes
-    for every class. Each step evaluates the live chains in graphs of at
-    most MAX_GRAPH_ROWS rows and draws one Langevin noise array for all of
-    them, so the result does not depend on that cap. The loop carries only
-    the live chains; a chain that stops leaves them once, and only then are
-    its sample and trace written to the output. A chain whose forward
+    for every class. Each step runs the live chains in graphs of at most
+    MAX_GRAPH_ROWS rows (`_chain_graphs` says what a split can change) and
+    draws one Langevin noise array for all of them. The loop carries only
+    the live chains; a chain that stops leaves them once, writing back its
+    sample, step count and stop reason. Trace logit paths and final logits
+    are read from one NaN-filled array at the end. A chain whose forward
     pass, gradient or update stops being finite is tagged non_finite and
     keeps its last finite sample; the other chains go on.
 
@@ -223,58 +229,51 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         if classes.shape != (count,):
             raise SamplerError(f"class_index holds {classes.shape} entries, "
                                f"expected one or {count}")
-    if config.stopping == "option2":
-        threshold = logit_threshold(config.confidence_threshold)
+    # early stop at logit >= early_at (option1's logit > 0 is >= the least positive double)
+    limit, at_limit = config.max_steps, STOP_MAX
+    if config.stopping == "option1":
+        early_at, early_reason = math.ulp(0.0), STOP_POSITIVE
+    elif config.stopping == "option2":
+        early_at, early_reason = logit_threshold(config.confidence_threshold), STOP_THRESHOLD
+    else:
+        early_at, early_reason = math.inf, None
+        limit, at_limit = config.fixed_steps, STOP_FIXED
     steps = np.zeros(count, dtype=int)
     reasons = np.full(count, "", dtype=object)
-    final_logits = np.zeros(count)
-    limit = config.fixed_steps if config.stopping == "option3" else config.max_steps
-    # chain j's logit path is paths[:path_len[j], j]: a chain live at step k
-    # writes row k, so a chain tagged in its forward pass has no entry for
-    # its last step
-    paths = np.empty((limit + 1, count))
-    path_len = np.zeros(count, dtype=np.intp)
+    # chain j's logit at step k is paths[k, j]; a chain tagged in its forward
+    # pass leaves NaN at its last step
+    paths = np.full((limit + 1, count), np.nan)
     # the live chains, in chain-id order: ids, samples, Adam moments and
     # classes; x receives a chain's sample only when the chain stops
     ids, live_x, live_m, live_v, live_classes = (
         np.arange(count), x, np.zeros_like(x), np.zeros_like(x), classes)
 
-    def stop(rows, k, reason, logged=True):
-        """Retire the live rows `rows` at step k, writing back sample and trace."""
-        if not rows.size:
-            return
-        j = ids[rows]
-        x[j], steps[j], reasons[j], path_len[j] = live_x[rows], k, reason, k + logged
-        final_logits[j] = paths[k, j] if logged else np.nan
+    def stop(rows, k, reason):
+        """Retire the live rows `rows` at step k, writing back sample, step and reason."""
+        if rows.size:  # most calls retire no chain: skip their empty scatters
+            j = ids[rows]
+            x[j], steps[j], reasons[j] = live_x[rows], k, reason
 
     # overflow is detected and tagged per row below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(limit + 1):
+            if not ids.size:  # the update tagged every live chain
+                break
+            overflowed, graphs = _chain_graphs(classifier, live_x, np.arange(ids.size),
+                                               live_classes)
+            stop(overflowed, k, STOP_NON_FINITE)
             moving, grads = [], []
-            for at in range(0, ids.size, MAX_GRAPH_ROWS):
-                overflowed, graphs = _chain_graphs(
-                    classifier, live_x, np.arange(at, min(at + MAX_GRAPH_ROWS, ids.size)),
-                    live_classes)
-                stop(overflowed, k, STOP_NON_FINITE, logged=False)
-                for rows, (record, scalar, logits) in graphs:
-                    paths[k, ids[rows]] = logits
-                    if config.stopping == "option1":
-                        stop_now = logits > 0.0
-                        reason = STOP_POSITIVE
-                    elif config.stopping == "option2":
-                        stop_now = logits >= threshold
-                        reason = STOP_THRESHOLD
-                    else:
-                        stop_now = np.full(rows.size, k == config.fixed_steps)
-                        reason = STOP_FIXED
-                    stop(rows[stop_now], k, reason)
-                    if k == limit:
-                        stop(rows[~stop_now], k, STOP_MAX)
-                    elif not stop_now.all():
-                        # a slice keeps the common all-moving case free of gathers
-                        keep = ~stop_now if stop_now.any() else slice(None)
-                        moving.append(rows[keep])
-                        grads.append(T.input_gradient(record, scalar)[keep])
+            for rows, (record, scalar, logits) in graphs:
+                paths[k, ids[rows]] = logits
+                stop_now = logits >= early_at
+                stop(rows[stop_now], k, early_reason)
+                if k == limit:
+                    stop(rows[~stop_now], k, at_limit)
+                elif not stop_now.all():
+                    # a slice keeps the common all-moving case free of gathers
+                    keep = ~stop_now if stop_now.any() else slice(None)
+                    moving.append(rows[keep])
+                    grads.append(T.input_gradient(record, scalar)[keep])
             if not moving:
                 break
             moving, g = np.concatenate(moving), np.concatenate(grads)
@@ -302,8 +301,10 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                     ok, ids, new_x, new_m, new_v, live_classes)
             live_x, live_m, live_v = new_x, new_m, new_v
 
+    final_logits = paths[steps, np.arange(count)]
+    path_ends = steps + ~np.isnan(final_logits)
     confidences = T.sigmoid_value(final_logits)
     traces = [SynthesisTrace(int(steps[j]), float(final_logits[j]),
-                             float(confidences[j]), reasons[j], paths[:path_len[j], j].copy())
+                             float(confidences[j]), reasons[j], paths[:path_ends[j], j].copy())
               for j in range(count)]
     return x, traces

@@ -271,7 +271,7 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
     if ds.class_count < 2 or (mode == "binary" and ds.class_count > 2):
         want = "two classes" if mode == "binary" else "two classes or more"
         raise TrainerError(f"{mode} mode needs {want}, not {ds.class_count}")
-    if len(np.unique(ds.labels)) < 2:
+    if np.count_nonzero(np.bincount(ds.labels)) < 2:
         raise TrainerError(f"{mode} mode needs two classes present in the training set")
     input_shape = ds.samples.shape[1:]
     if synthesize is None:

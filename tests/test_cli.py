@@ -3,8 +3,11 @@
 import gzip
 import hashlib
 import inspect
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -59,6 +62,10 @@ def write_config(tmp_path, name="exp.ini", **kw):
     path = tmp_path / name
     path.write_text(config_text(out, **kw))
     return path
+
+
+def zero_reference_sigma(path):
+    path.write_text(path.read_text().replace("[sampler]\n", "[sampler]\nreference_sigma = 0\n"))
 
 
 def write_mnist_ini(tmp_path, n=20):
@@ -265,6 +272,28 @@ class TestParseConfig:
                             extra_experiment=f"mnist_dir = {tmp_path}")
         with pytest.raises(C.CliError, match="binary"):
             C.parse_config(path)
+
+    @pytest.mark.parametrize("mode", ["binary", "icn-noise", "baseline"])
+    def test_zero_reference_sigma_rejected_where_the_grid_oracle_runs(self, tmp_path, capsys,
+                                                                       mode):
+        # before: setup ran, numpy warned twice, and the run ended in
+        # "grid carries no mass", naming no key
+        path = write_config(tmp_path, mode=mode)
+        zero_reference_sigma(path)
+        assert C.main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: sampler.reference_sigma must be above 0")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("task, mode", [("synthetic2d", "softmax"),
+                                            ("synthetic2d", "one-vs-all"),
+                                            ("mnist-subset", "softmax")])
+    def test_zero_reference_sigma_accepted_without_grid_oracle(self, tmp_path, task, mode):
+        path = write_config(tmp_path, task=task, mode=mode,
+                            extra_experiment=f"mnist_dir = {tmp_path}")
+        zero_reference_sigma(path)
+        assert C.parse_config(path).sampler.reference_sigma == 0.0
 
     def test_mnist_task_gets_pixel_clamp(self, tmp_path):
         path = write_config(tmp_path, task="mnist-subset", mode="softmax",
@@ -727,6 +756,24 @@ class TestSubcommands:
         status = C.main(["train", "--config", str(tmp_path / "none.ini")])
         assert status == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_no_run_imports_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, 12-14 ms by -X importtime; class counts
+        # come from np.bincount instead
+        path = write_config(tmp_path, rounds=1)
+        code = f"""import sys
+import numpy as np
+from icnet import cli, data as D
+assert cli.main(["train", "--config", {str(path)!r}]) == 0
+ds = D.LabeledDataset(np.zeros((6, 2)), np.array([0, 2, 2, 0, 2, 0]), 3)
+assert sorted(D.stratified_subset(ds, 4, 0).labels) == [0, 0, 2, 2]
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+        paths = [str(Path(C.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     def test_oracle_verify_passes(self, tmp_path, capsys):
         status = C.main(["oracle-verify", "--pairs", "5", "--resolution", "64",

@@ -83,7 +83,7 @@ class TestSynthetic2D:
         density = D.MixtureDensity(means=((0.0, 0.0),),
                                    covs=(((1.0, 0.0), (0.0, 1.0)),),
                                    weights=(1.0,))
-        np.testing.assert_allclose(density.pdf([[0.0, 0.0]]),
+        np.testing.assert_allclose(np.exp(density.log_pdf([[0.0, 0.0]])),
                                    [1.0 / (2 * math.pi)], rtol=1e-14)
 
     def test_density_matches_independent_quadratic_form(self):
@@ -101,13 +101,13 @@ class TestSynthetic2D:
                 dx, dy = px - mu[0], py - mu[1]
                 quad = (d * dx * dx - (b + c) * dx * dy + a * dy * dy) / det
                 want[i] += wgt * math.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(det))
-        np.testing.assert_allclose(density.pdf(pts), want, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(density.log_pdf(pts)), want, rtol=1e-12)
 
     def test_benchmark_counts_and_labels(self):
         ds, density = D.gen_synthetic_2d(D.default_benchmark_spec(201, 99), rng(4, 6))
         assert int((ds.labels == 1).sum()) == 201
         assert int((ds.labels == 0).sum()) == 99
-        total = density.pdf(rng(5, 6).standard_normal((4, 2)))
+        total = np.exp(density.log_pdf(rng(5, 6).standard_normal((4, 2))))
         assert np.all(total > 0)
 
 

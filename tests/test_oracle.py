@@ -26,7 +26,7 @@ def grid_of(bounds, mass) -> O.GridDensity:
     a zero mass is a cell of log mass -inf."""
     mass = np.asarray(mass, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        return O.GridDensity.from_log_unnormalized(bounds, mass.shape, np.log(mass))
+        return O.GridDensity.from_log_unnormalized(bounds, mass.shape, np.log(mass))[0]
 
 
 def random_grid(seed: int, shape=(4, 4)) -> O.GridDensity:
@@ -178,6 +178,41 @@ class TestRoundRatioNormalizer:
             # and the module's assembly agrees with the independent one
             left, right = O.update_identity_sides(p_plus, prior, c_t, c_next)
             assert abs(left - lhs) < 1e-9 and abs(right - rhs) < 1e-9
+
+    def test_identity_runs_each_classifier_over_the_grid_once(self, monkeypatch):
+        calls = []
+        grid_logits = O._grid_logits
+
+        def spy(grid, classifier):
+            calls.append(classifier)
+            return grid_logits(grid, classifier)
+
+        monkeypatch.setattr(O, "_grid_logits", spy)
+        prior = O.reference_grid(resolution=(16, 16))
+        c_t, c_next = random_classifier(9), random_classifier(109)
+        O.update_identity_sides(prior, prior, c_t, c_next)
+        assert len(calls) == 2
+        assert {id(c) for c in calls} == {id(c_t), id(c_next)}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_identity_sides_equal_separate_assembly_bitwise(self, seed):
+        # the assembly from two density updates, the round-ratio normalizer
+        # and a separate logit-grid difference for the gain
+        prior = O.reference_grid(resolution=(32, 32))
+        p_plus = O.build_grid(prior.bounds, prior.resolution,
+                              lambda pts: -((pts - 0.4) ** 2).sum(axis=1) / 0.1)
+        c_t = N.init_binary(SYNTH_NET, (2,), rng(seed, 10))
+        c_next = N.init_binary(SYNTH_NET, (2,), rng(seed, 11))
+        p_t, _ = O.density_update(prior, c_t)
+        p_next, _ = O.density_update(prior, c_next)
+        left = O.kl_divergence(p_plus, p_t) - O.kl_divergence(p_plus, p_next)
+        h = O.round_ratio_normalizer(p_t, c_t, c_next)
+        diff = O._grid_logits(prior, c_next) - O._grid_logits(prior, c_t)
+        support = p_plus.log_mass > -np.inf
+        gain = float((np.exp(p_plus.log_mass[support]) * diff[support]).sum())
+        want = (left, -np.log(h) + gain)
+        got = O.update_identity_sides(p_plus, prior, c_t, c_next)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestExactSample:

@@ -281,6 +281,23 @@ class TestBatchedClasses:
                 == [(t.stop_reason, t.steps) for t in lifted_traces])
         assert len({t.steps for t in lifted_traces}) > 1
 
+    def test_live_rows_run_in_graphs_of_the_cap(self, monkeypatch):
+        # 7 live rows under a cap of 3: graphs of rows 0-2, 3-5 and 6
+        sizes = []
+        graph = N.logit_sum_graph
+
+        def spy(c, x, class_index=None):
+            sizes.append(len(x))
+            return graph(c, x, class_index)
+
+        monkeypatch.setattr(N, "logit_sum_graph", spy)
+        monkeypatch.setattr(S, "MAX_GRAPH_ROWS", 3)
+        c = N.init_binary([T.dense(2, 8), T.leaky()], (2,), rng(48, 1))
+        config = S.SamplerConfig(stopping="option3", fixed_steps=0, max_steps=0)
+        _, traces = S.synthesize_pseudo_negatives(c, config, 7, rng(48, 3), (2,))
+        assert sizes == [3, 3, 1]
+        assert [t.stop_reason for t in traces] == [S.STOP_FIXED] * 7
+
     def test_per_row_logits_follow_class_index(self):
         c = N.init_multiclass([T.dense(2, 8), T.leaky()], (2,), 3, rng(44, 1))
         config = S.SamplerConfig(stopping="option3", fixed_steps=5, max_steps=5)
@@ -352,6 +369,19 @@ class TestNonFiniteChains:
                                  max_steps=5)
         samples, traces = S.synthesize_pseudo_negatives(
             c, config, 2, rng(51, 3), (2,), init=init.copy())
+        assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
+        np.testing.assert_array_equal(samples, init)
+
+    def test_update_overflow_in_every_conv_chain_ends_the_loop(self):
+        # the update tags every chain at step 0: the next step has no live
+        # row, and a conv stack cannot run a forward over zero rows
+        c = N.init_binary([T.conv(1, 2), T.leaky(), T.flatten()], (1, 4, 4), rng(52, 1))
+        c.head_w[...] = -1e160
+        init = S.draw_reference(2, (1, 4, 4), 0.3, rng(52, 3))
+        config = S.SamplerConfig(method="plain-gradient", stopping="option2",
+                                 max_steps=5)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 2, rng(52, 4), (1, 4, 4), init=init.copy())
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
         np.testing.assert_array_equal(samples, init)
 
