@@ -311,11 +311,11 @@ def _load_task_data(config):
     """Returns (train_ds, test_ds, p_plus_density_or_None, input_files)."""
     if config.task == "synthetic2d":
         spec = D.default_benchmark_spec(config.n_positive, config.n_negative)
-        train_ds, p_plus = D.gen_synthetic_2d(spec, rng(config.seed, STREAM_DATA))
+        train_ds = D.gen_synthetic_2d(spec, rng(config.seed, STREAM_DATA))
         test_spec = D.default_benchmark_spec(config.test_positive,
                                              config.test_negative)
-        test_ds, _ = D.gen_synthetic_2d(test_spec, rng(config.seed, STREAM_DATA, 1))
-        return train_ds, test_ds, p_plus, []
+        test_ds = D.gen_synthetic_2d(test_spec, rng(config.seed, STREAM_DATA, 1))
+        return train_ds, test_ds, D.positive_density(spec), []
     root = Path(config.mnist_dir) if config.mnist_dir else D.default_mnist_dir()
     train_full, test_full = D.load_mnist(root)
     input_files = [D.find_mnist_file(root, key) for key in D.MNIST_STEMS]

@@ -143,7 +143,11 @@ class MixtureDensity:
         self.means = np.asarray(means, dtype=np.float64)
         self.covs = np.asarray(covs, dtype=np.float64)
         self.weights = np.asarray(weights, dtype=np.float64)
-        self.weights = self.weights / self.weights.sum()
+        total = self.weights.sum()
+        if not (math.isfinite(total) and total > 0):
+            raise DataError(f"mixture weights {self.weights.tolist()} do not sum "
+                            "to a positive finite number")
+        self.weights = self.weights / total
         self._inv = np.stack([np.linalg.inv(c) for c in self.covs])
         dim = self.means.shape[1]
         dets = np.array([np.linalg.det(c) for c in self.covs])
@@ -165,10 +169,9 @@ def _component_counts(total: int, k: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(k)]
 
 
-def gen_synthetic_2d(spec: SyntheticSpec,
-                     rng: np.random.Generator) -> tuple[LabeledDataset, MixtureDensity]:
-    """Draw the two-class 2D benchmark, positives labeled 1 and negatives 0;
-    also return its analytic positive density, `positive_density(spec)`."""
+def gen_synthetic_2d(spec: SyntheticSpec, rng: np.random.Generator) -> LabeledDataset:
+    """Draw the two-class 2D benchmark, positives labeled 1 and negatives 0.
+    Its analytic positive density is `positive_density(spec)`."""
     samples, labels = [], []
     for means, covs, total, label in (
             (spec.positive_means, spec.positive_covs, spec.n_positive, 1),
@@ -179,12 +182,12 @@ def gen_synthetic_2d(spec: SyntheticSpec,
             z = rng.standard_normal((count, 2))
             samples.append(np.asarray(mean, dtype=np.float64) + z @ chol.T)
             labels.append(np.full(count, label, dtype=np.int64))
-    ds = LabeledDataset(np.concatenate(samples), np.concatenate(labels), 2)
-    return ds, positive_density(spec)
+    return LabeledDataset(np.concatenate(samples), np.concatenate(labels), 2)
 
 
 def positive_density(spec: SyntheticSpec) -> MixtureDensity:
-    """Analytic p+ of `spec`, each weight its component's share of n_positive."""
+    """Analytic p+ of `spec`, each weight its component's share of
+    n_positive; DataError for a spec with no positives."""
     counts = _component_counts(spec.n_positive, len(spec.positive_means))
     return MixtureDensity(spec.positive_means, spec.positive_covs, counts)
 

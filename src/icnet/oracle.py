@@ -20,10 +20,16 @@ Array = np.ndarray
 
 DEFAULT_BOUNDS = ((-3.0, 3.0), (-3.0, 3.0))
 DEFAULT_RESOLUTION = (128, 128)
-# grid cells per classifier forward: one pass over a 128x128 grid spends
-# most of its time page-faulting its megabyte-sized temporaries, and the
-# chunks' logits equal the one pass's bitwise
-GRID_CHUNK = 2048
+# grid cells per classifier forward; the chunks' logits equal one pass's
+# bitwise. Larger chunks page-fault their temporaries afresh on every call
+# (a 2048-row SYNTH_NET activation is 256 KiB, over glibc's mmap threshold),
+# smaller ones pay per-op overhead. One 128x128 `density_update`, median of
+# 60 calls after one warm-up, in a fresh process per size (2-vCPU x86_64,
+# Python 3.11.7, numpy 2.4.6, one OpenBLAS thread):
+#   GRID_CHUNK            256   512   1024  2048  16384
+#   ms per call           4.48  3.19  2.32  5.36  6.37
+#   minor faults per call    0     0     0  1280   1504
+GRID_CHUNK = 1024
 
 
 class OracleError(Exception):

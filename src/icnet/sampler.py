@@ -150,8 +150,9 @@ def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
         parts = np.split(rows, range(MAX_GRAPH_ROWS, rows.size, MAX_GRAPH_ROWS))
     else:
         try:
-            graph = N.logit_sum_graph(classifier, x[rows],
-                                      None if classes is None else classes[rows])
+            # rows are distinct, so a run of len(x) of them is all of x: no gather
+            run_x, run_classes = (x, classes) if rows.size == len(x) else _take(rows, x, classes)
+            graph = N.logit_sum_graph(classifier, run_x, run_classes)
             return rows[:0], [(rows, graph)]
         except T.NonFiniteError:
             if rows.size == 1:
@@ -266,17 +267,22 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
             for rows, (record, scalar, logits) in graphs:
                 paths[k, ids[rows]] = logits
                 stop_now = logits >= early_at
-                stop(rows[stop_now], k, early_reason)
+                stopping = stop_now.any()
+                if stopping:
+                    stop(rows[stop_now], k, early_reason)
                 if k == limit:
                     stop(rows[~stop_now], k, at_limit)
-                elif not stop_now.all():
+                elif not (stopping and stop_now.all()):
                     # a slice keeps the common all-moving case free of gathers
-                    keep = ~stop_now if stop_now.any() else slice(None)
+                    keep = ~stop_now if stopping else slice(None)
                     moving.append(rows[keep])
                     grads.append(T.input_gradient(record, scalar)[keep])
             if not moving:
                 break
-            moving, g = np.concatenate(moving), np.concatenate(grads)
+            if len(moving) == 1:  # one graph: its rows and gradient as they are
+                moving, g = moving[0], grads[0]
+            else:
+                moving, g = np.concatenate(moving), np.concatenate(grads)
             if not T.all_finite(g):
                 ok = _finite_rows(g)
                 stop(moving[~ok], k, STOP_NON_FINITE)

@@ -10,6 +10,11 @@ a pass of it that keeps no rule. The append-only tape (`ComputationRecord`),
 whose creation order is already topological, runs each layer op through a
 one-op `GradPass` and adds the loss ops; the tests build their gradient
 checks and references on it.
+
+NaN/Inf is caught where it can first appear: inputs and parameters where
+they enter, and the outputs of the ops that can overflow (affine, conv and
+every tape op). A pass does not scan the outputs of `leaky` and `reshape`,
+which cannot turn finite values into non-finite ones (see `GradPass`).
 """
 
 import math
@@ -630,7 +635,11 @@ class GradPass:
     or both. These methods are the one definition of each layer op's value
     and backward rules: inference, synthesis, FGSM and SGD run the stack
     through a pass, and a ComputationRecord runs its layer ops through a
-    one-op pass. Each op's output is checked for NaN/Inf.
+    one-op pass. The outputs of `affine` and `conv2d` are checked for
+    NaN/Inf; those of `leaky` and `reshape` are not, as neither can make a
+    non-finite value from a finite input, and every input is finite: a
+    batch enters a pass through `as_tensor`, a tape op reads a scanned node,
+    and each later op reads an earlier one's output.
 
     `grads`, if given, holds one array per parameter, in the order the ops
     read the parameters (stack, then head); the sweep writes each
@@ -688,13 +697,20 @@ class GradPass:
         return self._keep(conv2d_value(x, k, b, stride, pad), "conv2d", rule)
 
     def leaky(self, x: Array, slope: float) -> Array:
-        # the subgradient at exactly 0 is 1; max(mask, slope) is 1 or slope,
-        # so the rule's product is bitwise np.where(mask, g, slope * g)
-        mask = x >= 0.0
-        return self._keep(leaky_value(x, slope), "leaky", lambda g: g * np.maximum(mask, slope))
+        # unscanned: with a slope in [0, 1], |slope * x| <= |x|, so a finite
+        # x gives a finite output. The subgradient at exactly 0 is 1;
+        # max(mask, slope) is 1 or slope, so the rule's product is bitwise
+        # np.where(mask, g, slope * g)
+        if self._tracked:
+            mask = x >= 0.0
+            self._rules.append(lambda g: g * np.maximum(mask, slope))
+        return leaky_value(x, slope)
 
     def reshape(self, x: Array, shape) -> Array:
-        return self._keep(x.reshape(shape), "reshape", lambda g: g.reshape(x.shape))
+        # unscanned: the values are x's own
+        if self._tracked:
+            self._rules.append(lambda g: g.reshape(x.shape))
+        return x.reshape(shape)
 
     def input_gradient(self, seed: Array) -> Array | None:
         """d(sum of seed * the last op's output)/dx (None without

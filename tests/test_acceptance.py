@@ -114,8 +114,8 @@ def test_criterion_02_kl_identity_on_grid():
 def exact_sampler_run(seed=0, rounds=10):
     """The run, and KL[p+ || p_t-] of each round's classifier, taken as the
     round ends."""
-    ds, p_plus = D.gen_synthetic_2d(D.default_benchmark_spec(200, 200),
-                                    rng(seed, 6))
+    spec = D.default_benchmark_spec(200, 200)
+    ds, p_plus = D.gen_synthetic_2d(spec, rng(seed, 6)), D.positive_density(spec)
     prior = O.reference_grid(0.3, resolution=(128, 128))
     pos_grid = O.build_grid(O.DEFAULT_BOUNDS, (128, 128), p_plus.log_pdf)
     cfg = TR.TrainConfig(rounds=rounds, pseudo_per_round=100,
@@ -150,7 +150,7 @@ def test_criterion_03_kl_descent_with_exact_sampler():
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_sampler_contract():
-    ds, _ = D.gen_synthetic_2d(D.default_benchmark_spec(200, 200), rng(0, 6))
+    ds = D.gen_synthetic_2d(D.default_benchmark_spec(200, 200), rng(0, 6))
     prior = O.reference_grid(0.3, resolution=(128, 128))
     base_cfg = TR.TrainConfig(rounds=0, pseudo_per_round=0, epochs_per_round=5,
                               init_epochs=40, batch_size=64, learning_rate=0.01,
@@ -188,7 +188,7 @@ def test_criterion_04_sampler_contract():
 # ---------------------------------------------------------------------------
 
 def test_criterion_05_bookkeeping_exact():
-    ds, _ = D.gen_synthetic_2d(D.default_benchmark_spec(40, 24), rng(5, 6))
+    ds = D.gen_synthetic_2d(D.default_benchmark_spec(40, 24), rng(5, 6))
     scfg = S.SamplerConfig(stopping="option3", fixed_steps=10, max_steps=20)
     cfg = TR.TrainConfig(rounds=4, pseudo_per_round=7, epochs_per_round=2,
                          init_epochs=6, batch_size=32, learning_rate=0.05,
@@ -392,7 +392,7 @@ def test_criterion_10_equivalence_regressions():
         p.tobytes() == q.tobytes()
         for p, q in zip(via_loop.classifier.all_params(), c.all_params()))
 
-    ds_bin, _ = D.gen_synthetic_2d(D.default_benchmark_spec(30, 20), rng(10, 6, 1))
+    ds_bin = D.gen_synthetic_2d(D.default_benchmark_spec(30, 20), rng(10, 6, 1))
     bcfg = TR.TrainConfig(rounds=0, pseudo_per_round=4, epochs_per_round=2,
                           init_epochs=5, batch_size=32, learning_rate=0.05,
                           momentum=0.9, alpha=0.1, val_fraction=0.2,

@@ -42,7 +42,7 @@ class TestSynthetic2D:
             positive_means=((1.0, 2.0),), positive_covs=(eps,),
             negative_means=((-3.0, 0.5),), negative_covs=(eps,),
             n_positive=5, n_negative=5)
-        ds, _ = D.gen_synthetic_2d(spec, rng(0, 6))
+        ds = D.gen_synthetic_2d(spec, rng(0, 6))
         np.testing.assert_allclose(ds.samples[ds.labels == 1], [[1.0, 2.0]] * 5,
                                    atol=1e-12)
         np.testing.assert_allclose(ds.samples[ds.labels == 0], [[-3.0, 0.5]] * 5,
@@ -57,15 +57,15 @@ class TestSynthetic2D:
             negative_means=((5.0, 5.0),),
             negative_covs=(((0.01, 0.0), (0.0, 0.01)),),
             n_positive=n, n_negative=1)
-        ds, _ = D.gen_synthetic_2d(spec, rng(1, 6))
+        ds = D.gen_synthetic_2d(spec, rng(1, 6))
         mean = ds.samples[ds.labels == 1].mean(axis=0)
         bound = 3 * sigma / math.sqrt(n)
         assert abs(mean[0] - 0.7) < bound and abs(mean[1] + 0.2) < bound
 
     def test_identical_seed_identical_dataset(self):
         spec = D.default_benchmark_spec()
-        a, _ = D.gen_synthetic_2d(spec, rng(2, 6))
-        b, _ = D.gen_synthetic_2d(spec, rng(2, 6))
+        a = D.gen_synthetic_2d(spec, rng(2, 6))
+        b = D.gen_synthetic_2d(spec, rng(2, 6))
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.labels, b.labels)
 
@@ -104,11 +104,28 @@ class TestSynthetic2D:
         np.testing.assert_allclose(np.exp(density.log_pdf(pts)), want, rtol=1e-12)
 
     def test_benchmark_counts_and_labels(self):
-        ds, density = D.gen_synthetic_2d(D.default_benchmark_spec(201, 99), rng(4, 6))
+        spec = D.default_benchmark_spec(201, 99)
+        ds, density = D.gen_synthetic_2d(spec, rng(4, 6)), D.positive_density(spec)
         assert int((ds.labels == 1).sum()) == 201
         assert int((ds.labels == 0).sum()) == 99
         total = np.exp(density.log_pdf(rng(5, 6).standard_normal((4, 2))))
         assert np.all(total > 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_positives_draws_without_warning_and_has_no_density(self):
+        # a test set of negatives only (test_positive = 0): drawing it builds
+        # no density, and asking for its p+ is an error, not NaN weights
+        spec = D.default_benchmark_spec(0, 5)
+        ds = D.gen_synthetic_2d(spec, rng(6, 6))
+        assert ds.labels.tolist() == [0] * 5
+        with pytest.raises(D.DataError, match="do not sum to a positive finite number"):
+            D.positive_density(spec)
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, -1.0], [1.0, math.inf]])
+    def test_mixture_weights_must_sum_to_positive_finite(self, weights):
+        cov = ((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(D.DataError, match="do not sum to a positive finite number"):
+            D.MixtureDensity(((0.0, 0.0), (1.0, 1.0)), (cov, cov), weights)
 
 
 class TestIdx:

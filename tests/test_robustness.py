@@ -18,7 +18,7 @@ LINEAR_SPEC = [T.dense(2, 8)]
 
 
 def trained_pair(seed=0):
-    ds, _ = D.gen_synthetic_2d(D.default_benchmark_spec(40, 40), rng(seed, 6))
+    ds = D.gen_synthetic_2d(D.default_benchmark_spec(40, 40), rng(seed, 6))
     cfg = TR.TrainConfig(rounds=2, pseudo_per_round=8, epochs_per_round=3,
                          init_epochs=30, batch_size=32, learning_rate=0.05,
                          momentum=0.9, alpha=0.1, val_fraction=0.0,
@@ -27,8 +27,8 @@ def trained_pair(seed=0):
                            max_steps=100)
     icn = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg, "binary")
     base = TR.run_reclassification_by_synthesis(ds, SPEC_2D, replace(cfg, rounds=0))
-    held, _ = D.gen_synthetic_2d(D.default_benchmark_spec(100, 100),
-                                 rng(seed, 6, 1))
+    held = D.gen_synthetic_2d(D.default_benchmark_spec(100, 100),
+                              rng(seed, 6, 1))
     return icn.selected, base.selected, held
 
 

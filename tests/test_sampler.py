@@ -333,6 +333,32 @@ class TestBatchedClasses:
             np.testing.assert_allclose(t.final_logit, trace.final_logit, rtol=0, atol=1e-12)
             np.testing.assert_allclose(t.logit_path, trace.logit_path, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3], ids=["binary", "3-class"])
+    def test_run_of_every_row_reads_the_live_array_itself(self, monkeypatch, k):
+        # no gather: the graph over x itself gives the bits of the graph
+        # over the copy x[np.arange(n)]
+        n = 9
+        c = N.init_multiclass([T.dense(2, 8), T.leaky(), T.dense(8, 8), T.leaky()],
+                              (2,), k, rng(22951, 1))
+        x = S.draw_reference(n, (2,), 0.5, rng(22951, 3))
+        classes = None if k == 1 else np.arange(n) % k
+        seen = []
+        graph = N.logit_sum_graph
+
+        def spy(c, run_x, class_index=None):
+            seen.append(run_x is x)
+            return graph(c, run_x, class_index)
+
+        monkeypatch.setattr(N, "logit_sum_graph", spy)
+        rows = np.arange(n)
+        overflowed, [(run_rows, (grad_pass, seed, logits))] = S._chain_graphs(c, x, rows, classes)
+        assert seen == [True] and overflowed.size == 0 and run_rows is rows
+        copy_pass, copy_seed, copy_logits = graph(
+            c, x[rows], None if classes is None else classes[rows])
+        assert logits.tobytes() == copy_logits.tobytes()
+        assert (T.input_gradient(grad_pass, seed).tobytes()
+                == T.input_gradient(copy_pass, copy_seed).tobytes())
+
     def test_class_index_length_checked(self):
         c = N.init_multiclass([T.dense(2, 8), T.leaky()], (2,), 3, rng(45, 1))
         with pytest.raises(S.SamplerError, match="class_index"):

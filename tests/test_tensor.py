@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from icnet import tensor as T
+from icnet.cli import MNIST_NET, SYNTH_NET
 
 from helpers import channel_last, gradient_check
 
@@ -291,6 +292,53 @@ class TestAllFinite:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert T.all_finite(values) is finite
+
+
+class TestUnscannedOps:
+    """A pass does not scan the outputs of `leaky` and `reshape`: neither
+    can make a non-finite value from a finite input."""
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_leaky_gives_finite_bitwise_values(self, slope, input_grad):
+        big, tiny = np.finfo(np.float64).max, np.finfo(np.float64).smallest_subnormal
+        x = np.random.default_rng(22941).standard_normal((3, 4, 5))
+        x.flat[:6] = [big, -big, tiny, -tiny, 0.0, -0.0]
+        grad_pass = T.GradPass(input_grad=input_grad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = grad_pass.reshape(grad_pass.leaky(x, slope), (3, 20))
+        assert T.all_finite(out)
+        assert out.tobytes() == np.maximum(x, slope * x).tobytes()
+        g = np.random.default_rng(22942).standard_normal(out.shape)
+        got = T.input_gradient(grad_pass, g)
+        if input_grad:
+            assert got.tobytes() == (g.reshape(x.shape) * np.maximum(x >= 0, slope)).tobytes()
+        else:
+            assert got is g  # neither op kept a rule
+
+    @pytest.mark.parametrize("spec, shape", [(SYNTH_NET, (2,)), (MNIST_NET, (1, 28, 28))],
+                             ids=["SYNTH_NET", "MNIST_NET"])
+    def test_inference_pass_over_the_run_stacks_keeps_no_rule(self, spec, shape):
+        params = T.init_layer_params(spec, np.random.default_rng(22943))
+        grad_pass = T.GradPass(input_grad=False)
+        out = T.feature_stack(grad_pass, spec, params,
+                              np.random.default_rng(22944).standard_normal((2,) + shape))
+        seed = np.ones_like(out)
+        assert T.input_gradient(grad_pass, seed) is seed
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_head_overflow_after_leaky_names_affine(self, input_grad):
+        # the stack's output, 2e300, is finite and unscanned by the leaky;
+        # the head's product overflows and its scan names it
+        spec = [T.dense(2, 4), T.leaky()]
+        params = [np.full((2, 4), 1e300), np.zeros(4)]
+        grad_pass = T.GradPass(input_grad=input_grad)
+        feats = T.feature_stack(grad_pass, spec, params, np.ones((3, 2)))
+        assert feats.max() == 2e300
+        with np.errstate(over="ignore"), pytest.raises(
+                T.NonFiniteError, match="non-finite values produced by affine"):
+            grad_pass.affine(feats, np.full((4, 1), 1e10), np.zeros(1))
 
 
 class TestFeatureWidth:

@@ -300,7 +300,7 @@ class TestConfigValidation:
 
 class TestReclassificationStep:
     def test_zero_epochs_leave_params_unchanged(self):
-        ds, _ = benchmark(20)
+        ds = benchmark(20)
         c = N.init_binary(SPEC_2D, (2,), rng(20, 1))
         before = [p.copy() for p in c.all_params()]
         cfg = quick_config(epochs_per_round=0)
@@ -323,7 +323,7 @@ class TestReclassificationStep:
         assert losses[-1] < math.log(2)
 
     def test_same_seed_identical_parameters(self):
-        ds, _ = benchmark(22)
+        ds = benchmark(22)
         results = []
         for _ in range(2):
             c = N.init_binary(SPEC_2D, (2,), rng(22, 1))
@@ -335,7 +335,7 @@ class TestReclassificationStep:
             assert np.array_equal(a, b)
 
     def test_divergence_reports_diagnostic(self):
-        ds, _ = benchmark(23)
+        ds = benchmark(23)
         c = N.init_binary(SPEC_2D, (2,), rng(23, 1))
         cfg = quick_config(learning_rate=1e120, epochs_per_round=5)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -347,7 +347,7 @@ class TestReclassificationStep:
     def test_nan_written_between_steps_diverges(self, monkeypatch):
         # graphs do not rescan the parameters, but the NaN reaches an op
         # output of the next step's forward pass
-        ds, _ = benchmark(25)
+        ds = benchmark(25)
         c = N.init_binary(SPEC_2D, (2,), rng(25, 1))
         sgd_step, calls = TR._sgd_step, []
 
@@ -365,7 +365,7 @@ class TestReclassificationStep:
 
     def test_update_to_inf_raises_in_that_step(self):
         # the update itself is checked: no later graph is needed to see it
-        ds, _ = benchmark(26)
+        ds = benchmark(26)
         c = N.init_binary(SPEC_2D, (2,), rng(26, 1))
         flat, velocity, grad = TR._pack(c)
         velocity[:] = 1e308
@@ -383,7 +383,7 @@ class TestReclassificationStep:
             TR._pack(c)
 
     def test_lr_drop_applies_at_round(self):
-        ds, _ = benchmark(24)
+        ds = benchmark(24)
         outs = []
         for round_t in (0, 50):
             c = N.init_binary(SPEC_2D, (2,), rng(24, 1))
@@ -443,7 +443,7 @@ class TestRunLoop:
         assert TR.error_rate(run.selected, x, y) < 0.1
 
     def test_rounds_zero_equals_baseline_bitwise(self):
-        ds, _ = benchmark(30)
+        ds = benchmark(30)
         cfg = quick_config(rounds=0)
         icn = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
                                                    quick_sampler(), "binary")
@@ -454,7 +454,7 @@ class TestRunLoop:
         assert icn.metrics[0].epoch_losses == base.metrics[0].epoch_losses
 
     def test_store_size_is_rounds_times_l(self):
-        ds, _ = benchmark(31)
+        ds = benchmark(31)
         cfg = quick_config(rounds=3, pseudo_per_round=10)
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
                                                    quick_sampler(), "binary")
@@ -462,7 +462,7 @@ class TestRunLoop:
         np.testing.assert_array_equal(run.store.rounds, np.repeat([1, 2, 3], 10))
 
     def test_store_is_append_only_across_rounds(self):
-        ds, _ = benchmark(32)
+        ds = benchmark(32)
         captured = {}
 
         def spying_synthesize(c, count, gen, class_index=None):
@@ -479,7 +479,7 @@ class TestRunLoop:
             assert np.array_equal(run.store.samples[run.store.rounds == t], captured[t])
 
     def test_mixture_fraction_exact(self):
-        ds, _ = benchmark(33)
+        ds = benchmark(33)
         cfg = quick_config(rounds=4, pseudo_per_round=7, val_fraction=0.2)
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
                                                    quick_sampler(), "binary")
@@ -502,7 +502,7 @@ class TestRunLoop:
         np.testing.assert_array_equal(run.store.tags, np.tile(np.repeat([0, 1, 2], 4), 2))
 
     def test_early_stop_honors_patience(self):
-        ds, _ = benchmark(35, n_pos=40, n_neg=40)
+        ds = benchmark(35, n_pos=40, n_neg=40)
         cfg = quick_config(rounds=30, pseudo_per_round=5, patience=2,
                            val_fraction=0.25)
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
@@ -514,7 +514,7 @@ class TestRunLoop:
     def test_on_round_sees_each_round_live_up_to_the_stop(self):
         # patience 1 over more rounds than 12 validation rows can keep
         # improving on, so early stopping must fire
-        ds, _ = benchmark(39)
+        ds = benchmark(39)
         cfg = quick_config(rounds=20, pseudo_per_round=3, epochs_per_round=1,
                            patience=1, val_fraction=0.25)
         seen = []
@@ -535,7 +535,7 @@ class TestRunLoop:
             assert params == [p.tobytes() for p in cut.classifier.all_params()]
 
     def test_selected_is_final_copy_without_validation(self):
-        ds, _ = benchmark(40)
+        ds = benchmark(40)
         run = TR.run_reclassification_by_synthesis(
             ds, SPEC_2D, quick_config(rounds=2, val_fraction=0.0), quick_sampler(), "binary")
         assert run.snapshots == []
@@ -543,7 +543,7 @@ class TestRunLoop:
             assert a.tobytes() == b.tobytes() and a is not b
 
     def test_same_seed_identical_run(self):
-        ds, _ = benchmark(36)
+        ds = benchmark(36)
         cfg = quick_config(rounds=2, pseudo_per_round=8)
         a = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
                                                  quick_sampler(), "binary")
@@ -602,9 +602,9 @@ class TestDirectional2D:
     def paired_runs(self, rival):
         icn_accs, rival_accs = [], []
         for seed in range(5):
-            ds, _ = benchmark(100 + seed, n_pos=40, n_neg=12)
-            held, _ = D.gen_synthetic_2d(D.default_benchmark_spec(400, 400),
-                                         rng(200 + seed, 6, 1))
+            ds = benchmark(100 + seed, n_pos=40, n_neg=12)
+            held = D.gen_synthetic_2d(D.default_benchmark_spec(400, 400),
+                                      rng(200 + seed, 6, 1))
             cfg, scfg = directional_config(seed)
             icn = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg,
                                                        "binary")
@@ -630,14 +630,14 @@ class TestDirectional2D:
 
 class TestNoiseAblation:
     def test_store_bookkeeping_matches_icn(self):
-        ds, _ = benchmark(40)
+        ds = benchmark(40)
         cfg = quick_config(rounds=3, pseudo_per_round=6)
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(), "binary",
                                                    noise_draws(quick_sampler()))
         assert len(run.store) == 18
 
     def test_sigma_zero_gives_zero_vectors(self):
-        ds, _ = benchmark(41)
+        ds = benchmark(41)
         cfg = quick_config(rounds=2, pseudo_per_round=4)
         scfg = quick_sampler(reference_sigma=0.0)
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg, "binary",
