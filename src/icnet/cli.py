@@ -91,6 +91,11 @@ class ExperimentConfig:
         if self.sampler and self.sampler.reference_sigma <= 0 and _grid_oracle_runs(self):
             raise CliError("sampler.reference_sigma must be above 0 for the grid oracle of "
                            f"synthetic2d mode {self.mode}, got {self.sampler.reference_sigma}")
+        # every round synthesizes, except in baseline, which trains no round
+        if (self.train and self.train.rounds and self.mode != "baseline"
+                and self.train.pseudo_per_round < 1):
+            raise CliError(f"train.pseudo_per_round must be at least 1 for mode {self.mode} "
+                           f"with rounds = {self.train.rounds}, got {self.train.pseudo_per_round}")
 
 
 # Each section's ini keys are its config's fields, in field order, less those
@@ -591,11 +596,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an op whose output overflows raises a TensorError, reported below
-        # in one line; numpy's warnings would only precede it
+        # an op whose output overflows raises a TensorError and a file that
+        # cannot be opened or made an OSError, each reported below in one
+        # line; numpy's warnings would only precede it
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)
-    except (CliError, D.DataError, N.ModelFormatError, R.RobustnessError, T.TensorError) as exc:
+    except (CliError, D.DataError, N.ModelFormatError, R.RobustnessError, T.TensorError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,9 @@ Adam-style adaptive ascent ("plain-gradient") or Langevin steps whose noise
 variance equals the annealed step size. A chain stops when its sample first
 looks positive (option1), first clears a confidence threshold (option2), or
 after a fixed step count (option3); chains that never meet an early-stop
-criterion are kept and tagged rather than discarded.
+criterion are kept and tagged rather than discarded. Each step evaluates
+the live chains one bounded graph at a time; a forward overflow reads as a
+NaN logit and is tagged like a bad gradient.
 """
 
 import functools
@@ -137,33 +139,31 @@ def _take(rows, *arrays):
 MAX_GRAPH_ROWS = 256
 
 
-def _chain_graphs(classifier, x: Array, rows: Array, classes: Array | None):
-    """`logit_sum_graph`s over x[rows] in row order, in runs of MAX_GRAPH_ROWS
-    rows; returns (overflowing rows, [(rows, graph), ...]).
-
-    A run in which some op overflows is halved until each overflowing row
-    is alone, and that row is dropped. How many rows share a graph moves a
-    row's logit only in its last bits (a BLAS sum), but that can move the
-    step at which a chain whose logit sits next to a threshold stops.
+def _chain_logits(classifier, x: Array, classes: Array | None, gradients: bool):
+    """(logits (n,), input gradient like x or, without `gradients`, None) of
+    the rows of x in row order, from `logit_sum_graph`s over runs of at most
+    MAX_GRAPH_ROWS rows, each swept or dropped before the next is built. A run
+    in which some op overflows is halved until each overflowing row is alone,
+    with a NaN logit and gradient row. How many rows share a graph moves a
+    row's logit only in its last bits (a BLAS sum), but that can move the step
+    at which a chain whose logit sits next to a threshold stops.
     """
-    if rows.size > MAX_GRAPH_ROWS:
-        parts = np.split(rows, range(MAX_GRAPH_ROWS, rows.size, MAX_GRAPH_ROWS))
-    else:
+    n = len(x)
+    if n <= MAX_GRAPH_ROWS:
         try:
-            # rows are distinct, so a run of len(x) of them is all of x: no gather
-            run_x, run_classes = (x, classes) if rows.size == len(x) else _take(rows, x, classes)
-            graph = N.logit_sum_graph(classifier, run_x, run_classes)
-            return rows[:0], [(rows, graph)]
+            # a run of every row reads x itself, not a copy
+            grad_pass, seed, logits = N.logit_sum_graph(classifier, x, classes)
         except T.NonFiniteError:
-            if rows.size == 1:
-                return rows, []
-        parts = np.array_split(rows, 2)
-    overflowed, graphs = [], []
-    for part in parts:
-        part_overflowed, part_graphs = _chain_graphs(classifier, x, part, classes)
-        overflowed.append(part_overflowed)
-        graphs += part_graphs
-    return np.concatenate(overflowed), graphs
+            if n == 1:
+                return np.full(1, np.nan), np.full_like(x, np.nan) if gradients else None
+        else:
+            return logits, T.input_gradient(grad_pass, seed) if gradients else None
+    # runs of MAX_GRAPH_ROWS rows, or the two halves of a run that overflowed
+    size = MAX_GRAPH_ROWS if n > MAX_GRAPH_ROWS else (n + 1) // 2
+    runs = [_chain_logits(classifier, *_take(slice(a, a + size), x, classes), gradients)
+            for a in range(0, n, size)]
+    logits, grads = zip(*runs)
+    return np.concatenate(logits), np.concatenate(grads) if gradients else None
 
 
 @functools.lru_cache
@@ -201,14 +201,14 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
 
     On a multi-class classifier `class_index` names each chain's head: one
     int for every chain, or one int per chain, so a single call synthesizes
-    for every class. Each step runs the live chains in graphs of at most
-    MAX_GRAPH_ROWS rows (`_chain_graphs` says what a split can change) and
-    draws one Langevin noise array for all of them. The loop carries only
-    the live chains; a chain that stops leaves them once, writing back its
-    sample, step count and stop reason. Trace logit paths and final logits
-    are read from one NaN-filled array at the end. A chain whose forward
-    pass, gradient or update stops being finite is tagged non_finite and
-    keeps its last finite sample; the other chains go on.
+    for every class. Each step takes every live chain's logit and input
+    gradient from one `_chain_logits` call (it says what its graphs can
+    change) and draws one Langevin noise array for all of them. The loop
+    carries only the live chains; a chain that stops leaves them once,
+    writing back its sample, step count and stop reason. Trace logit paths
+    and final logits are read from one NaN-filled array at the end. A chain
+    whose forward pass (a NaN logit), gradient or update stops being finite
+    is tagged non_finite and keeps its last finite sample; the rest go on.
 
     Emitted samples are pseudo-negatives by construction: the caller tags
     them with the negative label (or the synthesizing class, multi-class).
@@ -241,8 +241,8 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         limit, at_limit = config.fixed_steps, STOP_FIXED
     steps = np.zeros(count, dtype=int)
     reasons = np.full(count, "", dtype=object)
-    # chain j's logit at step k is paths[k, j]; a chain tagged in its forward
-    # pass leaves NaN at its last step
+    # chain j's logit at step k is paths[k, j]; a chain whose forward pass
+    # overflows leaves NaN at its last step
     paths = np.full((limit + 1, count), np.nan)
     # the live chains, in chain-id order: ids, samples, Adam moments and
     # classes; x receives a chain's sample only when the chain stops
@@ -250,8 +250,8 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         np.arange(count), x, np.zeros_like(x), np.zeros_like(x), classes)
 
     def stop(rows, k, reason):
-        """Retire the live rows `rows` at step k, writing back sample, step and reason."""
-        if rows.size:  # most calls retire no chain: skip their empty scatters
+        """Retire the live rows of mask `rows` at step k, writing back sample, step and reason."""
+        if rows.any():  # most calls retire no chain: skip their empty scatters
             j = ids[rows]
             x[j], steps[j], reasons[j] = live_x[rows], k, reason
 
@@ -260,38 +260,25 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         for k in range(limit + 1):
             if not ids.size:  # the update tagged every live chain
                 break
-            overflowed, graphs = _chain_graphs(classifier, live_x, np.arange(ids.size),
-                                               live_classes)
-            stop(overflowed, k, STOP_NON_FINITE)
-            moving, grads = [], []
-            for rows, (record, scalar, logits) in graphs:
-                paths[k, ids[rows]] = logits
-                stop_now = logits >= early_at
-                stopping = stop_now.any()
-                if stopping:
-                    stop(rows[stop_now], k, early_reason)
-                if k == limit:
-                    stop(rows[~stop_now], k, at_limit)
-                elif not (stopping and stop_now.all()):
-                    # a slice keeps the common all-moving case free of gathers
-                    keep = ~stop_now if stopping else slice(None)
-                    moving.append(rows[keep])
-                    grads.append(T.input_gradient(record, scalar)[keep])
-            if not moving:
+            logits, g = _chain_logits(classifier, live_x, live_classes, k < limit)
+            paths[k, ids] = logits
+            early = logits >= early_at  # False for a NaN logit
+            stop(early, k, early_reason)
+            if k == limit:  # no gradient: a NaN logit, neither >= nor <, marks an overflow
+                stop(logits < early_at, k, at_limit)
+                stop(np.isnan(logits), k, STOP_NON_FINITE)
                 break
-            if len(moving) == 1:  # one graph: its rows and gradient as they are
-                moving, g = moving[0], grads[0]
-            else:
-                moving, g = np.concatenate(moving), np.concatenate(grads)
+            # a forward overflow's NaN gradient row fails here with a bad gradient's
+            leaving = early
             if not T.all_finite(g):
-                ok = _finite_rows(g)
-                stop(moving[~ok], k, STOP_NON_FINITE)
-                moving, g = moving[ok], g[ok]
-                if moving.size == 0:
+                failed = ~(early | _finite_rows(g))
+                stop(failed, k, STOP_NON_FINITE)
+                leaving = early | failed
+            if leaving.any():  # some chain stopped: gather the others
+                if leaving.all():
                     break
-            if moving.size < ids.size:  # some chain stopped: gather the others
-                ids, live_x, live_m, live_v, live_classes = _take(
-                    moving, ids, live_x, live_m, live_v, live_classes)
+                ids, live_x, live_m, live_v, live_classes, g = _take(
+                    ~leaving, ids, live_x, live_m, live_v, live_classes, g)
             eps_k = config.step_size * config.anneal ** k
             if config.method == "langevin":
                 new_x = langevin_step(live_x, g, eps_k, rng,

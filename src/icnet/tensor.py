@@ -331,11 +331,13 @@ class ComputationRecord:
         return node
 
     def _push(self, value: Array, op: str, parents: Sequence[Node],
-              backward: Callable[[Array], None]) -> Node:
+              backward: Callable[[Array], None], checked: bool = False) -> Node:
+        """An op node over `value`; with `checked` the caller vouches that
+        `value` is finite, as a layer op's one-op pass does."""
         for p in parents:
             if p._record() is not self:
                 raise GraphError("operand belongs to a different record")
-        if not all_finite(value):
+        if not checked and not all_finite(value):
             raise NonFiniteError(f"non-finite values produced by {op}")
         node = Node(value, "op", any(p.requires_grad for p in parents), self)
         if node.requires_grad:
@@ -361,7 +363,7 @@ class ComputationRecord:
             for p, dp in zip(params, grads or ()):
                 p._accumulate(dp)
 
-        return self._push(out, op, (x, *params), backward)
+        return self._push(out, op, (x, *params), backward, checked=True)
 
     def affine(self, x: Node, w: Node, b: Node) -> Node:
         return self._layer_op("affine", x, (w, b))
@@ -638,8 +640,9 @@ class GradPass:
     one-op pass. The outputs of `affine` and `conv2d` are checked for
     NaN/Inf; those of `leaky` and `reshape` are not, as neither can make a
     non-finite value from a finite input, and every input is finite: a
-    batch enters a pass through `as_tensor`, a tape op reads a scanned node,
-    and each later op reads an earlier one's output.
+    batch enters a pass through `as_tensor`, a tape op reads a node whose
+    value was scanned or follows from scanned ones, and each later op reads
+    an earlier one's output.
 
     `grads`, if given, holds one array per parameter, in the order the ops
     read the parameters (stack, then head); the sweep writes each

@@ -286,6 +286,23 @@ class TestParseConfig:
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("mode", ["binary", "softmax", "one-vs-all", "icn-noise"])
+    def test_zero_pseudo_per_round_rejected_where_rounds_synthesize(self, tmp_path, capsys,
+                                                                    mode):
+        # before: round 0 ran and wrote its artifacts, then round 1 ended in
+        # "need at least one draw", naming no key
+        path = write_config(tmp_path, mode=mode, pseudo=0)
+        assert C.main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: train.pseudo_per_round must be at least 1")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mode, rounds", [("baseline", 3), ("binary", 0)])
+    def test_zero_pseudo_per_round_accepted_without_synthesis(self, tmp_path, mode, rounds):
+        path = write_config(tmp_path, mode=mode, rounds=rounds, pseudo=0)
+        assert C.parse_config(path).train.pseudo_per_round == 0
+
     @pytest.mark.parametrize("task, mode", [("synthetic2d", "softmax"),
                                             ("synthetic2d", "one-vs-all"),
                                             ("mnist-subset", "softmax")])
@@ -756,6 +773,28 @@ class TestSubcommands:
         status = C.main(["train", "--config", str(tmp_path / "none.ini")])
         assert status == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["adversarial-missing", "adversarial-directory",
+                                         "train-out-file", "oracle-verify-out-file"])
+    def test_os_error_exits_1_with_one_error_line(self, runs_2d, tmp_path, capsys, command):
+        # before: each ended in a FileNotFoundError, IsADirectoryError or
+        # FileExistsError traceback
+        ini, run_dir = runs_2d["binary"]
+        model, in_the_way = str(run_dir / "model_final.bin"), tmp_path / "file"
+        in_the_way.write_text("")
+        argv = {"adversarial-missing": ["adversarial", "--model-a", str(tmp_path / "none.bin")],
+                "adversarial-directory": ["adversarial", "--model-a", str(tmp_path)],
+                "train-out-file": ["train", "--config", str(ini), "--out", str(in_the_way)],
+                "oracle-verify-out-file": ["oracle-verify", "--pairs", "1", "--resolution",
+                                           "4", "--out", str(in_the_way)]}[command]
+        if argv[0] == "adversarial":
+            argv += ["--model-b", model, "--config", str(ini)]
+        assert C.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert (str(tmp_path / "none.bin") if command == "adversarial-missing"
+                else str(tmp_path)) in captured.err
 
     def test_no_run_imports_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma, 12-14 ms by -X importtime; class counts

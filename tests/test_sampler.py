@@ -2,6 +2,7 @@
 rules and where the samples land relative to the exact grid density."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -350,14 +351,33 @@ class TestBatchedClasses:
             return graph(c, run_x, class_index)
 
         monkeypatch.setattr(N, "logit_sum_graph", spy)
+        logits, grad = S._chain_logits(c, x, classes, True)
+        assert seen == [True]
         rows = np.arange(n)
-        overflowed, [(run_rows, (grad_pass, seed, logits))] = S._chain_graphs(c, x, rows, classes)
-        assert seen == [True] and overflowed.size == 0 and run_rows is rows
         copy_pass, copy_seed, copy_logits = graph(
             c, x[rows], None if classes is None else classes[rows])
         assert logits.tobytes() == copy_logits.tobytes()
-        assert (T.input_gradient(grad_pass, seed).tobytes()
-                == T.input_gradient(copy_pass, copy_seed).tobytes())
+        assert grad.tobytes() == T.input_gradient(copy_pass, copy_seed).tobytes()
+
+    def test_each_graph_is_swept_before_the_next_is_built(self, monkeypatch):
+        # 7 live rows under a cap of 3, over three steps: when each graph is
+        # built, no earlier pass of the step or of an earlier step is alive
+        passes, alive = [], []
+        graph = N.logit_sum_graph
+
+        def spy(c, x, class_index=None):
+            alive.append([ref() is not None for ref in passes])
+            out = graph(c, x, class_index)
+            passes.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(N, "logit_sum_graph", spy)
+        monkeypatch.setattr(S, "MAX_GRAPH_ROWS", 3)
+        c = N.init_binary([T.dense(2, 8), T.leaky()], (2,), rng(23931, 1))
+        config = S.SamplerConfig(stopping="option3", fixed_steps=2, max_steps=2)
+        _, traces = S.synthesize_pseudo_negatives(c, config, 7, rng(23931, 3), (2,))
+        assert [t.stop_reason for t in traces] == [S.STOP_FIXED] * 7
+        assert alive == [[False] * i for i in range(9)]
 
     def test_class_index_length_checked(self):
         c = N.init_multiclass([T.dense(2, 8), T.leaky()], (2,), 3, rng(45, 1))
@@ -497,6 +517,24 @@ class TestNonFiniteChains:
         assert traces[1].logit_path[-1] == traces[1].final_logit == \
             N.logit_binary(c, samples[1:])[0]
         assert np.isnan(traces[0].final_logit)
+
+    @pytest.mark.parametrize("stopping, x0, limit, at_limit", [
+        ("option3", 18.0, 0, S.STOP_FIXED), ("option2", 0.0, 9, S.STOP_MAX)])
+    def test_forward_overflow_at_the_limit_step_is_non_finite(self, stopping, x0, limit,
+                                                              at_limit):
+        # the classifier of the test above, its logit shifted far below any
+        # threshold: the first chain's forward overflows at the limit step
+        # itself, which takes no gradient; the second reaches the limit
+        c = N.Classifier([T.dense(2, 2)], [np.diag([1e307, 1.0]), np.zeros(2)],
+                         np.array([[1e-307], [1.0]]), np.array([-1000.0]))
+        init = np.array([[x0, 0.0], [-17.0, 0.0]])
+        config = S.SamplerConfig(stopping=stopping, fixed_steps=limit, max_steps=limit,
+                                 step_size=2.0, anneal=1.0)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 2, rng(23932, 3), (2,), init=init.copy())
+        assert [(t.stop_reason, t.steps, t.logit_path.size) for t in traces] == \
+            [(S.STOP_NON_FINITE, limit, limit), (at_limit, limit, limit + 1)]
+        assert np.isnan(traces[0].final_logit) and T.all_finite(samples[0])
 
     def test_non_finite_init_rejected(self):
         c = peaked_classifier()

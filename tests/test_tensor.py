@@ -341,6 +341,24 @@ class TestUnscannedOps:
             grad_pass.affine(feats, np.full((4, 1), 1e10), np.zeros(1))
 
 
+    def test_taped_layer_ops_scan_their_output_once(self, monkeypatch):
+        # the one-op pass scans an affine or conv2d output, and the node
+        # enters the record unscanned; leaky and reshape are not scanned
+        spec = [T.conv(1, 2), T.leaky(), T.flatten(), T.dense(18, 3), T.leaky()]
+        gen = np.random.default_rng(23933)
+        params = T.init_layer_params(spec, gen)
+        x = gen.standard_normal((2, 1, 6, 6))
+        rec = T.ComputationRecord()
+        nodes, xn = [rec.leaf(p, "param") for p in params], rec.leaf(x, "input")
+        scanned, scan = [], T.all_finite
+        monkeypatch.setattr(T, "all_finite", lambda a: scanned.append(a.shape) or scan(a))
+        out = T.feature_stack(rec, spec, nodes, xn)
+        assert scanned == [(2, 2, 3, 3), (2, 3)]
+        assert out.value.tobytes() == T.forward_features(params, spec, x).tobytes()
+        with np.errstate(over="ignore"), pytest.raises(
+                T.NonFiniteError, match="non-finite values produced by affine"):
+            rec.affine(out, rec.leaf(np.full((3, 1), 1e308), "param"), rec.leaf(np.zeros(1)))
+
 class TestFeatureWidth:
     @pytest.mark.parametrize("spec, input_shape", [
         ([T.dense(3, 5), T.leaky(), T.dense(5, 4)], (3,)),
