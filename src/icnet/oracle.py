@@ -22,13 +22,15 @@ DEFAULT_BOUNDS = ((-3.0, 3.0), (-3.0, 3.0))
 DEFAULT_RESOLUTION = (128, 128)
 # grid cells per classifier forward; the chunks' logits equal one pass's
 # bitwise. Larger chunks page-fault their temporaries afresh on every call
-# (a 2048-row SYNTH_NET activation is 256 KiB, over glibc's mmap threshold),
-# smaller ones pay per-op overhead. One 128x128 `density_update`, median of
-# 60 calls after one warm-up, in a fresh process per size (2-vCPU x86_64,
-# Python 3.11.7, numpy 2.4.6, one OpenBLAS thread):
+# (a 2048-row SYNTH_NET activation is 256 KiB, over glibc's default mmap
+# threshold), smaller ones pay per-op overhead. One 128x128 `density_update`,
+# median of 60 calls after one warm-up, in a fresh process per size as in
+# CLI runs (2-vCPU x86_64, Python 3.11.7, numpy 2.4.6, one OpenBLAS thread):
 #   GRID_CHUNK            256   512   1024  2048  16384
 #   ms per call           4.48  3.19  2.32  5.36  6.37
 #   minor faults per call    0     0     0  1280   1504
+# Freeing a larger mapped block raises glibc's threshold: after larger chunks
+# ran in one process, 2048-row chunks took 0.55 faults, 2.29 ms (seed 22931).
 GRID_CHUNK = 1024
 
 

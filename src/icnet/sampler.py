@@ -1,14 +1,15 @@
 """Pseudo-negative synthesis.
 
 Chains start at reference-distribution draws and ascend the classifier's
-logit (the log probability ratio) with respect to the input, by either an
-Adam-style adaptive ascent ("plain-gradient") or Langevin steps whose noise
-variance equals the annealed step size. A chain stops when its sample first
-looks positive (option1), first clears a confidence threshold (option2), or
-after a fixed step count (option3); chains that never meet an early-stop
-criterion are kept and tagged rather than discarded. Each step evaluates
-the live chains one bounded graph at a time; a forward overflow reads as a
-NaN logit and is tagged like a bad gradient.
+logit (the log probability ratio) with respect to the input. One update
+function takes either rule: an Adam-style adaptive ascent ("plain-gradient")
+or a Langevin step whose noise variance equals the annealed step size. A
+chain stops when its sample first looks positive (option1), first clears a
+confidence threshold (option2), or after a fixed step count (option3);
+chains that never meet an early-stop criterion are kept and tagged rather
+than discarded. Each step evaluates the live chains one bounded graph at a
+time; a forward overflow reads as a NaN logit and is tagged like a bad
+gradient or an update that leaves a row non-finite.
 """
 
 import functools
@@ -48,7 +49,6 @@ class SamplerConfig:
     fixed_steps: int | None = None
     clamp: tuple[float, float] | None = None
     reference_sigma: float = 0.3
-    noise: bool = True              # test hook: disables Langevin noise
 
     def __post_init__(self):
         if self.method not in ("plain-gradient", "langevin"):
@@ -90,42 +90,35 @@ def draw_reference(count: int, dims, sigma: float, rng: np.random.Generator) -> 
     return sigma * rng.standard_normal(shape)
 
 
-def langevin_step(x: Array, grad: Array, eps: float, rng: np.random.Generator,
-                  noise: bool = True, clamp=None) -> Array:
-    """x + (eps/2) * grad + eta with eta ~ N(0, eps) per coordinate."""
-    if grad.shape != x.shape:
-        raise SamplerError(f"gradient shape {grad.shape} vs sample shape {x.shape}")
-    if not T.all_finite(grad):
-        raise SamplerError("non-finite gradient")
-    out = x + (eps / 2.0) * grad
-    if noise:
-        out = out + np.sqrt(eps) * rng.standard_normal(x.shape)
-    if clamp is not None:
-        out = np.clip(out, clamp[0], clamp[1])
-    return out
-
-
-def _adam_step(x, grad, m, v, k, config: SamplerConfig, eps_k: float):
-    """One Adam-style ascent step; also returns v_hat, whose rows decide
-    which chains stayed finite.
-
-    grad*grad can overflow, which would freeze a chain at step size 0. A
-    finite v_hat bounds the step, so it alone decides the row's finiteness.
+def _step(x, g, m, v, k, config: SamplerConfig, rng: np.random.Generator):
+    """One update of the live chains at step k, at the annealed step size:
+    (samples, Adam moments, the arrays whose rows decide which chains
+    stayed finite). plain-gradient takes an Adam-style ascent step; as
+    grad*grad can overflow, which would freeze a chain at step size 0, v_hat
+    joins the new sample in the verdict. langevin adds (eps/2) * g and one
+    N(0, eps) draw per coordinate from `rng`, and carries no moments (None).
+    Either rule's sample is then clamped to config.clamp.
     """
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m = b1 * m + (1 - b1) * grad
-    v = b2 * v + (1 - b2) * grad * grad
-    m_hat = m / (1 - b1 ** (k + 1))
-    v_hat = v / (1 - b2 ** (k + 1))
-    out = x + eps_k * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    eps = config.step_size * config.anneal ** k
+    if config.method == "langevin":
+        out = x + (eps / 2.0) * g + np.sqrt(eps) * rng.standard_normal(x.shape)
+        checked = ()
+    else:
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** (k + 1))
+        v_hat = v / (1 - ADAM_BETA2 ** (k + 1))
+        out = x + eps * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        checked = (v_hat,)
     if config.clamp is not None:
         out = np.clip(out, config.clamp[0], config.clamp[1])
-    return out, m, v, v_hat
+    return out, m, v, checked + (out,)
 
 
-def _finite_rows(a: Array) -> Array:
-    """Per-row mask: True where every value of the row is finite."""
-    return np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+def _finite_rows(*arrays: Array) -> Array:
+    """Per-row mask: True where every value of the row is finite in every array."""
+    return np.logical_and.reduce([np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+                                  for a in arrays])
 
 
 def _take(rows, *arrays):
@@ -244,10 +237,12 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
     # chain j's logit at step k is paths[k, j]; a chain whose forward pass
     # overflows leaves NaN at its last step
     paths = np.full((limit + 1, count), np.nan)
-    # the live chains, in chain-id order: ids, samples, Adam moments and
-    # classes; x receives a chain's sample only when the chain stops
-    ids, live_x, live_m, live_v, live_classes = (
-        np.arange(count), x, np.zeros_like(x), np.zeros_like(x), classes)
+    # the live chains, in chain-id order: ids, samples, Adam moments (None
+    # for langevin) and classes; x receives a chain's sample only when the
+    # chain stops
+    ids, live_x, live_classes = np.arange(count), x, classes
+    live_m, live_v = ((None, None) if config.method == "langevin"
+                      else (np.zeros_like(x), np.zeros_like(x)))
 
     def stop(rows, k, reason):
         """Retire the live rows of mask `rows` at step k, writing back sample, step and reason."""
@@ -279,16 +274,9 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                     break
                 ids, live_x, live_m, live_v, live_classes, g = _take(
                     ~leaving, ids, live_x, live_m, live_v, live_classes, g)
-            eps_k = config.step_size * config.anneal ** k
-            if config.method == "langevin":
-                new_x = langevin_step(live_x, g, eps_k, rng,
-                                      noise=config.noise, clamp=config.clamp)
-                new_m, new_v, bound = live_m, live_v, new_x
-            else:
-                new_x, new_m, new_v, bound = _adam_step(
-                    live_x, g, live_m, live_v, k, config, eps_k)
-            if not T.all_finite(bound):
-                ok = _finite_rows(bound)
+            new_x, new_m, new_v, checked = _step(live_x, g, live_m, live_v, k, config, rng)
+            if not all(map(T.all_finite, checked)):
+                ok = _finite_rows(*checked)
                 stop(~ok, k, STOP_NON_FINITE)
                 ids, new_x, new_m, new_v, live_classes = _take(
                     ok, ids, new_x, new_m, new_v, live_classes)

@@ -49,36 +49,51 @@ class TestDrawReference:
         assert np.array_equal(a, b)
 
 
+class ZeroNormal:
+    """A generator whose normal draws are all zero: Langevin without noise."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def langevin(step_size=0.1, **kw) -> S.SamplerConfig:
+    return S.SamplerConfig(method="langevin", step_size=step_size, **kw)
+
+
 class TestLangevinStep:
-    def test_zero_eps_is_identity(self):
-        x = rng(3, 3).standard_normal((4, 2))
-        out = S.langevin_step(x, np.ones_like(x), 0.0, rng(3, 3))
-        np.testing.assert_array_equal(out, x)
+    """`_step`'s Langevin rule, and its clamp after either rule."""
 
     def test_noise_off_is_half_eps_gradient(self):
         x = rng(4, 3).standard_normal((4, 2))
         g = rng(4, 3).standard_normal((4, 2))
-        out = S.langevin_step(x, g, 0.1, rng(4, 3), noise=False)
+        out, m, v, checked = S._step(x, g, None, None, 0, langevin(), ZeroNormal())
         np.testing.assert_allclose(out, x + 0.05 * g, rtol=1e-15)
+        assert m is None and v is None and len(checked) == 1 and checked[0] is out
 
     def test_noise_variance_matches_eps(self):
         eps = 0.04
         x = np.zeros((100_000, 2))
-        out = S.langevin_step(x, np.zeros_like(x), eps, rng(5, 3))
+        out, *_ = S._step(x, np.zeros_like(x), None, None, 0, langevin(eps), rng(5, 3))
         var = out.var(axis=0)
         assert np.all(np.abs(var - eps) / eps < 0.02)
 
-    def test_non_finite_gradient_rejected(self):
-        x = np.zeros((2, 2))
-        g = np.array([[np.inf, 0.0], [0.0, 0.0]])
-        with pytest.raises(S.SamplerError, match="non-finite"):
-            S.langevin_step(x, g, 0.1, rng(6, 3))
+    def test_is_bitwise_the_annealed_formula(self):
+        # x + (eps/2) * g, then sqrt(eps) times one standard-normal draw
+        x = rng(24031, 3).standard_normal((5, 3))
+        g = rng(24031, 4).standard_normal((5, 3))
+        out, *_ = S._step(x, g, None, None, 4, langevin(0.3, anneal=0.9), rng(24031, 5))
+        eps = 0.3 * 0.9 ** 4
+        want = x + (eps / 2.0) * g
+        want = want + np.sqrt(eps) * rng(24031, 5).standard_normal(x.shape)
+        assert out.tobytes() == want.tobytes()
 
     def test_clamp_applies(self):
         x = np.array([[0.9, -0.9]])
-        out = S.langevin_step(x, np.array([[100.0, -100.0]]), 0.1, rng(7, 3),
-                              noise=False, clamp=(-1.0, 1.0))
-        np.testing.assert_array_equal(out, [[1.0, -1.0]])
+        g = np.array([[100.0, -100.0]])
+        for method, moments in (("langevin", None), ("plain-gradient", np.zeros_like(x))):
+            config = S.SamplerConfig(method=method, step_size=0.5, clamp=(-1.0, 1.0))
+            out, *_ = S._step(x, g, moments, moments, 0, config, ZeroNormal())
+            np.testing.assert_array_equal(out, [[1.0, -1.0]])
 
 
 class TestConfigValidation:
@@ -123,10 +138,10 @@ class TestSynthesize:
         c.head_w[...] = 0.0
         c.head_b[...] = 0.0
         config = S.SamplerConfig(method="langevin", stopping="option3",
-                                 fixed_steps=20, noise=False, step_size=0.05)
+                                 fixed_steps=20, step_size=0.05)
         init = S.draw_reference(8, 2, 0.3, rng(10, 3))
         samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 8, rng(11, 3), (2,), init=init.copy())
+            c, config, 8, ZeroNormal(), (2,), init=init.copy())
         np.testing.assert_array_equal(samples, init)
         assert all(t.steps == 20 and t.stop_reason == S.STOP_FIXED for t in traces)
 
@@ -417,6 +432,36 @@ class TestNonFiniteChains:
             c, config, 2, rng(51, 3), (2,), init=init.copy())
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
         np.testing.assert_array_equal(samples, init)
+
+    def test_adam_verdict_covers_the_sample(self):
+        # row 0's sample overflows while its v_hat stays finite
+        x = np.array([[1e308], [0.0]])
+        config = S.SamplerConfig(step_size=1e308)
+        with np.errstate(over="ignore"):
+            out, _, _, checked = S._step(x, np.ones_like(x), np.zeros_like(x),
+                                         np.zeros_like(x), 0, config, None)
+        assert not T.all_finite(out[0]) and T.all_finite(checked[0])
+        np.testing.assert_array_equal(S._finite_rows(*checked), [False, True])
+
+    def test_overflowing_sample_keeps_its_pre_update_value(self):
+        # logit x0, gradient (1, 0), and a step of about 1e308 per step:
+        # chain 0's step-1 update overflows while its v_hat stays finite;
+        # chain 1, from -1e308, reaches about 1e308 at the limit step
+        c = N.Classifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
+                         np.array([[1.0], [0.0]]), np.zeros(1))
+        init = np.array([[0.0, 0.0], [-1e308, 0.0]])
+        config = S.SamplerConfig(stopping="option3", fixed_steps=2, max_steps=2,
+                                 step_size=1e308, anneal=1.0)
+        samples, traces = S.synthesize_pseudo_negatives(
+            c, config, 2, rng(24032, 3), (2,), init=init.copy())
+        assert [(t.stop_reason, t.steps) for t in traces] == \
+            [(S.STOP_NON_FINITE, 1), (S.STOP_FIXED, 2)]
+        assert T.all_finite(samples) and samples[1, 0] > 1e307
+        # the pre-update sample: where the chain stands after step 0
+        config.fixed_steps = config.max_steps = 1
+        before, _ = S.synthesize_pseudo_negatives(
+            c, config, 1, rng(24032, 3), (2,), init=init[:1].copy())
+        assert samples[0].tobytes() == before[0].tobytes()
 
     def test_update_overflow_in_every_conv_chain_ends_the_loop(self):
         # the update tags every chain at step 0: the next step has no live
