@@ -201,7 +201,10 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
     writing back its sample, step count and stop reason. Trace logit paths
     and final logits are read from one NaN-filled array at the end. A chain
     whose forward pass (a NaN logit), gradient or update stops being finite
-    is tagged non_finite and keeps its last finite sample; the rest go on.
+    is tagged non_finite; the rest go on. After a bad gradient or update it
+    keeps the sample of that step. After a forward overflow at step k >= 1
+    it keeps the sample of step k - 1, the last whose forward pass was
+    finite, with that step's count and logit (at step 0, its start).
 
     Emitted samples are pseudo-negatives by construction: the caller tags
     them with the negative label (or the synthesizing class, multi-class).
@@ -235,20 +238,24 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
     steps = np.zeros(count, dtype=int)
     reasons = np.full(count, "", dtype=object)
     # chain j's logit at step k is paths[k, j]; a chain whose forward pass
-    # overflows leaves NaN at its last step
+    # overflows leaves NaN at that step, one past its trace's last
     paths = np.full((limit + 1, count), np.nan)
-    # the live chains, in chain-id order: ids, samples, Adam moments (None
+    # the live chains, in chain-id order: ids, samples, the samples of the
+    # step before (a forward overflow hands those back), Adam moments (None
     # for langevin) and classes; x receives a chain's sample only when the
     # chain stops
-    ids, live_x, live_classes = np.arange(count), x, classes
+    ids, prev_x, live_x, live_classes = np.arange(count), x, x, classes
     live_m, live_v = ((None, None) if config.method == "langevin"
                       else (np.zeros_like(x), np.zeros_like(x)))
 
-    def stop(rows, k, reason):
-        """Retire the live rows of mask `rows` at step k, writing back sample, step and reason."""
-        if rows.any():  # most calls retire no chain: skip their empty scatters
+    def stop(rows, k, reason, samples=None):
+        """Retire the live rows of mask `rows` at step k, writing back their
+        rows of `samples` (default live_x), step and reason; returns their count."""
+        n = np.count_nonzero(rows)
+        if n:  # most calls retire no chain: skip their empty scatters
             j = ids[rows]
-            x[j], steps[j], reasons[j] = live_x[rows], k, reason
+            x[j], steps[j], reasons[j] = (live_x if samples is None else samples)[rows], k, reason
+        return n
 
     # overflow is detected and tagged per row below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -257,30 +264,33 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                 break
             logits, g = _chain_logits(classifier, live_x, live_classes, k < limit)
             paths[k, ids] = logits
-            early = logits >= early_at  # False for a NaN logit
-            stop(early, k, early_reason)
+            leaving = early = logits >= early_at  # False for a NaN logit
+            left = stop(early, k, early_reason)
+            # a forward overflow (a NaN logit) writes back the step before's
+            # sample, the last whose forward pass was finite
             if k == limit:  # no gradient: a NaN logit, neither >= nor <, marks an overflow
                 stop(logits < early_at, k, at_limit)
-                stop(np.isnan(logits), k, STOP_NON_FINITE)
+                stop(np.isnan(logits), max(k - 1, 0), STOP_NON_FINITE, prev_x)
                 break
             # a forward overflow's NaN gradient row fails here with a bad gradient's
-            leaving = early
             if not T.all_finite(g):
                 failed = ~(early | _finite_rows(g))
-                stop(failed, k, STOP_NON_FINITE)
+                overflowed = np.isnan(logits)
+                left += stop(failed & ~overflowed, k, STOP_NON_FINITE)
+                left += stop(overflowed, max(k - 1, 0), STOP_NON_FINITE, prev_x)
                 leaving = early | failed
-            if leaving.any():  # some chain stopped: gather the others
-                if leaving.all():
+            if left:  # some chain stopped: gather the others
+                if left == ids.size:
                     break
-                ids, live_x, live_m, live_v, live_classes, g = _take(
-                    ~leaving, ids, live_x, live_m, live_v, live_classes, g)
+                ids, prev_x, live_x, live_m, live_v, live_classes, g = _take(
+                    ~leaving, ids, prev_x, live_x, live_m, live_v, live_classes, g)
             new_x, new_m, new_v, checked = _step(live_x, g, live_m, live_v, k, config, rng)
             if not all(map(T.all_finite, checked)):
                 ok = _finite_rows(*checked)
                 stop(~ok, k, STOP_NON_FINITE)
-                ids, new_x, new_m, new_v, live_classes = _take(
-                    ok, ids, new_x, new_m, new_v, live_classes)
-            live_x, live_m, live_v = new_x, new_m, new_v
+                ids, live_x, new_x, new_m, new_v, live_classes = _take(
+                    ok, ids, live_x, new_x, new_m, new_v, live_classes)
+            prev_x, live_x, live_m, live_v = live_x, new_x, new_m, new_v
 
     final_logits = paths[steps, np.arange(count)]
     path_ends = steps + ~np.isnan(final_logits)

@@ -348,13 +348,25 @@ class TestParseConfig:
             path.write_text(block)
             C.parse_config(path)
 
+    @staticmethod
+    def readme_snippet(marker):
+        """The one README timing recipe whose text holds `marker`."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (snippet,) = [s for s in re.findall(r"python3 - <<'PY'\n(.*?)\nPY\n", readme, re.S)
+                      if marker in s]
+        return snippet
+
     def test_readme_sgd_step_snippet_runs(self, capsys):
         # the README's timing recipe, run once at batch 2 so it cannot rot
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        (snippet,) = re.findall(r"python3 - <<'PY'\n(.*?)\nPY\n", readme, re.S)
-        assert "batch = 64\n" in snippet
+        snippet = self.readme_snippet("batch = 64\n")
         exec(snippet.replace("batch = 64\n", "batch = 2\n"), {})
         assert "SGD step at batch 2: median" in capsys.readouterr().out
+
+    def test_readme_sampler_step_snippet_runs(self, capsys):
+        # the sampler timing recipe, at 2 chains x 3 steps
+        snippet = self.readme_snippet("chains, steps = 50, 200\n")
+        exec(snippet.replace("chains, steps = 50, 200\n", "chains, steps = 2, 3\n"), {})
+        assert "sampler call of 2 chains x 3 steps: median" in capsys.readouterr().out
 
     def test_schema_is_the_config_fields(self):
         # adding a config field means adding its non-default value below

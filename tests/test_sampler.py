@@ -544,7 +544,8 @@ class TestNonFiniteChains:
     def test_logit_paths_of_a_run_with_a_late_forward_overflow(self):
         # logit x0 + x1 through a feature 1e307 * x0, which overflows once
         # x0 passes 17.97: the first chain's forward overflows at step 9,
-        # so its path holds steps 0..8; the second runs all 12 steps
+        # so it stops at step 8 and its path holds steps 0..8; the second
+        # runs all 12 steps
         c = N.Classifier([T.dense(2, 2)], [np.diag([1e307, 1.0]), np.zeros(2)],
                          np.array([[1e-307], [1.0]]), np.zeros(1))
         init = np.array([[0.0, 0.0], [-17.0, 0.0]])
@@ -553,15 +554,37 @@ class TestNonFiniteChains:
         samples, traces = S.synthesize_pseudo_negatives(
             c, config, 2, rng(56, 3), (2,), init=init.copy())
         assert [(t.stop_reason, t.steps, t.logit_path.shape) for t in traces] == \
-            [(S.STOP_NON_FINITE, 9, (9,)), (S.STOP_FIXED, 12, (13,))]
+            [(S.STOP_NON_FINITE, 8, (9,)), (S.STOP_FIXED, 12, (13,))]
         for t, start in zip(traces, (0.0, -17.0)):
             assert t.logit_path.dtype == np.float64 and t.logit_path.flags.c_contiguous
             # Adam moves both coordinates by about the step size per step
             np.testing.assert_allclose(t.logit_path, start + 4.0 * np.arange(t.logit_path.size),
                                        rtol=0, atol=1e-5)
-        assert traces[1].logit_path[-1] == traces[1].final_logit == \
-            N.logit_binary(c, samples[1:])[0]
-        assert np.isnan(traces[0].final_logit)
+        for t, sample in zip(traces, samples):
+            assert t.logit_path[-1] == t.final_logit == N.logit_binary(c, sample[None])[0]
+
+    @pytest.mark.parametrize("method", ["plain-gradient", "langevin"])
+    def test_forward_overflow_hands_back_the_sample_of_the_step_before(self, method):
+        # the classifier of the test above: the first chain's forward
+        # overflows at some step k >= 1, and it ends where a run cut at
+        # fixed_steps = k - 1 ends it, so SGD can train on its sample
+        c = N.Classifier([T.dense(2, 2)], [np.diag([1e307, 1.0]), np.zeros(2)],
+                         np.array([[1e-307], [1.0]]), np.zeros(1))
+        init = np.array([[0.0, 0.0], [-17.0, 0.0]])
+
+        def run(fixed_steps):
+            config = S.SamplerConfig(method=method, stopping="option3", fixed_steps=fixed_steps,
+                                     max_steps=30, step_size=2.0, anneal=1.0)
+            return S.synthesize_pseudo_negatives(c, config, 2, rng(25201, 3), (2,),
+                                                 init=init.copy())
+
+        samples, traces = run(30)
+        assert traces[0].stop_reason == S.STOP_NON_FINITE and traces[0].steps >= 1
+        cut, cut_traces = run(traces[0].steps)
+        assert cut_traces[0].stop_reason == S.STOP_FIXED
+        assert samples[0].tobytes() == cut[0].tobytes()
+        assert math.isfinite(traces[0].final_logit)
+        assert traces[0].final_logit == traces[0].logit_path[-1] == cut_traces[0].final_logit
 
     @pytest.mark.parametrize("stopping, x0, limit, at_limit", [
         ("option3", 18.0, 0, S.STOP_FIXED), ("option2", 0.0, 9, S.STOP_MAX)])
@@ -577,9 +600,17 @@ class TestNonFiniteChains:
                                  step_size=2.0, anneal=1.0)
         samples, traces = S.synthesize_pseudo_negatives(
             c, config, 2, rng(23932, 3), (2,), init=init.copy())
+        # at step k >= 1 the first chain ends at step k - 1, at step 0 where it began
+        back = max(limit - 1, 0)
         assert [(t.stop_reason, t.steps, t.logit_path.size) for t in traces] == \
-            [(S.STOP_NON_FINITE, limit, limit), (at_limit, limit, limit + 1)]
-        assert np.isnan(traces[0].final_logit) and T.all_finite(samples[0])
+            [(S.STOP_NON_FINITE, back, limit), (at_limit, limit, limit + 1)]
+        assert T.all_finite(samples[0])
+        if limit:
+            assert traces[0].final_logit == traces[0].logit_path[-1] == \
+                N.logit_binary(c, samples[:1])[0]
+        else:
+            assert np.isnan(traces[0].final_logit)
+            np.testing.assert_array_equal(samples[0], init[0])
 
     def test_non_finite_init_rejected(self):
         c = peaked_classifier()

@@ -287,6 +287,10 @@ class TestAllFinite:
         (np.array(2.5), True),
         (np.array(np.nan), False),
         (np.array(-np.inf), False),
+        # non-contiguous views: a channel-last conv kernel, strided slices
+        (T.flat_views(np.arange(24.0), [np.empty((2, 3, 2, 2))])[0], True),
+        (np.array([1.0, 2.0, np.inf, 4.0])[::2], False),
+        (np.array([[1.0, np.nan, 2.0], [3.0, 4.0, 5.0]])[:, ::2], True),
     ])
     def test_table_without_warnings(self, values, finite):
         with warnings.catch_warnings():
