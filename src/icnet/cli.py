@@ -10,6 +10,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import os
 import sys
 import time
 import traceback
@@ -44,10 +45,6 @@ SYNTH_NET = [T.dense(2, 16), T.leaky(), T.dense(16, 16), T.leaky()]
 MNIST_NET = [T.conv(1, 64), T.leaky(), T.conv(64, 128), T.leaky(),
              T.conv(128, 256), T.leaky(), T.conv(256, 512), T.leaky(),
              T.flatten()]
-
-
-def network_spec_for(task):
-    return SYNTH_NET if task == "synthetic2d" else MNIST_NET
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +85,8 @@ class ExperimentConfig:
                                f"got {getattr(self, key)}")
         if self.test_positive + self.test_negative < 1:
             raise CliError("experiment.test_positive + test_negative must be at least 1")
-        if self.sampler and self.sampler.reference_sigma <= 0 and _grid_oracle_runs(self):
+        # a binary inner model on synthetic2d has each round's p_t- computed on the exact grid
+        if self.sampler and self.sampler.reference_sigma <= 0 and _inner_mode(self) == "binary":
             raise CliError("sampler.reference_sigma must be above 0 for the grid oracle of "
                            f"synthetic2d mode {self.mode}, got {self.sampler.reference_sigma}")
         # every round synthesizes, except in baseline, which trains no round
@@ -302,9 +300,18 @@ def dump_images(samples, path):
 # ---------------------------------------------------------------------------
 
 def write_manifest(out_dir, config, input_files):
+    """The seed and the sha256 of the config and each input file, then numpy's
+    version, the BLAS it was built with and the BLAS thread variables as set."""
     lines = [f"seed = {config.seed}"]
     for p in [out_dir / "config.ini", *map(Path, input_files)]:
         lines.append(f"sha256 {hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}")
+    try:  # numpy < 1.26 reports no build dict
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    lines += [f"numpy = {np.__version__}", f"blas = {blas}"] + [
+        f"{v} = {os.environ.get(v, 'unset')}" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -322,21 +329,18 @@ def _load_task_data(config):
         test_ds = D.gen_synthetic_2d(test_spec, rng(config.seed, STREAM_DATA, 1))
         return train_ds, test_ds, D.positive_density(spec), []
     root = Path(config.mnist_dir) if config.mnist_dir else D.default_mnist_dir()
-    train_full, test_full = D.load_mnist(root)
+    train_ds, test_ds = D.load_mnist(root)
     input_files = [D.find_mnist_file(root, key) for key in D.MNIST_STEMS]
-    if not len(test_full):
+    if not len(test_ds):
         raise D.DataError(f"{D.find_mnist_file(root, 'test_images')}: no test images")
-    train_full = D.normalize(train_full)
-    test_full = D.normalize(test_full)
+    # subsets before normalizing, so no normalized copy of a dropped row is
+    # made; each rebinding frees the set it replaces
     if config.task == "mnist-subset":
-        train_ds = D.stratified_subset(train_full, config.subset_size,
-                                       config.seed)
-        test_ds = (D.stratified_subset(test_full, config.test_subset,
-                                       config.seed)
-                   if config.test_subset else test_full)
-    else:
-        train_ds, test_ds = train_full, test_full
-    return train_ds, test_ds, None, input_files
+        train_ds = D.stratified_subset(train_ds, config.subset_size, config.seed)
+        if config.test_subset:
+            test_ds = D.stratified_subset(test_ds, config.test_subset, config.seed)
+    train_ds = D.normalize(train_ds)
+    return train_ds, D.normalize(test_ds), None, input_files
 
 
 def _inner_mode(config):
@@ -349,11 +353,6 @@ def _inner_mode(config):
     return "multiclass"
 
 
-def _grid_oracle_runs(config):
-    """Whether each round's p_t- is computed on the exact grid (synthetic2d, binary inner model)."""
-    return _inner_mode(config) == "binary"
-
-
 def _run_training(config, train_ds, mode, on_round):
     """The trainer's result, from one call for every mode; each round is
     reported to `on_round` as it ends. `baseline` trains with no rounds and
@@ -363,8 +362,9 @@ def _run_training(config, train_ds, mode, on_round):
         train = replace(train, rounds=0)
     if config.mode == "icn-noise":
         synthesize = TR.noise_synthesizer(config.sampler, train_ds.samples.shape[1:])
-    return TR.run_reclassification_by_synthesis(train_ds, network_spec_for(config.task), train,
-                                                config.sampler, mode, synthesize, on_round)
+    spec = SYNTH_NET if config.task == "synthetic2d" else MNIST_NET
+    return TR.run_reclassification_by_synthesis(train_ds, spec, train, config.sampler, mode,
+                                                synthesize, on_round)
 
 
 def _test_error(model, test_ds):
@@ -384,7 +384,7 @@ def _run_experiment_inner(config, out_dir):
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     inner_mode = _inner_mode(config)
-    synthetic_binary = _grid_oracle_runs(config)
+    synthetic_binary = inner_mode == "binary"  # the grid oracle runs
     if synthetic_binary:
         res = (config.grid_resolution, config.grid_resolution)
         prior = O.reference_grid(config.sampler.reference_sigma, resolution=res)
@@ -420,9 +420,15 @@ def _run_experiment_inner(config, out_dir):
             dump_images(round_store.samples[:64], img_dir / f"pseudo_round_{t:02d}.pgm")
         rows.append(row)
         emit_metrics(rows, out_dir / "metrics.csv")
+        stops, bad = m.stop_reasons, m.stop_reasons[S.STOP_NON_FINITE]
+        shown = ", ".join(f"{reason} {stops[reason]}" for reason in sorted(stops))
         print(f"round {t}: train_loss {format_float(row.train_loss)}  "
               f"test_error {format_float(row.test_error)}  store_size {row.store_size}  "
-              f"elapsed {time.perf_counter() - started:.1f} s", file=sys.stderr)
+              + (f"stops {shown}  " if shown else "")
+              + f"elapsed {time.perf_counter() - started:.1f} s", file=sys.stderr)
+        if 2 * bad > stops.total():
+            print(f"warning: round {t}: {bad} of {stops.total()} chains ended "
+                  f"{S.STOP_NON_FINITE}", file=sys.stderr)
 
     result = _run_training(config, train_ds, inner_mode, on_round)
 

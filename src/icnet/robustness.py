@@ -43,12 +43,10 @@ class FoolingReport:
         return self.cross_fool_count / self.adversarial_count
 
 
-def fgsm_perturb(model, x, true_label, epsilon, clamp, return_pred=False):
-    """One fast-gradient-sign step: x + eps * sign(d loss / d x), clamped.
-
-    With return_pred=True, also returns the model's clean prediction for
-    each row, read off the logits of the attack's own forward pass.
-    """
+def fgsm_perturb(model, x, true_label, epsilon, clamp):
+    """One fast-gradient-sign step: (x + eps * sign(d loss / d x), clamped;
+    the model's clean prediction for each row, read off the logits of the
+    attack's own forward pass)."""
     x = np.asarray(x, dtype=np.float64)
     if not epsilon >= 0:  # NaN too
         raise RobustnessError(f"epsilon must be >= 0, got {epsilon}")
@@ -65,8 +63,6 @@ def fgsm_perturb(model, x, true_label, epsilon, clamp, return_pred=False):
     adv = x + epsilon * np.sign(grad)
     if clamp is not None:
         adv = np.clip(adv, clamp[0], clamp[1])
-    if not return_pred:
-        return adv
     return adv, N.labels_from_logits(logits)
 
 
@@ -76,21 +72,20 @@ def predict(model, x):
     return N.predict_label(model, x)
 
 
-def fool_direction(source, target, samples, labels, epsilon, clamp, chunk=256):
+def fool_direction(source, target, samples, labels, epsilon, clamp):
     """Attack the source model on its correctly classified inputs, then count
     how many adversarials fool the source and how many of those also fool
     the target.
 
-    Each chunk of inputs takes one forward pass through the source: the
-    attack's loss graph, whose logits also give the clean predictions. Only
-    the rows the source classifies correctly are kept and replayed.
+    Each chunk of inputs (`N.labeled_chunks`) takes one forward pass through
+    the source: the attack's loss graph, whose logits also give the clean
+    predictions. Only the rows the source classifies correctly are kept and
+    replayed.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    labels = np.asarray(labels)
     n_eligible = n_adv = n_cross = 0
-    for i in range(0, samples.shape[0], chunk):
-        xb, yb = samples[i:i + chunk], labels[i:i + chunk]
-        adv, clean_pred = fgsm_perturb(source, xb, yb, epsilon, clamp, return_pred=True)
+    for xb, yb in N.labeled_chunks(samples, np.asarray(labels)):
+        adv, clean_pred = fgsm_perturb(source, xb, yb, epsilon, clamp)
         eligible = clean_pred == yb
         if not eligible.any():
             continue

@@ -132,14 +132,15 @@ def _take(rows, *arrays):
 MAX_GRAPH_ROWS = 256
 
 
-def _chain_logits(classifier, x: Array, classes: Array | None, gradients: bool):
-    """(logits (n,), input gradient like x or, without `gradients`, None) of
-    the rows of x in row order, from `logit_sum_graph`s over runs of at most
-    MAX_GRAPH_ROWS rows, each swept or dropped before the next is built. A run
-    in which some op overflows is halved until each overflowing row is alone,
-    with a NaN logit and gradient row. How many rows share a graph moves a
-    row's logit only in its last bits (a BLAS sum), but that can move the step
-    at which a chain whose logit sits next to a threshold stops.
+def _chain_logits(classifier, x: Array, classes: Array | None, sweep_below: float):
+    """(logits (n,), input gradient like x) of the rows of x in row order,
+    from `logit_sum_graph`s over runs of at most MAX_GRAPH_ROWS rows, each
+    swept (only if some row's logit is below `sweep_below`; else its gradient
+    rows are zero) or dropped before the next is built. A run in which some
+    op overflows is halved until each overflowing row is alone, with a NaN
+    logit and gradient row. How many rows share a graph moves a row's logit
+    only in its last bits (a BLAS sum), but that can move the step at which a
+    chain whose logit sits next to a threshold stops.
     """
     n = len(x)
     if n <= MAX_GRAPH_ROWS:
@@ -148,15 +149,17 @@ def _chain_logits(classifier, x: Array, classes: Array | None, gradients: bool):
             grad_pass, seed, logits = N.logit_sum_graph(classifier, x, classes)
         except T.NonFiniteError:
             if n == 1:
-                return np.full(1, np.nan), np.full_like(x, np.nan) if gradients else None
+                return np.full(1, np.nan), np.full_like(x, np.nan)
         else:
-            return logits, T.input_gradient(grad_pass, seed) if gradients else None
+            if logits[logits.argmin()] < sweep_below:  # finite here; cheaper than a count
+                return logits, T.input_gradient(grad_pass, seed)
+            return logits, np.zeros_like(x)
     # runs of MAX_GRAPH_ROWS rows, or the two halves of a run that overflowed
     size = MAX_GRAPH_ROWS if n > MAX_GRAPH_ROWS else (n + 1) // 2
-    runs = [_chain_logits(classifier, *_take(slice(a, a + size), x, classes), gradients)
+    runs = [_chain_logits(classifier, *_take(slice(a, a + size), x, classes), sweep_below)
             for a in range(0, n, size)]
     logits, grads = zip(*runs)
-    return np.concatenate(logits), np.concatenate(grads) if gradients else None
+    return np.concatenate(logits), np.concatenate(grads)
 
 
 @functools.lru_cache
@@ -188,8 +191,7 @@ def logit_threshold(p: float) -> float:
 
 def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                                 rng: np.random.Generator, input_shape,
-                                class_index: int | Array | None = None,
-                                init: Array | None = None):
+                                class_index: int | Array | None = None):
     """Run `count` chains; returns (samples, traces).
 
     On a multi-class classifier `class_index` names each chain's head: one
@@ -208,16 +210,8 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
 
     Emitted samples are pseudo-negatives by construction: the caller tags
     them with the negative label (or the synthesizing class, multi-class).
-    `init` overrides the reference draw (test hook).
     """
-    if init is None:
-        x = draw_reference(count, input_shape, config.reference_sigma, rng)
-    else:
-        x = np.array(init, dtype=np.float64)
-        if x.shape[0] != count:
-            raise SamplerError(f"init holds {x.shape[0]} rows, expected {count}")
-        if not T.all_finite(x):
-            raise SamplerError("init holds non-finite values")
+    x = draw_reference(count, input_shape, config.reference_sigma, rng)
     classes = None
     if class_index is not None:
         classes = np.asarray(class_index, dtype=np.intp)
@@ -262,7 +256,9 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
         for k in range(limit + 1):
             if not ids.size:  # the update tagged every live chain
                 break
-            logits, g = _chain_logits(classifier, live_x, live_classes, k < limit)
+            # a run whose every chain stops here, or any run at the limit step, goes unswept
+            logits, g = _chain_logits(classifier, live_x, live_classes,
+                                      early_at if k < limit else -math.inf)
             paths[k, ids] = logits
             leaving = early = logits >= early_at  # False for a NaN logit
             left = stop(early, k, early_reason)

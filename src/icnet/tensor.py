@@ -56,15 +56,13 @@ def all_finite(a) -> bool:
     return bool(np.count_nonzero(m) == m.size)
 
 
-def as_tensor(data, shape=None) -> Array:
+def as_tensor(data) -> Array:
     """Coerce to a float64 array, verifying finiteness.
 
     An array that already is float64 comes back as is, so a channel-last
     kernel or activation keeps its memory layout (see `flat_views`).
     """
     arr = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
     if not all_finite(arr):
         raise NonFiniteError("tensor contains NaN or Inf")
     return arr
@@ -321,14 +319,14 @@ class ComputationRecord:
 
     # -- leaves --------------------------------------------------------------
 
-    def leaf(self, value, kind: str = "const", shape=None, checked: bool = False) -> Node:
+    def leaf(self, value, kind: str = "const", checked: bool = False) -> Node:
         """A leaf node over `value`, coerced by `as_tensor`. With `checked`
         the caller vouches that `value` is a float64 array already found
         finite, as classifier parameters are wherever they are written
         (init, SGD update, model load); it enters the record unscanned."""
         if kind not in ("param", "input", "const"):
             raise GraphError(f"unknown leaf kind {kind!r}")
-        node = Node(value if checked else as_tensor(value, shape), kind, kind != "const", self)
+        node = Node(value if checked else as_tensor(value), kind, kind != "const", self)
         self.nodes.append(node)
         return node
 

@@ -16,6 +16,7 @@ Determinism: every random decision draws from a stream keyed by
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,7 +86,8 @@ class RoundMetrics:
     val_error: float
     val_loss: float
     store_size: int
-    synth_steps_mean: float
+    # the round's chains by stop reason (sampler.STOP_*); empty without synthesis
+    stop_reasons: Counter = field(default_factory=Counter)
 
 
 @dataclass
@@ -199,29 +201,24 @@ def reclassification_step(c, x_s, y_s, store: D.PseudoNegativeStore,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def error_rate(model, x, y, chunk: int = 256) -> float:
-    """Share of rows whose predicted label differs from y."""
-    wrong = 0
-    for at in range(0, len(x), chunk):
-        pred = N.predict_label(model, x[at:at + chunk])
-        wrong += int((pred != y[at:at + chunk]).sum())
+def error_rate(model, x, y) -> float:
+    """Share of rows whose predicted label differs from y (`N.labeled_chunks`)."""
+    wrong = sum(int((N.predict_label(model, xb) != yb).sum()) for xb, yb in N.labeled_chunks(x, y))
     return wrong / len(x)
 
 
 def _val_stats(c, x, y) -> tuple[float, float]:
     """(error, mean plain loss) on a held-out set; alpha plays no role here.
     Both are read off one checked forward that keeps no backward rule and
-    the head loss, the loss SGD minimizes on labeled rows, per chunk of at
-    most 64 rows, so the peak does not grow with the set."""
+    the head loss, the loss SGD minimizes on labeled rows, per chunk of
+    `N.labeled_chunks`, so the peak does not grow with the set."""
     if len(x) == 0:
         return float("nan"), float("nan")
-    chunk = 64
     wrong, total = 0, 0.0
-    for at in range(0, len(x), chunk):
-        y_at = y[at:at + chunk]
-        logits = N.class_logits(c, x[at:at + chunk])
-        wrong += int((N.labels_from_logits(logits) != y_at).sum())
-        total += N.head_loss(logits, y_at)[0]
+    for xb, yb in N.labeled_chunks(x, y):
+        logits = N.class_logits(c, xb)
+        wrong += int((N.labels_from_logits(logits) != yb).sum())
+        total += N.head_loss(logits, yb)[0]
     return wrong / len(x), total / len(x)
 
 
@@ -274,9 +271,8 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
     if np.count_nonzero(np.bincount(ds.labels)) < 2:
         raise TrainerError(f"{mode} mode needs two classes present in the training set")
     input_shape = ds.samples.shape[1:]
-    if synthesize is None:
-        sampler_config = sampler_config or S.SamplerConfig()
-        synthesize = _default_synthesizer(sampler_config, input_shape)
+    synthesize = synthesize or _default_synthesizer(sampler_config or S.SamplerConfig(),
+                                                    input_shape)
 
     n_val = int(round(config.val_fraction * len(ds)))
     if n_val > 0:
@@ -294,7 +290,7 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
     val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
     metrics = [RoundMetrics(0, init_losses,
                             init_losses[-1] if init_losses else float("nan"),
-                            val_error, val_loss, 0, float("nan"))]
+                            val_error, val_loss, 0)]
     yield metrics[-1], c, store
     best_params = _snapshot(c) if len(val_ds) else None
     best_error = val_error
@@ -317,10 +313,9 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
         losses = reclassification_step(c, x_s, y_s, store, config, t,
                                        rng(config.seed, STREAM_EPOCH, t))
         val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
-        steps_mean = (float(np.mean([tr.steps for tr in traces]))
-                      if traces else float("nan"))
         metrics.append(RoundMetrics(t, losses, losses[-1] if losses else float("nan"),
-                                    val_error, val_loss, len(store), steps_mean))
+                                    val_error, val_loss, len(store),
+                                    Counter(tr.stop_reason for tr in traces or ())))
         yield metrics[-1], c, store
         if not len(val_ds):
             continue  # no validation split: no early stopping
@@ -352,8 +347,7 @@ def _ensemble_round(reached):
         float(np.mean([r.train_loss for r in rows])),
         float(np.mean([r.val_error for r in rows])),
         float(np.mean([r.val_loss for r in rows])),
-        sum(r.store_size for r in rows),
-        float(np.mean([r.synth_steps_mean for r in rows])))
+        sum(r.store_size for r in rows), sum((r.stop_reasons for r in rows), Counter()))
     return row, N.OneVsAllEnsemble(list(live)), _merged_store(stores)
 
 

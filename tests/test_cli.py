@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -484,6 +485,16 @@ class TestRunExperiment:
         digest = hashlib.sha256((out / "config.ini").read_bytes()).hexdigest()
         assert manifest[1] == f"sha256 {digest}  config.ini"
 
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        C.run_experiment(C.parse_config(write_config(tmp_path, mode="baseline")))
+        manifest = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
+        # after the seed and the config's hash
+        assert manifest[2:] == [f"numpy = {np.__version__}", manifest[3],
+                                "OPENBLAS_NUM_THREADS = 3", "OMP_NUM_THREADS = unset"]
+        assert re.fullmatch(r"blas = (\S+ \S+|unknown)", manifest[3]), manifest[3]
+
     def test_rerun_bitwise_identical_metrics(self, tmp_path):
         cfg_a = C.parse_config(write_config(tmp_path),
                                out_override=str(tmp_path / "a"))
@@ -558,6 +569,43 @@ class TestRunExperiment:
         assert rows[1].store_size == 2 * 4
         model = N.load_model(out / "model_final.bin")
         assert isinstance(model, N.OneVsAllEnsemble)
+
+
+class TestLoadTaskData:
+    @pytest.mark.parametrize("task, test_subset", [
+        ("mnist-subset", 10), ("mnist-subset", 0), ("mnist-full", 10)])
+    def test_sets_equal_normalize_then_subset_bitwise(self, tmp_path, task, test_subset):
+        path = write_mnist_ini(tmp_path, n=60)
+        path.write_text(path.read_text().replace("mnist-subset", task)
+                        .replace("test_subset = 10", f"test_subset = {test_subset}"))
+        cfg = C.parse_config(path)
+        train_ds, test_ds, _, _ = C._load_task_data(cfg)
+        train_full, test_full = map(D.normalize, D.load_mnist(tmp_path / "mnist"))
+        if task == "mnist-subset":
+            train_full = D.stratified_subset(train_full, 10, 0)
+            if test_subset:
+                test_full = D.stratified_subset(test_full, test_subset, 0)
+        for got, want in ((train_ds, train_full), (test_ds, test_full)):
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.class_count == want.class_count
+
+    @pytest.mark.parametrize("task, sets", [("mnist-subset", 2.5), ("mnist-full", 3.5)])
+    def test_load_peak_in_float64_sets(self, tmp_path, task, sets):
+        # one float64 set of 2000 images is 2000 x 784 x 8 bytes. On
+        # mnist-subset, normalizing before subsetting peaked at 3 sets (both
+        # raw sets and a normalized one), 2.1 now; on mnist-full, keeping a
+        # raw set while the other is normalized would peak at 4, not 3
+        path = write_mnist_ini(tmp_path, n=2000)
+        path.write_text(path.read_text().replace("mnist-subset", task))
+        cfg = C.parse_config(path)
+        tracemalloc.start()
+        try:
+            C._load_task_data(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sets * (2000 * 784 * 8)
 
 
 class TestTestError:
@@ -639,10 +687,78 @@ class TestStreamingRounds:
         rows = C.parse_metrics(tmp_path / "run" / "metrics.csv")
         assert len(lines) == len(rows) == 3
         for line, row in zip(lines, rows):
+            # option3 at 4 chains a round: every chain stops at fixed_steps
+            stops = "stops fixed_steps 4  " if row.round else ""
             assert re.fullmatch(
                 rf"round {row.round}: train_loss {C.format_float(row.train_loss)}  "
                 rf"test_error {C.format_float(row.test_error)}  "
-                rf"store_size {row.store_size}  elapsed \d+\.\d s", line), line
+                rf"store_size {row.store_size}  {stops}elapsed \d+\.\d s", line), line
+
+
+def readme_demo(tmp_path, *edits):
+    """The README quick 2D demo's ini, out under tmp_path, with each
+    (old, new) edit applied; returns its path."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (text,) = [b for b in re.findall(r"```ini\n(.*?)```", readme, re.S) if "rounds = 6" in b]
+    for old, new in (("out = runs/2d", f"out = {tmp_path / 'run'}"),) + edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "demo.ini"
+    path.write_text(text)
+    return path
+
+
+class TestSynthesisReport:
+    """What a run's stderr says about its chains."""
+
+    # the CI smoke demo: the README demo cut to two rounds
+    SMOKE = (("rounds = 6", "rounds = 2"),)
+
+    def test_overflowing_synthesis_warns_once_a_round(self, tmp_path, capsys):
+        # a step of 1e308 overflows every chain's first forward after its
+        # first update: all 30 chains of each round end non_finite at step 0
+        path = readme_demo(tmp_path, *self.SMOKE, ("[sampler]", "[sampler]\nstep_size = 1e308"))
+        assert C.main(["train", "--config", str(path), "--seed", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert [line for line in lines if line.startswith("warning:")] == [
+            f"warning: round {t}: 30 of 30 chains ended non_finite" for t in (1, 2)]
+        assert lines[2] == "warning: round 1: 30 of 30 chains ended non_finite"
+        assert "  stops non_finite 30  " in lines[1]
+
+    def test_plain_demo_prints_no_warning(self, tmp_path, capsys):
+        path = readme_demo(tmp_path, *self.SMOKE)
+        assert C.main(["train", "--config", str(path), "--seed", "0"]) == 0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 3 and "warning" not in err
+
+    def test_no_sweep_of_a_graph_whose_every_chain_stops(self, tmp_path, monkeypatch):
+        # at this seed, a sampler that sweeps every graph before the limit
+        # step makes 59 input-gradient calls over 445 rows; 3 graphs' chains
+        # all stop at one step
+        calls = []
+        real_gradient, real_synthesize = T.input_gradient, S.synthesize_pseudo_negatives
+        inside = []
+
+        def gradient(grad_pass, seed):
+            g = real_gradient(grad_pass, seed)
+            if inside:
+                calls.append(len(g))
+            return g
+
+        def synthesize(*args, **kwargs):
+            inside.append(1)
+            try:
+                return real_synthesize(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(T, "input_gradient", gradient)
+        monkeypatch.setattr(S, "synthesize_pseudo_negatives", synthesize)
+        path = readme_demo(tmp_path, ("stopping = option2", "stopping = option1"))
+        assert C.main(["train", "--config", str(path), "--seed", "23941"]) == 0
+        assert (len(calls), sum(calls)) == (56, 413)
 
 
 @pytest.fixture(scope="module")

@@ -36,14 +36,14 @@ class TestFgsmPerturb:
     def test_zero_epsilon_is_identity(self):
         c = N.init_binary(SPEC_2D, (2,), rng(0, 1))
         x = 0.4 * rng(0, 6).standard_normal((6, 2))
-        adv = R.fgsm_perturb(c, x, np.ones(6), 0.0, None)
+        adv, _ = R.fgsm_perturb(c, x, np.ones(6), 0.0, None)
         assert np.array_equal(adv, x)
 
     def test_infinity_norm_budget_exact(self):
         c = N.init_binary(SPEC_2D, (2,), rng(1, 1))
         x = 0.5 * rng(1, 6).standard_normal((20, 2))
         eps = 0.125
-        adv = R.fgsm_perturb(c, x, np.where(x[:, 0] > 0, 1, 0), eps, None)
+        adv, _ = R.fgsm_perturb(c, x, np.where(x[:, 0] > 0, 1, 0), eps, None)
         assert np.abs(adv - x).max() <= eps + 1e-15
         # every coordinate moves by exactly 0, +eps, or -eps
         deltas = np.unique(np.round(np.abs(adv - x), 12))
@@ -52,7 +52,7 @@ class TestFgsmPerturb:
     def test_clamp_keeps_normalized_range(self):
         c = N.init_binary(SPEC_2D, (2,), rng(2, 1))
         x = np.array([[0.95, -0.99], [1.0, 1.0], [-1.0, 0.5]])
-        adv = R.fgsm_perturb(c, x, np.array([1, 0, 1]), 0.125, (-1.0, 1.0))
+        adv, _ = R.fgsm_perturb(c, x, np.array([1, 0, 1]), 0.125, (-1.0, 1.0))
         assert adv.max() <= 1.0 and adv.min() >= -1.0
 
     def test_linear_model_loss_never_decreases(self):
@@ -60,7 +60,7 @@ class TestFgsmPerturb:
         gen = rng(3, 6)
         x = gen.standard_normal((50, 2))
         y = np.where(gen.standard_normal(50) > 0, 1, 0)
-        adv = R.fgsm_perturb(c, x, y, 0.01, None)
+        adv, _ = R.fgsm_perturb(c, x, y, 0.01, None)
         sign = 2 * y - 1  # the paper's y in {-1, +1}
         before = T.softplus_value(-sign * N.logit_binary(c, x))
         after = T.softplus_value(-sign * N.logit_binary(c, adv))
@@ -71,7 +71,7 @@ class TestFgsmPerturb:
         gen = rng(4, 6)
         x = gen.standard_normal((30, 2))
         y = gen.integers(0, 3, size=30)
-        adv = R.fgsm_perturb(c, x, y, 0.05, None)
+        adv, _ = R.fgsm_perturb(c, x, y, 0.05, None)
         def ce(samples):
             probs = T.softmax_value(N.class_logits(c, samples))
             return -np.log(probs[np.arange(30), y])
@@ -154,7 +154,7 @@ def two_pass_fool_direction(source, target, samples, labels, epsilon, chunk):
     xs, ys = samples[eligible], labels[eligible]
     n_adv = n_cross = 0
     for i in range(0, len(xs), chunk):
-        adv = R.fgsm_perturb(source, xs[i:i + chunk], ys[i:i + chunk], epsilon, (-1.0, 1.0))
+        adv, _ = R.fgsm_perturb(source, xs[i:i + chunk], ys[i:i + chunk], epsilon, (-1.0, 1.0))
         fooled_src = R.predict(source, adv) != ys[i:i + chunk]
         fooled_tgt = R.predict(target, adv) != ys[i:i + chunk]
         n_adv += int(fooled_src.sum())
@@ -188,7 +188,8 @@ class TestOneForwardPerChunk:
             return forward(params, spec, xs)
 
         monkeypatch.setattr(T, "forward_features", counting_forward)
-        got = R.fool_direction(a, b, x, y, 0.3, (-1.0, 1.0), chunk=5)
+        monkeypatch.setattr(N, "EVAL_ROWS", 5)
+        got = R.fool_direction(a, b, x, y, 0.3, (-1.0, 1.0))
         assert got == want
         # inference forwards only replay the adversarials, on source and target
         assert sum(infer_rows) == 2 * got.eligible_count

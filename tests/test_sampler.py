@@ -3,6 +3,7 @@ rules and where the samples land relative to the exact grid density."""
 
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestDrawReference:
         a = S.draw_reference(7, (1, 3, 3), 0.5, rng(2, 3))
         b = S.draw_reference(7, (1, 3, 3), 0.5, rng(2, 3))
         assert np.array_equal(a, b)
+
+
+def synthesize_from(init, *args, **kwargs):
+    """`S.synthesize_pseudo_negatives(*args, **kwargs)` with its chains
+    started at a copy of `init`: the reference draw is patched, and like the
+    draw it stands in for, takes nothing from the generator."""
+    def draw(count, dims, sigma, gen):
+        assert count == len(init)
+        return np.array(init, dtype=np.float64)
+
+    with mock.patch.object(S, "draw_reference", draw):
+        return S.synthesize_pseudo_negatives(*args, **kwargs)
 
 
 class ZeroNormal:
@@ -140,8 +153,8 @@ class TestSynthesize:
         config = S.SamplerConfig(method="langevin", stopping="option3",
                                  fixed_steps=20, step_size=0.05)
         init = S.draw_reference(8, 2, 0.3, rng(10, 3))
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 8, ZeroNormal(), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 8, ZeroNormal(), (2,))
         np.testing.assert_array_equal(samples, init)
         assert all(t.steps == 20 and t.stop_reason == S.STOP_FIXED for t in traces)
 
@@ -256,14 +269,14 @@ class TestBatchedClasses:
         config = S.SamplerConfig(method="plain-gradient", stopping=stopping,
                                  step_size=0.05, **kw)
         init = S.draw_reference(k * per_class, (1, 8, 8), 0.3, rng(40, 3))
-        batched, traces = S.synthesize_pseudo_negatives(
-            c, config, k * per_class, rng(41, 3), (1, 8, 8),
-            class_index=np.repeat(np.arange(k), per_class), init=init.copy())
+        batched, traces = synthesize_from(
+            init, c, config, k * per_class, rng(41, 3), (1, 8, 8),
+            class_index=np.repeat(np.arange(k), per_class))
         for cls in range(k):
             rows = slice(cls * per_class, (cls + 1) * per_class)
-            alone, alone_traces = S.synthesize_pseudo_negatives(
-                c, config, per_class, rng(41, 3), (1, 8, 8),
-                class_index=cls, init=init[rows].copy())
+            alone, alone_traces = synthesize_from(
+                init[rows], c, config, per_class, rng(41, 3), (1, 8, 8),
+                class_index=cls)
             np.testing.assert_allclose(batched[rows], alone, rtol=0, atol=1e-12)
             for a, b in zip(traces[rows], alone_traces):
                 assert (a.stop_reason, a.steps) == (b.stop_reason, b.steps)
@@ -335,14 +348,14 @@ class TestBatchedClasses:
                                  max_steps=120)
         init = S.draw_reference(24, (2,), 1.5, rng(47, 3))
         init[7] = 1e308
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 24, rng(47, 4), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 24, rng(47, 4), (2,))
         assert (traces[7].stop_reason, traces[7].steps) == (S.STOP_NON_FINITE, 0)
         stopped_at = [t.steps for t in traces if t.stop_reason == S.STOP_THRESHOLD]
         assert len(set(stopped_at)) > 10 and max(stopped_at) - min(stopped_at) > 40
         for j in range(24):
-            alone, (trace,) = S.synthesize_pseudo_negatives(
-                c, config, 1, rng(47, 4), (2,), init=init[j:j + 1].copy())
+            alone, (trace,) = synthesize_from(
+                init[j:j + 1], c, config, 1, rng(47, 4), (2,))
             np.testing.assert_allclose(samples[j], alone[0], rtol=0, atol=1e-12)
             t = traces[j]
             assert (t.stop_reason, t.steps) == (trace.stop_reason, trace.steps)
@@ -366,13 +379,34 @@ class TestBatchedClasses:
             return graph(c, run_x, class_index)
 
         monkeypatch.setattr(N, "logit_sum_graph", spy)
-        logits, grad = S._chain_logits(c, x, classes, True)
+        logits, grad = S._chain_logits(c, x, classes, math.inf)
         assert seen == [True]
         rows = np.arange(n)
         copy_pass, copy_seed, copy_logits = graph(
             c, x[rows], None if classes is None else classes[rows])
         assert logits.tobytes() == copy_logits.tobytes()
         assert grad.tobytes() == T.input_gradient(copy_pass, copy_seed).tobytes()
+
+    def test_a_run_whose_every_row_stops_is_not_swept(self, monkeypatch):
+        # 7 rows under a cap of 3; the pyramid's logit is 3.5 at the origin
+        # and -2.5 at distance 3, so only the run of rows 3-5 clears 3.0
+        c = peaked_classifier()
+        x = np.array([[3.0, 0.0]] * 3 + [[0.0, 0.1], [0.1, 0.0], [0.0, 0.0]] + [[0.0, 3.0]])
+        monkeypatch.setattr(S, "MAX_GRAPH_ROWS", 3)
+        all_logits, all_grad = S._chain_logits(c, x, None, math.inf)
+        swept = []
+        gradient = T.input_gradient
+        monkeypatch.setattr(T, "input_gradient",
+                            lambda p, seed: swept.append(len(seed)) or gradient(p, seed))
+        logits, grad = S._chain_logits(c, x, None, 3.0)
+        assert swept == [3, 1]
+        assert logits.tobytes() == all_logits.tobytes()
+        assert np.all(logits[3:6] >= 3.0) and np.all(grad[3:6] == 0.0)
+        assert grad[[0, 1, 2, 6]].tobytes() == all_grad[[0, 1, 2, 6]].tobytes()
+        # the limit step's bound: no run is swept
+        logits, grad = S._chain_logits(c, x, None, -math.inf)
+        assert swept == [3, 1] and logits.tobytes() == all_logits.tobytes()
+        assert not grad.any()
 
     def test_each_graph_is_swept_before_the_next_is_built(self, monkeypatch):
         # 7 live rows under a cap of 3, over three steps: when each graph is
@@ -409,16 +443,16 @@ class TestNonFiniteChains:
             p *= 100.0
         init = np.array([[0.1, 0.2], [1e305, 1e305], [0.3, -0.1]])
         config = S.SamplerConfig(stopping="option3", fixed_steps=5, max_steps=5)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 3, rng(50, 3), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 3, rng(50, 3), (2,))
         assert (traces[1].stop_reason, traces[1].steps) == (S.STOP_NON_FINITE, 0)
         np.testing.assert_array_equal(samples[1], init[1])
         for j in (0, 2):
             assert (traces[j].stop_reason, traces[j].steps) == (S.STOP_FIXED, 5)
             assert not np.array_equal(samples[j], init[j])
         # the healthy chains ran exactly as they would have without the bad one
-        alone, _ = S.synthesize_pseudo_negatives(
-            c, config, 2, rng(50, 3), (2,), init=init[[0, 2]].copy())
+        alone, _ = synthesize_from(
+            init[[0, 2]], c, config, 2, rng(50, 3), (2,))
         np.testing.assert_allclose(samples[[0, 2]], alone, rtol=0, atol=1e-12)
 
     def test_adam_overflow_is_tagged_not_frozen(self):
@@ -428,8 +462,8 @@ class TestNonFiniteChains:
         init = np.array([[0.1, 0.2], [0.3, -0.1]])
         config = S.SamplerConfig(method="plain-gradient", stopping="option2",
                                  max_steps=5)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 2, rng(51, 3), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 2, rng(51, 3), (2,))
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
         np.testing.assert_array_equal(samples, init)
 
@@ -452,15 +486,15 @@ class TestNonFiniteChains:
         init = np.array([[0.0, 0.0], [-1e308, 0.0]])
         config = S.SamplerConfig(stopping="option3", fixed_steps=2, max_steps=2,
                                  step_size=1e308, anneal=1.0)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 2, rng(24032, 3), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 2, rng(24032, 3), (2,))
         assert [(t.stop_reason, t.steps) for t in traces] == \
             [(S.STOP_NON_FINITE, 1), (S.STOP_FIXED, 2)]
         assert T.all_finite(samples) and samples[1, 0] > 1e307
         # the pre-update sample: where the chain stands after step 0
         config.fixed_steps = config.max_steps = 1
-        before, _ = S.synthesize_pseudo_negatives(
-            c, config, 1, rng(24032, 3), (2,), init=init[:1].copy())
+        before, _ = synthesize_from(
+            init[:1], c, config, 1, rng(24032, 3), (2,))
         assert samples[0].tobytes() == before[0].tobytes()
 
     def test_update_overflow_in_every_conv_chain_ends_the_loop(self):
@@ -471,8 +505,8 @@ class TestNonFiniteChains:
         init = S.draw_reference(2, (1, 4, 4), 0.3, rng(52, 3))
         config = S.SamplerConfig(method="plain-gradient", stopping="option2",
                                  max_steps=5)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 2, rng(52, 4), (1, 4, 4), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 2, rng(52, 4), (1, 4, 4))
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
         np.testing.assert_array_equal(samples, init)
 
@@ -482,8 +516,8 @@ class TestNonFiniteChains:
                          np.array([[1.0], [0.0]]), np.zeros(1))
         init = np.full((2, 2), 1.5e308)
         config = S.SamplerConfig(stopping="option2", max_steps=5)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 2, rng(53, 3), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 2, rng(53, 3), (2,))
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_THRESHOLD, 0)] * 2
         assert [t.final_logit for t in traces] == [1.5e308] * 2
         np.testing.assert_array_equal(samples, init)
@@ -495,11 +529,11 @@ class TestNonFiniteChains:
                          np.array([[1.0], [0.0]]), np.zeros(1))
         init = np.array([[1.5e308, 0.0], [1.5e308, 0.0], [0.1, 0.2]])
         config = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=3)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 3, rng(54, 3), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 3, rng(54, 3), (2,))
         assert all(t.stop_reason == S.STOP_FIXED for t in traces)
-        alone, _ = S.synthesize_pseudo_negatives(
-            c, config, 1, rng(54, 3), (2,), init=init[2:].copy())
+        alone, _ = synthesize_from(
+            init[2:], c, config, 1, rng(54, 3), (2,))
         np.testing.assert_array_equal(samples[2], alone[0])
 
     def test_overflow_no_logit_reads_tags_only_that_chain(self):
@@ -521,22 +555,21 @@ class TestNonFiniteChains:
         assert not T.all_finite(first)
         assert T.all_finite(second.reshape(3, -1) @ c.head_w + c.head_b)
         config = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=3)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 3, rng(57, 4), (1, 15, 15), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 3, rng(57, 4), (1, 15, 15))
         assert [(t.stop_reason, t.steps) for t in traces] == \
             [(S.STOP_FIXED, 3), (S.STOP_NON_FINITE, 0), (S.STOP_FIXED, 3)]
         np.testing.assert_array_equal(samples[1], init[1])
-        alone, _ = S.synthesize_pseudo_negatives(
-            c, config, 2, rng(57, 4), (1, 15, 15), init=init[[0, 2]].copy())
+        alone, _ = synthesize_from(
+            init[[0, 2]], c, config, 2, rng(57, 4), (1, 15, 15))
         np.testing.assert_allclose(samples[[0, 2]], alone, rtol=0, atol=1e-12)
 
     def test_nan_parameter_tags_every_chain(self):
         c = N.init_binary([T.dense(2, 4), T.leaky()], (2,), rng(55, 1))
         c.feature_params[0][0, 0] = np.nan
         init = np.array([[0.1, 0.2], [0.3, -0.1], [-0.5, 0.4]])
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, S.SamplerConfig(stopping="option2", max_steps=5), 3, rng(55, 3), (2,),
-            init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, S.SamplerConfig(stopping="option2", max_steps=5), 3, rng(55, 3), (2,))
         assert [(t.stop_reason, t.steps, t.logit_path.size) for t in traces] == \
             [(S.STOP_NON_FINITE, 0, 0)] * 3
         np.testing.assert_array_equal(samples, init)
@@ -551,8 +584,8 @@ class TestNonFiniteChains:
         init = np.array([[0.0, 0.0], [-17.0, 0.0]])
         config = S.SamplerConfig(stopping="option3", fixed_steps=12, max_steps=12,
                                  step_size=2.0, anneal=1.0)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 2, rng(56, 3), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 2, rng(56, 3), (2,))
         assert [(t.stop_reason, t.steps, t.logit_path.shape) for t in traces] == \
             [(S.STOP_NON_FINITE, 8, (9,)), (S.STOP_FIXED, 12, (13,))]
         for t, start in zip(traces, (0.0, -17.0)):
@@ -575,8 +608,7 @@ class TestNonFiniteChains:
         def run(fixed_steps):
             config = S.SamplerConfig(method=method, stopping="option3", fixed_steps=fixed_steps,
                                      max_steps=30, step_size=2.0, anneal=1.0)
-            return S.synthesize_pseudo_negatives(c, config, 2, rng(25201, 3), (2,),
-                                                 init=init.copy())
+            return synthesize_from(init, c, config, 2, rng(25201, 3), (2,))
 
         samples, traces = run(30)
         assert traces[0].stop_reason == S.STOP_NON_FINITE and traces[0].steps >= 1
@@ -598,8 +630,8 @@ class TestNonFiniteChains:
         init = np.array([[x0, 0.0], [-17.0, 0.0]])
         config = S.SamplerConfig(stopping=stopping, fixed_steps=limit, max_steps=limit,
                                  step_size=2.0, anneal=1.0)
-        samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 2, rng(23932, 3), (2,), init=init.copy())
+        samples, traces = synthesize_from(
+            init, c, config, 2, rng(23932, 3), (2,))
         # at step k >= 1 the first chain ends at step k - 1, at step 0 where it began
         back = max(limit - 1, 0)
         assert [(t.stop_reason, t.steps, t.logit_path.size) for t in traces] == \
@@ -611,9 +643,3 @@ class TestNonFiniteChains:
         else:
             assert np.isnan(traces[0].final_logit)
             np.testing.assert_array_equal(samples[0], init[0])
-
-    def test_non_finite_init_rejected(self):
-        c = peaked_classifier()
-        with pytest.raises(S.SamplerError, match="non-finite"):
-            S.synthesize_pseudo_negatives(c, S.SamplerConfig(), 1, rng(52, 3), (2,),
-                                          init=np.array([[np.inf, 0.0]]))

@@ -176,10 +176,10 @@ class TestValStats:
         assert error == TR.error_rate(c, x, y)
         assert abs(loss - head_total(c, x, y) / 150) < 1e-12
 
-    def test_256_mnist_net_rows_peak_below_3x_params(self):
-        """Validation on 256 MNIST_NET rows allocates less than 3x the
-        parameter bytes at its peak: it runs in chunks, so the peak does
-        not grow with the rows."""
+    @staticmethod
+    def peak_over_params(labeled_pass):
+        """tracemalloc peak of `labeled_pass(c, x, y)` over 256 MNIST_NET
+        rows, in parameter bytes."""
         from icnet.cli import MNIST_NET
         c = N.init_multiclass(MNIST_NET, (1, 28, 28), 10, rng(27, 1))
         gen = rng(27, 6)
@@ -187,11 +187,47 @@ class TestValStats:
         param_bytes = sum(p.nbytes for p in c.all_params())
         tracemalloc.start()
         try:
-            TR._val_stats(c, x, y)
+            labeled_pass(c, x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * param_bytes
+        return peak / param_bytes
+
+    def test_256_mnist_net_rows_peak_below_3x_params(self):
+        """Validation on 256 MNIST_NET rows allocates less than 3x the
+        parameter bytes at its peak: it runs in chunks, so the peak does
+        not grow with the rows."""
+        assert self.peak_over_params(TR._val_stats) < 3
+
+    @pytest.mark.parametrize("labeled_pass", [
+        TR.error_rate, lambda c, x, y: R.fool_direction(c, c, x, y, 0.125, (-1.0, 1.0))],
+        ids=["error_rate", "fool_direction"])
+    def test_test_error_and_attack_peak_below_3x_params(self, labeled_pass):
+        # they ran 256-row chunks, which peaked at 5.7x
+        assert self.peak_over_params(labeled_pass) < 3
+
+    @pytest.mark.parametrize("labeled_pass, replays", [
+        (TR._val_stats, False), (TR.error_rate, False),
+        (lambda c, x, y: R.fool_direction(c, c, x, y, 0.125, None), True)],
+        ids=["val_stats", "error_rate", "fool_direction"])
+    def test_labeled_passes_read_one_row_bound(self, monkeypatch, labeled_pass, replays):
+        # 23 rows at a bound of 5: stacks over 5, 5, 5, 5 and 3 rows (FGSM
+        # replays each chunk's eligible rows between), and the same counts
+        c = N.init_multiclass(SPEC_2D, (2,), 3, rng(26, 1))
+        x = rng(26, 6).standard_normal((23, 2))
+        y = np.arange(23) % 3
+        want = labeled_pass(c, x, y)
+        sizes = []
+        stack = T.feature_stack
+        monkeypatch.setattr(T, "feature_stack",
+                            lambda ops, spec, params, xs: sizes.append(len(xs))
+                            or stack(ops, spec, params, xs))
+        monkeypatch.setattr(N, "EVAL_ROWS", 5)
+        # a loss summed over other chunks moves in its last bits
+        assert labeled_pass(c, x, y) == (want if replays else pytest.approx(want, rel=1e-12))
+        assert max(sizes) == 5
+        if not replays:
+            assert sizes == [5, 5, 5, 5, 3]
 
 
 CONV_SPEC = [T.conv(1, 2), T.leaky(), T.conv(2, 3), T.leaky(), T.flatten()]
@@ -265,7 +301,7 @@ class TestPassMatchesTape:
         grad_pass, got_logits = N.head_pass(c, x)
         got = T.input_gradient(grad_pass, N.head_loss(got_logits, labels)[1])
         assert got.tobytes() == want.tobytes()
-        adv, pred = R.fgsm_perturb(c, x, labels, 0.125, None, return_pred=True)
+        adv, pred = R.fgsm_perturb(c, x, labels, 0.125, None)
         assert adv.tobytes() == (x + 0.125 * np.sign(want)).tobytes()
         assert pred.tobytes() == N.labels_from_logits(logits.value).tobytes()
 
@@ -643,6 +679,8 @@ class TestNoiseAblation:
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg, "binary",
                                                    noise_draws(scfg))
         assert np.array_equal(run.store.samples, np.zeros((8, 2)))
+        # no chain ran, so no round counts a stop reason
+        assert [m.stop_reasons for m in run.metrics] == [{}] * 3
 
 
 class TestOneVsAll:
@@ -716,6 +754,8 @@ class TestOneVsAll:
             assert m.train_loss == np.mean([r.train_loss for r in rows])
             assert m.val_error == np.mean([r.val_error for r in rows])
             assert m.store_size == sum(r.store_size for r in rows) == len(entries)
+            # each member's 3 chains stop at fixed_steps
+            assert m.stop_reasons == ({S.STOP_FIXED: 9} if t else {})
             for k in range(3):
                 cut = self.member_run(ds, replace(cfg, rounds=t), k)
                 assert params[k] == [p.tobytes() for p in cut.classifier.all_params()]
