@@ -107,14 +107,10 @@ _INI_FIELDS = {
 
 
 def _cast(annotation, raw):
-    """One ini value as a field of type `annotation`; ValueError (KeyError for
-    a bool) if it is not one. `int | None` reads an empty value or the
-    snapshot's `None` as unset; a bool takes configparser's words
-    (1/yes/true/on, 0/no/false/off)."""
+    """One ini value as a field of type `annotation`; ValueError if it is not
+    one. `int | None` reads an empty value or the snapshot's `None` as unset."""
     if annotation == int | None:
         return None if raw in ("", "None") else int(raw)
-    if annotation is bool:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     return annotation(raw)
 
 
@@ -129,7 +125,7 @@ def _cast_section(cp, section):
             raise CliError(f"unknown key {key!r} in section [{section}]")
         try:
             values[key] = _cast(types[key], raw)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad value for {section}.{key}: {raw!r}") from exc
     return values
 
@@ -259,10 +255,7 @@ def parse_metrics(path):
 # ---------------------------------------------------------------------------
 
 def write_pgm(gray, path):
-    """Binary PGM (P5), maxval 255."""
-    gray = np.asarray(gray)
-    if gray.ndim != 2 or gray.dtype != np.uint8:
-        raise CliError("write_pgm expects a 2-D uint8 array")
+    """A 2-D uint8 array as binary PGM (P5), maxval 255."""
     h, w = gray.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -270,20 +263,12 @@ def write_pgm(gray, path):
 
 
 def dump_images(samples, path):
-    """Tile samples into a grayscale grid and write it as binary PGM.
+    """Tile (n, 1, h, w) samples into a grayscale grid and write it as binary PGM.
 
     Values are mapped back to [0, 255] by `data.denormalize`, clamped, and
     rounded half-up (so a normalized all-zero image lands on 128).
     """
-    try:
-        arr = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
-    except ValueError as exc:
-        raise CliError(f"samples must share one shape: {exc}") from exc
-    if arr.ndim == 4 and arr.shape[1] == 1:
-        arr = arr[:, 0]
-    if arr.ndim != 3:
-        raise CliError(f"expected image-shaped samples, got shape {arr.shape}")
-    vals = np.clip(D.denormalize(arr), 0.0, 255.0)
+    vals = np.clip(D.denormalize(samples[:, 0]), 0.0, 255.0)
     pixels = np.clip(np.floor(vals + 0.5), 0, 255).astype(np.uint8)
     n, h, w = pixels.shape
     cols = int(np.ceil(np.sqrt(n)))
@@ -319,28 +304,41 @@ def write_manifest(out_dir, config, input_files):
 # experiment driver
 # ---------------------------------------------------------------------------
 
+def _image_set(config, split, size_key):
+    """The normalized "train" or "test" IDX set, on mnist-subset drawn to the
+    size `size_key` names (0 keeps it whole), and its two input files."""
+    root = Path(config.mnist_dir) if config.mnist_dir else D.default_mnist_dir()
+    files = D.mnist_files(root, split)
+    ds = D.load_idx(*files)
+    if split == "test" and not len(ds):
+        raise D.DataError(f"{files[0]}: no test images")
+    size = getattr(config, size_key)
+    # subsets the raw pixels, so only the rows kept are made float64
+    if config.task == "mnist-subset" and size:
+        if size > len(ds):
+            raise CliError(f"experiment.{size_key} = {size} exceeds the {len(ds)} "
+                           f"samples of {files[0]}")
+        ds = D.stratified_subset(ds, size, config.seed)
+    return D.normalize(ds), files
+
+
+def _load_test_set(config):
+    """The test set a run scores and `adversarial` attacks, and its input files."""
+    if config.task == "synthetic2d":
+        spec = D.default_benchmark_spec(config.test_positive, config.test_negative)
+        return D.gen_synthetic_2d(spec, rng(config.seed, STREAM_DATA, 1)), []
+    return _image_set(config, "test", "test_subset")
+
+
 def _load_task_data(config):
     """Returns (train_ds, test_ds, p_plus_density_or_None, input_files)."""
     if config.task == "synthetic2d":
         spec = D.default_benchmark_spec(config.n_positive, config.n_negative)
         train_ds = D.gen_synthetic_2d(spec, rng(config.seed, STREAM_DATA))
-        test_spec = D.default_benchmark_spec(config.test_positive,
-                                             config.test_negative)
-        test_ds = D.gen_synthetic_2d(test_spec, rng(config.seed, STREAM_DATA, 1))
-        return train_ds, test_ds, D.positive_density(spec), []
-    root = Path(config.mnist_dir) if config.mnist_dir else D.default_mnist_dir()
-    train_ds, test_ds = D.load_mnist(root)
-    input_files = [D.find_mnist_file(root, key) for key in D.MNIST_STEMS]
-    if not len(test_ds):
-        raise D.DataError(f"{D.find_mnist_file(root, 'test_images')}: no test images")
-    # subsets before normalizing, so no normalized copy of a dropped row is
-    # made; each rebinding frees the set it replaces
-    if config.task == "mnist-subset":
-        train_ds = D.stratified_subset(train_ds, config.subset_size, config.seed)
-        if config.test_subset:
-            test_ds = D.stratified_subset(test_ds, config.test_subset, config.seed)
-    train_ds = D.normalize(train_ds)
-    return train_ds, D.normalize(test_ds), None, input_files
+        return train_ds, _load_test_set(config)[0], D.positive_density(spec), []
+    train_ds, train_files = _image_set(config, "train", "subset_size")
+    test_ds, test_files = _load_test_set(config)
+    return train_ds, test_ds, None, train_files + test_files
 
 
 def _inner_mode(config):
@@ -501,7 +499,7 @@ def cmd_adversarial(args):
     model_a = N.load_model(args.model_a)
     model_b = N.load_model(args.model_b)
     config = parse_config(args.config)
-    _, test_ds, _, _ = _load_task_data(config)
+    test_ds, _ = _load_test_set(config)
     shape = test_ds.samples.shape[1:]
     top = int(test_ds.labels.max(initial=0))
     for path, model in ((args.model_a, model_a), (args.model_b, model_b)):
@@ -543,19 +541,11 @@ def cmd_report(args):
     if not metrics_path.is_file():
         raise CliError(f"no metrics.csv under {run_dir}")
     rows = parse_metrics(metrics_path)
-    fooling = run_dir / "fooling_summary.txt"
-    try:
-        summary = fooling.read_text() if fooling.is_file() else None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{fooling}: {exc}") from None
     # every column but wall_time, which metrics.csv leaves empty
     table = [METRICS_HEADER[:-1]] + [r.cells()[:-1] for r in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    if summary is not None:
-        print()
-        print(summary.rstrip())
     return 0
 
 

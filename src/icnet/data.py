@@ -56,14 +56,16 @@ class StoreVersionError(StoreFormatError):
 @dataclass
 class LabeledDataset:
     """Samples with integer class labels 0..class_count-1. A binary task's
-    positive class is 1, the paper's y = +1."""
+    positive class is 1, the paper's y = +1. Samples are float64, except raw
+    uint8 pixels, which are kept as they are until `normalize`."""
 
     samples: Array
     labels: Array
     class_count: int
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        raw = np.asarray(self.samples).dtype == np.uint8
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.uint8 if raw else np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.samples.shape[0] != self.labels.shape[0]:
             raise DataError(f"{self.samples.shape[0]} samples vs "
@@ -79,21 +81,11 @@ class LabeledDataset:
         return LabeledDataset(self.samples[idx], self.labels[idx], self.class_count)
 
 
-def split_dataset(ds: LabeledDataset, counts, seed: int) -> list[LabeledDataset]:
-    """Disjoint seeded-shuffle split; a remainder part is appended so the
-    parts always cover the dataset."""
-    counts = [int(c) for c in counts]
-    if any(c < 0 for c in counts) or sum(counts) > len(ds):
-        raise DataError(f"split sizes {counts} infeasible for {len(ds)} samples")
+def split_dataset(ds: LabeledDataset, first: int, seed: int):
+    """Disjoint seeded-shuffle split: (`first` samples, the rest)."""
     # entropy path [seed, 100] keeps split draws clear of trainer streams
     order = np.random.default_rng(np.random.SeedSequence([seed, 100])).permutation(len(ds))
-    parts, at = [], 0
-    for c in counts:
-        parts.append(ds.subset(order[at:at + c]))
-        at += c
-    if at < len(ds):
-        parts.append(ds.subset(order[at:]))
-    return parts
+    return ds.subset(order[:first]), ds.subset(order[first:])
 
 
 def stratified_subset(ds: LabeledDataset, total: int, seed: int) -> LabeledDataset:
@@ -254,8 +246,8 @@ def read_exact(fh, n: int, what: str, path, error) -> bytes:
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Read an IDX image/label file pair into a (n,1,h,w) float dataset with
-    raw pixel values in [0,255]."""
+    """Read an IDX image/label file pair into a (n,1,h,w) dataset of raw
+    uint8 pixels."""
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(
             ">IIII", read_exact(fh, 16, "image header", images_path, IdxTruncatedError))
@@ -276,7 +268,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         raise IdxCountMismatchError(
             f"{count} images in {images_path} vs {n_labels} labels in {labels_path}")
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    return LabeledDataset(images.astype(np.float64), labels.astype(np.int64), n_classes)
+    return LabeledDataset(images, labels, n_classes)
 
 
 MNIST_STEMS = {
@@ -305,19 +297,15 @@ def mnist_available(root=None) -> bool:
     return all(find_mnist_file(root, k) is not None for k in MNIST_STEMS)
 
 
-def load_mnist(root=None) -> tuple[LabeledDataset, LabeledDataset]:
-    root = default_mnist_dir() if root is None else root
-    paths = {}
-    for key in MNIST_STEMS:
-        found = find_mnist_file(root, key)
-        if found is None:
-            raise DataError(
-                f"missing {MNIST_STEMS[key][0]}[.gz] under {root}; "
-                "set ICNET_MNIST_DIR or fetch the files (see README)")
-        paths[key] = found
-    train = load_idx(paths["train_images"], paths["train_labels"])
-    test = load_idx(paths["test_images"], paths["test_labels"])
-    return train, test
+def mnist_files(root, split: str) -> list[Path]:
+    """The image and label file of `split`, "train" or "test", under root."""
+    paths = []
+    for key in (f"{split}_images", f"{split}_labels"):
+        paths.append(find_mnist_file(root, key))
+        if paths[-1] is None:
+            raise DataError(f"missing {MNIST_STEMS[key][0]}[.gz] under {root}; "
+                            "set ICNET_MNIST_DIR or fetch the files (see README)")
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +313,10 @@ def load_mnist(root=None) -> tuple[LabeledDataset, LabeledDataset]:
 # ---------------------------------------------------------------------------
 
 def normalize(ds: LabeledDataset) -> LabeledDataset:
-    """Map raw pixels [0,255] to [-1,1]."""
-    return LabeledDataset(ds.samples / 127.5 - 1.0, ds.labels, ds.class_count)
+    """Map raw pixels [0,255] to [-1,1], in one float64 copy of the samples."""
+    samples = ds.samples / 127.5
+    samples -= 1.0
+    return LabeledDataset(samples, ds.labels, ds.class_count)
 
 
 def denormalize(samples: Array) -> Array:

@@ -232,9 +232,7 @@ def exact_synthesizer(prior: GridDensity):
 
 
 def heatmap_gray(p: GridDensity) -> Array:
-    """Per-cell 8-bit gray levels, linear in mass with the peak at 255."""
+    """Per-cell 8-bit gray levels, linear in mass with the peak at 255. A
+    normalized density's peak holds at least 1/cells of the mass."""
     m = p.mass
-    peak = m.max()
-    if peak <= 0:
-        return np.zeros(p.resolution, dtype=np.uint8)
-    return np.floor(m / peak * 255.0 + 0.5).astype(np.uint8)
+    return np.floor(m / m.max() * 255.0 + 0.5).astype(np.uint8)

@@ -191,22 +191,22 @@ def logit_threshold(p: float) -> float:
 
 def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
                                 rng: np.random.Generator, input_shape,
-                                class_index: int | Array | None = None):
+                                class_index: Array | None = None):
     """Run `count` chains; returns (samples, traces).
 
-    On a multi-class classifier `class_index` names each chain's head: one
-    int for every chain, or one int per chain, so a single call synthesizes
-    for every class. Each step takes every live chain's logit and input
-    gradient from one `_chain_logits` call (it says what its graphs can
-    change) and draws one Langevin noise array for all of them. The loop
-    carries only the live chains; a chain that stops leaves them once,
-    writing back its sample, step count and stop reason. Trace logit paths
-    and final logits are read from one NaN-filled array at the end. A chain
-    whose forward pass (a NaN logit), gradient or update stops being finite
-    is tagged non_finite; the rest go on. After a bad gradient or update it
-    keeps the sample of that step. After a forward overflow at step k >= 1
-    it keeps the sample of step k - 1, the last whose forward pass was
-    finite, with that step's count and logit (at step 0, its start).
+    On a multi-class classifier `class_index` names each chain's head, one
+    int per chain, so a single call synthesizes for every class. Each step
+    takes every live chain's logit and input gradient from one
+    `_chain_logits` call (it says what its graphs can change) and draws one
+    Langevin noise array for all of them. The loop carries only the live
+    chains; a chain that stops leaves them once, writing back its sample,
+    step count and stop reason. Trace logit paths and final logits are read
+    from one NaN-filled array at the end. A chain whose forward pass (a NaN
+    logit), gradient or update stops being finite is tagged non_finite; the
+    rest go on. After a bad gradient or update it keeps the sample of that
+    step. After a forward overflow at step k >= 1 it keeps the sample of
+    step k - 1, the last whose forward pass was finite, with that step's
+    count and logit (at step 0, its start).
 
     Emitted samples are pseudo-negatives by construction: the caller tags
     them with the negative label (or the synthesizing class, multi-class).
@@ -215,11 +215,8 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
     classes = None
     if class_index is not None:
         classes = np.asarray(class_index, dtype=np.intp)
-        if classes.ndim == 0:
-            classes = np.full(count, classes)
         if classes.shape != (count,):
-            raise SamplerError(f"class_index holds {classes.shape} entries, "
-                               f"expected one or {count}")
+            raise SamplerError(f"class_index has shape {classes.shape}, expected ({count},)")
     # early stop at logit >= early_at (option1's logit > 0 is >= the least positive double)
     limit, at_limit = config.max_steps, STOP_MAX
     if config.stopping == "option1":

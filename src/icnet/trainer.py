@@ -53,7 +53,6 @@ class TrainConfig:
     val_fraction: float = 0.1
     patience: int = 3
     seed: int = 0
-    reinit_each_round: bool = False  # False: fine-tune the previous round's net
 
     def __post_init__(self):
         if self.rounds < 0 or self.pseudo_per_round < 0:
@@ -226,20 +225,10 @@ def _val_stats(c, x, y) -> tuple[float, float]:
 # the outer loop
 # ---------------------------------------------------------------------------
 
-def _init_classifier(spec, input_shape, mode, n_classes, config):
-    return N.init_multiclass(spec, input_shape, 1 if mode == "binary" else n_classes,
-                             rng(config.seed, STREAM_INIT))
-
-
 def _snapshot(c):
     # np.copy keeps each array's memory layout; ndarray.copy would make a
     # channel-last kernel C-ordered
     return [np.copy(p) for p in c.all_params()]
-
-
-def with_params(c, params):
-    """A copy of classifier c carrying a copy of the given parameter snapshot."""
-    return N.Classifier(c.spec, params[:-2], params[-2], params[-1])
 
 
 def _default_synthesizer(sampler_config: S.SamplerConfig, input_shape):
@@ -276,13 +265,14 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
 
     n_val = int(round(config.val_fraction * len(ds)))
     if n_val > 0:
-        train_ds, val_ds = D.split_dataset(ds, [len(ds) - n_val], config.seed)
+        train_ds, val_ds = D.split_dataset(ds, len(ds) - n_val, config.seed)
     else:
         train_ds, val_ds = ds, ds.subset([])
     x_s, y_s = train_ds.samples, train_ds.labels
     n_classes = ds.class_count
 
-    c = _init_classifier(spec, input_shape, mode, n_classes, config)
+    c = N.init_multiclass(spec, input_shape, 1 if mode == "binary" else n_classes,
+                          rng(config.seed, STREAM_INIT))
     store = D.PseudoNegativeStore()
     init_losses = _sgd_epochs(c, x_s, y_s, store.samples, store.tags, 0.0,
                               config.learning_rate, config.init_epochs, config,
@@ -308,8 +298,6 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
             classes = np.repeat(np.arange(n_classes), per_class)
             samples, traces = synthesize(c, classes.size, gen, class_index=classes)
             store.add_batch(t, classes, samples)
-        if config.reinit_each_round:
-            c = _init_classifier(spec, input_shape, mode, n_classes, config)
         losses = reclassification_step(c, x_s, y_s, store, config, t,
                                        rng(config.seed, STREAM_EPOCH, t))
         val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
@@ -329,7 +317,9 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
                 stopped_round = t
                 break
 
-    selected = with_params(c, c.all_params() if best_params is None else best_params)
+    # a copy of the final or the best-validation parameters
+    params = c.all_params() if best_params is None else best_params
+    selected = N.Classifier(c.spec, params[:-2], params[-2], params[-1])
     return RunResult(c, selected, metrics, store, stopped_round)
 
 

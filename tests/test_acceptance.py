@@ -229,9 +229,8 @@ def mnist_models(seed, subset_size, rounds, pseudo_per_round):
     key = (seed, subset_size, rounds, pseudo_per_round)
     if key in _mnist_cache:
         return _mnist_cache[key]
-    train_full, test_full = D.load_mnist()
-    train_full = D.normalize(train_full)
-    test_full = D.normalize(test_full)
+    train_full, test_full = (D.normalize(D.load_idx(*D.mnist_files(D.default_mnist_dir(), split)))
+                             for split in ("train", "test"))
     train_ds = D.stratified_subset(train_full, subset_size, seed)
     test_ds = D.stratified_subset(test_full, 2000, seed)
     cfg = TR.TrainConfig(rounds=rounds, pseudo_per_round=pseudo_per_round,

@@ -69,21 +69,28 @@ def zero_reference_sigma(path):
     path.write_text(path.read_text().replace("[sampler]\n", "[sampler]\nreference_sigma = 0\n"))
 
 
-def write_mnist_ini(tmp_path, n=20):
+def write_idx_pair(root, prefix, images):
+    """`prefix`-images and -labels IDX files of (n, 28, 28) uint8 images,
+    labeled 0..9 in turn."""
+    n = len(images)
+    (root / f"{prefix}-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x00000803, n, 28, 28) + images.tobytes())
+    (root / f"{prefix}-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 0x00000801, n) + (np.arange(n) % 10).astype(np.uint8).tobytes())
+
+
+def write_mnist_ini(tmp_path, n=20, **kw):
     """An mnist-subset softmax config over n seeded 28x28 images of the ten
     digits, written as the four MNIST files (big-endian IDX headers, then
-    raw bytes), train and test alike."""
+    raw bytes), train and test alike; `kw` goes to `write_config`."""
     root = tmp_path / "mnist"
     root.mkdir()
     images = rng(60, 6).integers(0, 256, size=(n, 28, 28)).astype(np.uint8)
-    labels = (np.arange(n) % 10).astype(np.uint8)
     for prefix in ("train", "t10k"):
-        (root / f"{prefix}-images-idx3-ubyte").write_bytes(
-            struct.pack(">IIII", 0x00000803, n, 28, 28) + images.tobytes())
-        (root / f"{prefix}-labels-idx1-ubyte").write_bytes(
-            struct.pack(">II", 0x00000801, n) + labels.tobytes())
+        write_idx_pair(root, prefix, images)
     return write_config(tmp_path, name="mnist.ini", task="mnist-subset", mode="softmax",
-                        extra_experiment=f"mnist_dir = {root}\nsubset_size = 10\ntest_subset = 10")
+                        extra_experiment=f"mnist_dir = {root}\nsubset_size = 10\ntest_subset = 10",
+                        **kw)
 
 
 class TestMetricsCsv:
@@ -135,14 +142,14 @@ class TestPgm:
 
     def test_all_zero_sample_is_mid_gray_128(self, tmp_path):
         path = tmp_path / "zero.pgm"
-        C.dump_images(np.zeros((1, 4, 4)), path)
+        C.dump_images(np.zeros((1, 1, 4, 4)), path)
         img = read_pgm(path)
         assert img.shape == (4, 4)
         assert np.all(img == 128)
 
     def test_roundtrip_with_independent_reader(self, tmp_path):
         gen = np.random.default_rng(7)
-        samples = gen.uniform(-1, 1, size=(5, 4, 4))
+        samples = gen.uniform(-1, 1, size=(5, 1, 4, 4))
         path = tmp_path / "grid.pgm"
         C.dump_images(samples, path)
         # independent parse: split the three header fields by hand
@@ -158,17 +165,8 @@ class TestPgm:
         for i in range(5):
             r, c = divmod(i, 3)
             tile = got[r * 4:(r + 1) * 4, c * 4:(c + 1) * 4]
-            assert np.array_equal(tile, pix[i])
+            assert np.array_equal(tile, pix[i, 0])
         assert np.all(got[4:8, 8:12] == 0)  # unfilled cell stays black
-
-    def test_mixed_shapes_rejected(self, tmp_path):
-        with pytest.raises(C.CliError, match="share one shape"):
-            C.dump_images([np.zeros((4, 4)), np.zeros((3, 3))],
-                          tmp_path / "bad.pgm")
-
-    def test_non_image_shape_rejected(self, tmp_path):
-        with pytest.raises(C.CliError, match="image-shaped"):
-            C.dump_images(np.zeros((5, 2)), tmp_path / "bad.pgm")
 
 
 # one non-default legal value per ini key, in the config's field order
@@ -180,7 +178,7 @@ NON_DEFAULT = {
     "train": {"rounds": "2", "pseudo_per_round": "3", "epochs_per_round": "4",
               "init_epochs": "6", "batch_size": "8", "learning_rate": "0.125",
               "lr_drop_round": "3", "momentum": "0.5", "alpha": "0.25",
-              "val_fraction": "0.2", "patience": "5", "reinit_each_round": "on"},
+              "val_fraction": "0.2", "patience": "5"},
     "sampler": {"method": "langevin", "stopping": "option1", "step_size": "0.5",
                 "anneal": "0.5", "max_steps": "9", "confidence_threshold": "0.75",
                 "fixed_steps": "3", "reference_sigma": "0.5"},
@@ -247,23 +245,37 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section, line, match", [
         ("sampler", "method = foo", "unknown method 'foo'"),
-        # a removed key, which config.ini snapshots of older runs still carry
+        # removed keys, which config.ini snapshots of older runs still carry
         ("sampler", "noise = false", "unknown key 'noise' in section"),
+        ("train", "reinit_each_round = False", "unknown key 'reinit_each_round' in section"),
         ("train", "alpha = 2", "alpha must lie in"),
         ("train", "momentum = nan", "momentum must lie in"),
         ("train", "patience = 0", "patience must be at least 1"),
         ("train", "lr_drop_round = -3", "lr_drop_round must be at least 0"),
-        ("experiment", "seed = -1", "experiment.seed must be at least 0")])
+        ("train", "val_fraction = 1.5", "val_fraction must lie in"),
+        ("train", "rounds = -1", "rounds and pseudo_per_round must be nonnegative"),
+        ("experiment", "seed = -1", "experiment.seed must be at least 0"),
+        ("experiment", "task = mnist", "unknown task 'mnist'"),
+        ("experiment", "mode = gan", "unknown mode 'gan'"),
+        ("experiment", "out", "experiment.out is required"),
+        ("experiment", None, "config must have an \\[experiment\\] section")])
     def test_invalid_value_exits_1_naming_the_file(self, tmp_path, capsys, section, line, match):
         path = write_config(tmp_path)
-        # the line replaces the config's own value for its key, if it has one
-        text = re.sub(f"^{line.split(' = ')[0]} = .*\n", "", path.read_text(), flags=re.M)
-        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        text = path.read_text()
+        if line is None:  # the whole section goes
+            text = re.sub(f"^\\[{section}\\]\n(.+\n)*", "", text, flags=re.M)
+        else:
+            # the line replaces the config's own value for its key, if it
+            # has one; a bare key is only deleted
+            text = re.sub(f"^{line.split(' = ')[0]} = .*\n", "", text, flags=re.M)
+            if " = " in line:
+                text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        path.write_text(text)
         with pytest.raises(C.CliError, match=f"^{re.escape(str(path))}: {match}"):
             C.parse_config(path)
         assert C.main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: {match}") and err.count("\n") == 1
+        assert re.match(f"error: {re.escape(str(path))}: {match}", err) and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     def test_missing_file_rejected(self, tmp_path):
@@ -373,19 +385,27 @@ class TestParseConfig:
         # adding a config field means adding its non-default value below
         assert {s: list(keys) for s, keys in NON_DEFAULT.items()} == {
             s: [f.name for f in fields] for s, fields in C._INI_FIELDS.items()}
-        assert sum(map(len, NON_DEFAULT.values())) == 32
+        assert sum(map(len, NON_DEFAULT.values())) == 31
+
+    @staticmethod
+    def sections(tmp_path):
+        """The smallest ini's {section: {key: value}}: a 2D softmax run."""
+        return {"experiment": {"task": "synthetic2d", "mode": "softmax",
+                               "out": str(tmp_path / "run")}, "train": {}, "sampler": {}}
+
+    @staticmethod
+    def parse_sections(path, sections):
+        path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                                for s, kv in sections.items()))
+        return C.parse_config(path)
 
     @pytest.mark.parametrize("section, key", [(s, k) for s, keys in NON_DEFAULT.items()
                                               for k in keys])
     def test_every_key_round_trips(self, tmp_path, section, key):
-        sections = {"experiment": {"task": "synthetic2d", "mode": "softmax",
-                                   "out": str(tmp_path / "run")}, "train": {}, "sampler": {}}
+        sections = self.sections(tmp_path)
 
         def parse(name):
-            path = tmp_path / name
-            path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
-                                    for s, kv in sections.items()))
-            cfg = C.parse_config(path)
+            cfg = self.parse_sections(tmp_path / name, sections)
             return cfg, (cfg if section == "experiment" else getattr(cfg, section))
 
         _, default = parse("default.ini")
@@ -396,17 +416,21 @@ class TestParseConfig:
         snap.write_text(C.config_snapshot_text(cfg))
         assert C.parse_config(snap) == cfg
 
-    @pytest.mark.parametrize("word, value", [("on", True), ("Yes", True), ("1", True),
-                                             ("off", False), ("NO", False), ("0", False),
-                                             ("maybe", None), ("", None)])
-    def test_boolean_words(self, tmp_path, word, value):
-        # before: any word but 1, true or yes read as False
-        path = write_config(tmp_path, extra_train=f"reinit_each_round = {word}")
-        if value is None:
-            with pytest.raises(C.CliError, match="bad value for train.reinit_each_round"):
-                C.parse_config(path)
-        else:
-            assert C.parse_config(path).train.reinit_each_round is value
+    @pytest.mark.parametrize("section, key", [(s, f.name) for s, keys in C._INI_FIELDS.items()
+                                              for f in keys])
+    def test_fuzzed_value_parses_back_or_is_rejected(self, tmp_path, section, key):
+        # every value either makes a config whose snapshot parses back to
+        # it or raises CliError; nothing trains, so no huge value runs
+        for value in ("0", "-1", "1", str(2 ** 31), "1e308", "nan", "inf", "-inf", "", "word"):
+            sections = self.sections(tmp_path)
+            sections[section][key] = value
+            try:
+                cfg = self.parse_sections(tmp_path / "fuzz.ini", sections)
+            except C.CliError:
+                continue
+            snap = tmp_path / "config.ini"
+            snap.write_text(C.config_snapshot_text(cfg))
+            assert C.parse_config(snap) == cfg, value
 
     @pytest.mark.parametrize("raw", ["", "None"])
     def test_unset_fixed_steps(self, tmp_path, raw):
@@ -548,6 +572,21 @@ class TestRunExperiment:
         assert C.main(["train", "--config", str(ini)]) == 1
         assert capsys.readouterr().err == f"error: {images}: no test images\n"
 
+    def test_image_run_dumps_each_rounds_pseudo_negatives(self, tmp_path):
+        # one softmax round on 10 training images: 10 classes x 1 chain
+        # tile a 3 x 4 grid of 28 x 28 cells
+        path = write_mnist_ini(tmp_path, rounds=1, pseudo=1)
+        path.write_text(path.read_text().replace("init_epochs = 6", "init_epochs = 1")
+                        .replace("epochs_per_round = 2", "epochs_per_round = 1")
+                        .replace("fixed_steps = 5", "fixed_steps = 1"))
+        assert C.main(["train", "--config", str(path)]) == 0
+        pgm = tmp_path / "run" / "images" / "pseudo_round_01.pgm"
+        assert pgm.read_bytes().startswith(b"P5\n112 84\n255\n")
+        assert pgm.stat().st_size == len(b"P5\n112 84\n255\n") + 112 * 84
+        assert read_pgm(pgm).shape == (84, 112)
+        assert sorted(p.name for p in (tmp_path / "run" / "images").iterdir()) == [
+            "pseudo_round_01.pgm"]
+
     def test_softmax_mode_on_synthetic(self, tmp_path):
         out = tmp_path / "run"
         cfg = C.parse_config(write_config(tmp_path, mode="softmax", rounds=1))
@@ -580,7 +619,8 @@ class TestLoadTaskData:
                         .replace("test_subset = 10", f"test_subset = {test_subset}"))
         cfg = C.parse_config(path)
         train_ds, test_ds, _, _ = C._load_task_data(cfg)
-        train_full, test_full = map(D.normalize, D.load_mnist(tmp_path / "mnist"))
+        train_full, test_full = (D.normalize(D.load_idx(*D.mnist_files(tmp_path / "mnist", split)))
+                                 for split in ("train", "test"))
         if task == "mnist-subset":
             train_full = D.stratified_subset(train_full, 10, 0)
             if test_subset:
@@ -590,12 +630,13 @@ class TestLoadTaskData:
             assert got.labels.tobytes() == want.labels.tobytes()
             assert got.class_count == want.class_count
 
-    @pytest.mark.parametrize("task, sets", [("mnist-subset", 2.5), ("mnist-full", 3.5)])
+    @pytest.mark.parametrize("task, sets", [("mnist-subset", 0.2), ("mnist-full", 2.2)])
     def test_load_peak_in_float64_sets(self, tmp_path, task, sets):
-        # one float64 set of 2000 images is 2000 x 784 x 8 bytes. On
-        # mnist-subset, normalizing before subsetting peaked at 3 sets (both
-        # raw sets and a normalized one), 2.1 now; on mnist-full, keeping a
-        # raw set while the other is normalized would peak at 4, not 3
+        # one float64 set of 2000 images is 2000 x 784 x 8 bytes, its raw
+        # pixels an eighth of that. mnist-subset keeps 10 rows of each set
+        # and makes only those float64: 0.13 sets. mnist-full holds the
+        # float64 training set while it loads the test set: 2.13 sets.
+        # Converting all pixels on load peaked at 2.1 and 3.1 sets
         path = write_mnist_ini(tmp_path, n=2000)
         path.write_text(path.read_text().replace("mnist-subset", task))
         cfg = C.parse_config(path)
@@ -606,6 +647,47 @@ class TestLoadTaskData:
         finally:
             tracemalloc.stop()
         assert peak < sets * (2000 * 784 * 8)
+
+    def test_test_set_load_peak_is_one_float64_set(self, tmp_path):
+        # 20k training and 5k test images on mnist-full: the test set alone
+        # is loaded, one float64 copy of 5000 x 784 pixels beside their
+        # 3.9 MB of raw bytes. Loading both sets peaked at 282.4 MB
+        root = tmp_path / "mnist"
+        root.mkdir()
+        for prefix, n in (("train", 20000), ("t10k", 5000)):
+            write_idx_pair(root, prefix, rng(27, 6).integers(0, 256, (n, 28, 28), np.uint8))
+        cfg = C.parse_config(write_config(tmp_path, task="mnist-full", mode="softmax",
+                                          extra_experiment=f"mnist_dir = {root}"))
+        tracemalloc.start()
+        try:
+            test_ds, _ = C._load_test_set(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(test_ds) == 5000
+        assert peak < 1.02 * (5000 * 784 * 9)
+
+    def test_adversarial_reads_only_the_test_pair(self, tmp_path, monkeypatch):
+        path = write_mnist_ini(tmp_path)
+        model = tmp_path / "model.bin"
+        N.save_model(model, N.init_multiclass(TestAdversarialFit.CONV, (1, 28, 28), 10,
+                                              rng(27, 1)))
+        read = []
+        real = D.load_idx
+        monkeypatch.setattr(D, "load_idx", lambda *paths: read.append(paths) or real(*paths))
+        assert C.main(["adversarial", "--model-a", str(model), "--model-b", str(model),
+                       "--config", str(path)]) == 0
+        root = tmp_path / "mnist"
+        assert read == [(root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")]
+
+    @pytest.mark.parametrize("key, stem", [("subset_size", "train"), ("test_subset", "t10k")])
+    def test_subset_above_the_file_names_key_and_file(self, tmp_path, capsys, key, stem):
+        path = write_mnist_ini(tmp_path)
+        path.write_text(path.read_text().replace(f"{key} = 10", f"{key} = 30"))
+        assert C.main(["train", "--config", str(path)]) == 1
+        images = tmp_path / "mnist" / f"{stem}-images-idx3-ubyte"
+        assert capsys.readouterr().err == (
+            f"error: experiment.{key} = 30 exceeds the 20 samples of {images}\n")
 
 
 class TestTestError:

@@ -258,16 +258,16 @@ class TestSplits:
     def test_disjoint_and_covering(self):
         ds = D.LabeledDataset(np.arange(20.0).reshape(20, 1),
                               np.zeros(20, dtype=int), 1)
-        parts = D.split_dataset(ds, [12, 5], seed=9)
-        assert [len(p) for p in parts] == [12, 5, 3]
+        parts = D.split_dataset(ds, 12, seed=9)
+        assert [len(p) for p in parts] == [12, 8]
         seen = np.sort(np.concatenate([p.samples[:, 0] for p in parts]))
         np.testing.assert_array_equal(seen, np.arange(20.0))
 
     def test_deterministic_per_seed(self):
         ds = D.LabeledDataset(np.arange(10.0).reshape(10, 1),
                               np.zeros(10, dtype=int), 1)
-        a = D.split_dataset(ds, [6], seed=3)
-        b = D.split_dataset(ds, [6], seed=3)
+        a = D.split_dataset(ds, 6, seed=3)
+        b = D.split_dataset(ds, 6, seed=3)
         assert np.array_equal(a[0].samples, b[0].samples)
 
     def test_stratified_subset_balance(self):
@@ -276,11 +276,6 @@ class TestSplits:
         sub = D.stratified_subset(ds, 50, seed=4)
         counts = np.bincount(sub.labels, minlength=5)
         np.testing.assert_array_equal(counts, [10, 10, 10, 10, 10])
-
-    def test_infeasible_split_rejected(self):
-        ds = D.LabeledDataset(np.zeros((4, 1)), np.zeros(4, dtype=int), 1)
-        with pytest.raises(D.DataError):
-            D.split_dataset(ds, [3, 3], seed=0)
 
 
 class TestStore:

@@ -254,20 +254,20 @@ def test_cli_exits_1_with_one_error_line(tmp_path, capsys, case):
 
 
 TEXT_CASES = ["ini-not-utf8-train", "ini-not-utf8-adversarial", "metrics-cell-abc",
-              "metrics-round-x", "metrics-not-utf8", "fooling-summary-not-utf8"]
+              "metrics-round-x", "metrics-not-utf8", "metrics-empty", "metrics-short-row",
+              "metrics-missing"]
 
 
 @pytest.mark.parametrize("case", TEXT_CASES)
 def test_cli_text_file_exits_1_with_one_error_line(tmp_path, capsys, case):
-    """A config ini, metrics.csv or fooling_summary.txt that cannot be read
-    as what it is: exit 1 and one `error:` line naming the file, with no
-    traceback."""
+    """A config ini or metrics.csv that cannot be read as what it is, or a
+    run directory without metrics.csv: exit 1 and one `error:` line naming
+    the file or directory, with no traceback."""
     ini = tmp_path / "exp.ini"
     ini.write_text(f"[experiment]\ntask = synthetic2d\nmode = binary\nout = {tmp_path / 'run'}\n")
     run = tmp_path / "report"
     run.mkdir()
     C.emit_metrics([C.MetricsRow(round=0, train_loss=0.5, store_size=0)], run / "metrics.csv")
-    (run / "fooling_summary.txt").write_text("a_to_b: 0 of 0\n")
     argv = ["report", "--run", str(run)]
     if case.startswith("ini"):
         bad = ini
@@ -279,14 +279,15 @@ def test_cli_text_file_exits_1_with_one_error_line(tmp_path, capsys, case):
                 N.save_model(path, MODELS["binary"]())
             argv = ["adversarial", "--model-a", str(models[0]), "--model-b", str(models[1]),
                     "--config", str(ini)]
-    elif case.startswith("metrics"):
-        bad = run / "metrics.csv"
-        old, new = {"metrics-cell-abc": (b"0.5", b"abc"), "metrics-round-x": (b"\n0,", b"\nx,"),
-                    "metrics-not-utf8": (b"0.5", b"0.\xff5")}[case]
-        bad.write_bytes(bad.read_bytes().replace(old, new))
+    elif case == "metrics-missing":
+        bad = run
+        (run / "metrics.csv").unlink()
     else:
-        bad = run / "fooling_summary.txt"
-        bad.write_bytes(b"a_to_b: \xff\n")
+        bad = run / "metrics.csv"
+        edits = {"metrics-cell-abc": (b"0.5", b"abc"), "metrics-round-x": (b"\n0,", b"\nx,"),
+                 "metrics-not-utf8": (b"0.5", b"0.\xff5"),
+                 "metrics-short-row": (b",\r\n", b"\r\n")}
+        bad.write_bytes(b"" if case == "metrics-empty" else bad.read_bytes().replace(*edits[case]))
     assert C.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1

@@ -240,7 +240,7 @@ class TestSynthesize:
         c = N.init_multiclass(spec, (2,), 3, rng(18, 1))
         config = S.SamplerConfig(stopping="option3", fixed_steps=10, step_size=0.01)
         samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 6, rng(18, 3), (2,), class_index=2)
+            c, config, 6, rng(18, 3), (2,), class_index=np.full(6, 2))
         logits = N.class_logits(c, samples)[:, 2]
         for t, l in zip(traces, logits):
             assert abs(t.final_logit - l) < 1e-9
@@ -276,7 +276,7 @@ class TestBatchedClasses:
             rows = slice(cls * per_class, (cls + 1) * per_class)
             alone, alone_traces = synthesize_from(
                 init[rows], c, config, per_class, rng(41, 3), (1, 8, 8),
-                class_index=cls)
+                class_index=np.full(per_class, cls))
             np.testing.assert_allclose(batched[rows], alone, rtol=0, atol=1e-12)
             for a, b in zip(traces[rows], alone_traces):
                 assert (a.stop_reason, a.steps) == (b.stop_reason, b.steps)

@@ -274,7 +274,7 @@ class TestPassMatchesTape:
     def test_sgd_steps_match_tape_bitwise(self, spec, shape, k):
         alpha, lr, momentum = (0.1 if k == 1 else 0.3), 0.05, 0.9
         c = N.init_multiclass(spec, shape, k, rng(90, 1))
-        ref = TR.with_params(c, c.all_params())
+        ref = N.Classifier(c.spec, c.feature_params, c.head_w, c.head_b)
         velocity = [np.zeros_like(p) for p in ref.all_params()]
         flat, flat_velocity, grad = TR._pack(c)
         gen = rng(90, 6)
@@ -519,8 +519,7 @@ class TestRunLoop:
         cfg = quick_config(rounds=4, pseudo_per_round=7, val_fraction=0.2)
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
                                                    quick_sampler(), "binary")
-        train_ds, _ = D.split_dataset(ds, [len(ds) - round(0.2 * len(ds))],
-                                      cfg.seed)
+        train_ds, _ = D.split_dataset(ds, len(ds) - round(0.2 * len(ds)), cfg.seed)
         n_neg = int((train_ds.labels == 0).sum())
         t, l = cfg.rounds, cfg.pseudo_per_round
         got = Fraction(len(run.store), n_neg + len(run.store))
