@@ -351,20 +351,6 @@ def _inner_mode(config):
     return "multiclass"
 
 
-def _run_training(config, train_ds, mode, on_round):
-    """The trainer's result, from one call for every mode; each round is
-    reported to `on_round` as it ends. `baseline` trains with no rounds and
-    `icn-noise` synthesizes raw reference draws."""
-    train, synthesize = config.train, None
-    if config.mode == "baseline":
-        train = replace(train, rounds=0)
-    if config.mode == "icn-noise":
-        synthesize = TR.noise_synthesizer(config.sampler, train_ds.samples.shape[1:])
-    spec = SYNTH_NET if config.task == "synthetic2d" else MNIST_NET
-    return TR.run_reclassification_by_synthesis(train_ds, spec, train, config.sampler, mode,
-                                                synthesize, on_round)
-
-
 def _test_error(model, test_ds):
     """The test error, in a function of its own so bench/worker.py can time it."""
     return TR.error_rate(model, test_ds.samples, test_ds.labels)
@@ -428,7 +414,16 @@ def _run_experiment_inner(config, out_dir):
             print(f"warning: round {t}: {bad} of {stops.total()} chains ended "
                   f"{S.STOP_NON_FINITE}", file=sys.stderr)
 
-    result = _run_training(config, train_ds, inner_mode, on_round)
+    # baseline trains no round; icn-noise's chains take no step, so its
+    # pseudo-negatives are the chains' reference draws
+    train, sampler = config.train, config.sampler
+    if config.mode == "baseline":
+        train = replace(train, rounds=0)
+    if config.mode == "icn-noise":
+        sampler = replace(sampler, stopping="option3", fixed_steps=0)
+    spec = SYNTH_NET if config.task == "synthetic2d" else MNIST_NET
+    result = TR.run_reclassification_by_synthesis(train_ds, spec, train, sampler, inner_mode,
+                                                  on_round=on_round)
 
     timings.append(("artifacts", time.perf_counter()))
     N.save_model(out_dir / "model_final.bin", result.selected)

@@ -129,17 +129,19 @@ class SyntheticSpec:
 
 
 class MixtureDensity:
-    """Analytic Gaussian-mixture density over R^2 with fixed weights."""
+    """Analytic Gaussian-mixture density over R^2 with fixed weights; a
+    component of weight 0 adds exactly 0, so it is left out, not taken as log(0)."""
 
     def __init__(self, means, covs, weights):
-        self.means = np.asarray(means, dtype=np.float64)
-        self.covs = np.asarray(covs, dtype=np.float64)
-        self.weights = np.asarray(weights, dtype=np.float64)
-        total = self.weights.sum()
+        weights = np.asarray(weights, dtype=np.float64)
+        total = weights.sum()
         if not (math.isfinite(total) and total > 0):
-            raise DataError(f"mixture weights {self.weights.tolist()} do not sum "
+            raise DataError(f"mixture weights {weights.tolist()} do not sum "
                             "to a positive finite number")
-        self.weights = self.weights / total
+        kept = weights != 0
+        self.means = np.asarray(means, dtype=np.float64)[kept]
+        self.covs = np.asarray(covs, dtype=np.float64)[kept]
+        self.weights = weights[kept] / total
         self._inv = np.stack([np.linalg.inv(c) for c in self.covs])
         dim = self.means.shape[1]
         dets = np.array([np.linalg.det(c) for c in self.covs])

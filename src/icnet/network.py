@@ -211,26 +211,24 @@ def _scattered(shape, index, values) -> Array:
     return out
 
 
-def logit_sum_graph(c: Classifier, x, class_index: int | Array | None = None):
+def logit_sum_graph(c: Classifier, x, classes):
     """A `T.GradPass` for the summed per-sample logit of each sample's head.
 
     Per-sample chains are independent, so the input gradient of the batch sum
-    is exactly the per-sample logit gradient. A multi-class classifier takes
-    `class_index` as one int for every row or one int per row; the full head
-    is evaluated and each row's logit selected by a one-hot seed, so chains
-    of every class share one pass. Returns (pass, seed, logits (n,)), where
-    `T.input_gradient(pass, seed)` is d(sum)/dx.
+    is exactly the per-sample logit gradient. Row i's logit is head column
+    `classes[i]`; a binary classifier's one column 0 takes an all-ones
+    seed. A multi-class head is
+    evaluated whole and each row's logit selected by a one-hot seed, so
+    chains of every class share one pass. Returns (pass, seed, logits (n,)),
+    where `T.input_gradient(pass, seed)` is d(sum)/dx.
     """
-    if class_index is None and not c.binary:
-        raise ValueError("multi-class synthesis needs a class index")
     grad_pass, logits = head_pass(c, x)
     if c.binary:
         return grad_pass, np.ones_like(logits), logits[:, 0]
     rows = np.arange(logits.shape[0])
-    cols = np.broadcast_to(class_index, rows.shape)
     seed = np.zeros_like(logits)
-    seed[rows, cols] = 1.0
-    return grad_pass, seed, logits[rows, cols]
+    seed[rows, classes] = 1.0
+    return grad_pass, seed, logits[rows, classes]
 
 
 # ---------------------------------------------------------------------------

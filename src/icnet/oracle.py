@@ -222,11 +222,11 @@ def exact_synthesizer(prior: GridDensity):
     """Drop-in synthesis source for the trainer that bypasses gradient-based
     chains: each round computes p_t- exactly on the grid and samples it."""
 
-    def synthesize(classifier, count, rng, class_index=None):
-        if class_index is not None:
+    def synthesize(classifier, classes, rng):
+        if not classifier.binary:
             raise OracleError("the grid oracle covers the binary 2D setting only")
         p_t, _ = density_update(prior, classifier)
-        return exact_grid_sample(p_t, count, rng), None
+        return exact_grid_sample(p_t, len(classes), rng), None
 
     return synthesize
 

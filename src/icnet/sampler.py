@@ -132,7 +132,7 @@ def _take(rows, *arrays):
 MAX_GRAPH_ROWS = 256
 
 
-def _chain_logits(classifier, x: Array, classes: Array | None, sweep_below: float):
+def _chain_logits(classifier, x: Array, classes: Array, sweep_below: float):
     """(logits (n,), input gradient like x) of the rows of x in row order,
     from `logit_sum_graph`s over runs of at most MAX_GRAPH_ROWS rows, each
     swept (only if some row's logit is below `sweep_below`; else its gradient
@@ -189,14 +189,13 @@ def logit_threshold(p: float) -> float:
     return float(double(hi))
 
 
-def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
-                                rng: np.random.Generator, input_shape,
-                                class_index: Array | None = None):
-    """Run `count` chains; returns (samples, traces).
+def synthesize_pseudo_negatives(classifier, config: SamplerConfig, classes: Array,
+                                rng: np.random.Generator, input_shape):
+    """Run one chain per entry of `classes`, the head column whose logit
+    the chain ascends (0 on a binary classifier), so a single call
+    synthesizes for every class; returns (samples, traces).
 
-    On a multi-class classifier `class_index` names each chain's head, one
-    int per chain, so a single call synthesizes for every class. Each step
-    takes every live chain's logit and input gradient from one
+    Each step takes every live chain's logit and input gradient from one
     `_chain_logits` call (it says what its graphs can change) and draws one
     Langevin noise array for all of them. The loop carries only the live
     chains; a chain that stops leaves them once, writing back its sample,
@@ -206,17 +205,15 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, count: int,
     rest go on. After a bad gradient or update it keeps the sample of that
     step. After a forward overflow at step k >= 1 it keeps the sample of
     step k - 1, the last whose forward pass was finite, with that step's
-    count and logit (at step 0, its start).
+    count and logit (at step 0, its start). Zero fixed steps return the
+    reference draws themselves.
 
     Emitted samples are pseudo-negatives by construction: the caller tags
     them with the negative label (or the synthesizing class, multi-class).
     """
+    classes = np.asarray(classes, dtype=np.intp)
+    count = len(classes)
     x = draw_reference(count, input_shape, config.reference_sigma, rng)
-    classes = None
-    if class_index is not None:
-        classes = np.asarray(class_index, dtype=np.intp)
-        if classes.shape != (count,):
-            raise SamplerError(f"class_index has shape {classes.shape}, expected ({count},)")
     # early stop at logit >= early_at (option1's logit > 0 is >= the least positive double)
     limit, at_limit = config.max_steps, STOP_MAX
     if config.stopping == "option1":

@@ -8,8 +8,8 @@ over the store), the joint softmax multi-class setting (cross-entropy on S
 weighted 1-alpha, plus alpha times a softplus that pushes the tagged class
 logit down on pseudo-negatives) and a one-vs-all ensemble of independent
 binary members, all through `run_reclassification_by_synthesis`. The plain
-baseline is the loop with no rounds; the noise ablation passes
-`noise_synthesizer`, whose "synthesis" is raw reference draws.
+baseline is the loop with no rounds; the noise ablation is the loop with
+zero-step chains, whose samples are their reference draws.
 
 Determinism: every random decision draws from a stream keyed by
 (seed, stream id, round, ...), so runs with equal configs are bitwise equal.
@@ -232,24 +232,17 @@ def _snapshot(c):
 
 
 def _default_synthesizer(sampler_config: S.SamplerConfig, input_shape):
-    def synthesize(classifier, count, gen, class_index=None):
-        return S.synthesize_pseudo_negatives(classifier, sampler_config, count, gen,
-                                             input_shape, class_index=class_index)
-    return synthesize
-
-
-def noise_synthesizer(sampler_config: S.SamplerConfig, input_shape):
-    """Ablation source: reference draws stand in for synthesis."""
-    def synthesize(classifier, count, gen, class_index=None):
-        return S.draw_reference(count, input_shape,
-                                sampler_config.reference_sigma, gen), None
+    def synthesize(classifier, classes, gen):
+        return S.synthesize_pseudo_negatives(classifier, sampler_config, classes, gen,
+                                             input_shape)
     return synthesize
 
 
 def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mode, synthesize):
     """One run as a generator, which `run_reclassification_by_synthesis`
-    drives: yields (metrics_row, classifier, store) after round 0 and after
-    each round's retrain, before the patience check; returns the RunResult."""
+    drives: yields (metrics_row, classifier, store) after each round's
+    training, before the patience check; returns the RunResult. Round 0
+    trains on S alone; every later round synthesizes, then retrains."""
     if mode not in ("binary", "multiclass"):
         raise TrainerError(f"unknown mode {mode!r}")
     if len(ds) == 0:
@@ -259,47 +252,37 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
         raise TrainerError(f"{mode} mode needs {want}, not {ds.class_count}")
     if np.count_nonzero(np.bincount(ds.labels)) < 2:
         raise TrainerError(f"{mode} mode needs two classes present in the training set")
+    n_val = int(round(config.val_fraction * len(ds)))
+    if n_val >= len(ds):
+        raise TrainerError(f"train.val_fraction = {config.val_fraction} leaves no training "
+                           f"row: {n_val} of the {len(ds)} rows would validate")
     input_shape = ds.samples.shape[1:]
     synthesize = synthesize or _default_synthesizer(sampler_config or S.SamplerConfig(),
                                                     input_shape)
-
-    n_val = int(round(config.val_fraction * len(ds)))
     if n_val > 0:
         train_ds, val_ds = D.split_dataset(ds, len(ds) - n_val, config.seed)
     else:
         train_ds, val_ds = ds, ds.subset([])
     x_s, y_s = train_ds.samples, train_ds.labels
-    n_classes = ds.class_count
 
-    c = N.init_multiclass(spec, input_shape, 1 if mode == "binary" else n_classes,
+    c = N.init_multiclass(spec, input_shape, 1 if mode == "binary" else ds.class_count,
                           rng(config.seed, STREAM_INIT))
     store = D.PseudoNegativeStore()
-    init_losses = _sgd_epochs(c, x_s, y_s, store.samples, store.tags, 0.0,
-                              config.learning_rate, config.init_epochs, config,
-                              rng(config.seed, STREAM_EPOCH, 0))
-    val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
-    metrics = [RoundMetrics(0, init_losses,
-                            init_losses[-1] if init_losses else float("nan"),
-                            val_error, val_loss, 0)]
-    yield metrics[-1], c, store
-    best_params = _snapshot(c) if len(val_ds) else None
-    best_error = val_error
-    rounds_since_best = 0
-    stopped_round = None
-
-    for t in range(1, config.rounds + 1):
-        per_class = config.pseudo_per_round
-        gen = rng(config.seed, STREAM_SYNTH, t)
-        if mode == "binary":
-            samples, traces = synthesize(c, per_class, gen)
-            store.add_batch(t, -1, samples)
+    # each round's chains, pseudo_per_round per head column, in column order
+    classes = np.repeat(np.arange(c.n_classes), config.pseudo_per_round)
+    metrics, best_params, best_error = [], None, math.inf
+    rounds_since_best, stopped_round, traces = 0, None, None  # round 0 runs no chain
+    for t in range(config.rounds + 1):
+        if t == 0:
+            losses = _sgd_epochs(c, x_s, y_s, store.samples, store.tags, 0.0,
+                                 config.learning_rate, config.init_epochs, config,
+                                 rng(config.seed, STREAM_EPOCH, 0))
         else:
-            # every class's chains in one call, per_class rows each, in class order
-            classes = np.repeat(np.arange(n_classes), per_class)
-            samples, traces = synthesize(c, classes.size, gen, class_index=classes)
-            store.add_batch(t, classes, samples)
-        losses = reclassification_step(c, x_s, y_s, store, config, t,
-                                       rng(config.seed, STREAM_EPOCH, t))
+            samples, traces = synthesize(c, classes, rng(config.seed, STREAM_SYNTH, t))
+            # a binary head's pseudo-negatives carry the negative tag
+            store.add_batch(t, -1 if c.binary else classes, samples)
+            losses = reclassification_step(c, x_s, y_s, store, config, t,
+                                           rng(config.seed, STREAM_EPOCH, t))
         val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)
         metrics.append(RoundMetrics(t, losses, losses[-1] if losses else float("nan"),
                                     val_error, val_loss, len(store),
@@ -356,8 +339,10 @@ def run_reclassification_by_synthesis(ds: D.LabeledDataset, spec,
                                       synthesize=None, on_round=None) -> RunResult:
     """The one training entry point: an initial classifier on S, then
     `rounds` rounds of synthesize / augment / retrain with validation-based
-    early stopping; `rounds = 0` is the plain baseline. `synthesize`
-    replaces the sampler, e.g. by `noise_synthesizer`.
+    early stopping; `rounds = 0` is the plain baseline. `synthesize(
+    classifier, classes, gen)`, if given, replaces the sampler: it returns
+    (samples, traces or None), one sample per entry of `classes`, each
+    the head column its chain ascends (0 on a binary classifier).
 
     `mode` is "binary", "multiclass" or "one-vs-all": K binary members,
     class k versus the rest, merged by argmax and trained round-major. Its

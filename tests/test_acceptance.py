@@ -165,7 +165,7 @@ def test_criterion_04_sampler_contract():
     landing_fracs = []
     for key, model in (("round0", c0), ("round4", icn_run.classifier)):
         samples, traces = S.synthesize_pseudo_negatives(
-            model, scfg, 200, rng(0, 3, 0 if key == "round0" else 1), (2,))
+            model, scfg, np.zeros(200, int), rng(0, 3, 0 if key == "round0" else 1), (2,))
         probs = T.sigmoid_value(N.logit_binary(model, samples))
         for i, tr in enumerate(traces):
             if tr.stop_reason == S.STOP_THRESHOLD:

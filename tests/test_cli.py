@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from icnet import robustness as R
 from icnet import sampler as S
 from icnet import tensor as T
 from icnet import trainer as TR
-from icnet.seeding import rng
+from icnet.seeding import STREAM_SYNTH, rng
 
 from helpers import read_pgm
 
@@ -394,10 +395,14 @@ class TestParseConfig:
                                "out": str(tmp_path / "run")}, "train": {}, "sampler": {}}
 
     @staticmethod
-    def parse_sections(path, sections):
+    def write_sections(path, sections):
         path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                                 for s, kv in sections.items()))
-        return C.parse_config(path)
+        return path
+
+    @classmethod
+    def parse_sections(cls, path, sections):
+        return C.parse_config(cls.write_sections(path, sections))
 
     @pytest.mark.parametrize("section, key", [(s, k) for s, keys in NON_DEFAULT.items()
                                               for k in keys])
@@ -431,6 +436,40 @@ class TestParseConfig:
             snap = tmp_path / "config.ini"
             snap.write_text(C.config_snapshot_text(cfg))
             assert C.parse_config(snap) == cfg, value
+
+    @pytest.mark.parametrize("section, key", [(s, f.name) for s, keys in C._INI_FIELDS.items()
+                                              for f in keys if f.name != "out"])
+    def test_fuzzed_value_runs_or_fails_in_one_line(self, tmp_path, capsys, section, key):
+        # the same values through `icnet train` on a tiny run, in every
+        # mode: each exits 0, or 1 with one `error:` line, and none warns;
+        # a run that fails midway records an exception of the program's own
+        # (2**31 and 1e308 stay parse-only: no huge value runs)
+        own = {name for module, m in sys.modules.items() if module.startswith("icnet")
+               for name, obj in vars(m).items()
+               if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module}
+        out, path, failures = tmp_path / "run", tmp_path / "fuzz.ini", []
+        for mode in C.MODES:
+            for value in ("0", "-1", "1", "2", "0.5", "0.99", "nan", "inf", "-inf", "", "word"):
+                sections = {
+                    "experiment": {"task": "synthetic2d", "mode": mode, "out": out,
+                                   "n_positive": 3, "n_negative": 3, "test_positive": 3,
+                                   "test_negative": 3, "grid_resolution": 4},
+                    "train": {"rounds": 1, "pseudo_per_round": 2}, "sampler": {"max_steps": 2}}
+                sections[section][key] = value
+                self.write_sections(path, sections)
+                shutil.rmtree(out, ignore_errors=True)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    status = C.main(["train", "--config", str(path)])
+                err = capsys.readouterr().err
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                record = out / "error.txt"
+                raised = record.read_text().split(":")[0] if record.exists() else None
+                if ((status, len(errors)) not in ((0, 0), (1, 1)) or caught
+                        or raised not in own | {None}):
+                    failures.append((mode, value, status, errors, raised,
+                                     [str(w.message) for w in caught]))
+        assert failures == []
 
     @pytest.mark.parametrize("raw", ["", "None"])
     def test_unset_fixed_steps(self, tmp_path, raw):
@@ -530,6 +569,51 @@ class TestRunExperiment:
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "model_final.bin").read_bytes() == (b / "model_final.bin").read_bytes()
         assert (a / "store_final.bin").read_bytes() == (b / "store_final.bin").read_bytes()
+
+    def test_icn_noise_rounds_store_their_reference_draws(self, tmp_path, capsys):
+        # icn-noise is zero-step chains: a round's rows are the reference
+        # draws of its synthesis stream, bit for bit, and every chain stops
+        # at its fixed step count
+        path = write_config(tmp_path, mode="icn-noise", rounds=2, pseudo=4)
+        assert C.main(["train", "--config", str(path)]) == 0
+        cfg = C.parse_config(path)
+        for t in (1, 2):
+            store = D.load_store(tmp_path / "run" / "checkpoints" / f"store_round_{t:02d}.bin")
+            want = S.draw_reference(4, (2,), cfg.sampler.reference_sigma,
+                                    rng(cfg.seed, STREAM_SYNTH, t))
+            assert store.samples.tobytes() == want.tobytes()
+        lines = capsys.readouterr().err.splitlines()
+        assert [re.findall(r"stops [^ ]+ \d+", line) for line in lines] == [
+            [], ["stops fixed_steps 4"], ["stops fixed_steps 4"]]
+
+    @staticmethod
+    def two_row_config(tmp_path, **edits):
+        """The test config on one positive and one negative training row,
+        with each key = value line of `edits` swapped in."""
+        path = write_config(tmp_path)
+        text = path.read_text().replace("n_positive = 16", "n_positive = 1")
+        text = text.replace("n_negative = 12", "n_negative = 1")
+        for key, value in edits.items():
+            text = re.sub(f"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path.write_text(text)
+        return path
+
+    def test_validation_split_of_every_row_exits_1_naming_the_key(self, tmp_path, capsys):
+        # before: the run ended in "float division by zero", naming no key
+        path = self.two_row_config(tmp_path, val_fraction=0.75)
+        assert C.main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: train.val_fraction = 0.75")
+        assert "2 of the 2 rows" in err
+        assert (tmp_path / "run" / "error.txt").read_text().startswith("TrainerError")
+        assert not (tmp_path / "run" / "metrics.csv").exists()  # no round trained
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_positive_trains_without_warning(self, tmp_path):
+        # one positive leaves the second positive component weight 0; its
+        # density took log(0) and warned before the first round
+        path = self.two_row_config(tmp_path, val_fraction=0, rounds=1)
+        assert C.main(["train", "--config", str(path)]) == 0
 
     def test_midrun_failure_leaves_error_record(self, tmp_path):
         empty = tmp_path / "nodata"

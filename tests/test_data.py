@@ -103,6 +103,22 @@ class TestSynthetic2D:
                 want[i] += wgt * math.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(det))
         np.testing.assert_allclose(np.exp(density.log_pdf(pts)), want, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weight_component_adds_nothing(self):
+        # n_positive = 1 leaves a positive component weight 0: the density
+        # is that of the mixture without it, bit for bit, and takes no log(0)
+        means = ((-0.6, 0.0), (0.0, 1.0), (0.6, 0.0))
+        covs = (((0.09, 0.01), (0.01, 0.09)), ((1.0, 0.0), (0.0, 1.0)),
+                ((0.04, 0.0), (0.0, 0.16)))
+        pts = rng(7, 6).standard_normal((50, 2))
+        got = D.MixtureDensity(means, covs, (0.3, 0.0, 0.7)).log_pdf(pts)
+        want = D.MixtureDensity(means[::2], covs[::2], (0.3, 0.7)).log_pdf(pts)
+        assert got.tobytes() == want.tobytes()
+        spec = D.default_benchmark_spec(1, 5)
+        alone = D.MixtureDensity(spec.positive_means[:1], spec.positive_covs[:1], (1.0,))
+        assert (D.positive_density(spec).log_pdf(pts).tobytes()
+                == alone.log_pdf(pts).tobytes())
+
     def test_benchmark_counts_and_labels(self):
         spec = D.default_benchmark_spec(201, 99)
         ds, density = D.gen_synthetic_2d(spec, rng(4, 6)), D.positive_density(spec)

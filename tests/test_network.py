@@ -179,7 +179,7 @@ class TestLogitSumGraph:
         feats = T.feature_stack(record, c.spec, p_nodes[:-2], x_node)
         logits = record.select(record.affine(feats, p_nodes[-2], p_nodes[-1]), classes)
         want_grad = T.input_gradient(record, record.sum(logits))
-        grad_pass, seed, got = N.logit_sum_graph(c, x, None if k == 1 else classes)
+        grad_pass, seed, got = N.logit_sum_graph(c, x, classes)
         assert got.tobytes() == logits.value.tobytes()
         grad = T.input_gradient(grad_pass, seed)
         assert grad.shape == x.shape and grad.tobytes() == want_grad.tobytes()
@@ -192,37 +192,32 @@ class TestLogitSumGraph:
         c.feature_params[0] *= 1e300  # finite; the products are not
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(T.NonFiniteError, match=f"produced by {op}$"):
-            N.logit_sum_graph(c, 1e10 * x)
+            N.logit_sum_graph(c, 1e10 * x, np.zeros(len(x), dtype=int))
 
     def test_binary_seed_is_ones_and_logits_match(self):
         c = make_binary(30)
         x = rng(30, 6).standard_normal((6, 2))
-        _, seed, logits = N.logit_sum_graph(c, x)
+        _, seed, logits = N.logit_sum_graph(c, x, np.zeros(6, dtype=int))
         np.testing.assert_array_equal(seed, np.ones((6, 1)))
         np.testing.assert_allclose(logits, N.logit_binary(c, x), rtol=1e-13)
 
     def test_multiclass_column_selection(self):
         c = make_multiclass(32)
         x = rng(32, 6).standard_normal((4, 2))
-        _, _, logits = N.logit_sum_graph(c, x, class_index=1)
+        _, _, logits = N.logit_sum_graph(c, x, np.full(4, 1))
         np.testing.assert_allclose(logits, N.class_logits(c, x)[:, 1], rtol=1e-13)
-
-    def test_missing_class_index_rejected(self):
-        c = make_multiclass(33)
-        with pytest.raises(ValueError):
-            N.logit_sum_graph(c, np.zeros((1, 2)))
 
     def test_multiclass_per_row_class_index(self):
         c = make_multiclass(34)
         x = rng(34, 6).standard_normal((5, 2))
         classes = np.array([2, 0, 1, 0, 2])
-        grad_pass, seed, logits = N.logit_sum_graph(c, x, class_index=classes)
+        grad_pass, seed, logits = N.logit_sum_graph(c, x, classes)
         np.testing.assert_allclose(logits, N.class_logits(c, x)[np.arange(5), classes],
                                    rtol=1e-13)
         # each row's input gradient is that row's own head's gradient alone
         grad = T.input_gradient(grad_pass, seed)
         for j, cls in enumerate(classes):
-            r1, s1, _ = N.logit_sum_graph(c, x[j:j + 1], class_index=int(cls))
+            r1, s1, _ = N.logit_sum_graph(c, x[j:j + 1], classes[j:j + 1])
             np.testing.assert_allclose(grad[j:j + 1], T.input_gradient(r1, s1),
                                        rtol=0, atol=1e-13)
 
@@ -348,7 +343,7 @@ class TestFinitenessChecks:
         c = N.init_binary(C.SYNTH_NET, (2,), rng(40, 1))
         scanned.clear()  # the checks at init are not the sampler's
         config = S.SamplerConfig(stopping="option2", max_steps=20, step_size=0.5)
-        _, traces = S.synthesize_pseudo_negatives(c, config, 8, rng(40, 3), (2,))
+        _, traces = S.synthesize_pseudo_negatives(c, config, np.zeros(8, int), rng(40, 3), (2,))
         assert max(t.steps for t in traces) > 1
         assert scanned  # op outputs were checked
         assert not {id(p) for p in c.all_params()} & set(scanned)
@@ -357,7 +352,7 @@ class TestFinitenessChecks:
         c = N.init_multiclass(C.MNIST_NET, (1, 28, 28), 10, rng(41, 1))
         x = rng(41, 6).standard_normal((2, 1, 28, 28))
         scanned.clear()  # the checks at init are not the graph's
-        N.logit_sum_graph(c, x, class_index=3)
+        N.logit_sum_graph(c, x, np.full(2, 3))
         assert id(x) in scanned
         assert not {id(p) for p in c.all_params()} & set(scanned)
 
@@ -377,7 +372,7 @@ class TestFinitenessChecks:
         c = make_binary(42)
         x = np.array([[0.5, np.nan]])
         with pytest.raises(T.NonFiniteError):
-            N.logit_sum_graph(c, x)
+            N.logit_sum_graph(c, x, np.zeros(1, dtype=int))
         with pytest.raises(T.NonFiniteError):
             N.head_pass(c, x)
 

@@ -140,7 +140,7 @@ class TestConfigValidation:
     def test_zero_steps_and_zero_sigma_allowed(self):
         config = S.SamplerConfig(max_steps=0, reference_sigma=0.0, confidence_threshold=0.99)
         samples, traces = S.synthesize_pseudo_negatives(
-            peaked_classifier(), config, 2, rng(46, 3), (2,))
+            peaked_classifier(), config, np.zeros(2, int), rng(46, 3), (2,))
         np.testing.assert_array_equal(samples, np.zeros((2, 2)))
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_MAX, 0)] * 2
 
@@ -154,7 +154,7 @@ class TestSynthesize:
                                  fixed_steps=20, step_size=0.05)
         init = S.draw_reference(8, 2, 0.3, rng(10, 3))
         samples, traces = synthesize_from(
-            init, c, config, 8, ZeroNormal(), (2,))
+            init, c, config, np.zeros(8, int), ZeroNormal(), (2,))
         np.testing.assert_array_equal(samples, init)
         assert all(t.steps == 20 and t.stop_reason == S.STOP_FIXED for t in traces)
 
@@ -163,7 +163,7 @@ class TestSynthesize:
         config = S.SamplerConfig(stopping="option2", confidence_threshold=0.95,
                                  max_steps=200)
         samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 40, rng(12, 3), (2,))
+            c, config, np.zeros(40, int), rng(12, 3), (2,))
         stopped = [t for t in traces if t.stop_reason == S.STOP_THRESHOLD]
         assert stopped, "no chain reached the threshold"
         for t in stopped:
@@ -187,14 +187,14 @@ class TestSynthesize:
         config = S.SamplerConfig(stopping="option2", confidence_threshold=0.77, max_steps=3)
         S.logit_threshold.cache_clear()
         for seed in (14, 15):
-            S.synthesize_pseudo_negatives(c, config, 4, rng(seed, 3), (2,))
+            S.synthesize_pseudo_negatives(c, config, np.zeros(4, int), rng(seed, 3), (2,))
         info = S.logit_threshold.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_option1_stops_once_positive(self):
         c = peaked_classifier(peak_logit=1.5, slope_scale=1.0)
         config = S.SamplerConfig(stopping="option1", max_steps=300)
-        _, traces = S.synthesize_pseudo_negatives(c, config, 30, rng(13, 3), (2,))
+        _, traces = S.synthesize_pseudo_negatives(c, config, np.zeros(30, int), rng(13, 3), (2,))
         for t in traces:
             if t.stop_reason == S.STOP_POSITIVE:
                 assert t.final_logit > 0.0
@@ -205,7 +205,7 @@ class TestSynthesize:
         config = S.SamplerConfig(stopping="option2", confidence_threshold=0.95,
                                  max_steps=15)
         samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 10, rng(14, 3), (2,))
+            c, config, np.zeros(10, int), rng(14, 3), (2,))
         assert samples.shape == (10, 2)
         assert all(t.stop_reason == S.STOP_MAX and t.steps == 15 for t in traces)
 
@@ -217,7 +217,7 @@ class TestSynthesize:
                          np.array([[0.7], [-0.4], [0.2]]), np.zeros(1))
         config = S.SamplerConfig(method="plain-gradient", stopping="option3",
                                  fixed_steps=50, step_size=1e-3)
-        _, traces = S.synthesize_pseudo_negatives(c, config, 10, rng(15, 3), (2,))
+        _, traces = S.synthesize_pseudo_negatives(c, config, np.zeros(10, int), rng(15, 3), (2,))
         for t in traces:
             assert np.all(np.diff(t.logit_path) >= -1e-12)
 
@@ -225,14 +225,14 @@ class TestSynthesize:
         c = peaked_classifier()
         config = S.SamplerConfig(method="langevin", stopping="option3",
                                  fixed_steps=30, step_size=0.02)
-        a, _ = S.synthesize_pseudo_negatives(c, config, 12, rng(16, 3), (2,))
-        b, _ = S.synthesize_pseudo_negatives(c, config, 12, rng(16, 3), (2,))
+        a, _ = S.synthesize_pseudo_negatives(c, config, np.zeros(12, int), rng(16, 3), (2,))
+        b, _ = S.synthesize_pseudo_negatives(c, config, np.zeros(12, int), rng(16, 3), (2,))
         assert np.array_equal(a, b)
 
     def test_step_counts_respect_max(self):
         c = peaked_classifier()
         config = S.SamplerConfig(stopping="option2", max_steps=25)
-        _, traces = S.synthesize_pseudo_negatives(c, config, 20, rng(17, 3), (2,))
+        _, traces = S.synthesize_pseudo_negatives(c, config, np.zeros(20, int), rng(17, 3), (2,))
         assert all(t.steps <= 25 for t in traces)
 
     def test_multiclass_head_selection(self):
@@ -240,7 +240,7 @@ class TestSynthesize:
         c = N.init_multiclass(spec, (2,), 3, rng(18, 1))
         config = S.SamplerConfig(stopping="option3", fixed_steps=10, step_size=0.01)
         samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 6, rng(18, 3), (2,), class_index=np.full(6, 2))
+            c, config, np.full(6, 2), rng(18, 3), (2,))
         logits = N.class_logits(c, samples)[:, 2]
         for t, l in zip(traces, logits):
             assert abs(t.final_logit - l) < 1e-9
@@ -251,7 +251,7 @@ class TestSynthesize:
         p_t, _ = O.density_update(prior, c)
         config = S.SamplerConfig(method="plain-gradient", stopping="option2",
                                  confidence_threshold=0.95, max_steps=300)
-        samples, _ = S.synthesize_pseudo_negatives(c, config, 100, rng(19, 3), (2,))
+        samples, _ = S.synthesize_pseudo_negatives(c, config, np.zeros(100, int), rng(19, 3), (2,))
         masses = cell_mass_at(p_t, samples)
         median = np.median(p_t.mass)
         assert (masses > median).mean() >= 0.9
@@ -270,13 +270,11 @@ class TestBatchedClasses:
                                  step_size=0.05, **kw)
         init = S.draw_reference(k * per_class, (1, 8, 8), 0.3, rng(40, 3))
         batched, traces = synthesize_from(
-            init, c, config, k * per_class, rng(41, 3), (1, 8, 8),
-            class_index=np.repeat(np.arange(k), per_class))
+            init, c, config, np.repeat(np.arange(k), per_class), rng(41, 3), (1, 8, 8))
         for cls in range(k):
             rows = slice(cls * per_class, (cls + 1) * per_class)
             alone, alone_traces = synthesize_from(
-                init[rows], c, config, per_class, rng(41, 3), (1, 8, 8),
-                class_index=np.full(per_class, cls))
+                init[rows], c, config, np.full(per_class, cls), rng(41, 3), (1, 8, 8))
             np.testing.assert_allclose(batched[rows], alone, rtol=0, atol=1e-12)
             for a, b in zip(traces[rows], alone_traces):
                 assert (a.stop_reason, a.steps) == (b.stop_reason, b.steps)
@@ -299,8 +297,7 @@ class TestBatchedClasses:
         classes = np.arange(20) % 3
 
         def run():
-            return S.synthesize_pseudo_negatives(c, config, 20, rng(43, 3), (2,),
-                                                 class_index=classes)
+            return S.synthesize_pseudo_negatives(c, config, classes, rng(43, 3), (2,))
 
         lifted, lifted_traces = run()
         monkeypatch.setattr(S, "MAX_GRAPH_ROWS", 3)
@@ -315,15 +312,15 @@ class TestBatchedClasses:
         sizes = []
         graph = N.logit_sum_graph
 
-        def spy(c, x, class_index=None):
+        def spy(c, x, classes):
             sizes.append(len(x))
-            return graph(c, x, class_index)
+            return graph(c, x, classes)
 
         monkeypatch.setattr(N, "logit_sum_graph", spy)
         monkeypatch.setattr(S, "MAX_GRAPH_ROWS", 3)
         c = N.init_binary([T.dense(2, 8), T.leaky()], (2,), rng(48, 1))
         config = S.SamplerConfig(stopping="option3", fixed_steps=0, max_steps=0)
-        _, traces = S.synthesize_pseudo_negatives(c, config, 7, rng(48, 3), (2,))
+        _, traces = S.synthesize_pseudo_negatives(c, config, np.zeros(7, int), rng(48, 3), (2,))
         assert sizes == [3, 3, 1]
         assert [t.stop_reason for t in traces] == [S.STOP_FIXED] * 7
 
@@ -332,7 +329,7 @@ class TestBatchedClasses:
         config = S.SamplerConfig(stopping="option3", fixed_steps=5, max_steps=5)
         classes = np.array([2, 0, 1, 1, 0, 2])
         samples, traces = S.synthesize_pseudo_negatives(
-            c, config, 6, rng(44, 3), (2,), class_index=classes)
+            c, config, classes, rng(44, 3), (2,))
         want = N.class_logits(c, samples)[np.arange(6), classes]
         np.testing.assert_allclose([t.final_logit for t in traces], want, rtol=1e-12)
 
@@ -349,13 +346,13 @@ class TestBatchedClasses:
         init = S.draw_reference(24, (2,), 1.5, rng(47, 3))
         init[7] = 1e308
         samples, traces = synthesize_from(
-            init, c, config, 24, rng(47, 4), (2,))
+            init, c, config, np.zeros(24, int), rng(47, 4), (2,))
         assert (traces[7].stop_reason, traces[7].steps) == (S.STOP_NON_FINITE, 0)
         stopped_at = [t.steps for t in traces if t.stop_reason == S.STOP_THRESHOLD]
         assert len(set(stopped_at)) > 10 and max(stopped_at) - min(stopped_at) > 40
         for j in range(24):
             alone, (trace,) = synthesize_from(
-                init[j:j + 1], c, config, 1, rng(47, 4), (2,))
+                init[j:j + 1], c, config, np.zeros(1, int), rng(47, 4), (2,))
             np.testing.assert_allclose(samples[j], alone[0], rtol=0, atol=1e-12)
             t = traces[j]
             assert (t.stop_reason, t.steps) == (trace.stop_reason, trace.steps)
@@ -370,20 +367,20 @@ class TestBatchedClasses:
         c = N.init_multiclass([T.dense(2, 8), T.leaky(), T.dense(8, 8), T.leaky()],
                               (2,), k, rng(22951, 1))
         x = S.draw_reference(n, (2,), 0.5, rng(22951, 3))
-        classes = None if k == 1 else np.arange(n) % k
+        classes = np.arange(n) % k
         seen = []
         graph = N.logit_sum_graph
 
-        def spy(c, run_x, class_index=None):
+        def spy(c, run_x, classes):
             seen.append(run_x is x)
-            return graph(c, run_x, class_index)
+            return graph(c, run_x, classes)
 
         monkeypatch.setattr(N, "logit_sum_graph", spy)
         logits, grad = S._chain_logits(c, x, classes, math.inf)
         assert seen == [True]
         rows = np.arange(n)
         copy_pass, copy_seed, copy_logits = graph(
-            c, x[rows], None if classes is None else classes[rows])
+            c, x[rows], classes[rows])
         assert logits.tobytes() == copy_logits.tobytes()
         assert grad.tobytes() == T.input_gradient(copy_pass, copy_seed).tobytes()
 
@@ -393,18 +390,18 @@ class TestBatchedClasses:
         c = peaked_classifier()
         x = np.array([[3.0, 0.0]] * 3 + [[0.0, 0.1], [0.1, 0.0], [0.0, 0.0]] + [[0.0, 3.0]])
         monkeypatch.setattr(S, "MAX_GRAPH_ROWS", 3)
-        all_logits, all_grad = S._chain_logits(c, x, None, math.inf)
+        all_logits, all_grad = S._chain_logits(c, x, np.zeros(7, int), math.inf)
         swept = []
         gradient = T.input_gradient
         monkeypatch.setattr(T, "input_gradient",
                             lambda p, seed: swept.append(len(seed)) or gradient(p, seed))
-        logits, grad = S._chain_logits(c, x, None, 3.0)
+        logits, grad = S._chain_logits(c, x, np.zeros(7, int), 3.0)
         assert swept == [3, 1]
         assert logits.tobytes() == all_logits.tobytes()
         assert np.all(logits[3:6] >= 3.0) and np.all(grad[3:6] == 0.0)
         assert grad[[0, 1, 2, 6]].tobytes() == all_grad[[0, 1, 2, 6]].tobytes()
         # the limit step's bound: no run is swept
-        logits, grad = S._chain_logits(c, x, None, -math.inf)
+        logits, grad = S._chain_logits(c, x, np.zeros(7, int), -math.inf)
         assert swept == [3, 1] and logits.tobytes() == all_logits.tobytes()
         assert not grad.any()
 
@@ -414,9 +411,9 @@ class TestBatchedClasses:
         passes, alive = [], []
         graph = N.logit_sum_graph
 
-        def spy(c, x, class_index=None):
+        def spy(c, x, classes):
             alive.append([ref() is not None for ref in passes])
-            out = graph(c, x, class_index)
+            out = graph(c, x, classes)
             passes.append(weakref.ref(out[0]))
             return out
 
@@ -424,15 +421,9 @@ class TestBatchedClasses:
         monkeypatch.setattr(S, "MAX_GRAPH_ROWS", 3)
         c = N.init_binary([T.dense(2, 8), T.leaky()], (2,), rng(23931, 1))
         config = S.SamplerConfig(stopping="option3", fixed_steps=2, max_steps=2)
-        _, traces = S.synthesize_pseudo_negatives(c, config, 7, rng(23931, 3), (2,))
+        _, traces = S.synthesize_pseudo_negatives(c, config, np.zeros(7, int), rng(23931, 3), (2,))
         assert [t.stop_reason for t in traces] == [S.STOP_FIXED] * 7
         assert alive == [[False] * i for i in range(9)]
-
-    def test_class_index_length_checked(self):
-        c = N.init_multiclass([T.dense(2, 8), T.leaky()], (2,), 3, rng(45, 1))
-        with pytest.raises(S.SamplerError, match="class_index"):
-            S.synthesize_pseudo_negatives(c, S.SamplerConfig(), 4, rng(45, 3), (2,),
-                                          class_index=np.array([0, 1, 2]))
 
 
 class TestNonFiniteChains:
@@ -444,7 +435,7 @@ class TestNonFiniteChains:
         init = np.array([[0.1, 0.2], [1e305, 1e305], [0.3, -0.1]])
         config = S.SamplerConfig(stopping="option3", fixed_steps=5, max_steps=5)
         samples, traces = synthesize_from(
-            init, c, config, 3, rng(50, 3), (2,))
+            init, c, config, np.zeros(3, int), rng(50, 3), (2,))
         assert (traces[1].stop_reason, traces[1].steps) == (S.STOP_NON_FINITE, 0)
         np.testing.assert_array_equal(samples[1], init[1])
         for j in (0, 2):
@@ -452,7 +443,7 @@ class TestNonFiniteChains:
             assert not np.array_equal(samples[j], init[j])
         # the healthy chains ran exactly as they would have without the bad one
         alone, _ = synthesize_from(
-            init[[0, 2]], c, config, 2, rng(50, 3), (2,))
+            init[[0, 2]], c, config, np.zeros(2, int), rng(50, 3), (2,))
         np.testing.assert_allclose(samples[[0, 2]], alone, rtol=0, atol=1e-12)
 
     def test_adam_overflow_is_tagged_not_frozen(self):
@@ -463,7 +454,7 @@ class TestNonFiniteChains:
         config = S.SamplerConfig(method="plain-gradient", stopping="option2",
                                  max_steps=5)
         samples, traces = synthesize_from(
-            init, c, config, 2, rng(51, 3), (2,))
+            init, c, config, np.zeros(2, int), rng(51, 3), (2,))
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
         np.testing.assert_array_equal(samples, init)
 
@@ -487,14 +478,14 @@ class TestNonFiniteChains:
         config = S.SamplerConfig(stopping="option3", fixed_steps=2, max_steps=2,
                                  step_size=1e308, anneal=1.0)
         samples, traces = synthesize_from(
-            init, c, config, 2, rng(24032, 3), (2,))
+            init, c, config, np.zeros(2, int), rng(24032, 3), (2,))
         assert [(t.stop_reason, t.steps) for t in traces] == \
             [(S.STOP_NON_FINITE, 1), (S.STOP_FIXED, 2)]
         assert T.all_finite(samples) and samples[1, 0] > 1e307
         # the pre-update sample: where the chain stands after step 0
         config.fixed_steps = config.max_steps = 1
         before, _ = synthesize_from(
-            init[:1], c, config, 1, rng(24032, 3), (2,))
+            init[:1], c, config, np.zeros(1, int), rng(24032, 3), (2,))
         assert samples[0].tobytes() == before[0].tobytes()
 
     def test_update_overflow_in_every_conv_chain_ends_the_loop(self):
@@ -506,7 +497,7 @@ class TestNonFiniteChains:
         config = S.SamplerConfig(method="plain-gradient", stopping="option2",
                                  max_steps=5)
         samples, traces = synthesize_from(
-            init, c, config, 2, rng(52, 4), (1, 4, 4))
+            init, c, config, np.zeros(2, int), rng(52, 4), (1, 4, 4))
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
         np.testing.assert_array_equal(samples, init)
 
@@ -517,7 +508,7 @@ class TestNonFiniteChains:
         init = np.full((2, 2), 1.5e308)
         config = S.SamplerConfig(stopping="option2", max_steps=5)
         samples, traces = synthesize_from(
-            init, c, config, 2, rng(53, 3), (2,))
+            init, c, config, np.zeros(2, int), rng(53, 3), (2,))
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_THRESHOLD, 0)] * 2
         assert [t.final_logit for t in traces] == [1.5e308] * 2
         np.testing.assert_array_equal(samples, init)
@@ -530,10 +521,10 @@ class TestNonFiniteChains:
         init = np.array([[1.5e308, 0.0], [1.5e308, 0.0], [0.1, 0.2]])
         config = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=3)
         samples, traces = synthesize_from(
-            init, c, config, 3, rng(54, 3), (2,))
+            init, c, config, np.zeros(3, int), rng(54, 3), (2,))
         assert all(t.stop_reason == S.STOP_FIXED for t in traces)
         alone, _ = synthesize_from(
-            init[2:], c, config, 1, rng(54, 3), (2,))
+            init[2:], c, config, np.zeros(1, int), rng(54, 3), (2,))
         np.testing.assert_array_equal(samples[2], alone[0])
 
     def test_overflow_no_logit_reads_tags_only_that_chain(self):
@@ -556,20 +547,20 @@ class TestNonFiniteChains:
         assert T.all_finite(second.reshape(3, -1) @ c.head_w + c.head_b)
         config = S.SamplerConfig(stopping="option3", fixed_steps=3, max_steps=3)
         samples, traces = synthesize_from(
-            init, c, config, 3, rng(57, 4), (1, 15, 15))
+            init, c, config, np.zeros(3, int), rng(57, 4), (1, 15, 15))
         assert [(t.stop_reason, t.steps) for t in traces] == \
             [(S.STOP_FIXED, 3), (S.STOP_NON_FINITE, 0), (S.STOP_FIXED, 3)]
         np.testing.assert_array_equal(samples[1], init[1])
         alone, _ = synthesize_from(
-            init[[0, 2]], c, config, 2, rng(57, 4), (1, 15, 15))
+            init[[0, 2]], c, config, np.zeros(2, int), rng(57, 4), (1, 15, 15))
         np.testing.assert_allclose(samples[[0, 2]], alone, rtol=0, atol=1e-12)
 
     def test_nan_parameter_tags_every_chain(self):
         c = N.init_binary([T.dense(2, 4), T.leaky()], (2,), rng(55, 1))
         c.feature_params[0][0, 0] = np.nan
         init = np.array([[0.1, 0.2], [0.3, -0.1], [-0.5, 0.4]])
-        samples, traces = synthesize_from(
-            init, c, S.SamplerConfig(stopping="option2", max_steps=5), 3, rng(55, 3), (2,))
+        samples, traces = synthesize_from(init, c, S.SamplerConfig(stopping="option2", max_steps=5),
+                                          np.zeros(3, int), rng(55, 3), (2,))
         assert [(t.stop_reason, t.steps, t.logit_path.size) for t in traces] == \
             [(S.STOP_NON_FINITE, 0, 0)] * 3
         np.testing.assert_array_equal(samples, init)
@@ -585,7 +576,7 @@ class TestNonFiniteChains:
         config = S.SamplerConfig(stopping="option3", fixed_steps=12, max_steps=12,
                                  step_size=2.0, anneal=1.0)
         samples, traces = synthesize_from(
-            init, c, config, 2, rng(56, 3), (2,))
+            init, c, config, np.zeros(2, int), rng(56, 3), (2,))
         assert [(t.stop_reason, t.steps, t.logit_path.shape) for t in traces] == \
             [(S.STOP_NON_FINITE, 8, (9,)), (S.STOP_FIXED, 12, (13,))]
         for t, start in zip(traces, (0.0, -17.0)):
@@ -608,7 +599,7 @@ class TestNonFiniteChains:
         def run(fixed_steps):
             config = S.SamplerConfig(method=method, stopping="option3", fixed_steps=fixed_steps,
                                      max_steps=30, step_size=2.0, anneal=1.0)
-            return synthesize_from(init, c, config, 2, rng(25201, 3), (2,))
+            return synthesize_from(init, c, config, np.zeros(2, int), rng(25201, 3), (2,))
 
         samples, traces = run(30)
         assert traces[0].stop_reason == S.STOP_NON_FINITE and traces[0].steps >= 1
@@ -631,7 +622,7 @@ class TestNonFiniteChains:
         config = S.SamplerConfig(stopping=stopping, fixed_steps=limit, max_steps=limit,
                                  step_size=2.0, anneal=1.0)
         samples, traces = synthesize_from(
-            init, c, config, 2, rng(23932, 3), (2,))
+            init, c, config, np.zeros(2, int), rng(23932, 3), (2,))
         # at step k >= 1 the first chain ends at step k - 1, at step 0 where it began
         back = max(limit - 1, 0)
         assert [(t.stop_reason, t.steps, t.logit_path.size) for t in traces] == \

@@ -35,8 +35,9 @@ def quick_sampler(**kw):
 
 
 def noise_draws(scfg):
-    """The noise ablation's synthesizer: raw reference draws on 2D inputs."""
-    return TR.noise_synthesizer(scfg, (2,))
+    """The noise ablation's sampler: zero-step chains, whose samples are
+    their reference draws."""
+    return replace(scfg, stopping="option3", fixed_steps=0)
 
 
 def benchmark(seed, n_pos=24, n_neg=24):
@@ -501,8 +502,8 @@ class TestRunLoop:
         ds = benchmark(32)
         captured = {}
 
-        def spying_synthesize(c, count, gen, class_index=None):
-            samples = S.draw_reference(count, (2,), 0.3, gen)
+        def spying_synthesize(c, classes, gen):
+            samples = S.draw_reference(len(classes), (2,), 0.3, gen)
             round_t = len(captured) + 1
             captured[round_t] = samples.copy()
             return samples, None
@@ -606,19 +607,28 @@ class TestRunLoop:
         ds = D.LabeledDataset(gen.standard_normal((30, 2)), np.repeat(np.arange(3), 10), 3)
         calls = []
 
-        def spying_synthesize(c, count, gen, class_index=None):
-            calls.append((count, np.array(class_index)))
-            return np.arange(count, dtype=float)[:, None] * np.ones((1, 2)), None
+        def spying_synthesize(c, classes, gen):
+            calls.append(np.array(classes))
+            return np.arange(len(classes), dtype=float)[:, None] * np.ones((1, 2)), None
 
         cfg = quick_config(rounds=2, pseudo_per_round=4, val_fraction=0.0)
         run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, None, "multiclass",
                                                    synthesize=spying_synthesize)
         assert len(calls) == 2
-        for count, classes in calls:
-            assert count == 12
+        for classes in calls:
             np.testing.assert_array_equal(classes, np.repeat(np.arange(3), 4))
         # the store gets l rows per class, in class order, from the one batch
         np.testing.assert_array_equal(run.store.tags, run.store.samples[:, 0] // 4)
+        # a binary classifier's chains all name its one head column, 0, and
+        # its pseudo-negatives carry the negative tag
+        calls.clear()
+        binary = D.LabeledDataset(ds.samples, ds.labels == 0, 2)
+        run = TR.run_reclassification_by_synthesis(binary, SPEC_2D, cfg, None, "binary",
+                                                   synthesize=spying_synthesize)
+        assert len(calls) == 2
+        for classes in calls:
+            np.testing.assert_array_equal(classes, np.zeros(4, dtype=int))
+        np.testing.assert_array_equal(run.store.tags, np.full(8, -1))
 
 
 def directional_config(seed):
@@ -659,7 +669,7 @@ class TestDirectional2D:
     def test_icn_at_least_matches_noise_ablation_over_5_seeds(self):
         icn, noise = self.paired_runs(
             lambda ds, cfg, scfg: TR.run_reclassification_by_synthesis(
-                ds, SPEC_2D, cfg, scfg, "binary", noise_draws(scfg)))
+                ds, SPEC_2D, cfg, noise_draws(scfg), "binary"))
         assert icn >= noise - 1e-12
 
 
@@ -667,19 +677,19 @@ class TestNoiseAblation:
     def test_store_bookkeeping_matches_icn(self):
         ds = benchmark(40)
         cfg = quick_config(rounds=3, pseudo_per_round=6)
-        run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, quick_sampler(), "binary",
-                                                   noise_draws(quick_sampler()))
+        run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg,
+                                                   noise_draws(quick_sampler()), "binary")
         assert len(run.store) == 18
 
     def test_sigma_zero_gives_zero_vectors(self):
         ds = benchmark(41)
         cfg = quick_config(rounds=2, pseudo_per_round=4)
         scfg = quick_sampler(reference_sigma=0.0)
-        run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, scfg, "binary",
-                                                   noise_draws(scfg))
+        run = TR.run_reclassification_by_synthesis(ds, SPEC_2D, cfg, noise_draws(scfg),
+                                                   "binary")
         assert np.array_equal(run.store.samples, np.zeros((8, 2)))
-        # no chain ran, so no round counts a stop reason
-        assert [m.stop_reasons for m in run.metrics] == [{}] * 3
+        # every chain stops at step 0, its fixed step count
+        assert [m.stop_reasons for m in run.metrics] == [{}] + [{S.STOP_FIXED: 4}] * 2
 
 
 class TestOneVsAll:
