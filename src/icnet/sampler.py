@@ -8,8 +8,11 @@ chain stops when its sample first looks positive (option1), first clears a
 confidence threshold (option2), or after a fixed step count (option3);
 chains that never meet an early-stop criterion are kept and tagged rather
 than discarded. Each step evaluates the live chains one bounded graph at a
-time; a forward overflow reads as a NaN logit and is tagged like a bad
-gradient or an update that leaves a row non-finite.
+time. The forward pass is a chain's only finiteness verdict: an overflow
+in it, or a non-finite sample fed to it, reads as a NaN logit and tags the
+chain non_finite. So a bad gradient or update at step k is tagged at step
+k + 1 and keeps step k's sample; under langevin the chain still took its
+share of step k's noise draw.
 """
 
 import functools
@@ -77,48 +80,40 @@ class SamplerConfig:
 class SynthesisTrace:
     steps: int
     final_logit: float
-    final_confidence: float
     stop_reason: str
     logit_path: Array = field(repr=False, default=None)
 
 
 def draw_reference(count: int, dims, sigma: float, rng: np.random.Generator) -> Array:
-    """i.i.d. zero-mean Gaussian draws, std sigma per coordinate."""
+    """`count` i.i.d. zero-mean Gaussian draws of shape `dims`, std sigma per coordinate."""
     if count < 1:
         raise SamplerError("need at least one draw")
-    shape = (count,) + ((dims,) if isinstance(dims, int) else tuple(dims))
-    return sigma * rng.standard_normal(shape)
+    return sigma * rng.standard_normal((count, *dims))
 
 
 def _step(x, g, m, v, k, config: SamplerConfig, rng: np.random.Generator):
     """One update of the live chains at step k, at the annealed step size:
-    (samples, Adam moments, the arrays whose rows decide which chains
-    stayed finite). plain-gradient takes an Adam-style ascent step; as
-    grad*grad can overflow, which would freeze a chain at step size 0, v_hat
-    joins the new sample in the verdict. langevin adds (eps/2) * g and one
-    N(0, eps) draw per coordinate from `rng`, and carries no moments (None).
-    Either rule's sample is then clamped to config.clamp.
+    (samples, Adam moments). plain-gradient takes an Adam-style ascent step;
+    as grad*grad can overflow, which would freeze a chain at step size 0,
+    the sample is NaN wherever v_hat is not finite. langevin adds
+    (eps/2) * g and one N(0, eps) draw per coordinate from `rng`, and
+    carries no moments (None). Either rule's sample is then clamped to
+    config.clamp.
     """
     eps = config.step_size * config.anneal ** k
     if config.method == "langevin":
         out = x + (eps / 2.0) * g + np.sqrt(eps) * rng.standard_normal(x.shape)
-        checked = ()
     else:
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1 ** (k + 1))
         v_hat = v / (1 - ADAM_BETA2 ** (k + 1))
         out = x + eps * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        checked = (v_hat,)
+        if not T.all_finite(v_hat):
+            out[~np.isfinite(v_hat)] = np.nan
     if config.clamp is not None:
         out = np.clip(out, config.clamp[0], config.clamp[1])
-    return out, m, v, checked + (out,)
-
-
-def _finite_rows(*arrays: Array) -> Array:
-    """Per-row mask: True where every value of the row is finite in every array."""
-    return np.logical_and.reduce([np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
-                                  for a in arrays])
+    return out, m, v
 
 
 def _take(rows, *arrays):
@@ -200,13 +195,13 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, classes: Arra
     Langevin noise array for all of them. The loop carries only the live
     chains; a chain that stops leaves them once, writing back its sample,
     step count and stop reason. Trace logit paths and final logits are read
-    from one NaN-filled array at the end. A chain whose forward pass (a NaN
-    logit), gradient or update stops being finite is tagged non_finite; the
-    rest go on. After a bad gradient or update it keeps the sample of that
-    step. After a forward overflow at step k >= 1 it keeps the sample of
-    step k - 1, the last whose forward pass was finite, with that step's
-    count and logit (at step 0, its start). Zero fixed steps return the
-    reference draws themselves.
+    from one NaN-filled array at the end. A chain whose forward pass
+    overflows at step k (a NaN logit) is tagged non_finite; the rest go on.
+    It keeps the sample of step k - 1, the last whose forward pass was
+    finite, with that step's count and logit (at step 0, its start). A bad
+    gradient or update at step k leaves a non-finite sample, whose forward
+    pass at step k + 1 overflows, so that chain keeps the sample of step k.
+    Zero fixed steps return the reference draws themselves.
 
     Emitted samples are pseudo-negatives by construction: the caller tags
     them with the negative label (or the synthesizing class, multi-class).
@@ -245,47 +240,33 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, classes: Arra
             x[j], steps[j], reasons[j] = (live_x if samples is None else samples)[rows], k, reason
         return n
 
-    # overflow is detected and tagged per row below, so numpy need not warn
+    # an update that overflows is tagged at the next step's forward pass,
+    # so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(limit + 1):
-            if not ids.size:  # the update tagged every live chain
-                break
             # a run whose every chain stops here, or any run at the limit step, goes unswept
             logits, g = _chain_logits(classifier, live_x, live_classes,
                                       early_at if k < limit else -math.inf)
             paths[k, ids] = logits
-            leaving = early = logits >= early_at  # False for a NaN logit
+            early, overflowed = logits >= early_at, np.isnan(logits)  # disjoint
             left = stop(early, k, early_reason)
-            # a forward overflow (a NaN logit) writes back the step before's
-            # sample, the last whose forward pass was finite
-            if k == limit:  # no gradient: a NaN logit, neither >= nor <, marks an overflow
+            # a forward overflow writes back the step before's sample, the
+            # last whose forward pass was finite
+            left += stop(overflowed, max(k - 1, 0), STOP_NON_FINITE, prev_x)
+            if k == limit:
                 stop(logits < early_at, k, at_limit)
-                stop(np.isnan(logits), max(k - 1, 0), STOP_NON_FINITE, prev_x)
                 break
-            # a forward overflow's NaN gradient row fails here with a bad gradient's
-            if not T.all_finite(g):
-                failed = ~(early | _finite_rows(g))
-                overflowed = np.isnan(logits)
-                left += stop(failed & ~overflowed, k, STOP_NON_FINITE)
-                left += stop(overflowed, max(k - 1, 0), STOP_NON_FINITE, prev_x)
-                leaving = early | failed
             if left:  # some chain stopped: gather the others
                 if left == ids.size:
                     break
                 ids, prev_x, live_x, live_m, live_v, live_classes, g = _take(
-                    ~leaving, ids, prev_x, live_x, live_m, live_v, live_classes, g)
-            new_x, new_m, new_v, checked = _step(live_x, g, live_m, live_v, k, config, rng)
-            if not all(map(T.all_finite, checked)):
-                ok = _finite_rows(*checked)
-                stop(~ok, k, STOP_NON_FINITE)
-                ids, live_x, new_x, new_m, new_v, live_classes = _take(
-                    ok, ids, live_x, new_x, new_m, new_v, live_classes)
-            prev_x, live_x, live_m, live_v = live_x, new_x, new_m, new_v
+                    ~(early | overflowed), ids, prev_x, live_x, live_m, live_v, live_classes, g)
+            prev_x = live_x
+            live_x, live_m, live_v = _step(prev_x, g, live_m, live_v, k, config, rng)
 
     final_logits = paths[steps, np.arange(count)]
     path_ends = steps + ~np.isnan(final_logits)
-    confidences = T.sigmoid_value(final_logits)
-    traces = [SynthesisTrace(int(steps[j]), float(final_logits[j]),
-                             float(confidences[j]), reasons[j], paths[:path_ends[j], j].copy())
+    traces = [SynthesisTrace(int(steps[j]), float(final_logits[j]), reasons[j],
+                             paths[:path_ends[j], j].copy())
               for j in range(count)]
     return x, traces

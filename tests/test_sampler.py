@@ -36,11 +36,11 @@ def peaked_classifier(peak_logit=3.5, slope_scale=2.0) -> N.Classifier:
 
 class TestDrawReference:
     def test_zero_sigma_gives_zeros(self):
-        out = S.draw_reference(10, 2, 0.0, rng(0, 3))
+        out = S.draw_reference(10, (2,), 0.0, rng(0, 3))
         np.testing.assert_array_equal(out, np.zeros((10, 2)))
 
     def test_moments_at_scale(self):
-        out = S.draw_reference(100_000, 2, 0.3, rng(1, 3))
+        out = S.draw_reference(100_000, (2,), 0.3, rng(1, 3))
         assert abs(out.mean()) < 0.01
         assert abs(out.std() - 0.3) < 0.01
 
@@ -79,9 +79,9 @@ class TestLangevinStep:
     def test_noise_off_is_half_eps_gradient(self):
         x = rng(4, 3).standard_normal((4, 2))
         g = rng(4, 3).standard_normal((4, 2))
-        out, m, v, checked = S._step(x, g, None, None, 0, langevin(), ZeroNormal())
+        out, m, v = S._step(x, g, None, None, 0, langevin(), ZeroNormal())
         np.testing.assert_allclose(out, x + 0.05 * g, rtol=1e-15)
-        assert m is None and v is None and len(checked) == 1 and checked[0] is out
+        assert m is None and v is None
 
     def test_noise_variance_matches_eps(self):
         eps = 0.04
@@ -152,7 +152,7 @@ class TestSynthesize:
         c.head_b[...] = 0.0
         config = S.SamplerConfig(method="langevin", stopping="option3",
                                  fixed_steps=20, step_size=0.05)
-        init = S.draw_reference(8, 2, 0.3, rng(10, 3))
+        init = S.draw_reference(8, (2,), 0.3, rng(10, 3))
         samples, traces = synthesize_from(
             init, c, config, np.zeros(8, int), ZeroNormal(), (2,))
         np.testing.assert_array_equal(samples, init)
@@ -167,7 +167,7 @@ class TestSynthesize:
         stopped = [t for t in traces if t.stop_reason == S.STOP_THRESHOLD]
         assert stopped, "no chain reached the threshold"
         for t in stopped:
-            assert t.final_confidence >= 0.95
+            assert T.sigmoid_value(t.final_logit) >= 0.95
         # confidences recomputed from the classifier agree with the traces
         probs = T.sigmoid_value(N.logit_binary(c, samples))
         for t, p in zip(traces, probs):
@@ -458,15 +458,60 @@ class TestNonFiniteChains:
         assert [(t.stop_reason, t.steps) for t in traces] == [(S.STOP_NON_FINITE, 0)] * 2
         np.testing.assert_array_equal(samples, init)
 
-    def test_adam_verdict_covers_the_sample(self):
-        # row 0's sample overflows while its v_hat stays finite
-        x = np.array([[1e308], [0.0]])
+    def test_adam_step_leaves_every_overflow_non_finite(self):
+        # row 0's sample overflows while its v_hat stays finite; row 1's
+        # grad*grad overflows, which would freeze it at step size 0, so its
+        # sample is NaN; the other rows take the Adam formula as written
+        x = np.array([[1e308], [0.0], [0.0], [0.3]])
+        g = np.array([[1.0], [1e160], [1.0], [-0.25]])
         config = S.SamplerConfig(step_size=1e308)
-        with np.errstate(over="ignore"):
-            out, _, _, checked = S._step(x, np.ones_like(x), np.zeros_like(x),
-                                         np.zeros_like(x), 0, config, None)
-        assert not T.all_finite(out[0]) and T.all_finite(checked[0])
-        np.testing.assert_array_equal(S._finite_rows(*checked), [False, True])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, m, v = S._step(x, g, np.zeros_like(x), np.zeros_like(x), 0, config, None)
+        assert not T.all_finite(out[0]) and np.isnan(out[1]).all()
+        m_want = S.ADAM_BETA1 * 0.0 + (1 - S.ADAM_BETA1) * g[2:]
+        v_want = S.ADAM_BETA2 * 0.0 + (1 - S.ADAM_BETA2) * g[2:] * g[2:]
+        want = x[2:] + 1e308 * (m_want / (1 - S.ADAM_BETA1)) / (
+            np.sqrt(v_want / (1 - S.ADAM_BETA2)) + S.ADAM_EPS)
+        assert out[2:].tobytes() == want.tobytes()
+        assert m[2:].tobytes() == m_want.tobytes() and v[2:].tobytes() == v_want.tobytes()
+
+    @pytest.mark.parametrize("method", ["plain-gradient", "langevin"])
+    def test_non_finite_gradient_keeps_the_sample_of_its_step(self, method, monkeypatch):
+        # chain 1's gradient row turns NaN at step 2 while its logit stays
+        # finite: it ends non_finite at step 2 with the sample a run cut at
+        # fixed_steps = 2 ends it with
+        c = N.init_binary([T.dense(2, 8), T.leaky()], (2,), rng(29201, 1))
+        init = S.draw_reference(3, (2,), 0.5, rng(29201, 2))
+        chain_logits, calls = S._chain_logits, []
+
+        def nan_at_step_2(classifier, x, classes, sweep_below):
+            logits, g = chain_logits(classifier, x, classes, sweep_below)
+            calls.append(len(x))
+            if len(calls) == 3:  # step 2: the three chains' one call
+                g = g.copy()
+                g[1] = np.nan
+            return logits, g
+
+        def run(init, fixed_steps):
+            config = S.SamplerConfig(method=method, stopping="option3",
+                                     fixed_steps=fixed_steps, max_steps=6)
+            return synthesize_from(init, c, config, np.zeros(len(init), int),
+                                   rng(29201, 3), (2,))
+
+        cut, cut_traces = run(init, 2)
+        monkeypatch.setattr(S, "_chain_logits", nan_at_step_2)
+        samples, traces = run(init, 6)
+        monkeypatch.undo()
+        assert calls[:3] == [3, 3, 3]
+        assert [(t.stop_reason, t.steps) for t in traces] == \
+            [(S.STOP_FIXED, 6), (S.STOP_NON_FINITE, 2), (S.STOP_FIXED, 6)]
+        assert samples[1].tobytes() == cut[1].tobytes()
+        assert traces[1].final_logit == traces[1].logit_path[-1] == cut_traces[1].final_logit
+        assert T.all_finite(samples)
+        if method == "plain-gradient":
+            # the other chains ran as they would have without chain 1
+            alone, _ = run(init[[0, 2]], 6)
+            np.testing.assert_allclose(samples[[0, 2]], alone, rtol=0, atol=1e-12)
 
     def test_overflowing_sample_keeps_its_pre_update_value(self):
         # logit x0, gradient (1, 0), and a step of about 1e308 per step:
