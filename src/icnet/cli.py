@@ -467,6 +467,8 @@ def cmd_oracle_verify(args):
     for flag, low in (("pairs", 1), ("resolution", 2), ("seed", 0)):
         if getattr(args, flag) < low:
             raise CliError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
+    if not 0 < args.tolerance < np.inf:  # NaN too
+        raise CliError(f"--tolerance must be finite and above 0, got {args.tolerance}")
     res = (args.resolution, args.resolution)
     prior = O.reference_grid(resolution=res)
     p_plus_density = D.positive_density(D.default_benchmark_spec())

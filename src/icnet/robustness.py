@@ -48,8 +48,8 @@ def fgsm_perturb(model, x, true_label, epsilon, clamp):
     the model's clean prediction for each row, read off the logits of the
     attack's own forward pass)."""
     x = np.asarray(x, dtype=np.float64)
-    if not epsilon >= 0:  # NaN too
-        raise RobustnessError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < np.inf:  # NaN too
+        raise RobustnessError(f"epsilon must be >= 0 and finite, got {epsilon}")
     labels = np.atleast_1d(np.asarray(true_label))
     if labels.shape[0] != x.shape[0]:
         raise RobustnessError(

@@ -10,9 +10,9 @@ chains that never meet an early-stop criterion are kept and tagged rather
 than discarded. Each step evaluates the live chains one bounded graph at a
 time. The forward pass is a chain's only finiteness verdict: an overflow
 in it, or a non-finite sample fed to it, reads as a NaN logit and tags the
-chain non_finite. So a bad gradient or update at step k is tagged at step
-k + 1 and keeps step k's sample; under langevin the chain still took its
-share of step k's noise draw.
+chain non_finite, and a chain so tagged at any step ends at its reference
+draw. Under langevin a chain whose gradient or update went bad still took
+its share of that step's noise draw.
 """
 
 import functools
@@ -196,12 +196,11 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, classes: Arra
     chains; a chain that stops leaves them once, writing back its sample,
     step count and stop reason. Trace logit paths and final logits are read
     from one NaN-filled array at the end. A chain whose forward pass
-    overflows at step k (a NaN logit) is tagged non_finite; the rest go on.
-    It keeps the sample of step k - 1, the last whose forward pass was
-    finite, with that step's count and logit (at step 0, its start). A bad
-    gradient or update at step k leaves a non-finite sample, whose forward
-    pass at step k + 1 overflows, so that chain keeps the sample of step k.
-    Zero fixed steps return the reference draws themselves.
+    overflows at any step (a NaN logit; a bad gradient or update leaves a
+    non-finite sample, whose next forward pass overflows) is tagged
+    non_finite with step count 0, and the rest go on. It ends at its
+    reference draw, with step 0's logit (NaN if that pass overflowed). Zero
+    fixed steps return the reference draws themselves.
 
     Emitted samples are pseudo-negatives by construction: the caller tags
     them with the negative label (or the synthesizing class, multi-class).
@@ -220,24 +219,26 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, classes: Arra
         limit, at_limit = config.fixed_steps, STOP_FIXED
     steps = np.zeros(count, dtype=int)
     reasons = np.full(count, "", dtype=object)
-    # chain j's logit at step k is paths[k, j]; a chain whose forward pass
-    # overflows leaves NaN at that step, one past its trace's last
+    # chain j's logit at step k is paths[k, j], NaN where its forward pass
+    # overflowed; a non_finite chain's trace reads step 0's alone
     paths = np.full((limit + 1, count), np.nan)
-    # the live chains, in chain-id order: ids, samples, the samples of the
-    # step before (a forward overflow hands those back), Adam moments (None
-    # for langevin) and classes; x receives a chain's sample only when the
+    # the live chains, in chain-id order: ids, samples, Adam moments (None
+    # for langevin) and classes; x holds a chain's reference draw until the
     # chain stops
-    ids, prev_x, live_x, live_classes = np.arange(count), x, x, classes
+    ids, live_x, live_classes = np.arange(count), x, classes
     live_m, live_v = ((None, None) if config.method == "langevin"
                       else (np.zeros_like(x), np.zeros_like(x)))
 
-    def stop(rows, k, reason, samples=None):
+    def stop(rows, k, reason):
         """Retire the live rows of mask `rows` at step k, writing back their
-        rows of `samples` (default live_x), step and reason; returns their count."""
+        step, reason and (past step 0, where live_x is x) sample; returns
+        their count."""
         n = np.count_nonzero(rows)
         if n:  # most calls retire no chain: skip their empty scatters
             j = ids[rows]
-            x[j], steps[j], reasons[j] = (live_x if samples is None else samples)[rows], k, reason
+            steps[j], reasons[j] = k, reason
+            if k:
+                x[j] = live_x[rows]
         return n
 
     # an update that overflows is tagged at the next step's forward pass,
@@ -249,20 +250,17 @@ def synthesize_pseudo_negatives(classifier, config: SamplerConfig, classes: Arra
                                       early_at if k < limit else -math.inf)
             paths[k, ids] = logits
             early, overflowed = logits >= early_at, np.isnan(logits)  # disjoint
-            left = stop(early, k, early_reason)
-            # a forward overflow writes back the step before's sample, the
-            # last whose forward pass was finite
-            left += stop(overflowed, max(k - 1, 0), STOP_NON_FINITE, prev_x)
+            # a forward overflow ends the chain at step 0, its reference draw
+            left = stop(early, k, early_reason) + stop(overflowed, 0, STOP_NON_FINITE)
             if k == limit:
                 stop(logits < early_at, k, at_limit)
                 break
             if left:  # some chain stopped: gather the others
                 if left == ids.size:
                     break
-                ids, prev_x, live_x, live_m, live_v, live_classes, g = _take(
-                    ~(early | overflowed), ids, prev_x, live_x, live_m, live_v, live_classes, g)
-            prev_x = live_x
-            live_x, live_m, live_v = _step(prev_x, g, live_m, live_v, k, config, rng)
+                ids, live_x, live_m, live_v, live_classes, g = _take(
+                    ~(early | overflowed), ids, live_x, live_m, live_v, live_classes, g)
+            live_x, live_m, live_v = _step(live_x, g, live_m, live_v, k, config, rng)
 
     final_logits = paths[steps, np.arange(count)]
     path_ends = steps + ~np.isnan(final_logits)

@@ -1125,14 +1125,24 @@ assert "numpy.ma" not in sys.modules, "numpy.ma imported"
         (["oracle-verify", "--pairs", "0"], "--pairs must be at least 1"),
         (["oracle-verify", "--resolution", "1"], "--resolution must be at least 2"),
         (["adversarial", "--eps", "-1"], "epsilon must be >= 0"),
-        (["adversarial", "--eps", "nan"], "epsilon must be >= 0")],
-        ids=["seed", "pairs", "resolution", "eps", "eps-nan"])
-    def test_out_of_range_flag_exits_1_with_one_error_line(self, runs_2d, capsys, argv, match):
-        # before: each ended in a traceback
+        (["adversarial", "--eps", "nan"], "epsilon must be >= 0"),
+        (["adversarial", "--eps", "inf"], "epsilon must be >= 0 and finite, got inf"),
+        (["oracle-verify", "--tolerance", "inf"], "--tolerance must be finite and above 0, got inf"),
+        (["oracle-verify", "--tolerance", "nan"], "--tolerance must be finite and above 0, got nan"),
+        (["oracle-verify", "--tolerance", "0"], "--tolerance must be finite and above 0, got 0.0"),
+        (["oracle-verify", "--tolerance", "-1"], "--tolerance must be finite and above 0, got -1.0")],
+        ids=["seed", "pairs", "resolution", "eps", "eps-nan", "eps-inf", "tolerance-inf",
+             "tolerance-nan", "tolerance-0", "tolerance-negative"])
+    def test_out_of_range_flag_exits_1_with_one_error_line(self, runs_2d, capsys, monkeypatch,
+                                                           argv, match):
+        # before: each ended in a traceback, --eps inf in an error naming
+        # neither flag nor value, and --tolerance inf passed any gap
         if argv[0] == "adversarial":
             ini, run_dir = runs_2d["binary"]
             model = str(run_dir / "model_final.bin")
             argv = argv + ["--model-a", model, "--model-b", model, "--config", str(ini)]
+        else:  # no oracle pair is drawn
+            monkeypatch.setattr(C, "rng", None)
         assert C.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -476,10 +476,10 @@ class TestNonFiniteChains:
         assert m[2:].tobytes() == m_want.tobytes() and v[2:].tobytes() == v_want.tobytes()
 
     @pytest.mark.parametrize("method", ["plain-gradient", "langevin"])
-    def test_non_finite_gradient_keeps_the_sample_of_its_step(self, method, monkeypatch):
+    def test_nan_gradient_ends_at_its_reference_draw(self, method, monkeypatch):
         # chain 1's gradient row turns NaN at step 2 while its logit stays
-        # finite: it ends non_finite at step 2 with the sample a run cut at
-        # fixed_steps = 2 ends it with
+        # finite: its step-3 forward pass reads NaN, and it ends non_finite
+        # at step 0, where a run of zero fixed steps ends it
         c = N.init_binary([T.dense(2, 8), T.leaky()], (2,), rng(29201, 1))
         init = S.draw_reference(3, (2,), 0.5, rng(29201, 2))
         chain_logits, calls = S._chain_logits, []
@@ -498,25 +498,27 @@ class TestNonFiniteChains:
             return synthesize_from(init, c, config, np.zeros(len(init), int),
                                    rng(29201, 3), (2,))
 
-        cut, cut_traces = run(init, 2)
+        _, start_traces = run(init, 0)
         monkeypatch.setattr(S, "_chain_logits", nan_at_step_2)
         samples, traces = run(init, 6)
         monkeypatch.undo()
         assert calls[:3] == [3, 3, 3]
         assert [(t.stop_reason, t.steps) for t in traces] == \
-            [(S.STOP_FIXED, 6), (S.STOP_NON_FINITE, 2), (S.STOP_FIXED, 6)]
-        assert samples[1].tobytes() == cut[1].tobytes()
-        assert traces[1].final_logit == traces[1].logit_path[-1] == cut_traces[1].final_logit
+            [(S.STOP_FIXED, 6), (S.STOP_NON_FINITE, 0), (S.STOP_FIXED, 6)]
+        assert samples[1].tobytes() == init[1].tobytes()
+        assert traces[1].logit_path.tolist() == [traces[1].final_logit] == \
+            [start_traces[1].final_logit]
         assert T.all_finite(samples)
         if method == "plain-gradient":
             # the other chains ran as they would have without chain 1
             alone, _ = run(init[[0, 2]], 6)
             np.testing.assert_allclose(samples[[0, 2]], alone, rtol=0, atol=1e-12)
 
-    def test_overflowing_sample_keeps_its_pre_update_value(self):
+    def test_overflowing_update_ends_at_the_reference_draw(self):
         # logit x0, gradient (1, 0), and a step of about 1e308 per step:
-        # chain 0's step-1 update overflows while its v_hat stays finite;
-        # chain 1, from -1e308, reaches about 1e308 at the limit step
+        # chain 0's step-1 update overflows while its v_hat stays finite, so
+        # its step-2 forward pass reads NaN; chain 1, from -1e308, reaches
+        # about 1e308 at the limit step
         c = N.Classifier([T.dense(2, 2)], [np.eye(2), np.zeros(2)],
                          np.array([[1.0], [0.0]]), np.zeros(1))
         init = np.array([[0.0, 0.0], [-1e308, 0.0]])
@@ -525,13 +527,11 @@ class TestNonFiniteChains:
         samples, traces = synthesize_from(
             init, c, config, np.zeros(2, int), rng(24032, 3), (2,))
         assert [(t.stop_reason, t.steps) for t in traces] == \
-            [(S.STOP_NON_FINITE, 1), (S.STOP_FIXED, 2)]
+            [(S.STOP_NON_FINITE, 0), (S.STOP_FIXED, 2)]
         assert T.all_finite(samples) and samples[1, 0] > 1e307
-        # the pre-update sample: where the chain stands after step 0
-        config.fixed_steps = config.max_steps = 1
-        before, _ = synthesize_from(
-            init[:1], c, config, np.zeros(1, int), rng(24032, 3), (2,))
-        assert samples[0].tobytes() == before[0].tobytes()
+        # chain 0 ends where it started, with its step-0 logit x0 = 0
+        assert samples[0].tobytes() == init[0].tobytes()
+        assert traces[0].logit_path.tolist() == [traces[0].final_logit] == [0.0]
 
     def test_update_overflow_in_every_conv_chain_ends_the_loop(self):
         # the update tags every chain at step 0: the next step has no live
@@ -610,10 +610,10 @@ class TestNonFiniteChains:
             [(S.STOP_NON_FINITE, 0, 0)] * 3
         np.testing.assert_array_equal(samples, init)
 
-    def test_logit_paths_of_a_run_with_a_late_forward_overflow(self):
+    def test_late_overflow_keeps_only_the_step_0_logit(self):
         # logit x0 + x1 through a feature 1e307 * x0, which overflows once
         # x0 passes 17.97: the first chain's forward overflows at step 9,
-        # so it stops at step 8 and its path holds steps 0..8; the second
+        # so it ends at step 0 and its path holds step 0 alone; the second
         # runs all 12 steps
         c = N.Classifier([T.dense(2, 2)], [np.diag([1e307, 1.0]), np.zeros(2)],
                          np.array([[1e-307], [1.0]]), np.zeros(1))
@@ -623,7 +623,8 @@ class TestNonFiniteChains:
         samples, traces = synthesize_from(
             init, c, config, np.zeros(2, int), rng(56, 3), (2,))
         assert [(t.stop_reason, t.steps, t.logit_path.shape) for t in traces] == \
-            [(S.STOP_NON_FINITE, 8, (9,)), (S.STOP_FIXED, 12, (13,))]
+            [(S.STOP_NON_FINITE, 0, (1,)), (S.STOP_FIXED, 12, (13,))]
+        assert samples[0].tobytes() == init[0].tobytes()
         for t, start in zip(traces, (0.0, -17.0)):
             assert t.logit_path.dtype == np.float64 and t.logit_path.flags.c_contiguous
             # Adam moves both coordinates by about the step size per step
@@ -633,10 +634,11 @@ class TestNonFiniteChains:
             assert t.logit_path[-1] == t.final_logit == N.logit_binary(c, sample[None])[0]
 
     @pytest.mark.parametrize("method", ["plain-gradient", "langevin"])
-    def test_forward_overflow_hands_back_the_sample_of_the_step_before(self, method):
+    def test_forward_overflow_ends_at_reference_draw(self, method):
         # the classifier of the test above: the first chain's forward
-        # overflows at some step k >= 1, and it ends where a run cut at
-        # fixed_steps = k - 1 ends it, so SGD can train on its sample
+        # overflows at some step k >= 1 (its step-0 logit is finite), and it
+        # ends where a run of zero fixed steps ends it, so SGD trains on its
+        # reference draw
         c = N.Classifier([T.dense(2, 2)], [np.diag([1e307, 1.0]), np.zeros(2)],
                          np.array([[1e-307], [1.0]]), np.zeros(1))
         init = np.array([[0.0, 0.0], [-17.0, 0.0]])
@@ -647,12 +649,12 @@ class TestNonFiniteChains:
             return synthesize_from(init, c, config, np.zeros(2, int), rng(25201, 3), (2,))
 
         samples, traces = run(30)
-        assert traces[0].stop_reason == S.STOP_NON_FINITE and traces[0].steps >= 1
-        cut, cut_traces = run(traces[0].steps)
-        assert cut_traces[0].stop_reason == S.STOP_FIXED
-        assert samples[0].tobytes() == cut[0].tobytes()
+        assert (traces[0].stop_reason, traces[0].steps) == (S.STOP_NON_FINITE, 0)
+        start, start_traces = run(0)
+        assert samples[0].tobytes() == start[0].tobytes() == init[0].tobytes()
         assert math.isfinite(traces[0].final_logit)
-        assert traces[0].final_logit == traces[0].logit_path[-1] == cut_traces[0].final_logit
+        assert traces[0].logit_path.tolist() == [traces[0].final_logit] == \
+            [start_traces[0].final_logit]
 
     @pytest.mark.parametrize("stopping, x0, limit, at_limit", [
         ("option3", 18.0, 0, S.STOP_FIXED), ("option2", 0.0, 9, S.STOP_MAX)])
@@ -668,14 +670,12 @@ class TestNonFiniteChains:
                                  step_size=2.0, anneal=1.0)
         samples, traces = synthesize_from(
             init, c, config, np.zeros(2, int), rng(23932, 3), (2,))
-        # at step k >= 1 the first chain ends at step k - 1, at step 0 where it began
-        back = max(limit - 1, 0)
+        # at any step the first chain ends at step 0, where it began, with
+        # that step's logit: -1000 from x = 0, NaN from x = 18
         assert [(t.stop_reason, t.steps, t.logit_path.size) for t in traces] == \
-            [(S.STOP_NON_FINITE, back, limit), (at_limit, limit, limit + 1)]
-        assert T.all_finite(samples[0])
+            [(S.STOP_NON_FINITE, 0, min(limit, 1)), (at_limit, limit, limit + 1)]
+        assert samples[0].tobytes() == init[0].tobytes()
         if limit:
-            assert traces[0].final_logit == traces[0].logit_path[-1] == \
-                N.logit_binary(c, samples[:1])[0]
+            assert traces[0].logit_path.tolist() == [traces[0].final_logit] == [-1000.0]
         else:
             assert np.isnan(traces[0].final_logit)
-            np.testing.assert_array_equal(samples[0], init[0])
