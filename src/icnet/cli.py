@@ -437,9 +437,11 @@ def _run_experiment_inner(config, out_dir):
 
 
 def run_experiment(config):
-    """Run one experiment; returns a process exit status. A mid-run failure
-    leaves partial artifacts plus an error.txt record behind."""
+    """Run one experiment into a directory that holds no run yet; returns a process
+    exit status. A mid-run failure leaves partial artifacts plus an error.txt record."""
     out_dir = Path(config.out)
+    if (out_dir / "config.ini").exists():
+        raise CliError(f"{out_dir} already holds a run (config.ini); choose another --out")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.ini").write_text(config_snapshot_text(config))
     try:

@@ -159,56 +159,48 @@ def head_pass(c: Classifier, x, grads=None, input_grad: bool = True):
     return grad_pass, grad_pass.affine(feats, c.head_w, c.head_b)
 
 
-def head_loss(logits: Array, labels, negative=None, alpha: float = 0.0,
+def head_loss(logits: Array, labels, n_labeled: int | None = None, alpha: float = 0.0,
               scale: float = 1.0) -> tuple[float, Array]:
     """A batch's training loss from its (n, K) head logits, and its gradient.
 
-    Row i is labeled labels[i], or is a pseudo-negative tagged labels[i]
-    where the bool mask `negative` is set. Its loss is -ln q(y|x), times
-    1 - alpha on a K-column head; a pseudo-negative's is -ln q(-1|x) on a
-    binary head and alpha * softplus(tagged logit) on a K-column one.
+    Rows [:n_labeled] are labeled labels[i]; rows [n_labeled:] are
+    pseudo-negatives tagged labels[i]. None means every row is labeled. A
+    labeled row's loss is -ln q(y|x), times 1 - alpha on a K-column head; a
+    pseudo-negative's is -ln q(-1|x) on a binary head and
+    alpha * softplus(tagged logit) on a K-column one.
     Returns (total, d(scale * total)/d logits). Both come from the tape's
     elementwise ops in the tape's order, so they equal those of the same
     loss built on a ComputationRecord bitwise. A NaN or Inf loss raises
     NonFiniteError.
     """
     n = logits.shape[0]
-    neg = np.zeros(n, bool) if negative is None else np.asarray(negative, bool)
+    m = n if n_labeled is None else n_labeled
     if logits.shape[1] == 1:
         # the one place a label becomes a sign, -ln q(y|x) = softplus(-y z);
         # a pseudo-negative's -ln q(-1|x) is the labeled term of class 0
-        sign = np.where(neg, 1.0, 1.0 - 2.0 * labels)
+        sign = 1.0 - 2.0 * labels
+        sign[m:] = 1.0
         z = logits[:, 0] * sign
         total = T.softplus_value(z).sum()
         grad = (sign * (scale * T.sigmoid_value(z))).reshape(n, 1)
     else:
         # labeled rows through log_softmax, pseudo-negatives' tagged logits
-        # through softplus; each part's gradient is scattered into zeros
-        split = neg.any()
-        log_q = T.log_softmax_value(logits[~neg] if split else logits)
+        # through softplus; each block's gradient is written into its rows
+        log_q = T.log_softmax_value(logits[:m])
         if not T.all_finite(log_q):
             raise T.NonFiniteError("non-finite values produced by log_softmax")
-        at = (np.arange(len(log_q)), np.asarray(labels[~neg], dtype=np.intp))
-        total = -(1.0 - alpha) * log_q[at].sum()
-        g = _scattered(log_q.shape, at, -(1.0 - alpha) * scale)
-        grad = g - np.exp(log_q) * g.sum(axis=-1, keepdims=True)
-        if split:
-            at = (np.arange(np.count_nonzero(neg)), np.asarray(labels[neg], dtype=np.intp))
-            tagged = logits[neg][at]
-            total = total + alpha * T.softplus_value(tagged).sum()
-            g = _scattered((len(tagged), logits.shape[1]), at,
-                           (alpha * scale) * T.sigmoid_value(tagged))
-            grad = _scattered(logits.shape, neg, g) + _scattered(logits.shape, ~neg, grad)
+        at = (np.arange(m), np.asarray(labels[:m], dtype=np.intp))
+        tagged_at = (np.arange(m, n), np.asarray(labels[m:], dtype=np.intp))
+        tagged = logits[tagged_at]
+        total = (-(1.0 - alpha) * log_q[at].sum()
+                 + alpha * T.softplus_value(tagged).sum())
+        grad = np.zeros(logits.shape)
+        grad[at] = -(1.0 - alpha) * scale
+        grad[:m] -= np.exp(log_q) * grad[:m].sum(axis=-1, keepdims=True)
+        grad[tagged_at] = (alpha * scale) * T.sigmoid_value(tagged)
     if not math.isfinite(total):
         raise T.NonFiniteError("non-finite values produced by the loss")
     return float(total), grad
-
-
-def _scattered(shape, index, values) -> Array:
-    """Zeros of `shape` with `values` written at `index`."""
-    out = np.zeros(shape)
-    out[index] = values
-    return out
 
 
 def logit_sum_graph(c: Classifier, x, classes):
@@ -216,15 +208,12 @@ def logit_sum_graph(c: Classifier, x, classes):
 
     Per-sample chains are independent, so the input gradient of the batch sum
     is exactly the per-sample logit gradient. Row i's logit is head column
-    `classes[i]`; a binary classifier's one column 0 takes an all-ones
-    seed. A multi-class head is
-    evaluated whole and each row's logit selected by a one-hot seed, so
-    chains of every class share one pass. Returns (pass, seed, logits (n,)),
+    `classes[i]`, selected by a one-hot seed: the head is evaluated whole,
+    so chains of every class share one pass, and a binary head's seed over
+    its one column 0 is all ones. Returns (pass, seed, logits (n,)),
     where `T.input_gradient(pass, seed)` is d(sum)/dx.
     """
     grad_pass, logits = head_pass(c, x)
-    if c.binary:
-        return grad_pass, np.ones_like(logits), logits[:, 0]
     rows = np.arange(logits.shape[0])
     seed = np.zeros_like(logits)
     seed[rows, classes] = 1.0

@@ -117,7 +117,7 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
     array (`_pack`).
 
     Each batch loss is the mean over its rows of one head loss over the
-    batch's S rows, then its store rows marked negative. A binary head's
+    batch's S rows, then its store rows, split at the S row count. A binary head's
     labels are 0 and 1; its pseudo-negatives read no tag, so tags go unchecked."""
     _check_classes(y_s, max(c.n_classes, 2), "labels")
     if not c.binary:
@@ -133,14 +133,13 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
             batch = order[at:at + config.batch_size]
             s_rows = batch[batch < n_s]
             pn_rows = batch[batch >= n_s] - n_s
-            x, y, negative = x_s[s_rows], y_s[s_rows], None
+            x, y = x_s[s_rows], y_s[s_rows]
             if pn_rows.size:
                 # per batch, never per dataset; an empty store's samples are 1-D
                 x = np.concatenate([x, x_pn[pn_rows]])
                 y = np.concatenate([y, tags[pn_rows]])
-                negative = np.arange(batch.size) >= s_rows.size
             try:
-                loss = _sgd_step(c, x, y, negative, alpha, flat, velocity, grad, lr,
+                loss = _sgd_step(c, x, y, s_rows.size, alpha, flat, velocity, grad, lr,
                                  config.momentum)
             except T.NonFiniteError as exc:
                 raise TrainingDivergedError(
@@ -164,8 +163,9 @@ def _pack(c):
     return c.flat, np.zeros(c.flat.size), (grad, T.flat_views(grad, params))
 
 
-def _sgd_step(c, x, labels, negative, alpha, flat, velocity, grad, lr, momentum) -> float:
-    """One momentum step on the batch's mean loss; returns that loss.
+def _sgd_step(c, x, labels, n_labeled, alpha, flat, velocity, grad, lr, momentum) -> float:
+    """One momentum step on the batch's mean loss; returns that loss. Rows
+    [:n_labeled] are labeled, the rest pseudo-negatives (`N.head_loss`).
     `flat`, `velocity` and `grad` are `_pack`'s. One gradient pass writes
     every parameter's gradient into the gradient buffer, and the update
     runs once over the flat arrays, which are checked for NaN/Inf here,
@@ -174,7 +174,7 @@ def _sgd_step(c, x, labels, negative, alpha, flat, velocity, grad, lr, momentum)
     g, grads = grad
     scale = 1.0 / len(x)
     grad_pass, logits = N.head_pass(c, x, grads, input_grad=False)
-    total, seed = N.head_loss(logits, labels, negative, alpha, scale)
+    total, seed = N.head_loss(logits, labels, n_labeled, alpha, scale)
     T.param_gradients(grad_pass, seed)
     velocity *= momentum
     g *= lr

@@ -626,6 +626,22 @@ class TestRunExperiment:
         assert (out / "error.txt").read_text().startswith("DataError")
         assert (out / "config.ini").is_file()  # partial artifacts remain
 
+    @pytest.mark.parametrize("first_status", [0, 1], ids=["after-a-run", "after-a-failed-run"])
+    def test_rerun_into_a_run_directory_is_refused(self, tmp_path, capsys, first_status):
+        # before: a rerun wrote over the earlier run, leaving its error.txt
+        # or its later rounds' checkpoints beside the new metrics.csv
+        first = (self.two_row_config(tmp_path, val_fraction=0.75) if first_status
+                 else write_config(tmp_path, rounds=2))
+        assert C.main(["train", "--config", str(first)]) == first_status
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        again = write_config(tmp_path, name="again.ini", rounds=1)
+        assert C.main(["train", "--config", str(again)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {run} already holds a run")
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
     def test_huge_idx_header_exits_1_naming_the_file(self, tmp_path, capsys):
         # 2**31 images of 2**15 x 2**15 pixels claimed by a 48-byte file
         ini = write_mnist_ini(tmp_path)

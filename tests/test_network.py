@@ -224,11 +224,11 @@ class TestLogitSumGraph:
 
 def mixed_batch(k, gen, n_s=5, n_pn=4, shape=(2,)):
     """A batch of n_s labeled rows, then n_pn pseudo-negatives: (x, labels,
-    negative), with the tags -1 on a binary head as the store keeps them."""
+    n_s), with the tags -1 on a binary head as the store keeps them."""
     x = gen.standard_normal((n_s + n_pn,) + shape)
     tags = np.full(n_pn, -1) if k == 1 else gen.integers(0, k, size=n_pn)
     labels = np.concatenate([gen.integers(0, max(k, 2), size=n_s), tags])
-    return x, labels, np.arange(n_s + n_pn) >= n_s
+    return x, labels, n_s
 
 
 class TestHeadGraphGradients:
@@ -244,14 +244,14 @@ class TestHeadGraphGradients:
     def test_param_and_input_gradients_match_central_differences(self, spec, shape, k):
         c = N.init_multiclass(spec, shape, k, rng(50, 1))
         c.head_b[...] += 0.1 * rng(50, 2).standard_normal(k)
-        x, labels, negative = mixed_batch(k, rng(50, 6), shape=shape)
+        x, labels, n_labeled = mixed_batch(k, rng(50, 6), shape=shape)
         grads = [np.zeros_like(p) for p in c.all_params()]
         grad_pass, logits = N.head_pass(c, x, grads)
-        _, seed = N.head_loss(logits, labels, negative, 0.3)
+        _, seed = N.head_loss(logits, labels, n_labeled, 0.3)
         analytic = grads + [T.input_gradient(grad_pass, seed)]
 
         def loss():
-            return N.head_loss(N.class_logits(c, x), labels, negative, 0.3)[0]
+            return N.head_loss(N.class_logits(c, x), labels, n_labeled, 0.3)[0]
 
         h, worst = 1e-5, 0.0
         for arr, grad in zip(c.all_params() + [x], analytic):
@@ -266,11 +266,11 @@ class TestHeadGraphGradients:
         assert worst < 1e-4
 
 
-def pass_loss_and_grads(c, x, labels, negative, alpha):
+def pass_loss_and_grads(c, x, labels, n_labeled, alpha):
     """The head loss of one batch and its parameter gradients, from one pass."""
     grads = [np.zeros_like(p) for p in c.all_params()]
     grad_pass, logits = N.head_pass(c, x, grads, input_grad=False)
-    total, seed = N.head_loss(logits, labels, negative, alpha)
+    total, seed = N.head_loss(logits, labels, n_labeled, alpha)
     return total, T.param_gradients(grad_pass, seed)
 
 
@@ -295,9 +295,9 @@ class TestHeadGraphOnePass:
         for name in ("affine_value", "conv2d_value", "conv2d_kernel_grad", "conv2d_input_grad"):
             count(name)
         c = N.init_multiclass(spec, shape, k, rng(51, 1))
-        x, labels, negative = mixed_batch(k, rng(51, 6), shape=shape)
+        x, labels, n_labeled = mixed_batch(k, rng(51, 6), shape=shape)
         flat, velocity, grad = TR._pack(c)
-        TR._sgd_step(c, x, labels, negative, 0.1, flat, velocity, grad, 0.01, 0.9)
+        TR._sgd_step(c, x, labels, n_labeled, 0.1, flat, velocity, grad, 0.01, 0.9)
         kinds = [layer.kind for layer in spec]
         assert calls.count("affine_value") == kinds.count("dense") + 1  # the head
         assert calls.count("conv2d_value") == kinds.count("conv")
@@ -309,12 +309,13 @@ class TestHeadGraphOnePass:
     @pytest.mark.parametrize("k", [1, 3], ids=["binary", "multiclass"])
     def test_loss_and_gradients_equal_two_per_kind_passes(self, spec, shape, k):
         c = N.init_multiclass(spec, shape, k, rng(52, 1))
-        x, labels, negative = mixed_batch(k, rng(52, 6), n_s=6, n_pn=5, shape=shape)
-        total, grads = pass_loss_and_grads(c, x, labels, negative, 0.3)
+        x, labels, n_labeled = mixed_batch(k, rng(52, 6), n_s=6, n_pn=5, shape=shape)
+        total, grads = pass_loss_and_grads(c, x, labels, n_labeled, 0.3)
         want_loss, want_grads = 0.0, [np.zeros_like(p) for p in c.all_params()]
-        for rows in (~negative, negative):
+        # the labeled rows alone, then the pseudo-negatives alone
+        for rows, part_labeled in ((slice(None, n_labeled), None), (slice(n_labeled, None), 0)):
             part_total, part_grads = pass_loss_and_grads(c, x[rows], labels[rows],
-                                                         negative[rows], 0.3)
+                                                         part_labeled, 0.3)
             want_loss += part_total
             for w, g in zip(want_grads, part_grads):
                 w += g

@@ -52,9 +52,8 @@ def head_total(c, x, y, pn=None, tags=None, alpha=0.0):
     if pn is None:
         return N.head_loss(N.class_logits(c, x), y, alpha=alpha)[0]
     tags = np.full(len(pn), -1) if tags is None else tags
-    negative = np.arange(len(x) + len(pn)) >= len(x)
     logits = N.class_logits(c, np.concatenate([x, pn]))
-    return N.head_loss(logits, np.concatenate([y, tags]), negative, alpha)[0]
+    return N.head_loss(logits, np.concatenate([y, tags]), len(x), alpha)[0]
 
 
 class TestBinaryLoss:
@@ -236,35 +235,36 @@ PASS_CASES = pytest.mark.parametrize("spec, shape, k", [
     (SPEC_2D, (2,), 1), (CONV_SPEC, (1, 8, 8), 3)], ids=["binary-dense", "multiclass-conv"])
 
 
-def tape_head(c, x, labels, negative=None, alpha=0.0, params="const", inputs="const"):
+def tape_head(c, x, labels, n_labeled=None, alpha=0.0, params="const", inputs="const"):
     """The head loss of a batch built from ComputationRecord ops, in the
-    order `network.head_loss` follows: (record, total, logits)."""
+    order `network.head_loss` follows: (record, total, logits). Rows
+    [:n_labeled] are labeled, the rest pseudo-negatives; None means all
+    are labeled."""
     record = T.ComputationRecord()
     p_nodes = [record.leaf(p, params, checked=True) for p in c.all_params()]
     feats = T.feature_stack(record, c.spec, p_nodes[:-2], record.leaf(x, inputs))
     logits = record.affine(feats, p_nodes[-2], p_nodes[-1])
-    neg = np.zeros(len(labels), bool) if negative is None else negative
+    m = len(x) if n_labeled is None else n_labeled
     if c.binary:
         z = record.reshape(logits, (len(x),))
-        z = record.mul_const(z, np.where(neg, 1.0, 1.0 - 2.0 * labels))
-        return record, record.sum(record.softplus(z)), logits
-    split = neg.any()
-    labeled = record._gather(logits, ~neg, "take_rows") if split else logits
-    picked = record.select(record.log_softmax(labeled), labels[~neg])
+        sign = 1.0 - 2.0 * labels
+        sign[m:] = 1.0
+        return record, record.sum(record.softplus(record.mul_const(z, sign))), logits
+    labeled = record._gather(logits, slice(None, m), "take_rows")
+    picked = record.select(record.log_softmax(labeled), labels[:m])
     total = record.scale(record.sum(picked), -(1.0 - alpha))
-    if split:
-        picked = record.select(record._gather(logits, neg, "take_rows"), labels[neg])
-        total = record.add(total, record.scale(record.sum(record.softplus(picked)), alpha))
+    picked = record.select(record._gather(logits, slice(m, None), "take_rows"), labels[m:])
+    total = record.add(total, record.scale(record.sum(record.softplus(picked)), alpha))
     return record, total, logits
 
 
 def pass_batch(k, shape, gen, n_s, n_pn):
     """n_s labeled rows, then n_pn pseudo-negatives tagged as the store tags
-    them (-1 on a binary head): (x, labels, negative or None)."""
+    them (-1 on a binary head): (x, labels, n_s)."""
     x = gen.uniform(-1, 1, (n_s + n_pn,) + shape)
     tags = np.full(n_pn, -1) if k == 1 else gen.integers(0, k, size=n_pn)
     labels = np.concatenate([gen.integers(0, max(k, 2), size=n_s), tags])
-    return x, labels, (np.arange(n_s + n_pn) >= n_s) if n_pn else None
+    return x, labels, n_s
 
 
 class TestPassMatchesTape:
@@ -279,11 +279,12 @@ class TestPassMatchesTape:
         velocity = [np.zeros_like(p) for p in ref.all_params()]
         flat, flat_velocity, grad = TR._pack(c)
         gen = rng(90, 6)
-        for n_s, n_pn in ((6, 3), (8, 0), (2, 7), (5, 4)):
-            x, labels, negative = pass_batch(k, shape, gen, n_s, n_pn)
-            loss = TR._sgd_step(c, x, labels, negative, alpha, flat, flat_velocity, grad,
+        # (0, 5): a batch in which no S row landed
+        for n_s, n_pn in ((6, 3), (8, 0), (2, 7), (5, 4), (0, 5)):
+            x, labels, n_labeled = pass_batch(k, shape, gen, n_s, n_pn)
+            loss = TR._sgd_step(c, x, labels, n_labeled, alpha, flat, flat_velocity, grad,
                                 lr, momentum)
-            record, total, _ = tape_head(ref, x, labels, negative, alpha, params="param")
+            record, total, _ = tape_head(ref, x, labels, n_labeled, alpha, params="param")
             want = record.scale(total, 1.0 / len(x))
             for p, g, v in zip(ref.all_params(), T.param_gradients(record, want), velocity):
                 v *= momentum
@@ -388,11 +389,11 @@ class TestReclassificationStep:
         c = N.init_binary(SPEC_2D, (2,), rng(25, 1))
         sgd_step, calls = TR._sgd_step, []
 
-        def poisoned_after_first(c, x, labels, negative, alpha, flat, *rest):
+        def poisoned_after_first(c, x, labels, n_labeled, alpha, flat, *rest):
             if calls:
                 flat[0] = np.nan  # the first weight of the first layer
             calls.append(len(x))
-            return sgd_step(c, x, labels, negative, alpha, flat, *rest)
+            return sgd_step(c, x, labels, n_labeled, alpha, flat, *rest)
 
         monkeypatch.setattr(TR, "_sgd_step", poisoned_after_first)
         with pytest.raises(TR.TrainingDivergedError, match="epoch 0, sample offset 32"):
