@@ -333,10 +333,10 @@ def denormalize(samples: Array) -> Array:
 @dataclass
 class PseudoNegativeStore:
     """Append-only archive of synthesized samples across rounds: row i of
-    `samples` was made in round `rounds[i]` for class `tags[i]` (-1 for a
-    binary classifier). Before the first batch, `samples` has shape (0,)."""
+    `samples` was made in round `rounds[i]` for class `tags[i]`, the head
+    column its chain ascended: 0, the paper's y = -1, on a binary head."""
 
-    samples: Array = field(default_factory=lambda: np.zeros((0,)))
+    samples: Array
     rounds: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     tags: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
@@ -348,7 +348,7 @@ class PseudoNegativeStore:
         tag for every row or one per row."""
         samples = np.asarray(samples, dtype=np.float64)
         n = len(samples)
-        self.samples = np.concatenate([self.samples, samples]) if len(self) else samples.copy()
+        self.samples = np.concatenate([self.samples, samples])
         self.rounds = np.concatenate([self.rounds, np.full(n, round_index, dtype=np.int64)])
         self.tags = np.concatenate([self.tags, np.broadcast_to(tags, (n,)).astype(np.int64)])
 

@@ -166,8 +166,8 @@ def head_loss(logits: Array, labels, n_labeled: int | None = None, alpha: float 
     Rows [:n_labeled] are labeled labels[i]; rows [n_labeled:] are
     pseudo-negatives tagged labels[i]. None means every row is labeled. A
     labeled row's loss is -ln q(y|x), times 1 - alpha on a K-column head; a
-    pseudo-negative's is -ln q(-1|x) on a binary head and
-    alpha * softplus(tagged logit) on a K-column one.
+    pseudo-negative's is -ln q(-1|x), as a row of class 0, on a binary head
+    and alpha * softplus(tagged logit) on a K-column one.
     Returns (total, d(scale * total)/d logits). Both come from the tape's
     elementwise ops in the tape's order, so they equal those of the same
     loss built on a ComputationRecord bitwise. A NaN or Inf loss raises
@@ -176,10 +176,8 @@ def head_loss(logits: Array, labels, n_labeled: int | None = None, alpha: float 
     n = logits.shape[0]
     m = n if n_labeled is None else n_labeled
     if logits.shape[1] == 1:
-        # the one place a label becomes a sign, -ln q(y|x) = softplus(-y z);
-        # a pseudo-negative's -ln q(-1|x) is the labeled term of class 0
+        # the one place a label becomes a sign, -ln q(y|x) = softplus(-y z)
         sign = 1.0 - 2.0 * labels
-        sign[m:] = 1.0
         z = logits[:, 0] * sign
         total = T.softplus_value(z).sum()
         grad = (sign * (scale * T.sigmoid_value(z))).reshape(n, 1)
@@ -214,10 +212,8 @@ def logit_sum_graph(c: Classifier, x, classes):
     where `T.input_gradient(pass, seed)` is d(sum)/dx.
     """
     grad_pass, logits = head_pass(c, x)
-    rows = np.arange(logits.shape[0])
-    seed = np.zeros_like(logits)
-    seed[rows, classes] = 1.0
-    return grad_pass, seed, logits[rows, classes]
+    hot = classes[:, None] == np.arange(logits.shape[1])
+    return grad_pass, hot.astype(np.float64), logits[hot]
 
 
 # ---------------------------------------------------------------------------

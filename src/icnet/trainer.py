@@ -117,11 +117,11 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
     array (`_pack`).
 
     Each batch loss is the mean over its rows of one head loss over the
-    batch's S rows, then its store rows, split at the S row count. A binary head's
-    labels are 0 and 1; its pseudo-negatives read no tag, so tags go unchecked."""
+    batch's S rows, then its store rows, split at the S row count. Labels
+    and tags are both checked: a binary head's labels are 0 and 1, and
+    its pseudo-negatives' tag is 0, the paper's y = -1."""
     _check_classes(y_s, max(c.n_classes, 2), "labels")
-    if not c.binary:
-        _check_classes(tags, c.n_classes, "pseudo-negative tag")
+    _check_classes(tags, c.n_classes, "pseudo-negative tag")
     n_s = x_s.shape[0]
     n_total = n_s + len(x_pn)
     flat, velocity, grad = _pack(c)
@@ -133,11 +133,9 @@ def _sgd_epochs(c, x_s, y_s, x_pn, tags, alpha, lr, epochs, config: TrainConfig,
             batch = order[at:at + config.batch_size]
             s_rows = batch[batch < n_s]
             pn_rows = batch[batch >= n_s] - n_s
-            x, y = x_s[s_rows], y_s[s_rows]
-            if pn_rows.size:
-                # per batch, never per dataset; an empty store's samples are 1-D
-                x = np.concatenate([x, x_pn[pn_rows]])
-                y = np.concatenate([y, tags[pn_rows]])
+            # per batch, never per dataset
+            x = np.concatenate([x_s[s_rows], x_pn[pn_rows]])
+            y = np.concatenate([y_s[s_rows], tags[pn_rows]])
             try:
                 loss = _sgd_step(c, x, y, s_rows.size, alpha, flat, velocity, grad, lr,
                                  config.momentum)
@@ -267,7 +265,7 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
 
     c = N.init_multiclass(spec, input_shape, 1 if mode == "binary" else ds.class_count,
                           rng(config.seed, STREAM_INIT))
-    store = D.PseudoNegativeStore()
+    store = D.PseudoNegativeStore(np.zeros((0, *input_shape)))
     # each round's chains, pseudo_per_round per head column, in column order
     classes = np.repeat(np.arange(c.n_classes), config.pseudo_per_round)
     metrics, best_params, best_error = [], None, math.inf
@@ -279,8 +277,7 @@ def _rounds(ds: D.LabeledDataset, spec, config: TrainConfig, sampler_config, mod
                                  rng(config.seed, STREAM_EPOCH, 0))
         else:
             samples, traces = synthesize(c, classes, rng(config.seed, STREAM_SYNTH, t))
-            # a binary head's pseudo-negatives carry the negative tag
-            store.add_batch(t, -1 if c.binary else classes, samples)
+            store.add_batch(t, classes, samples)
             losses = reclassification_step(c, x_s, y_s, store, config, t,
                                            rng(config.seed, STREAM_EPOCH, t))
         val_error, val_loss = _val_stats(c, val_ds.samples, val_ds.labels)

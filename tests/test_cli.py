@@ -94,6 +94,16 @@ def write_mnist_ini(tmp_path, n=20, **kw):
                         **kw)
 
 
+def write_one_round_mnist_ini(tmp_path):
+    """`write_mnist_ini` cut to one softmax round of one chain per class,
+    with one epoch and one step wherever the config counts them."""
+    path = write_mnist_ini(tmp_path, rounds=1, pseudo=1)
+    path.write_text(path.read_text().replace("init_epochs = 6", "init_epochs = 1")
+                    .replace("epochs_per_round = 2", "epochs_per_round = 1")
+                    .replace("fixed_steps = 5", "fixed_steps = 1"))
+    return path
+
+
 class TestMetricsCsv:
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "metrics.csv"
@@ -539,6 +549,31 @@ class TestRunExperiment:
         final_store = D.load_store(out / "store_final.bin")
         assert len(final_store) == 12
 
+    @pytest.mark.parametrize("mode", ["binary", "softmax", "one-vs-all", "conv-softmax"])
+    def test_round_store_files_join_into_store_final(self, tmp_path, mode):
+        # every round file has the run's sample shape, round 0's empty one too
+        path = (write_one_round_mnist_ini(tmp_path) if mode == "conv-softmax"
+                else write_config(tmp_path, mode=mode))
+        assert C.run_experiment(C.parse_config(path)) == 0
+        run = tmp_path / "run"
+        parts = [D.load_store(p) for p in sorted((run / "checkpoints").glob("store_round_*.bin"))]
+        assert len(parts) == (2 if mode == "conv-softmax" else 4)
+        samples, rounds, tags = (np.concatenate([getattr(s, name) for s in parts])
+                                 for name in ("samples", "rounds", "tags"))
+        final = D.load_store(run / "store_final.bin")
+        if mode == "one-vs-all":
+            # round files are round-major; store_final.bin holds member 0's
+            # rows, then member 1's
+            order = np.lexsort((rounds, tags))
+            samples, rounds, tags = samples[order], rounds[order], tags[order]
+        assert samples.shape == final.samples.shape
+        assert samples.tobytes() == final.samples.tobytes()
+        assert rounds.tolist() == final.rounds.tolist()
+        assert tags.tolist() == final.tags.tolist()
+        if mode == "binary":
+            # a binary run's pseudo-negatives are class 0, the paper's y = -1
+            assert len(tags) == 12 and not tags.any()
+
     def test_manifest_hash_matches_config(self, tmp_path):
         out = tmp_path / "run"
         cfg = C.parse_config(write_config(tmp_path, mode="baseline"))
@@ -675,10 +710,7 @@ class TestRunExperiment:
     def test_image_run_dumps_each_rounds_pseudo_negatives(self, tmp_path):
         # one softmax round on 10 training images: 10 classes x 1 chain
         # tile a 3 x 4 grid of 28 x 28 cells
-        path = write_mnist_ini(tmp_path, rounds=1, pseudo=1)
-        path.write_text(path.read_text().replace("init_epochs = 6", "init_epochs = 1")
-                        .replace("epochs_per_round = 2", "epochs_per_round = 1")
-                        .replace("fixed_steps = 5", "fixed_steps = 1"))
+        path = write_one_round_mnist_ini(tmp_path)
         assert C.main(["train", "--config", str(path)]) == 0
         pgm = tmp_path / "run" / "images" / "pseudo_round_01.pgm"
         assert pgm.read_bytes().startswith(b"P5\n112 84\n255\n")

@@ -296,29 +296,42 @@ class TestSplits:
 
 class TestStore:
     def test_empty_roundtrip(self, tmp_path):
-        store = D.PseudoNegativeStore()
+        # an empty store keeps its sample shape, as round 0's file does
+        store = D.PseudoNegativeStore(np.zeros((0, 2)))
         D.save_store(store, tmp_path / "empty.pn")
         back = D.load_store(tmp_path / "empty.pn")
         assert len(back) == 0
-        assert back.samples.shape == (0,) and back.rounds.size == back.tags.size == 0
+        assert back.samples.shape == (0, 2) and back.rounds.size == back.tags.size == 0
+
+    def test_earlier_1d_empty_file_with_negative_tags_still_loads(self, tmp_path):
+        # files written before tags were head columns: round 0's empty store
+        # had 1-D samples, and a binary run tagged its rows -1
+        path = tmp_path / "old.pn"
+        path.write_bytes(D.STORE_MAGIC + struct.pack("<IQI", 2, 0, 0))
+        assert D.load_store(path).samples.shape == (0,)
+        path.write_bytes(D.STORE_MAGIC + struct.pack("<IQII", 2, 1, 1, 2)
+                         + struct.pack("<2i2d", 1, -1, 0.5, 1.5))
+        back = D.load_store(path)
+        assert (back.rounds.tolist(), back.tags.tolist()) == ([1], [-1])
+        assert back.samples.tolist() == [[0.5, 1.5]]
 
     def test_entries_roundtrip_bitwise_in_order(self, tmp_path):
-        store = D.PseudoNegativeStore()
+        store = D.PseudoNegativeStore(np.zeros((0, 2)))
         gen = rng(8, 6)
         for t in range(3):
-            store.add_batch(t, -1, gen.standard_normal((4, 2)))
+            store.add_batch(t, 0, gen.standard_normal((4, 2)))
         assert len(store) == 12
         D.save_store(store, tmp_path / "s.pn")
         back = D.load_store(tmp_path / "s.pn")
         assert len(back) == 12
         np.testing.assert_array_equal(back.rounds, np.repeat([0, 1, 2], 4))
-        np.testing.assert_array_equal(back.tags, np.full(12, -1))
+        np.testing.assert_array_equal(back.tags, np.zeros(12))
         assert back.samples.tobytes() == store.samples.tobytes()
 
     def test_v2_layout_read_independently(self, tmp_path):
         # magic; version, count, sample rank and shape; int32 rounds and
         # tags; f8 samples; all little-endian
-        store = D.PseudoNegativeStore()
+        store = D.PseudoNegativeStore(np.zeros((0, 1, 2, 3)))
         store.add_batch(3, [0, 2], np.arange(12.0).reshape(2, 1, 2, 3))
         D.save_store(store, tmp_path / "s.pn")
         data = (tmp_path / "s.pn").read_bytes()
@@ -329,7 +342,7 @@ class TestStore:
         assert len(data) == 51 + 12 * 8
 
     def test_class_tags_filterable(self):
-        store = D.PseudoNegativeStore()
+        store = D.PseudoNegativeStore(np.zeros((0, 3)))
         store.add_batch(0, 0, np.ones((2, 3)))
         store.add_batch(0, [1, 0, 1], np.zeros((3, 3)))
         np.testing.assert_array_equal(store.tags, [0, 0, 1, 0, 1])
@@ -358,7 +371,7 @@ class TestStore:
             D.load_store(path)
 
     def test_every_truncation_raises_typed(self, tmp_path):
-        store = D.PseudoNegativeStore()
+        store = D.PseudoNegativeStore(np.zeros((0, 1, 2, 2)))
         store.add_batch(1, 0, rng(10, 6).standard_normal((2, 1, 2, 2)))
         store.add_batch(2, 1, rng(11, 6).standard_normal((1, 1, 2, 2)))
         path = tmp_path / "s.pn"
@@ -373,8 +386,8 @@ class TestStore:
                              ids=["count", "sample_shape"])
     def test_huge_header_field_rejected_before_reading(self, tmp_path, offset, value):
         # before: a sample-shape field of 2**31 raised MemoryError
-        store = D.PseudoNegativeStore()
-        store.add_batch(1, -1, np.ones((2, 3)))
+        store = D.PseudoNegativeStore(np.zeros((0, 3)))
+        store.add_batch(1, 0, np.ones((2, 3)))
         path = tmp_path / "huge.pn"
         D.save_store(store, path)
         data = bytearray(path.read_bytes())
@@ -386,16 +399,16 @@ class TestStore:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected_naming_the_file(self, tmp_path, value):
-        store = D.PseudoNegativeStore()
-        store.add_batch(1, -1, np.array([[0.5, value]]))
+        store = D.PseudoNegativeStore(np.zeros((0, 2)))
+        store.add_batch(1, 0, np.array([[0.5, value]]))
         path = tmp_path / "nan.pn"
         D.save_store(store, path)
         with pytest.raises(D.StoreFormatError, match=r"nan\.pn: .*NaN or Inf"):
             D.load_store(path)
 
     def test_bytes_after_last_entry_rejected_naming_the_file(self, tmp_path):
-        store = D.PseudoNegativeStore()
-        store.add_batch(1, -1, np.ones((2, 2)))
+        store = D.PseudoNegativeStore(np.zeros((0, 2)))
+        store.add_batch(1, 0, np.ones((2, 2)))
         path = tmp_path / "tail.pn"
         D.save_store(store, path)
         path.write_bytes(path.read_bytes() + b"\x00")
@@ -403,7 +416,7 @@ class TestStore:
             D.load_store(path)
 
     def test_image_shaped_samples_roundtrip(self, tmp_path):
-        store = D.PseudoNegativeStore()
+        store = D.PseudoNegativeStore(np.zeros((0, 1, 4, 4)))
         store.add_batch(2, 5, rng(9, 6).standard_normal((2, 1, 4, 4)))
         D.save_store(store, tmp_path / "img.pn")
         back = D.load_store(tmp_path / "img.pn")

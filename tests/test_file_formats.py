@@ -86,7 +86,7 @@ MODELS = {
 
 
 def store_target(tmp_path):
-    store = D.PseudoNegativeStore()
+    store = D.PseudoNegativeStore(np.zeros((0, 1, 2, 2)))
     store.add_batch(1, 0, rng(10, 6).standard_normal((2, 1, 2, 2)))
     store.add_batch(2, 1, rng(11, 6).standard_normal((1, 1, 2, 2)))
     path = tmp_path / "s.pn"

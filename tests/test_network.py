@@ -224,9 +224,9 @@ class TestLogitSumGraph:
 
 def mixed_batch(k, gen, n_s=5, n_pn=4, shape=(2,)):
     """A batch of n_s labeled rows, then n_pn pseudo-negatives: (x, labels,
-    n_s), with the tags -1 on a binary head as the store keeps them."""
+    n_s), tagged with head columns (0 on a binary head) as the store keeps them."""
     x = gen.standard_normal((n_s + n_pn,) + shape)
-    tags = np.full(n_pn, -1) if k == 1 else gen.integers(0, k, size=n_pn)
+    tags = gen.integers(0, k, size=n_pn)
     labels = np.concatenate([gen.integers(0, max(k, 2), size=n_s), tags])
     return x, labels, n_s
 

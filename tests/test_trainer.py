@@ -45,13 +45,18 @@ def benchmark(seed, n_pos=24, n_neg=24):
     return D.gen_synthetic_2d(spec, rng(seed, 6))
 
 
+def empty_store():
+    """A store of 2D samples before its first batch, as round 0 holds it."""
+    return D.PseudoNegativeStore(np.zeros((0, 2)))
+
+
 def head_total(c, x, y, pn=None, tags=None, alpha=0.0):
     """The total head_loss returns for one batch of the labeled rows
     (x, y), then the pseudo-negatives pn tagged `tags`: the loss SGD
     minimizes, as a sum."""
     if pn is None:
         return N.head_loss(N.class_logits(c, x), y, alpha=alpha)[0]
-    tags = np.full(len(pn), -1) if tags is None else tags
+    tags = np.zeros(len(pn), dtype=int) if tags is None else tags
     logits = N.class_logits(c, np.concatenate([x, pn]))
     return N.head_loss(logits, np.concatenate([y, tags]), len(x), alpha)[0]
 
@@ -111,7 +116,7 @@ class TestBinaryLoss:
         before = [p.copy() for p in c.all_params()]
         with pytest.raises(TR.TrainerError, match="labels outside 0..1"):
             TR._sgd_epochs(c, np.zeros((2, 2)), np.array([1, -1]), np.zeros((1, 2)),
-                           np.array([-1]), 0.1, 0.01, 1, quick_config(), rng(19, 2))
+                           np.array([0]), 0.1, 0.01, 1, quick_config(), rng(19, 2))
         for a, b in zip(before, c.all_params()):
             assert np.array_equal(a, b)
 
@@ -160,6 +165,16 @@ class TestMulticlassLoss:
         with pytest.raises(TR.TrainerError, match="pseudo-negative tag outside 0..2"):
             TR._sgd_epochs(c, np.zeros((1, 2)), np.array([0]), np.zeros((1, 2)),
                            np.array([3]), 0.1, 0.01, 1, quick_config(), rng(16, 2))
+        for a, b in zip(before, c.all_params()):
+            assert np.array_equal(a, b)
+
+    def test_binary_negative_tag_rejected(self):
+        # a binary head's pseudo-negatives are class 0, its one head column
+        c = N.init_binary(SPEC_2D, (2,), rng(17, 1))
+        before = [p.copy() for p in c.all_params()]
+        with pytest.raises(TR.TrainerError, match=r"pseudo-negative tag outside 0\.\.0"):
+            TR._sgd_epochs(c, np.zeros((2, 2)), np.array([0, 1]), np.zeros((1, 2)),
+                           np.array([-1]), 0.1, 0.01, 1, quick_config(), rng(17, 2))
         for a, b in zip(before, c.all_params()):
             assert np.array_equal(a, b)
 
@@ -248,7 +263,6 @@ def tape_head(c, x, labels, n_labeled=None, alpha=0.0, params="const", inputs="c
     if c.binary:
         z = record.reshape(logits, (len(x),))
         sign = 1.0 - 2.0 * labels
-        sign[m:] = 1.0
         return record, record.sum(record.softplus(record.mul_const(z, sign))), logits
     labeled = record._gather(logits, slice(None, m), "take_rows")
     picked = record.select(record.log_softmax(labeled), labels[:m])
@@ -260,9 +274,9 @@ def tape_head(c, x, labels, n_labeled=None, alpha=0.0, params="const", inputs="c
 
 def pass_batch(k, shape, gen, n_s, n_pn):
     """n_s labeled rows, then n_pn pseudo-negatives tagged as the store tags
-    them (-1 on a binary head): (x, labels, n_s)."""
+    them, with a head column (0 on a binary head): (x, labels, n_s)."""
     x = gen.uniform(-1, 1, (n_s + n_pn,) + shape)
-    tags = np.full(n_pn, -1) if k == 1 else gen.integers(0, k, size=n_pn)
+    tags = gen.integers(0, k, size=n_pn)
     labels = np.concatenate([gen.integers(0, max(k, 2), size=n_s), tags])
     return x, labels, n_s
 
@@ -343,7 +357,7 @@ class TestReclassificationStep:
         before = [p.copy() for p in c.all_params()]
         cfg = quick_config(epochs_per_round=0)
         losses = TR.reclassification_step(c, ds.samples, ds.labels,
-                                          D.PseudoNegativeStore(), cfg, 1,
+                                          empty_store(), cfg, 1,
                                           rng(20, 2, 1))
         assert losses == []
         for a, b in zip(before, c.all_params()):
@@ -356,7 +370,7 @@ class TestReclassificationStep:
         x[:, 0] += 0.5 * np.sign(x[:, 0])  # widen the margin
         c = N.init_binary(SPEC_2D, (2,), rng(21, 1))
         cfg = quick_config(epochs_per_round=40, learning_rate=0.1)
-        losses = TR.reclassification_step(c, x, y, D.PseudoNegativeStore(),
+        losses = TR.reclassification_step(c, x, y, empty_store(),
                                           cfg, 1, rng(21, 2, 1))
         assert losses[-1] < math.log(2)
 
@@ -366,7 +380,7 @@ class TestReclassificationStep:
         for _ in range(2):
             c = N.init_binary(SPEC_2D, (2,), rng(22, 1))
             TR.reclassification_step(c, ds.samples, ds.labels,
-                                     D.PseudoNegativeStore(), quick_config(),
+                                     empty_store(), quick_config(),
                                      1, rng(22, 2, 1))
             results.append([p.copy() for p in c.all_params()])
         for a, b in zip(*results):
@@ -379,7 +393,7 @@ class TestReclassificationStep:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TR.TrainingDivergedError, match="epoch"):
                 TR.reclassification_step(c, ds.samples, ds.labels,
-                                         D.PseudoNegativeStore(), cfg, 1,
+                                         empty_store(), cfg, 1,
                                          rng(23, 2, 1))
 
     def test_nan_written_between_steps_diverges(self, monkeypatch):
@@ -397,7 +411,7 @@ class TestReclassificationStep:
 
         monkeypatch.setattr(TR, "_sgd_step", poisoned_after_first)
         with pytest.raises(TR.TrainingDivergedError, match="epoch 0, sample offset 32"):
-            TR.reclassification_step(c, ds.samples, ds.labels, D.PseudoNegativeStore(),
+            TR.reclassification_step(c, ds.samples, ds.labels, empty_store(),
                                      quick_config(), 1, rng(25, 2, 1))
         assert len(calls) == 2
 
@@ -427,7 +441,7 @@ class TestReclassificationStep:
             c = N.init_binary(SPEC_2D, (2,), rng(24, 1))
             cfg = quick_config(epochs_per_round=1, lr_drop_round=25)
             TR.reclassification_step(c, ds.samples, ds.labels,
-                                     D.PseudoNegativeStore(), cfg, round_t,
+                                     empty_store(), cfg, round_t,
                                      rng(24, 2, 0))
             outs.append([p.copy() for p in c.all_params()])
         # the dropped learning rate must actually change the trajectory
@@ -621,7 +635,7 @@ class TestRunLoop:
         # the store gets l rows per class, in class order, from the one batch
         np.testing.assert_array_equal(run.store.tags, run.store.samples[:, 0] // 4)
         # a binary classifier's chains all name its one head column, 0, and
-        # its pseudo-negatives carry the negative tag
+        # its pseudo-negatives carry that tag, class 0
         calls.clear()
         binary = D.LabeledDataset(ds.samples, ds.labels == 0, 2)
         run = TR.run_reclassification_by_synthesis(binary, SPEC_2D, cfg, None, "binary",
@@ -629,7 +643,7 @@ class TestRunLoop:
         assert len(calls) == 2
         for classes in calls:
             np.testing.assert_array_equal(classes, np.zeros(4, dtype=int))
-        np.testing.assert_array_equal(run.store.tags, np.full(8, -1))
+        np.testing.assert_array_equal(run.store.tags, np.zeros(8))
 
 
 def directional_config(seed):
